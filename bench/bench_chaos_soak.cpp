@@ -146,7 +146,6 @@ struct SoakResult {
   std::uint64_t recoveries = 0;
   std::uint64_t malformed_ingress = 0;  ///< garbage frames injected (not in the digest)
   std::uint64_t malformed_drops = 0;    ///< garbage frames counted as dropped
-  std::uint64_t mail_posted = 0;        ///< cross-shard mailbox traffic (sharded runs)
   // I5 adversarial accounting (none of it enters the digest — the digest
   // must stay equal to the clean keyed run's, that is the whole point).
   std::uint64_t reports_delivered = 0;
@@ -250,7 +249,6 @@ std::vector<std::vector<std::uint8_t>> make_forged_reports() {
 SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault>& schedule,
                     sim::EventQueue::Backend backend,
                     const telemetry::Observability& obs = {}, bool inject_malformed = false,
-                    std::uint32_t shards = 0, bool threaded = false,
                     sim::FibSync fib_sync = sim::FibSync::incremental,
                     bool policy_engine = false,
                     std::optional<net::SipHashKey> auth_key = std::nullopt,
@@ -269,7 +267,8 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
     pairing_options.suppress_ctx = &suppress_ctx;
   }
   Testbed tb{seed, /*keep_series=*/false, 500 * sim::kMicrosecond, -300 * sim::kMicrosecond,
-             backend, obs, shards, threaded, fib_sync, auth_key, pairing_options};
+             backend, obs, /*shards=*/0, /*threaded=*/false, fib_sync, auth_key,
+             pairing_options};
   tb.la.set_policy(std::make_unique<core::HysteresisPolicy>(1.0));
   tb.ny.set_policy(std::make_unique<core::HysteresisPolicy>(1.0));
   if (policy_engine) {
@@ -464,9 +463,6 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
   tb.wan.run_all();  // I1: completes without crashing or wedging
   const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
 
-  for (std::uint32_t s = 0; s < tb.wan.shard_count(); ++s) {
-    r.mail_posted += tb.wan.shard_stats(s).mail_posted;
-  }
   r.wan_delivered = tb.wan.delivered();
   if (wall.count() > 0) r.pkts_per_sec = static_cast<double>(tb.wan.delivered()) / wall.count();
   r.wan_dropped = tb.wan.total_dropped();
@@ -541,95 +537,37 @@ int check_invariants(const SoakResult& r, const std::vector<Fault>& schedule, si
   return violations;
 }
 
-// --- Sharded determinism (I4-sharded) ---------------------------------------
-
-/// Runs the identical soak under the sharded engine at 1, 2, 4 and 8 shards
-/// and requires bitwise-equal digests: the gate that conservative
-/// synchronization — never the shard layout or the thread schedule — decides
-/// event order.  N-shard runs are cooperative by default so the check is
-/// exact on any box; TANGO_SOAK_THREADED=1 puts them on real OS threads.
-int check_sharded_determinism(std::uint64_t seed, sim::Time total,
-                              const std::vector<Fault>& schedule) {
-  const bool threaded = env_flag_set("TANGO_SOAK_THREADED");
-  std::printf("sharded determinism (I4-sharded, %s N-shard runs):\n",
-              threaded ? "threaded" : "cooperative");
-  const SoakResult base = run_soak(seed, total, schedule,
-                                   sim::EventQueue::Backend::timing_wheel, {},
-                                   /*inject_malformed=*/false, /*shards=*/1);
-  std::printf("  1 shard : digest %016llx, traffic %llu, quarantines %llu\n",
-              static_cast<unsigned long long>(base.digest),
-              static_cast<unsigned long long>(base.traffic_la + base.traffic_ny),
-              static_cast<unsigned long long>(base.quarantines));
-  int violations = 0;
-  if (base.mail_posted != 0) {
-    std::fprintf(stderr, "FAIL I4-sharded: a 1-shard run posted cross-shard mail (%llu)\n",
-                 static_cast<unsigned long long>(base.mail_posted));
-    ++violations;
-  }
-  for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    const SoakResult r = run_soak(seed, total, schedule,
-                                  sim::EventQueue::Backend::timing_wheel, {},
-                                  /*inject_malformed=*/false, shards, threaded);
-    std::printf("  %u shards: digest %016llx, traffic %llu, cross-shard mail %llu\n", shards,
-                static_cast<unsigned long long>(r.digest),
-                static_cast<unsigned long long>(r.traffic_la + r.traffic_ny),
-                static_cast<unsigned long long>(r.mail_posted));
-    if (r.digest != base.digest || r.max_unusable_streak != base.max_unusable_streak) {
-      std::fprintf(stderr,
-                   "FAIL I4-sharded: %u-shard run diverged from 1-shard "
-                   "(digest %016llx vs %016llx, streak %d vs %d)\n",
-                   shards, static_cast<unsigned long long>(r.digest),
-                   static_cast<unsigned long long>(base.digest), r.max_unusable_streak,
-                   base.max_unusable_streak);
-      ++violations;
-    }
-    if (r.mail_posted == 0) {
-      std::fprintf(stderr,
-                   "FAIL I4-sharded: %u-shard run posted no cross-shard mail — "
-                   "the plan never split the topology, so the check has no teeth\n",
-                   shards);
-      ++violations;
-    }
-  }
-  std::printf("\n");
-  return violations;
-}
-
 // --- Incremental FIB sync determinism (I4-fib) -------------------------------
 
-/// Runs the soak with the full-rebuild FIB sync oracle at 1/2/4/8 shards and
-/// requires each run to match the incremental-mode baseline bit for bit —
-/// both the soak digest (every delivery and fault reaction) and the final
-/// FIB digest.  The gate that incremental delta application and surgical
-/// cache invalidation never change a forwarding decision.
+/// Runs the soak with the full-rebuild FIB sync oracle and requires it to
+/// match the incremental-mode run bit for bit — both the soak digest (every
+/// delivery and fault reaction) and the final FIB digest.  The gate that
+/// incremental delta application and surgical cache invalidation never
+/// change a forwarding decision.
 int check_fib_sync_determinism(std::uint64_t seed, sim::Time total,
                                const std::vector<Fault>& schedule) {
-  std::printf("incremental FIB sync determinism (I4-fib, full-rebuild oracle runs):\n");
+  std::printf("incremental FIB sync determinism (I4-fib, full-rebuild oracle run):\n");
   const SoakResult base = run_soak(seed, total, schedule,
+                                   sim::EventQueue::Backend::timing_wheel);
+  const SoakResult full = run_soak(seed, total, schedule,
                                    sim::EventQueue::Backend::timing_wheel, {},
-                                   /*inject_malformed=*/false, /*shards=*/1);
-  std::printf("  incremental, 1 shard : digest %016llx, fib %016llx\n",
+                                   /*inject_malformed=*/false, sim::FibSync::full_rebuild);
+  std::printf("  incremental : digest %016llx, fib %016llx\n",
               static_cast<unsigned long long>(base.digest),
               static_cast<unsigned long long>(base.fib_digest));
+  std::printf("  full-rebuild: digest %016llx, fib %016llx\n",
+              static_cast<unsigned long long>(full.digest),
+              static_cast<unsigned long long>(full.fib_digest));
   int violations = 0;
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    const SoakResult full = run_soak(seed, total, schedule,
-                                     sim::EventQueue::Backend::timing_wheel, {},
-                                     /*inject_malformed=*/false, shards, /*threaded=*/false,
-                                     sim::FibSync::full_rebuild);
-    std::printf("  full-rebuild, %u shard%s: digest %016llx, fib %016llx\n", shards,
-                shards == 1 ? " " : "s", static_cast<unsigned long long>(full.digest),
-                static_cast<unsigned long long>(full.fib_digest));
-    if (full.digest != base.digest || full.fib_digest != base.fib_digest) {
-      std::fprintf(stderr,
-                   "FAIL I4-fib: full-rebuild run at %u shards diverged from the "
-                   "incremental baseline (digest %016llx vs %016llx, fib %016llx vs %016llx)\n",
-                   shards, static_cast<unsigned long long>(full.digest),
-                   static_cast<unsigned long long>(base.digest),
-                   static_cast<unsigned long long>(full.fib_digest),
-                   static_cast<unsigned long long>(base.fib_digest));
-      ++violations;
-    }
+  if (full.digest != base.digest || full.fib_digest != base.fib_digest) {
+    std::fprintf(stderr,
+                 "FAIL I4-fib: full-rebuild run diverged from the incremental run "
+                 "(digest %016llx vs %016llx, fib %016llx vs %016llx)\n",
+                 static_cast<unsigned long long>(full.digest),
+                 static_cast<unsigned long long>(base.digest),
+                 static_cast<unsigned long long>(full.fib_digest),
+                 static_cast<unsigned long long>(base.fib_digest));
+    ++violations;
   }
   std::printf("\n");
   return violations;
@@ -649,8 +587,7 @@ int check_policy_engine_determinism(std::uint64_t seed, sim::Time total,
                                    sim::EventQueue::Backend::timing_wheel);
   const SoakResult engine = run_soak(seed, total, schedule,
                                      sim::EventQueue::Backend::timing_wheel, {},
-                                     /*inject_malformed=*/false, /*shards=*/0,
-                                     /*threaded=*/false, sim::FibSync::incremental,
+                                     /*inject_malformed=*/false, sim::FibSync::incremental,
                                      /*policy_engine=*/true);
   std::printf("  bare   : digest %016llx, fib %016llx\n",
               static_cast<unsigned long long>(base.digest),
@@ -699,8 +636,7 @@ AdversarialOutcome check_adversarial_resilience(std::uint64_t seed, sim::Time to
   const auto wheel = sim::EventQueue::Backend::timing_wheel;
   auto keyed_run = [&](unsigned attacks) {
     return run_soak(seed, total, schedule, wheel, {}, /*inject_malformed=*/false,
-                    /*shards=*/0, /*threaded=*/false, sim::FibSync::incremental,
-                    /*policy_engine=*/false, kSoakKey, attacks);
+                    sim::FibSync::incremental, /*policy_engine=*/false, kSoakKey, attacks);
   };
   o.clean = keyed_run(0);
   o.forged = keyed_run(kAttackForgery);
@@ -917,8 +853,6 @@ int run(std::uint64_t seed, sim::Time total) {
                  static_cast<unsigned long long>(poisoned.malformed_drops));
     ++violations;
   }
-  const int shard_violations = check_sharded_determinism(seed, total, schedule);
-  violations += shard_violations;
   const int fib_sync_violations = check_fib_sync_determinism(seed, total, schedule);
   violations += fib_sync_violations;
   const int policy_violations = check_policy_engine_determinism(seed, total, schedule);
@@ -949,7 +883,7 @@ int run(std::uint64_t seed, sim::Time total) {
                 "    {\"sha\": \"%s\", \"date\": \"%s\", \"seed\": %llu, \"faults\": %zu, "
                 "\"traffic_delivered\": %llu, \"quarantines\": %llu, \"recoveries\": %llu, "
                 "\"max_unusable_streak\": %d, \"pkts_per_sec\": %.0f, \"deterministic\": %s, "
-                "\"sharded_deterministic\": %s, \"fib_sync_deterministic\": %s, "
+                "\"fib_sync_deterministic\": %s, "
                 "\"policy_engine_deterministic\": %s, \"adversarially_resilient\": %s, "
                 "\"violations\": %d}",
                 git_head_sha().c_str(), utc_timestamp().c_str(),
@@ -958,7 +892,6 @@ int run(std::uint64_t seed, sim::Time total) {
                 static_cast<unsigned long long>(wheel.quarantines),
                 static_cast<unsigned long long>(wheel.recoveries), wheel.max_unusable_streak,
                 wheel.pkts_per_sec, wheel.digest == heap.digest ? "true" : "false",
-                shard_violations == 0 ? "true" : "false",
                 fib_sync_violations == 0 ? "true" : "false",
                 policy_violations == 0 ? "true" : "false",
                 adversarial.violations == 0 ? "true" : "false", violations);
@@ -980,23 +913,6 @@ int run(std::uint64_t seed, sim::Time total) {
   }
   std::printf("all invariants held (%zu faults, both backends, digest %016llx)\n",
               schedule.size(), static_cast<unsigned long long>(wheel.digest));
-  return 0;
-}
-
-/// `--shards-only`: just the I4-sharded digest gate, no reports and no run
-/// history — the shape ctest (and the TSan job) runs in CI.
-int run_shards_only(std::uint64_t seed, sim::Time total) {
-  print_header("Chaos soak (sharded digest gate)",
-               "same fault schedule at 1/2/4/8 shards; bitwise-equal digests required", seed);
-  const std::vector<Fault> schedule = make_schedule(seed, total);
-  if (schedule.size() < 2) {
-    std::fprintf(stderr, "FAIL: degenerate schedule (%zu faults) — soak too short\n",
-                 schedule.size());
-    return 1;
-  }
-  const int violations = check_sharded_determinism(seed, total, schedule);
-  if (violations > 0) return 1;
-  std::printf("I4-sharded held (%zu faults, shard counts 1/2/4/8)\n", schedule.size());
   return 0;
 }
 
@@ -1043,10 +959,10 @@ int run_adversarial_only(std::uint64_t seed, sim::Time total) {
 }
 
 /// `--fib-sync-only`: just the I4-fib gate (incremental FIB sync vs the
-/// full-rebuild oracle at 1/2/4/8 shards), no reports and no run history.
+/// full-rebuild oracle), no reports and no run history.
 int run_fib_sync_only(std::uint64_t seed, sim::Time total) {
   print_header("Chaos soak (incremental FIB sync gate)",
-               "incremental vs full-rebuild FIB sync at 1/2/4/8 shards; "
+               "incremental vs full-rebuild FIB sync; "
                "bitwise-equal soak and FIB digests required",
                seed);
   const std::vector<Fault> schedule = make_schedule(seed, total);
@@ -1057,7 +973,7 @@ int run_fib_sync_only(std::uint64_t seed, sim::Time total) {
   }
   const int violations = check_fib_sync_determinism(seed, total, schedule);
   if (violations > 0) return 1;
-  std::printf("I4-fib held (%zu faults, shard counts 1/2/4/8)\n", schedule.size());
+  std::printf("I4-fib held (%zu faults)\n", schedule.size());
   return 0;
 }
 
@@ -1070,15 +986,12 @@ int main(int argc, char** argv) {
   if (tango::bench::quick_mode()) {
     total = 45 * tango::sim::kSecond;  // ~3 faults: same invariants, CI-sized
   }
-  bool shards_only = false;
   bool fib_sync_only = false;
   bool policy_only = false;
   bool adversarial_only = false;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards-only") == 0) {
-      shards_only = true;
-    } else if (std::strcmp(argv[i], "--fib-sync-only") == 0) {
+    if (std::strcmp(argv[i], "--fib-sync-only") == 0) {
       fib_sync_only = true;
     } else if (std::strcmp(argv[i], "--policy-only") == 0) {
       policy_only = true;
@@ -1090,7 +1003,6 @@ int main(int argc, char** argv) {
   }
   if (positional.size() > 0) seed = std::strtoull(positional[0], nullptr, 10);
   if (positional.size() > 1) total = std::strtoull(positional[1], nullptr, 10) * tango::sim::kSecond;
-  if (shards_only) return tango::bench::run_shards_only(seed, total);
   if (fib_sync_only) return tango::bench::run_fib_sync_only(seed, total);
   if (policy_only) return tango::bench::run_policy_only(seed, total);
   if (adversarial_only) return tango::bench::run_adversarial_only(seed, total);

@@ -26,11 +26,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -241,6 +239,7 @@ struct PipelineResult {
   double wall_seconds = 0;
   double pkts_per_sec = 0;
   double ns_per_packet = 0;
+  std::uint64_t allocs = 0;  ///< heap allocations inside the measured window
   double allocs_per_packet = 0;
   double pool_hit_rate = 0;
   std::uint64_t weighted_decisions = 0;  ///< engine decisions (weighted variant only)
@@ -293,8 +292,9 @@ PipelineResult run_pipeline(std::uint64_t seed, std::size_t flows, std::size_t r
     tb.wan.events().run_all();
   };
 
-  // Warmup: fills the buffer pool, grows the event queue, touches every
-  // code path once.  Not counted.
+  // Warmup: fills the buffer pool, grows the event queue to the workload's
+  // peak in-flight count (the timing wheel sizes its bucket-chunk pool from
+  // that peak), touches every code path once.  Not counted.
   for (std::size_t r = 0; r < warmup_rounds; ++r) send_round();
 
   const std::uint64_t sent_before = result.sent;
@@ -321,6 +321,7 @@ PipelineResult run_pipeline(std::uint64_t seed, std::size_t flows, std::size_t r
   result.ns_per_packet = measured_sent > 0
                              ? result.wall_seconds * 1e9 / static_cast<double>(measured_sent)
                              : 0;
+  result.allocs = g_allocs;
   result.allocs_per_packet =
       measured_sent > 0 ? static_cast<double>(g_allocs) / static_cast<double>(measured_sent) : 0;
   const std::uint64_t pool_ops =
@@ -412,81 +413,6 @@ ScaleResult run_scale(std::uint64_t seed, std::size_t flows, std::size_t rounds,
   return result;
 }
 
-// --- Shard scaling: the same burst workload across shard counts --------------
-
-struct ShardScaleResult {
-  std::uint32_t shards = 0;
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t mail_posted = 0;
-  double wall_seconds = 0;
-  double pkts_per_sec = 0;
-  double busy_fraction = 0;  ///< sum of shard busy time / (wall * shards)
-};
-
-/// run_scale's burst workload under the sharded engine.  Threaded whenever
-/// the box has more than one core (the scaling story); cooperative otherwise,
-/// where the engine's synchronization overhead is measured honestly against
-/// the 1-shard baseline instead of thrashing N threads on one core.
-ShardScaleResult run_shard_scale(std::uint64_t seed, std::size_t flows, std::size_t rounds,
-                                 std::uint32_t shards, bool threaded) {
-  Testbed tb{seed,
-             /*keep_series=*/false,
-             500 * sim::kMicrosecond,
-             -300 * sim::kMicrosecond,
-             sim::EventQueue::Backend::timing_wheel,
-             {},
-             shards,
-             threaded};
-  const std::vector<std::uint8_t> payload(64, 0x42);
-
-  std::vector<net::Ipv6Address> srcs;
-  std::vector<net::Ipv6Address> dsts;
-  for (std::size_t f = 0; f < flows; ++f) {
-    srcs.push_back(tb.la.host_address(0x100 + f));
-    dsts.push_back(tb.scenario.plan.ny_hosts.host(0x200 + f));
-  }
-
-  ShardScaleResult result;
-  result.shards = shards;
-
-  constexpr sim::Time kRoundInterval = 25 * sim::kMicrosecond;
-  const sim::Time start = tb.wan.now();
-  const std::uint64_t delivered_before = tb.wan.delivered();
-
-  std::vector<net::Packet> burst;
-  burst.reserve(flows);
-  const auto t0 = Clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    burst.clear();
-    for (std::size_t f = 0; f < flows; ++f) {
-      burst.push_back(net::make_udp_packet(tb.wan.buffer_pool(), srcs[f], dsts[f],
-                                           static_cast<std::uint16_t>(40000 + f), 9, payload));
-    }
-    result.sent += tb.la.dp().send_burst(burst);
-    tb.wan.run_until(start + static_cast<sim::Time>(r + 1) * kRoundInterval);
-  }
-  tb.wan.run_all();
-  const auto t1 = Clock::now();
-
-  result.delivered = tb.wan.delivered() - delivered_before;
-  result.wall_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0).count();
-  if (result.wall_seconds > 0) {
-    result.pkts_per_sec = static_cast<double>(result.delivered) / result.wall_seconds;
-  }
-  double busy = 0;
-  for (std::uint32_t s = 0; s < tb.wan.shard_count(); ++s) {
-    const sim::ShardEngine::Stats st = tb.wan.shard_stats(s);
-    result.mail_posted += st.mail_posted;
-    busy += st.busy_seconds;
-  }
-  if (result.wall_seconds > 0 && shards > 0) {
-    result.busy_fraction = busy / (result.wall_seconds * static_cast<double>(shards));
-  }
-  return result;
-}
-
 // --- Scheduler microbench ----------------------------------------------------
 
 struct SchedResult {
@@ -555,8 +481,7 @@ void emit_scale(JsonWriter& w, const char* key, const ScaleResult& s) {
 void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
                        const PipelineResult& pipe_weighted, const ScaleResult& wheel,
                        const ScaleResult& heap, const SchedResult& sched_wheel,
-                       const SchedResult& sched_heap,
-                       const std::vector<ShardScaleResult>& shard_scale) {
+                       const SchedResult& sched_heap) {
   JsonWriter w;
   w.begin_object();
 
@@ -580,6 +505,7 @@ void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
       .field("packets_delivered", pipe.delivered)
       .field("pkts_per_sec", pipe.pkts_per_sec, 0)
       .field("ns_per_packet", pipe.ns_per_packet, 1)
+      .field("allocs", pipe.allocs)
       .field("allocs_per_packet", pipe.allocs_per_packet, 3)
       .field("pool_hit_rate", pipe.pool_hit_rate, 3)
       .end_object();
@@ -589,6 +515,7 @@ void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
       .field("packets_sent", pipe_weighted.sent)
       .field("packets_delivered", pipe_weighted.delivered)
       .field("pkts_per_sec", pipe_weighted.pkts_per_sec, 0)
+      .field("allocs", pipe_weighted.allocs)
       .field("allocs_per_packet", pipe_weighted.allocs_per_packet, 3)
       .field("weighted_decisions", pipe_weighted.weighted_decisions)
       .field("flowlets_started", pipe_weighted.flowlets_started)
@@ -601,30 +528,6 @@ void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
   w.field("wheel_speedup",
           heap.pkts_per_sec > 0 ? wheel.pkts_per_sec / heap.pkts_per_sec : 0.0, 2);
   w.end_object();
-
-  if (!shard_scale.empty()) {
-    w.begin_object("shard_scale");
-    w.field("cores", static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-    w.begin_array("runs");
-    for (const ShardScaleResult& s : shard_scale) {
-      w.begin_object()
-          .field("shards", static_cast<std::uint64_t>(s.shards))
-          .field("packets_sent", s.sent)
-          .field("packets_delivered", s.delivered)
-          .field("cross_shard_mail", s.mail_posted)
-          .field("wall_seconds", s.wall_seconds, 3)
-          .field("pkts_per_sec", s.pkts_per_sec, 0)
-          .field("busy_fraction", s.busy_fraction, 3)
-          .end_object();
-    }
-    w.end_array();
-    w.field("speedup_8x",
-            shard_scale.front().pkts_per_sec > 0
-                ? shard_scale.back().pkts_per_sec / shard_scale.front().pkts_per_sec
-                : 0.0,
-            2);
-    w.end_object();
-  }
 
   w.begin_object("scheduler");
   w.begin_object("timing_wheel")
@@ -645,8 +548,7 @@ void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
 
 void append_history(const ScaleResult& wheel, const ScaleResult& heap,
                     const SchedResult& sched_wheel, const SchedResult& sched_heap,
-                    const PipelineResult& pipe, const PipelineResult& pipe_weighted,
-                    const std::vector<ShardScaleResult>& shard_scale) {
+                    const PipelineResult& pipe, const PipelineResult& pipe_weighted) {
   char record[768];
   std::snprintf(
       record, sizeof record,
@@ -663,20 +565,6 @@ void append_history(const ScaleResult& wheel, const ScaleResult& heap,
       pipe.pkts_per_sec, pipe.allocs_per_packet, pipe_weighted.pkts_per_sec,
       pipe_weighted.allocs_per_packet);
   std::string rec{record};
-  if (!shard_scale.empty()) {
-    char extra[128];
-    for (const ShardScaleResult& s : shard_scale) {
-      std::snprintf(extra, sizeof extra, ", \"shards%u_pkts_per_sec\": %.0f", s.shards,
-                    s.pkts_per_sec);
-      rec += extra;
-    }
-    std::snprintf(extra, sizeof extra, ", \"shard_speedup_8x\": %.2f, \"shard_cores\": %u",
-                  shard_scale.front().pkts_per_sec > 0
-                      ? shard_scale.back().pkts_per_sec / shard_scale.front().pkts_per_sec
-                      : 0.0,
-                  std::thread::hardware_concurrency());
-    rec += extra;
-  }
   rec += "}";
   if (append_run_history("BENCH_dataplane", rec)) {
     std::printf("appended run record to <repo-root>/BENCH_dataplane.json\n");
@@ -691,7 +579,6 @@ struct Config {
   std::size_t scale_flows = 64;
   std::size_t scale_rounds = 16000;  // x64 flows ~= 1.02M packets
   std::uint64_t sched_events = 1'000'000;
-  bool scale_shards = false;  ///< --scale_shards: sharded-engine scaling axis
 };
 
 int run(const Config& cfg) {
@@ -717,8 +604,9 @@ int run(const Config& cfg) {
               static_cast<unsigned long long>(pipe.delivered), pipe.wall_seconds);
   std::printf("  %.0f pkts/sec, %.1f ns/packet end-to-end\n", pipe.pkts_per_sec,
               pipe.ns_per_packet);
-  std::printf("  %.3f heap allocs/packet steady-state, pool hit rate %.1f%%\n\n",
-              pipe.allocs_per_packet, 100.0 * pipe.pool_hit_rate);
+  std::printf("  %llu heap allocs in %llu packets steady-state, pool hit rate %.1f%%\n\n",
+              static_cast<unsigned long long>(pipe.allocs),
+              static_cast<unsigned long long>(pipe.sent), 100.0 * pipe.pool_hit_rate);
 
   const PipelineResult pipe_weighted =
       run_pipeline(cfg.seed, cfg.flows, cfg.rounds, /*warmup_rounds=*/20,
@@ -728,9 +616,9 @@ int run(const Config& cfg) {
               static_cast<unsigned long long>(pipe_weighted.sent),
               static_cast<unsigned long long>(pipe_weighted.delivered),
               pipe_weighted.pkts_per_sec);
-  std::printf("  %.3f heap allocs/packet on the flowlet split path "
-              "(%llu weighted decisions, %llu flowlets)\n\n",
-              pipe_weighted.allocs_per_packet,
+  std::printf("  %llu heap allocs in %llu packets (%llu weighted decisions, %llu flowlets)\n\n",
+              static_cast<unsigned long long>(pipe_weighted.allocs),
+              static_cast<unsigned long long>(pipe_weighted.sent),
               static_cast<unsigned long long>(pipe_weighted.weighted_decisions),
               static_cast<unsigned long long>(pipe_weighted.flowlets_started));
 
@@ -761,63 +649,11 @@ int run(const Config& cfg) {
   std::printf("  wheel speedup %.2fx, FIB flow-cache hit rate %.1f%%\n\n", speedup,
               100.0 * wheel.fib_cache_hit_rate);
 
-  std::vector<ShardScaleResult> shard_scale;
-  bool shard_gate_ok = true;
-  if (cfg.scale_shards) {
-    const unsigned cores = std::thread::hardware_concurrency();
-    const bool threaded = cores > 1;
-    std::printf("shard scaling (%zu flows x %zu burst rounds, timing wheel, %s, %u cores):\n",
-                cfg.scale_flows, cfg.scale_rounds, threaded ? "threaded" : "cooperative",
-                cores);
-    std::printf("  %-8s %12s %12s %14s %8s %8s\n", "shards", "delivered", "pkts/sec",
-                "x-shard mail", "busy", "speedup");
-    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      shard_scale.push_back(run_shard_scale(cfg.seed, cfg.scale_flows, cfg.scale_rounds,
-                                            shards, threaded && shards > 1));
-      const ShardScaleResult& s = shard_scale.back();
-      std::printf("  %-8u %12llu %12.0f %14llu %7.1f%% %7.2fx\n", s.shards,
-                  static_cast<unsigned long long>(s.delivered), s.pkts_per_sec,
-                  static_cast<unsigned long long>(s.mail_posted), 100.0 * s.busy_fraction,
-                  shard_scale.front().pkts_per_sec > 0
-                      ? s.pkts_per_sec / shard_scale.front().pkts_per_sec
-                      : 0.0);
-      if (s.delivered != shard_scale.front().delivered) {
-        std::fprintf(stderr,
-                     "FAIL: %u-shard run delivered %llu packets, 1-shard %llu — "
-                     "determinism broken\n",
-                     s.shards, static_cast<unsigned long long>(s.delivered),
-                     static_cast<unsigned long long>(shard_scale.front().delivered));
-        shard_gate_ok = false;
-      }
-    }
-    const double speedup8 = shard_scale.front().pkts_per_sec > 0
-                                ? shard_scale.back().pkts_per_sec /
-                                      shard_scale.front().pkts_per_sec
-                                : 0.0;
-    if (cores >= 8) {
-      if (speedup8 < 3.0) {
-        std::fprintf(stderr,
-                     "FAIL: 8 shards reach %.2fx over 1 shard on a %u-core box — "
-                     "gate requires >= 3x\n",
-                     speedup8, cores);
-        shard_gate_ok = false;
-      } else {
-        std::printf("  8-shard speedup %.2fx (gate: >= 3x on >= 8 cores) — ok\n", speedup8);
-      }
-    } else {
-      std::printf("  NOTE: %u-core box — the >= 3x @ 8 shards gate needs >= 8 cores; "
-                  "recording honest numbers, gate skipped\n",
-                  cores);
-    }
-    std::printf("\n");
-  }
-
-  write_detail_json(micro, pipe, pipe_weighted, wheel, heap, sched_wheel, sched_heap,
-                    shard_scale);
-  append_history(wheel, heap, sched_wheel, sched_heap, pipe, pipe_weighted, shard_scale);
+  write_detail_json(micro, pipe, pipe_weighted, wheel, heap, sched_wheel, sched_heap);
+  append_history(wheel, heap, sched_wheel, sched_heap, pipe, pipe_weighted);
 
   // Shape checks (the acceptance criteria for this bench).
-  bool ok = shard_gate_ok;
+  bool ok = true;
   if (pipe.delivered == 0) {
     std::fprintf(stderr, "FAIL: pipeline delivered no packets\n");
     ok = false;
@@ -832,11 +668,12 @@ int run(const Config& cfg) {
                  static_cast<unsigned long long>(pipe_weighted.flowlets_started));
     ok = false;
   }
-  if (pipe_weighted.allocs_per_packet > 0.0) {
+  if (pipe_weighted.allocs > 0) {
     std::fprintf(stderr,
-                 "FAIL: flowlet split path allocates %.3f/packet steady-state — "
-                 "the weighted decision must stay zero-alloc\n",
-                 pipe_weighted.allocs_per_packet);
+                 "FAIL: weighted-policy pipeline made %llu heap allocs in %llu steady-state "
+                 "packets — the warmed-up pipeline must stay zero-alloc\n",
+                 static_cast<unsigned long long>(pipe_weighted.allocs),
+                 static_cast<unsigned long long>(pipe_weighted.sent));
     ok = false;
   }
   if (micro.fast.allocs_per_packet * 2.0 > micro.legacy.allocs_per_packet) {
@@ -863,7 +700,7 @@ int run(const Config& cfg) {
   }
   if (!ok) return 1;
   std::printf(
-      "shape checks passed (fast path <= legacy/2 allocs, flowlet split path "
+      "shape checks passed (fast path <= legacy/2 allocs, weighted-policy pipeline "
       "zero-alloc, traffic delivered, wheel >= 1.3x heap)\n");
   return 0;
 }
@@ -883,18 +720,10 @@ int main(int argc, char** argv) {
     cfg.scale_rounds = 4800;
     cfg.sched_events = 100'000;
   }
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale_shards") == 0) {
-      cfg.scale_shards = true;
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() > 0) cfg.seed = std::strtoull(positional[0], nullptr, 10);
-  if (positional.size() > 1) cfg.micro_iters = std::strtoull(positional[1], nullptr, 10);
-  if (positional.size() > 2) cfg.flows = std::strtoull(positional[2], nullptr, 10);
-  if (positional.size() > 3) cfg.rounds = std::strtoull(positional[3], nullptr, 10);
-  if (positional.size() > 4) cfg.scale_rounds = std::strtoull(positional[4], nullptr, 10);
+  if (argc > 1) cfg.seed = std::strtoull(argv[1], nullptr, 10);
+  if (argc > 2) cfg.micro_iters = std::strtoull(argv[2], nullptr, 10);
+  if (argc > 3) cfg.flows = std::strtoull(argv[3], nullptr, 10);
+  if (argc > 4) cfg.rounds = std::strtoull(argv[4], nullptr, 10);
+  if (argc > 5) cfg.scale_rounds = std::strtoull(argv[5], nullptr, 10);
   return tango::bench::run(cfg);
 }

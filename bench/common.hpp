@@ -2,7 +2,6 @@
 // a WAN, two Tango nodes, and helpers for probing and reporting.
 #pragma once
 
-#include <array>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/pairing.hpp"
@@ -34,16 +34,6 @@ using namespace topo::vultr;
 /// CI's reduced-duration mode, shared by every bench (TANGO_BENCH_QUICK).
 [[nodiscard]] inline bool quick_mode() { return env_flag_set("TANGO_BENCH_QUICK"); }
 
-/// Router→shard affinity for the Vultr scenario: the transit backbone
-/// round-robins over shards 1..N-1 while the edges and servers stay on the
-/// control shard (they hold delivery handlers and receive the scenario's
-/// control events — see ShardPlan's conventions).
-[[nodiscard]] inline sim::ShardPlan vultr_shard_plan(std::uint32_t shards) {
-  static constexpr std::array<bgp::RouterId, 7> kInterior{kNtt,    kTelia,   kGtt,    kCogent,
-                                                          kLevel3, kVultrLa, kVultrNy};
-  return sim::ShardPlan::round_robin(shards, kInterior);
-}
-
 /// The full measurement-study stack, established and ready to probe.
 struct Testbed {
   topo::VultrScenario scenario;
@@ -61,9 +51,9 @@ struct Testbed {
   /// `obs` (optional) wires one metrics registry + packet tracer through the
   /// WAN and both nodes, labeled "la"/"ny" — the instrumented configuration
   /// the telemetry-overhead bench measures against an unwired twin.
-  /// `shards` > 0 selects the sharded engine with the Vultr round-robin plan
-  /// (`threaded` picks OS threads over cooperative round-robin); drive it
-  /// through wan.run_all()/run_until() rather than wan.events().run_*.
+  /// `shards` and `threaded` remain only so the repository benchmark's
+  /// positional call site (tangobench/src/workloads.cpp) keeps compiling;
+  /// both must be zero, anything else throws std::invalid_argument.
   /// `fib_sync` selects incremental delta application or the full-rebuild
   /// oracle (see sim::FibSync) — the chaos soak runs both and compares.
   /// `auth_key` keys both nodes with the same pairing secret (authenticated
@@ -81,12 +71,7 @@ struct Testbed {
                    core::PairingOptions pairing_options = {})
       : scenario{topo::make_vultr_scenario()},
         wan{scenario.topo, sim::Rng{seed},
-            sim::WanOptions{.backend = backend,
-                            .sharded = shards > 0,
-                            .plan = shards > 0 ? vultr_shard_plan(shards)
-                                               : sim::ShardPlan::single(),
-                            .threaded = threaded,
-                            .fib_sync = fib_sync}},
+            sim::WanOptions{.backend = backend, .fib_sync = fib_sync}},
         la{scenario.topo, wan,
            core::NodeConfig{
                .router = kServerLa,
@@ -112,6 +97,9 @@ struct Testbed {
                .name = "ny",
                .obs = obs}},
         pairing{wan, la, ny, pairing_options} {
+    if (shards != 0 || threaded) {
+      throw std::invalid_argument{"Testbed: shards and threaded must be 0"};
+    }
     wan.wire_observability(obs);
     auto [la_out, ny_out] = pairing.establish();
     la_outbound = std::move(la_out);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bgp/wire.hpp"
+#include "core/config.hpp"
 #include "net/packet.hpp"
 #include "net/report.hpp"
 
@@ -281,6 +282,43 @@ void emit_bgp(const fs::path& dir) {
              craft(2, {0, 0, 0, 3, 0x40, 2, 200, 24, 203, 0, 113}));
 }
 
+void write_text_seed(const fs::path& dir, const std::string& name, const std::string& text) {
+  write_seed(dir, name,
+             std::span{reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+}
+
+void emit_config(const fs::path& dir) {
+  core::TangoConfig config;
+  config.peer_host_prefix = *net::Ipv6Prefix::parse("2620:110:901b::/48");
+  write_text_seed(dir, "no_tunnels", core::render_config(config));
+
+  config.tunnels.push_back(core::TunnelConfigEntry{
+      .tunnel = {.id = 1,
+                 .label = "NTT",
+                 .local_endpoint = *net::Ipv6Address::parse("2620:110:9001::1"),
+                 .remote_endpoint = *net::Ipv6Address::parse("2620:110:9011::1"),
+                 .remote_prefix = *net::Ipv6Prefix::parse("2620:110:9011::/48"),
+                 .udp_src_port = 49153},
+      .communities = {}});
+  config.tunnels.push_back(core::TunnelConfigEntry{
+      .tunnel = {.id = 4,
+                 .label = "NTT Cogent",
+                 .local_endpoint = *net::Ipv6Address::parse("2620:110:9004::1"),
+                 .remote_endpoint = *net::Ipv6Address::parse("2620:110:9014::1"),
+                 .remote_prefix = *net::Ipv6Prefix::parse("2620:110:9014::/48"),
+                 .udp_src_port = 49156},
+      .communities = *bgp::CommunitySet::parse("64600:1299 64600:2914 64600:3257")});
+  const std::string two_tunnels = core::render_config(config);
+  write_text_seed(dir, "two_tunnels", two_tunnels);
+  write_text_seed(dir, "comments_and_blanks", "# generated\n\n" + two_tunnels + "\n# end\n");
+
+  // Reproducer for the round-trip bug this harness found: a quote inside a
+  // bare label parsed, but render_config() could not quote it back.
+  std::string stray_quote = two_tunnels;
+  stray_quote.replace(stray_quote.find("\"NTT\""), 5, "NTT\"");
+  write_text_seed(dir, "repro_quote_in_bare_label", stray_quote);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -291,5 +329,6 @@ int main(int argc, char** argv) {
   emit_tango(root / "tango");
   emit_report(root / "report");
   emit_bgp(root / "bgp");
+  emit_config(root / "config");
   return 0;
 }

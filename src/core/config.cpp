@@ -9,8 +9,10 @@ namespace {
 
 std::string quoted(const std::string& s) { return '"' + s + '"'; }
 
-/// Splits a config line into tokens; double-quoted tokens may contain
-/// spaces.  Returns nullopt on unbalanced quotes.
+/// Splits a config line into space-separated tokens; a token wrapped in
+/// double quotes may contain spaces.  A quote anywhere else — unbalanced,
+/// inside a bare token, or glued to the next token — is malformed (nullopt):
+/// render_config could not write such a token back.
 std::optional<std::vector<std::string>> tokenize(const std::string& line) {
   std::vector<std::string> out;
   std::size_t i = 0;
@@ -20,11 +22,13 @@ std::optional<std::vector<std::string>> tokenize(const std::string& line) {
     if (line[i] == '"') {
       auto end = line.find('"', i + 1);
       if (end == std::string::npos) return std::nullopt;
+      if (end + 1 < line.size() && line[end + 1] != ' ') return std::nullopt;
       out.push_back(line.substr(i + 1, end - i - 1));
       i = end + 1;
     } else {
-      auto end = line.find(' ', i);
+      auto end = line.find_first_of(" \"", i);
       if (end == std::string::npos) end = line.size();
+      if (end < line.size() && line[end] == '"') return std::nullopt;
       out.push_back(line.substr(i, end - i));
       i = end;
     }
@@ -63,7 +67,7 @@ std::optional<TangoConfig> parse_config(const std::string& text, std::string* er
   while (std::getline(in, line)) {
     if (line.empty() || line.front() == '#') continue;
     auto tokens_opt = tokenize(line);
-    if (!tokens_opt) return err("unbalanced quotes: " + line);
+    if (!tokens_opt) return err("misplaced quote: " + line);
     const auto& tokens = *tokens_opt;
     if (tokens.empty()) continue;
 

@@ -32,19 +32,6 @@ class Link {
   /// The delay model, exposed for scenario event injection.
   [[nodiscard]] CompositeDelayModel& delay() noexcept { return delay_; }
 
-  /// Static minimum transit time of this link: the base distribution's floor,
-  /// never below one tick.  This is the sharded engine's lookahead bound — a
-  /// packet offered to the link at T arrives no earlier than T + min_delay(),
-  /// so a shard may safely run ahead of a neighbor by that much.  Modifiers
-  /// can sample below this (negative shift_ms); the sharded WAN therefore
-  /// clamps sampled delays up to this floor, identically at every shard
-  /// count, keeping the bound sound without forking delay semantics.
-  [[nodiscard]] Time min_delay() const noexcept {
-    const double ms = delay_.base().floor_ms();
-    const Time floor = ms > 0.0 ? from_ms(ms) : 0;
-    return floor > 0 ? floor : 1;
-  }
-
   [[nodiscard]] std::uint64_t packets() const noexcept { return packets_; }
   [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
   [[nodiscard]] std::uint32_t lanes() const noexcept { return lanes_; }
@@ -76,8 +63,7 @@ class Link {
   /// wait longer than `max_queue_ms` is a congestion drop.  No RNG draws —
   /// enabling it never perturbs the run's random streams, and disabling it
   /// (the default, pkts_per_sec <= 0) leaves transmit() byte-identical to
-  /// the uncapacitated link.  Queueing only ever *adds* delay, so
-  /// min_delay()'s lookahead bound for the sharded engine stays sound.
+  /// the uncapacitated link.  Queueing only ever *adds* delay.
   void set_capacity(double pkts_per_sec, double max_queue_ms);
   [[nodiscard]] std::uint64_t congestion_drops() const noexcept { return congestion_drops_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 namespace tango::sim {
 
@@ -17,16 +16,30 @@ namespace {
 
 }  // namespace
 
-TimingWheel::Chunk* TimingWheel::acquire_chunk() {
-  if (free_chunks_ != nullptr) {
-    Chunk* c = free_chunks_;
-    free_chunks_ = c->next;
-    c->next = nullptr;
-    c->count = 0;
-    return c;
+void TimingWheel::reserve_chunks(std::size_t events) {
+  // S/10 + min(S, buckets) in buckets, S/10 + 1 detached; +2 covers the
+  // rounding down of S/5.
+  const std::size_t bound =
+      events / 5 + std::min(events, static_cast<std::size_t>(kLevels) * kSlots) + 2;
+  if (chunk_count_ >= bound) return;
+  // At least double the pool, so a slowly rising peak costs O(log) blocks.
+  const std::size_t n = std::max(bound - chunk_count_, chunk_count_);
+  chunk_blocks_.push_back(std::make_unique<Chunk[]>(n));
+  Chunk* block = chunk_blocks_.back().get();
+  for (std::size_t i = 0; i < n; ++i) {
+    block[i].next = free_chunks_;
+    free_chunks_ = &block[i];
   }
-  chunk_arena_.push_back(std::make_unique<Chunk>());
-  return chunk_arena_.back().get();
+  chunk_count_ += n;
+}
+
+TimingWheel::Chunk* TimingWheel::acquire_chunk() noexcept {
+  // Never empty: reserve_chunks() holds the pool at its bound.
+  Chunk* c = free_chunks_;
+  free_chunks_ = c->next;
+  c->next = nullptr;
+  c->count = 0;
+  return c;
 }
 
 void TimingWheel::push_item(Bucket& b, const Item& item) {
@@ -57,6 +70,7 @@ std::uint32_t TimingWheel::acquire_slot(Action&& action) {
     return idx;
   }
   actions_.push_back(std::move(action));
+  reserve_chunks(actions_.size());
   return static_cast<std::uint32_t>(actions_.size() - 1);
 }
 
@@ -192,19 +206,6 @@ std::int64_t TimingWheel::find_next(Time limit) {
       if (!bucket(m, 0).empty()) cascade(m, 0);
     }
   }
-}
-
-Time TimingWheel::peek() {
-  if (staging_next_ < staging_.size()) {
-    Time best = staging_[staging_next_].at;
-    if (!far_.empty() && far_.top().at < best) best = far_.top().at;
-    return best;
-  }
-  const std::int64_t tick = find_next(std::numeric_limits<Time>::max());
-  if (tick < 0) return far_.top().at;  // wheel empty: caller guarantees !empty()
-  Time best = static_cast<Time>(tick);
-  if (!far_.empty() && far_.top().at < best) best = far_.top().at;
-  return best;
 }
 
 TimingWheel::Popped TimingWheel::pop(Time limit) {

@@ -67,10 +67,6 @@ class TimingWheel {
   /// Removes and returns the earliest (at, seq) event with at <= limit.
   [[nodiscard]] Popped pop(Time limit);
 
-  /// Time of the earliest pending event without popping it; only valid when
-  /// !empty().  May cascade internally (order-preserving).
-  [[nodiscard]] Time peek();
-
   void clear();
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -113,9 +109,16 @@ class TimingWheel {
   /// geometric growth every time the cursor lands a batch in a cold slot
   /// (slot choice is `tick & mask`, effectively random per batch), which
   /// showed up as steady-state heap allocs on the forwarding fast path.
-  /// Chunks are returned to the free list when a bucket drains, so once the
-  /// pool has grown to the peak in-flight event count the wheel never
-  /// allocates again.
+  /// Chunks are returned to the free list when a bucket drains.
+  ///
+  /// The pool is sized from the event count, not from chunk demand, because
+  /// demand depends on how events spread over buckets and creeps upward over
+  /// a long run.  With S events in the wheel, buckets hold at most
+  /// S/10 + min(S, buckets) chunks (only a bucket's last chunk is partly
+  /// empty), and a cascade's detached chain at most S/10 + 1 more.  reserve_chunks()
+  /// keeps the pool at that bound for the action pool's size, so the wheel
+  /// allocates chunks only when the pending event count sets a new record —
+  /// a workload that repeats its warmup never allocates again.
   static constexpr std::size_t kChunkItems = 10;  // 10 * 24 B + header ≈ 256 B
   struct Chunk {
     Item items[kChunkItems];
@@ -132,7 +135,9 @@ class TimingWheel {
     return buckets_[static_cast<std::size_t>(level) * kSlots + slot];
   }
 
-  [[nodiscard]] Chunk* acquire_chunk();
+  /// Grows the chunk pool to the bound for `events` pending events.
+  void reserve_chunks(std::size_t events);
+  [[nodiscard]] Chunk* acquire_chunk() noexcept;
   void push_item(Bucket& b, const Item& item);
   /// Returns every chunk of `b` to the free list and empties it.
   void release_chunks(Bucket& b) noexcept;
@@ -165,7 +170,8 @@ class TimingWheel {
   [[nodiscard]] Action take_action(const Item& item);
 
   Bucket buckets_[kLevels * kSlots];
-  std::vector<std::unique_ptr<Chunk>> chunk_arena_;
+  std::vector<std::unique_ptr<Chunk[]>> chunk_blocks_;
+  std::size_t chunk_count_ = 0;
   Chunk* free_chunks_ = nullptr;
   std::uint64_t occupied_[kLevels][kSlots / 64] = {};
   /// The wheel's notion of "now": the tick of the last staged bucket (or a

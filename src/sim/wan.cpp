@@ -42,7 +42,7 @@ namespace {
 }
 
 /// Binary search over a flat table sorted by `proj(entry)`; nullptr on miss.
-/// The one lookup routine behind find_router/shard_of/find_link.
+/// The one lookup routine behind find_router/find_link.
 template <typename Table, typename Key, typename Proj>
 [[nodiscard]] auto flat_find(Table& table, const Key& key, Proj proj) noexcept
     -> decltype(&table.front()) {
@@ -59,17 +59,9 @@ Wan::Wan(topo::Topology& topo, Rng rng, EventQueue::Backend backend)
     : Wan{topo, rng, WanOptions{.backend = backend}} {}
 
 Wan::Wan(topo::Topology& topo, Rng rng, const WanOptions& options)
-    : topo_{topo}, fib_sync_mode_{options.fib_sync} {
-  const std::uint32_t shard_count =
-      options.sharded ? (options.plan.shards == 0 ? 1 : options.plan.shards) : 1;
-  shards_.reserve(shard_count);
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(options.backend));
-  }
-
+    : topo_{topo}, events_{options.backend}, fib_sync_mode_{options.fib_sync} {
   // Fork per-link RNG streams in topology order (keeps the streams identical
-  // to what the tree-map implementation produced — and independent of the
-  // shard plan), then sort for lookup.
+  // to what the tree-map implementation produced), then sort for lookup.
   const std::vector<topo::LinkKey> keys = topo.links();
   links_.reserve(keys.size());
   for (const topo::LinkKey& key : keys) {
@@ -82,52 +74,13 @@ Wan::Wan(topo::Topology& topo, Rng rng, const WanOptions& options)
   std::vector<bgp::RouterId> ids = topo.bgp().routers();
   std::sort(ids.begin(), ids.end());
   routers_.resize(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    routers_[i].id = ids[i];
-    routers_[i].shard = options.sharded ? options.plan.shard_of(ids[i]) : 0;
-    if (routers_[i].shard >= shard_count) {
-      throw std::out_of_range{"Wan: shard plan assigns a router past plan.shards"};
-    }
-  }
-
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    LinkState& ls = links_[i];
-    ls.index = static_cast<std::uint32_t>(i);
-    ls.from_shard = find_router(ls.key.from)->shard;
-    ls.to_shard = find_router(ls.key.to)->shard;
-    ls.floor = ls.link.min_delay();
-  }
-
-  if (options.sharded) {
-    std::vector<std::vector<Time>> lookahead(
-        shard_count, std::vector<Time>(shard_count, ShardEngine::kNoLink));
-    for (const LinkState& ls : links_) {
-      if (ls.from_shard == ls.to_shard) continue;
-      Time& la = lookahead[ls.from_shard][ls.to_shard];
-      la = std::min(la, ls.floor);
-    }
-    std::vector<EventQueue*> queues;
-    queues.reserve(shard_count);
-    for (const std::unique_ptr<Shard>& sh : shards_) queues.push_back(&sh->events);
-    engine_ = std::make_unique<ShardEngine>(std::move(queues), std::move(lookahead),
-                                            &Wan::drain_mail, this, options.threaded,
-                                            options.mailbox_capacity);
-    // Plain schedule_at on shard 0 = control event; the engine fences each
-    // one behind its global barrier.
-    shards_[0]->events.set_schedule_observer(&ShardEngine::note_control_thunk, engine_.get());
-  }
+  for (std::size_t i = 0; i < ids.size(); ++i) routers_[i].id = ids[i];
 
   sync_fibs();
 }
 
 Wan::RouterState* Wan::find_router(bgp::RouterId id) noexcept {
   return flat_find(routers_, id, [](const RouterState& s) { return s.id; });
-}
-
-std::uint32_t Wan::shard_of(bgp::RouterId router) const noexcept {
-  const RouterState* state =
-      flat_find(routers_, router, [](const RouterState& s) { return s.id; });
-  return state != nullptr ? state->shard : 0;
 }
 
 Wan::LinkState* Wan::find_link(const topo::LinkKey& key) noexcept {
@@ -250,122 +203,64 @@ void Wan::attach_raw(bgp::RouterId id, RawDeliveryFn fn, void* ctx) {
 }
 
 void Wan::send_from(bgp::RouterId id, net::Packet packet) {
-  RouterState* state = find_router(id);
-  if (state == nullptr) {
+  if (find_router(id) == nullptr) {
     throw std::out_of_range{"Wan::send_from: unknown router"};
   }
   // Enter the forwarding fabric on the next event so in-handler sends do not
-  // recurse unboundedly.  Sharded mode lands in the injection band: ordered
-  // between same-timestamp control events and packet arrivals, identically
-  // at every shard count.
-  Shard& sh = *shards_[state->shard];
-  if (engine_ == nullptr) {
-    sh.events.schedule_in(
-        0, [this, id, p = std::move(packet)]() mutable { forward(id, std::move(p)); });
-  } else {
-    sh.events.schedule_keyed(
-        sh.events.now(), ShardEngine::kInjectBand | sh.injections++,
-        [this, id, p = std::move(packet)]() mutable { forward(id, std::move(p)); });
-  }
+  // recurse unboundedly.
+  events_.schedule_in(
+      0, [this, id, p = std::move(packet)]() mutable { forward(id, std::move(p)); });
 }
 
-void Wan::schedule_on(bgp::RouterId router, Time at, EventQueue::Action action) {
-  RouterState* state = find_router(router);
-  if (state == nullptr) throw std::out_of_range{"Wan::schedule_on: unknown router"};
-  Shard& sh = *shards_[state->shard];
-  if (engine_ == nullptr) {
-    sh.events.schedule_at(at, std::move(action));
-  } else {
-    sh.events.schedule_keyed(at, ShardEngine::kInjectBand | sh.injections++, std::move(action));
-  }
-}
-
-std::vector<net::Packet> Wan::acquire_burst(std::uint32_t shard) {
-  Shard& sh = *shards_[shard];
-  if (sh.burst_pool.empty()) return {};
-  std::vector<net::Packet> burst = std::move(sh.burst_pool.back());
-  sh.burst_pool.pop_back();
+std::vector<net::Packet> Wan::acquire_burst() {
+  if (burst_pool_.empty()) return {};
+  std::vector<net::Packet> burst = std::move(burst_pool_.back());
+  burst_pool_.pop_back();
   burst.clear();
   return burst;
 }
 
-void Wan::recycle_burst(Shard& sh, std::vector<net::Packet>&& burst) {
+void Wan::recycle_burst(std::vector<net::Packet>&& burst) {
   burst.clear();
-  if (burst.capacity() > 0 && sh.burst_pool.size() < 16) {
-    sh.burst_pool.push_back(std::move(burst));
+  if (burst.capacity() > 0 && burst_pool_.size() < 16) {
+    burst_pool_.push_back(std::move(burst));
   }
 }
 
 void Wan::send_burst_from(bgp::RouterId id, std::vector<net::Packet>&& burst) {
-  RouterState* state = find_router(id);
-  if (state == nullptr) {
+  if (find_router(id) == nullptr) {
     throw std::out_of_range{"Wan::send_burst_from: unknown router"};
   }
-  Shard& sh = *shards_[state->shard];
   if (burst.empty()) {
-    recycle_burst(sh, std::move(burst));
+    recycle_burst(std::move(burst));
     return;
   }
   // One event enters the whole burst into the fabric; the per-packet fates
   // (route, loss, jitter) stay independent and identical to per-packet
-  // send_from calls in the same order.  The vector recycles on the origin
-  // router's shard (the event runs there).
-  auto action = [this, id, &sh, b = std::move(burst)]() mutable {
+  // send_from calls in the same order.
+  events_.schedule_in(0, [this, id, b = std::move(burst)]() mutable {
     for (net::Packet& p : b) forward(id, std::move(p));
-    recycle_burst(sh, std::move(b));
-  };
-  if (engine_ == nullptr) {
-    sh.events.schedule_in(0, std::move(action));
-  } else {
-    sh.events.schedule_keyed(sh.events.now(), ShardEngine::kInjectBand | sh.injections++,
-                             std::move(action));
-  }
-}
-
-void Wan::run_all() {
-  if (engine_ == nullptr) {
-    shards_[0]->events.run_all();
-  } else {
-    engine_->run_all();
-  }
-}
-
-void Wan::run_until(Time until) {
-  if (engine_ == nullptr) {
-    shards_[0]->events.run_until(until);
-  } else {
-    engine_->run_until(until);
-  }
+    recycle_burst(std::move(b));
+  });
 }
 
 void Wan::wire_observability(const telemetry::Observability& obs) {
   tracer_ = obs.tracer;
   telemetry::MetricsRegistry* reg = obs.metrics;
   if (reg == nullptr) return;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = *shards_[i];
-    // Classic mode keeps the original unlabeled series; sharded mode splits
-    // every single-writer instrument per shard (they must not be shared
-    // across shard threads — and the split is the utilization signal).
-    const telemetry::Labels labels = engine_ != nullptr
-                                         ? telemetry::Labels{{"shard", std::to_string(i)}}
-                                         : telemetry::Labels{};
-    sh.delivered_metric =
-        &reg->counter("tango_wan_delivered_total", labels, "Packets delivered to an edge switch");
-    sh.hops_metric =
-        &reg->counter("tango_wan_hops_total", labels, "Router-to-router forwarding hops");
-    sh.fib_hits_metric = &reg->counter("tango_wan_fib_cache_hits_total", labels,
-                                       "FIB lookups served by a router flow cache");
-    sh.fib_lookups_metric = &reg->counter("tango_wan_fib_lookups_total", labels,
-                                          "FIB lookups (one per forwarding hop)");
-    for (std::size_t r = 0; r < sh.drop_metrics.size(); ++r) {
-      telemetry::Labels drop_labels = labels;
-      drop_labels.emplace_back("cause", to_string(static_cast<DropReason>(r)));
-      sh.drop_metrics[r] = &reg->counter("tango_wan_drops_total", drop_labels,
-                                         "Packets dropped in the WAN by cause");
-    }
-    sh.events.wire_metrics(*reg, labels);
+  delivered_metric_ =
+      &reg->counter("tango_wan_delivered_total", {}, "Packets delivered to an edge switch");
+  hops_metric_ = &reg->counter("tango_wan_hops_total", {}, "Router-to-router forwarding hops");
+  fib_hits_metric_ = &reg->counter("tango_wan_fib_cache_hits_total", {},
+                                   "FIB lookups served by a router flow cache");
+  fib_lookups_metric_ =
+      &reg->counter("tango_wan_fib_lookups_total", {}, "FIB lookups (one per forwarding hop)");
+  for (std::size_t r = 0; r < drop_metrics_.size(); ++r) {
+    const telemetry::Labels labels{{"cause", to_string(static_cast<DropReason>(r))}};
+    drop_metrics_[r] =
+        &reg->counter("tango_wan_drops_total", labels, "Packets dropped in the WAN by cause");
   }
+  events_.wire_metrics(*reg);
   for (LinkState& ls : links_) {
     const telemetry::Labels labels{{"from", std::to_string(ls.key.from)},
                                    {"to", std::to_string(ls.key.to)}};
@@ -376,21 +271,19 @@ void Wan::wire_observability(const telemetry::Observability& obs) {
   }
 }
 
-void Wan::drop(DropReason r, Shard& sh, RouterState& state, net::Packet&& packet) {
-  ++sh.drops[static_cast<std::size_t>(r)];
-  telemetry::inc(sh.drop_metrics[static_cast<std::size_t>(r)]);
-  // The tracer is single-writer: shard-0 traffic only (classic mode is all
-  // shard 0, so this keeps the original behavior).
-  if (tracer_ != nullptr && state.shard == 0 && tracer_->armed()) {
+void Wan::drop(DropReason r, RouterState& state, net::Packet&& packet) {
+  ++drops_[static_cast<std::size_t>(r)];
+  telemetry::inc(drop_metrics_[static_cast<std::size_t>(r)]);
+  if (tracer_ != nullptr && tracer_->armed()) {
     const net::Packet::FlowKey* flow = packet.flow_key();
-    tracer_->record({.at = sh.events.now(),
+    tracer_->record({.at = events_.now(),
                      .key = flow != nullptr ? flow->hash : 0,
                      .node = state.id,
                      .path = 0,
                      .stage = telemetry::TraceStage::drop,
                      .cause = trace_cause(r)});
   }
-  recycle(sh, std::move(packet));
+  recycle(std::move(packet));
 }
 
 Link& Wan::link(bgp::RouterId from, bgp::RouterId to) {
@@ -399,52 +292,26 @@ Link& Wan::link(bgp::RouterId from, bgp::RouterId to) {
   return ls->link;
 }
 
-std::uint64_t Wan::delivered() const noexcept {
-  std::uint64_t n = 0;
-  for (const std::unique_ptr<Shard>& sh : shards_) n += sh->delivered;
-  return n;
-}
-
-std::uint64_t Wan::dropped(DropReason r) const noexcept {
-  std::uint64_t n = 0;
-  for (const std::unique_ptr<Shard>& sh : shards_) n += sh->drops[static_cast<std::size_t>(r)];
-  return n;
-}
-
 std::uint64_t Wan::total_dropped() const noexcept {
   std::uint64_t n = 0;
-  for (const std::unique_ptr<Shard>& sh : shards_) {
-    for (std::uint64_t count : sh->drops) n += count;
-  }
+  for (std::uint64_t count : drops_) n += count;
   return n;
 }
 
-std::uint64_t Wan::fib_cache_hits() const noexcept {
-  std::uint64_t n = 0;
-  for (const std::unique_ptr<Shard>& sh : shards_) n += sh->fib_cache_hits;
-  return n;
-}
-
-std::uint64_t Wan::fib_lookups() const noexcept {
-  std::uint64_t n = 0;
-  for (const std::unique_ptr<Shard>& sh : shards_) n += sh->fib_lookups;
-  return n;
-}
-
-bool Wan::lookup_next_hop(Shard& sh, RouterState& state, const net::Packet::FlowKey& flow,
+bool Wan::lookup_next_hop(RouterState& state, const net::Packet::FlowKey& flow,
                           bgp::RouterId& next_hop) {
-  ++sh.fib_lookups;
-  telemetry::inc(sh.fib_lookups_metric);
+  ++fib_lookups_;
+  telemetry::inc(fib_lookups_metric_);
   FlowCacheSet& set = state.flow_cache[flow.hash & (kFlowCacheSets - 1)];
   if (set.way[0].generation == state.generation && set.way[0].dst == flow.dst) {
-    ++sh.fib_cache_hits;
-    telemetry::inc(sh.fib_hits_metric);
+    ++fib_cache_hits_;
+    telemetry::inc(fib_hits_metric_);
     next_hop = set.way[0].next_hop;
     return true;
   }
   if (set.way[1].generation == state.generation && set.way[1].dst == flow.dst) {
-    ++sh.fib_cache_hits;
-    telemetry::inc(sh.fib_hits_metric);
+    ++fib_cache_hits_;
+    telemetry::inc(fib_hits_metric_);
     std::swap(set.way[0], set.way[1]);  // move-to-front LRU
     next_hop = set.way[0].next_hop;
     return true;
@@ -458,13 +325,6 @@ bool Wan::lookup_next_hop(Shard& sh, RouterState& state, const net::Packet::Flow
   return true;
 }
 
-void Wan::drain_mail(void* self, std::uint32_t shard, ShardEngine::Mail&& mail) {
-  Wan* wan = static_cast<Wan*>(self);
-  wan->shards_[shard]->events.schedule_keyed(
-      mail.at, mail.key,
-      [wan, dst = mail.dst, p = std::move(mail.packet)]() mutable { wan->forward(dst, std::move(p)); });
-}
-
 void Wan::forward(bgp::RouterId at, net::Packet packet) {
   // Both IP versions forward by longest-prefix match; IPv4 destinations are
   // looked up through the v4-mapped key space (host prefixes "can even be a
@@ -473,16 +333,15 @@ void Wan::forward(bgp::RouterId at, net::Packet packet) {
   // every subsequent one.  The per-router flow cache short-circuits the
   // trie walk for packets of recently seen flows.
   RouterState* state = find_router(at);
-  Shard& sh = *shards_[state->shard];
   const net::Packet::FlowKey* flow = packet.flow_key();
   if (flow == nullptr) {
-    drop(DropReason::malformed, sh, *state, std::move(packet));
+    drop(DropReason::malformed, *state, std::move(packet));
     return;
   }
 
   bgp::RouterId next;
-  if (!lookup_next_hop(sh, *state, *flow, next)) {
-    drop(DropReason::no_route, sh, *state, std::move(packet));
+  if (!lookup_next_hop(*state, *flow, next)) {
+    drop(DropReason::no_route, *state, std::move(packet));
     return;
   }
 
@@ -490,13 +349,13 @@ void Wan::forward(bgp::RouterId at, net::Packet packet) {
     // Local delivery: the router originates a covering prefix.  The raw
     // (devirtualized) handler wins over the std::function one.
     if (state->raw_handler == nullptr && !state->handler) {
-      drop(DropReason::no_handler, sh, *state, std::move(packet));
+      drop(DropReason::no_handler, *state, std::move(packet));
       return;
     }
-    ++sh.delivered;
-    telemetry::inc(sh.delivered_metric);
-    if (tracer_ != nullptr && state->shard == 0 && tracer_->armed()) {
-      tracer_->record({.at = sh.events.now(),
+    ++delivered_;
+    telemetry::inc(delivered_metric_);
+    if (tracer_ != nullptr && tracer_->armed()) {
+      tracer_->record({.at = events_.now(),
                        .key = flow->hash,
                        .node = at,
                        .path = 0,
@@ -508,58 +367,34 @@ void Wan::forward(bgp::RouterId at, net::Packet packet) {
     } else {
       state->handler(packet);
     }
-    recycle(sh, std::move(packet));
+    recycle(std::move(packet));
     return;
   }
 
   const bool alive =
       packet.version() == 4 ? packet.decrement_ttl_v4() : packet.decrement_hop_limit();
   if (!alive) {
-    drop(DropReason::hop_limit, sh, *state, std::move(packet));
+    drop(DropReason::hop_limit, *state, std::move(packet));
     return;
   }
 
   LinkState* ls = find_link(topo::LinkKey{at, next});
   if (ls == nullptr) {
     // FIB says next hop but no physical link (inconsistent topology).
-    drop(DropReason::no_route, sh, *state, std::move(packet));
+    drop(DropReason::no_route, *state, std::move(packet));
     return;
   }
 
-  const Transmission tx = ls->link.transmit(sh.events.now(), flow->hash);
+  const Transmission tx = ls->link.transmit(events_.now(), flow->hash);
   if (tx.dropped) {
-    drop(DropReason::link_loss, sh, *state, std::move(packet));
+    drop(DropReason::link_loss, *state, std::move(packet));
     return;
   }
 
-  telemetry::inc(sh.hops_metric);
-  if (hop_observer_ && state->shard == 0) hop_observer_(at, next, packet);
-
-  if (engine_ == nullptr) {
-    sh.events.schedule_in(
-        tx.delay, [this, next, p = std::move(packet)]() mutable { forward(next, std::move(p)); });
-    return;
-  }
-  // Sharded: the sampled delay clamps to the link's static floor — the bound
-  // the neighbor shard trusts as lookahead (delay modifiers may sample below
-  // it) — and the arrival carries a (link, transmit-seq) key so its place
-  // among same-timestamp events is a pure function of logical history, not
-  // of which thread delivered it first.  Both applied identically at one
-  // shard, so sharded-1 is a valid digest baseline.
-  const Time delay = tx.delay < ls->floor ? ls->floor : tx.delay;
-  const Time arrive = sh.events.now() + delay;
-  const std::uint64_t key =
-      ShardEngine::kArrivalBand |
-      (static_cast<std::uint64_t>(ls->index) << ShardEngine::kArrivalLinkShift) |
-      (ls->seq++ & ShardEngine::kArrivalSeqMask);
-  if (ls->to_shard == state->shard) {
-    sh.events.schedule_keyed(
-        arrive, key, [this, next, p = std::move(packet)]() mutable { forward(next, std::move(p)); });
-  } else {
-    engine_->post(state->shard, ls->to_shard,
-                  ShardEngine::Mail{
-                      .at = arrive, .key = key, .dst = next, .packet = std::move(packet)});
-  }
+  telemetry::inc(hops_metric_);
+  if (hop_observer_) hop_observer_(at, next, packet);
+  events_.schedule_in(
+      tx.delay, [this, next, p = std::move(packet)]() mutable { forward(next, std::move(p)); });
 }
 
 }  // namespace tango::sim

@@ -1,8 +1,9 @@
-// The bench harness's shared environment-flag truthiness: every bench must
-// agree on what TANGO_BENCH_QUICK=<x> means.
+// The bench harness's shared helpers: every bench must agree on what
+// TANGO_BENCH_QUICK=<x> means, and the Testbed refuses removed options.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "common.hpp"
 
@@ -40,6 +41,18 @@ TEST_F(EnvFlagTest, QuickModeReadsTangoBenchQuick) {
   ::setenv("TANGO_BENCH_QUICK", "0", 1);
   EXPECT_FALSE(quick_mode());
   ::unsetenv("TANGO_BENCH_QUICK");
+}
+
+// Testbed keeps two positional slots of a deleted WAN option for the
+// repository benchmark's call site; anything but zero must be refused.
+TEST(TestbedTest, RejectsNonzeroRemovedEngineSlots) {
+  const auto build = [](std::uint32_t slot, bool flag) {
+    Testbed tb{1, /*keep_series=*/false, 0, 0, sim::EventQueue::Backend::timing_wheel, {},
+               slot, flag};
+  };
+  EXPECT_THROW(build(2, false), std::invalid_argument);
+  EXPECT_THROW(build(0, true), std::invalid_argument);
+  EXPECT_NO_THROW(build(0, false));
 }
 
 }  // namespace

@@ -99,6 +99,20 @@ TEST(Config, ParseRejectsMalformed) {
   EXPECT_FALSE(parse_config(base + "tunnel 1 label \"x local ::1\n", &error).has_value());
 }
 
+TEST(Config, ParseRejectsQuotesTheRendererCannotWriteBack) {
+  // A quote inside a bare token, or a closing quote glued to the next token,
+  // would parse to a label that render_config() cannot quote back.
+  const std::string base = "tango-config v1\npeer-host-prefix 2620:110:901b::/48\n";
+  const std::string tail =
+      " local ::1 remote ::2 prefix 2001:db8::/48 udp-src 1 communities \"\"\n";
+  std::string error;
+  EXPECT_FALSE(parse_config(base + "tunnel 1 label NTT\"" + tail, &error).has_value());
+  EXPECT_NE(error.find("misplaced quote"), std::string::npos) << error;
+  EXPECT_FALSE(parse_config(base + "tunnel 1 label \"NTT\"x" + tail, &error).has_value());
+  EXPECT_TRUE(parse_config(base + "tunnel 1 label \"NTT\"" + tail, &error).has_value())
+      << error;
+}
+
 TEST(Config, LabelsWithSpacesSurvive) {
   TangoConfig config;
   config.peer_host_prefix = *net::Ipv6Prefix::parse("2620:110:901b::/48");

@@ -69,20 +69,6 @@ TEST(LinkCapacity, PacketsPastTheQueueCapAreCongestionDrops) {
   EXPECT_EQ(link.congestion_drops(), 14u);
 }
 
-TEST(LinkCapacity, QueueingOnlyAddsDelayNeverDipsBelowFloor) {
-  // The sharded engine's lookahead leans on min_delay(); the capacity model
-  // must only ever add to the propagation sample.
-  Link link{lossless_profile(), Rng{6}};
-  link.set_capacity(500.0, 100.0);
-  const Time floor = link.min_delay();
-  for (int i = 0; i < 50; ++i) {
-    const Transmission t = link.transmit(kSecond, 42);
-    if (!t.dropped) {
-      EXPECT_GE(t.delay, floor);
-    }
-  }
-}
-
 TEST(LinkCapacity, HardDownAndLossDrawPrecedeTheQueue) {
   // A down link drops before touching the queue: no backlog accumulates.
   Link link{lossless_profile(), Rng{7}};
