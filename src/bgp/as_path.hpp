@@ -10,9 +10,12 @@
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "bgp/intern.hpp"
 
 namespace tango::bgp {
 
@@ -30,11 +33,13 @@ constexpr Asn kPrivateAsnMax16 = 65534;
 }
 
 /// The AS_PATH attribute as a flat AS_SEQUENCE (AS_SET is long deprecated).
+/// An immutable, interned value (see intern.hpp): copies share one stored
+/// sequence, and equal paths compare equal by pointer.
 class AsPath {
  public:
   AsPath() = default;
-  AsPath(std::initializer_list<Asn> asns) : asns_{asns} {}
-  explicit AsPath(std::vector<Asn> asns) : asns_{std::move(asns)} {}
+  AsPath(std::initializer_list<Asn> asns) : asns_{std::span<const Asn>{asns.begin(), asns.size()}} {}
+  explicit AsPath(std::span<const Asn> asns) : asns_{asns} {}
 
   /// Parses "20473 2914 20473" (space-separated); nullopt on junk.
   static std::optional<AsPath> parse(std::string_view text);
@@ -51,9 +56,9 @@ class AsPath {
   /// away from a chosen AS.
   [[nodiscard]] bool contains(Asn asn) const noexcept;
 
-  [[nodiscard]] std::size_t length() const noexcept { return asns_.size(); }
+  [[nodiscard]] std::size_t length() const noexcept { return asns().size(); }
   [[nodiscard]] bool empty() const noexcept { return asns_.empty(); }
-  [[nodiscard]] const std::vector<Asn>& asns() const noexcept { return asns_; }
+  [[nodiscard]] const std::vector<Asn>& asns() const noexcept { return asns_.values(); }
 
   /// First AS on the path = the neighbor that sent it.
   [[nodiscard]] std::optional<Asn> first() const noexcept;
@@ -66,10 +71,16 @@ class AsPath {
 
   [[nodiscard]] std::string to_string() const;
 
+  /// Equality compares the interned pointer; ordering compares content.
   auto operator<=>(const AsPath&) const = default;
 
+  /// Distinct non-empty paths currently alive.
+  [[nodiscard]] static std::size_t interned_count() noexcept {
+    return detail::InternedSeq<Asn>::table_size();
+  }
+
  private:
-  std::vector<Asn> asns_;
+  detail::InternedSeq<Asn> asns_;
 };
 
 }  // namespace tango::bgp

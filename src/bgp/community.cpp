@@ -4,6 +4,18 @@
 
 namespace tango::bgp {
 
+namespace {
+
+/// Build buffer for derived sets: a lookup that hits the intern table then
+/// allocates nothing.  Single-threaded, like the intern table.
+std::vector<Community>& scratch() {
+  static std::vector<Community> buffer;
+  buffer.clear();
+  return buffer;
+}
+
+}  // namespace
+
 std::optional<Community> Community::parse(std::string_view text) {
   auto colon = text.find(':');
   if (colon == std::string_view::npos) return std::nullopt;
@@ -25,8 +37,31 @@ std::string Community::to_string() const {
   return std::to_string(asn) + ":" + std::to_string(value);
 }
 
+CommunitySet::CommunitySet(std::vector<Community> cs) {
+  std::sort(cs.begin(), cs.end());
+  cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
+  set_ = detail::InternedSeq<Community>{cs};
+}
+
+void CommunitySet::add(Community c) {
+  auto pos = std::lower_bound(values().begin(), values().end(), c);
+  if (pos != values().end() && *pos == c) return;
+  std::vector<Community>& out = scratch();
+  out.insert(out.end(), values().begin(), pos);
+  out.push_back(c);
+  out.insert(out.end(), pos, values().end());
+  *this = CommunitySet{std::span<const Community>{out}};
+}
+
+void CommunitySet::remove(Community c) {
+  if (!contains(c)) return;
+  std::vector<Community>& out = scratch();
+  std::remove_copy(values().begin(), values().end(), std::back_inserter(out), c);
+  *this = CommunitySet{std::span<const Community>{out}};
+}
+
 std::optional<CommunitySet> CommunitySet::parse(std::string_view text) {
-  CommunitySet out;
+  std::vector<Community> out;
   std::size_t pos = 0;
   while (pos < text.size()) {
     while (pos < text.size() && text[pos] == ' ') ++pos;
@@ -35,10 +70,10 @@ std::optional<CommunitySet> CommunitySet::parse(std::string_view text) {
     if (end == std::string_view::npos) end = text.size();
     auto c = Community::parse(text.substr(pos, end - pos));
     if (!c) return std::nullopt;
-    out.add(*c);
+    out.push_back(*c);
     pos = end;
   }
-  return out;
+  return CommunitySet{std::move(out)};
 }
 
 bool CommunitySet::forbids_export_to(Asn neighbor) const {
@@ -57,7 +92,7 @@ int CommunitySet::prepends_for(Asn neighbor) const {
 }
 
 bool CommunitySet::has_announce_only() const {
-  for (const auto& c : set_) {
+  for (const auto& c : values()) {
     if (c.asn == action::kAnnounceOnlyTo) return true;
   }
   return false;
@@ -68,17 +103,18 @@ bool CommunitySet::announce_only_allows(Asn neighbor) const {
 }
 
 CommunitySet CommunitySet::without_actions() const {
-  CommunitySet out;
-  for (const auto& c : set_) {
-    const bool is_action = c.asn >= action::kDoNotAnnounce && c.asn <= action::kAnnounceOnlyTo;
-    if (!is_action) out.add(c);
-  }
-  return out;
+  const auto is_action = [](Community c) {
+    return c.asn >= action::kDoNotAnnounce && c.asn <= action::kAnnounceOnlyTo;
+  };
+  if (std::none_of(values().begin(), values().end(), is_action)) return *this;
+  std::vector<Community>& out = scratch();
+  std::remove_copy_if(values().begin(), values().end(), std::back_inserter(out), is_action);
+  return CommunitySet{std::span<const Community>{out}};
 }
 
 std::string CommunitySet::to_string() const {
   std::string out;
-  for (const auto& c : set_) {
+  for (const auto& c : values()) {
     if (!out.empty()) out += ' ';
     out += c.to_string();
   }

@@ -8,15 +8,18 @@
 // are widely honored across real providers.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
-#include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "bgp/as_path.hpp"
+#include "bgp/intern.hpp"
 
 namespace tango::bgp {
 
@@ -80,18 +83,26 @@ inline constexpr std::uint16_t kAnnounceOnlyTo = 64699;
 
 }  // namespace action
 
-/// An ordered, duplicate-free community set (attribute on a route).
+/// An ordered, duplicate-free community set (attribute on a route).  An
+/// immutable, interned value (see intern.hpp): copies share one stored
+/// sorted vector, and equal sets compare equal by pointer; add() and
+/// remove() rebind the handle to the resulting set.
 class CommunitySet {
  public:
   CommunitySet() = default;
-  CommunitySet(std::initializer_list<Community> cs) : set_{cs} {}
+  CommunitySet(std::initializer_list<Community> cs)
+      : CommunitySet{std::vector<Community>{cs}} {}
+  /// Any order, duplicates allowed: the set sorts and deduplicates.
+  explicit CommunitySet(std::vector<Community> cs);
 
   /// Parses a space-separated list, e.g. "64600:2914 64600:1299".
   static std::optional<CommunitySet> parse(std::string_view text);
 
-  void add(Community c) { set_.insert(c); }
-  void remove(Community c) { set_.erase(c); }
-  [[nodiscard]] bool contains(Community c) const { return set_.count(c) > 0; }
+  void add(Community c);
+  void remove(Community c);
+  [[nodiscard]] bool contains(Community c) const {
+    return std::binary_search(values().begin(), values().end(), c);
+  }
 
   /// True when this set suppresses export to neighbor `asn` given the
   /// exporter's neighbor relationship context; see ExportContext in
@@ -107,8 +118,9 @@ class CommunitySet {
   [[nodiscard]] bool announce_only_allows(Asn neighbor) const;
 
   [[nodiscard]] bool empty() const noexcept { return set_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return set_.size(); }
-  [[nodiscard]] const std::set<Community>& values() const noexcept { return set_; }
+  [[nodiscard]] std::size_t size() const noexcept { return values().size(); }
+  /// The communities in ascending order.
+  [[nodiscard]] const std::vector<Community>& values() const noexcept { return set_.values(); }
 
   /// Returns a copy without the action communities (providers strip the
   /// actions they consumed before propagating further).
@@ -116,10 +128,18 @@ class CommunitySet {
 
   [[nodiscard]] std::string to_string() const;
 
+  /// Equality compares the interned pointer; ordering compares content.
   auto operator<=>(const CommunitySet&) const = default;
 
+  /// Distinct non-empty sets currently alive.
+  [[nodiscard]] static std::size_t interned_count() noexcept {
+    return detail::InternedSeq<Community>::table_size();
+  }
+
  private:
-  std::set<Community> set_;
+  explicit CommunitySet(std::span<const Community> sorted) : set_{sorted} {}
+
+  detail::InternedSeq<Community> set_;
 };
 
 }  // namespace tango::bgp

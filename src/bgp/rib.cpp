@@ -7,7 +7,8 @@ namespace tango::bgp {
 namespace {
 
 /// Position of the route learned from `neighbor` in a neighbor-sorted array.
-[[nodiscard]] auto neighbor_pos(std::vector<Route>& routes, RouterId neighbor) {
+template <typename Routes>
+[[nodiscard]] auto neighbor_pos(Routes& routes, RouterId neighbor) {
   return std::lower_bound(
       routes.begin(), routes.end(), neighbor,
       [](const Route& r, RouterId n) { return r.learned_from < n; });
@@ -15,77 +16,64 @@ namespace {
 
 }  // namespace
 
-const AdjRibIn::Entry* AdjRibIn::slot(const net::Prefix& prefix) const noexcept {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), prefix,
-                             [](const Entry& e, const net::Prefix& p) { return e.prefix < p; });
-  if (it == entries_.end() || !(it->prefix == prefix)) return nullptr;
-  return &*it;
-}
-
-AdjRibIn::Entry& AdjRibIn::slot_create(const net::Prefix& prefix) {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), prefix,
-                             [](const Entry& e, const net::Prefix& p) { return e.prefix < p; });
-  if (it == entries_.end() || !(it->prefix == prefix)) {
-    it = entries_.insert(it, Entry{.prefix = prefix});
-  }
-  return *it;
-}
-
 void AdjRibIn::put(const Route& route) {
-  Entry& entry = slot_create(route.prefix);
-  auto it = neighbor_pos(entry.routes, route.learned_from);
-  if (it != entry.routes.end() && it->learned_from == route.learned_from) {
+  std::vector<Route>& routes = entries_[route.prefix];
+  auto it = neighbor_pos(routes, route.learned_from);
+  if (it != routes.end() && it->learned_from == route.learned_from) {
     *it = route;
     return;
   }
-  entry.routes.insert(it, route);
+  routes.insert(it, route);
   ++size_;
 }
 
 bool AdjRibIn::erase(const net::Prefix& prefix, RouterId neighbor) {
-  Entry* entry = const_cast<Entry*>(slot(prefix));
-  if (entry == nullptr) return false;
-  auto it = neighbor_pos(entry->routes, neighbor);
-  if (it == entry->routes.end() || it->learned_from != neighbor) return false;
-  entry->routes.erase(it);
+  auto entry = entries_.find(prefix);
+  if (entry == entries_.end()) return false;
+  std::vector<Route>& routes = entry->second;
+  auto it = neighbor_pos(routes, neighbor);
+  if (it == routes.end() || it->learned_from != neighbor) return false;
+  routes.erase(it);
   --size_;
-  if (entry->routes.empty()) {
-    entries_.erase(entries_.begin() + (entry - entries_.data()));
-  }
+  if (routes.empty()) entries_.erase(entry);
   return true;
 }
 
 std::vector<net::Prefix> AdjRibIn::erase_neighbor(RouterId neighbor) {
   std::vector<net::Prefix> affected;
-  affected.reserve(entries_.size());
-  for (Entry& entry : entries_) {
-    auto it = neighbor_pos(entry.routes, neighbor);
-    if (it == entry.routes.end() || it->learned_from != neighbor) continue;
-    entry.routes.erase(it);
+  for (auto entry = entries_.begin(); entry != entries_.end();) {
+    std::vector<Route>& routes = entry->second;
+    auto it = neighbor_pos(routes, neighbor);
+    if (it == routes.end() || it->learned_from != neighbor) {
+      ++entry;
+      continue;
+    }
+    routes.erase(it);
     --size_;
-    affected.push_back(entry.prefix);
+    affected.push_back(entry->first);
+    entry = routes.empty() ? entries_.erase(entry) : std::next(entry);
   }
-  std::erase_if(entries_, [](const Entry& e) { return e.routes.empty(); });
+  std::sort(affected.begin(), affected.end());
   return affected;
 }
 
 std::span<const Route> AdjRibIn::candidates(const net::Prefix& prefix) const {
-  const Entry* entry = slot(prefix);
-  if (entry == nullptr) return {};
-  return entry->routes;
+  auto entry = entries_.find(prefix);
+  if (entry == entries_.end()) return {};
+  return entry->second;
 }
 
 const Route* AdjRibIn::find(const net::Prefix& prefix, RouterId neighbor) const {
-  const Entry* entry = slot(prefix);
-  if (entry == nullptr) return nullptr;
-  auto it = neighbor_pos(const_cast<std::vector<Route>&>(entry->routes), neighbor);
-  return (it != entry->routes.end() && it->learned_from == neighbor) ? &*it : nullptr;
+  const std::span<const Route> routes = candidates(prefix);
+  auto it = neighbor_pos(routes, neighbor);
+  return (it != routes.end() && it->learned_from == neighbor) ? &*it : nullptr;
 }
 
 std::vector<net::Prefix> AdjRibIn::prefixes() const {
   std::vector<net::Prefix> out;
   out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(entry.prefix);
+  for (const auto& [prefix, routes] : entries_) out.push_back(prefix);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -160,9 +148,10 @@ std::optional<Route> Decision::select(std::span<const Route> candidates) {
 }
 
 bool LocRib::set(const Route& route) {
-  auto it = best_.find(route.prefix);
-  if (it != best_.end() && it->second == route) return false;
-  best_[route.prefix] = route;
+  auto [it, inserted] = best_.try_emplace(route.prefix, route);
+  if (inserted) return true;
+  if (it->second == route) return false;
+  it->second = route;
   return true;
 }
 
@@ -173,10 +162,19 @@ const Route* LocRib::find(const net::Prefix& prefix) const {
   return it == best_.end() ? nullptr : &it->second;
 }
 
+std::vector<const Route*> LocRib::sorted() const {
+  std::vector<const Route*> out;
+  out.reserve(best_.size());
+  for (const auto& [prefix, route] : best_) out.push_back(&route);
+  std::sort(out.begin(), out.end(),
+            [](const Route* a, const Route* b) { return a->prefix < b->prefix; });
+  return out;
+}
+
 std::vector<Route> LocRib::routes() const {
   std::vector<Route> out;
   out.reserve(best_.size());
-  for (const auto& [prefix, route] : best_) out.push_back(route);
+  for_each_in_prefix_order([&](const Route& route) { out.push_back(route); });
   return out;
 }
 

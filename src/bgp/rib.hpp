@@ -1,9 +1,9 @@
 // Routing Information Bases and the BGP decision process.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/route.hpp"
@@ -12,11 +12,12 @@ namespace tango::bgp {
 
 /// Adj-RIB-In: per-neighbor candidate routes, keyed by prefix.
 ///
-/// Storage is a flat sorted table of per-prefix candidate arrays (each array
-/// sorted by learned_from), so the decision process reads candidates as a
+/// Storage is a hash index from prefix to that prefix's candidate array
+/// (sorted by learned_from), so the decision process reads candidates as a
 /// contiguous span with a stable iteration order instead of materializing a
-/// fresh vector per decision, and a prefix's entry is found by binary search
-/// over contiguous memory rather than tree-node chasing.
+/// fresh vector per decision, and inserting a new prefix moves no other
+/// entry.  Walks whose order decides message order (prefixes(),
+/// erase_neighbor()) return prefixes sorted.
 class AdjRibIn {
  public:
   /// Stores (replacing any previous route for the same prefix/neighbor).
@@ -27,7 +28,7 @@ class AdjRibIn {
   bool erase(const net::Prefix& prefix, RouterId neighbor);
 
   /// Removes everything learned from `neighbor` (session teardown).
-  /// Returns the affected prefixes.
+  /// Returns the affected prefixes in prefix order.
   std::vector<net::Prefix> erase_neighbor(RouterId neighbor);
 
   /// All candidate routes for `prefix` in deterministic (neighbor) order — a
@@ -36,21 +37,14 @@ class AdjRibIn {
 
   [[nodiscard]] const Route* find(const net::Prefix& prefix, RouterId neighbor) const;
 
+  /// Every prefix with at least one candidate, in prefix order.
   [[nodiscard]] std::vector<net::Prefix> prefixes() const;
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  struct Entry {
-    net::Prefix prefix;
-    std::vector<Route> routes;  ///< sorted by learned_from
-  };
-
-  /// The entry for `prefix`, or nullptr.  Mutable variant creates on miss.
-  [[nodiscard]] const Entry* slot(const net::Prefix& prefix) const noexcept;
-  [[nodiscard]] Entry& slot_create(const net::Prefix& prefix);
-
-  std::vector<Entry> entries_;  ///< sorted by prefix
-  std::size_t size_ = 0;        ///< total routes across all entries
+  /// prefix -> candidates sorted by learned_from; never holds an empty array.
+  std::unordered_map<net::Prefix, std::vector<Route>> entries_;
+  std::size_t size_ = 0;  ///< total routes across all entries
 };
 
 /// Result of comparing two routes in the decision process, with the step
@@ -97,7 +91,7 @@ struct Decision {
                                             const Route* extra) noexcept;
 };
 
-/// Loc-RIB: the selected best route per prefix.
+/// Loc-RIB: the selected best route per prefix, in a hash index.
 class LocRib {
  public:
   /// Replaces the entry for `route.prefix`.  Returns true if changed.
@@ -107,17 +101,28 @@ class LocRib {
   bool erase(const net::Prefix& prefix);
 
   [[nodiscard]] const Route* find(const net::Prefix& prefix) const;
+  /// Copies of every best route, in prefix order.
   [[nodiscard]] std::vector<Route> routes() const;
   [[nodiscard]] std::size_t size() const noexcept { return best_.size(); }
 
-  /// Visits every best route in prefix order without materializing copies.
+  /// Visits every best route in storage order, which is unspecified: for
+  /// consumers whose result does not depend on order (a FIB rebuild).
   template <typename F>
   void for_each(F&& f) const {
     for (const auto& [prefix, route] : best_) f(route);
   }
 
+  /// Visits every best route in prefix order without copying routes: for
+  /// walks whose order decides message order.
+  template <typename F>
+  void for_each_in_prefix_order(F&& f) const {
+    for (const Route* route : sorted()) f(*route);
+  }
+
  private:
-  std::map<net::Prefix, Route> best_;
+  [[nodiscard]] std::vector<const Route*> sorted() const;
+
+  std::unordered_map<net::Prefix, Route> best_;
 };
 
 }  // namespace tango::bgp

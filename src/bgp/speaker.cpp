@@ -11,19 +11,37 @@ namespace {
 /// always prefers its own origination.
 constexpr std::uint32_t kSelfLocalPref = 1000;
 
+/// Position of `neighbor`'s record in a neighbor-sorted Adj-RIB-Out array.
+template <typename Advertised>
+[[nodiscard]] auto advertised_pos(std::vector<Advertised>& out, RouterId neighbor) {
+  return std::lower_bound(out.begin(), out.end(), neighbor,
+                          [](const Advertised& a, RouterId n) { return a.to < n; });
+}
+
 }  // namespace
 
 void BgpSpeaker::add_session(RouterId neighbor, Asn neighbor_asn, SessionConfig config) {
   if (neighbor == id_) throw std::invalid_argument{"BgpSpeaker: session with self"};
-  sessions_[neighbor] = SessionState{.asn = neighbor_asn, .config = config};
-  // Export current best routes over the fresh session (sync_export only
-  // reads the Loc-RIB, so the copy-free walk is safe).
-  loc_rib_.for_each([&](const Route& best) { sync_export(neighbor, best.prefix); });
+  // Re-adding a live session keeps its Adj-RIB-Out, so unchanged routes
+  // are not announced again.
+  const auto it = sessions_.try_emplace(neighbor).first;
+  it->second.asn = neighbor_asn;
+  it->second.config = config;
+  // Export current best routes over the session, in prefix order (it decides
+  // message order).  sync_exports only reads the Loc-RIB, so the copy-free
+  // walk is safe.
+  loc_rib_.for_each_in_prefix_order(
+      [&](const Route& best) { sync_exports(best.prefix, &best, it, std::next(it)); });
 }
 
 void BgpSpeaker::remove_session(RouterId neighbor) {
   if (sessions_.erase(neighbor) == 0) return;
-  adj_rib_out_.erase(neighbor);
+  for (auto entry = adj_rib_out_.begin(); entry != adj_rib_out_.end();) {
+    std::vector<Advertised>& out = entry->second;
+    auto pos = advertised_pos(out, neighbor);
+    if (pos != out.end() && pos->to == neighbor) out.erase(pos);
+    entry = out.empty() ? adj_rib_out_.erase(entry) : std::next(entry);
+  }
   for (const net::Prefix& prefix : adj_rib_in_.erase_neighbor(neighbor)) {
     reprocess(prefix);
   }
@@ -108,12 +126,14 @@ std::vector<std::pair<RouterId, Update>> BgpSpeaker::drain_outbox() {
 }
 
 void BgpSpeaker::note_fib_dirty(const net::Prefix& prefix) {
-  if (fib_dirty_overflow_) return;
+  if (fib_dirty_overflow_ || fib_dirty_marks_.contains(prefix)) return;
   if (fib_dirty_.size() >= kFibDirtyLimit) {
     fib_dirty_.clear();
+    fib_dirty_marks_.clear();
     fib_dirty_overflow_ = true;
     return;
   }
+  fib_dirty_marks_.insert(prefix);
   fib_dirty_.push_back(prefix);
 }
 
@@ -141,7 +161,9 @@ void BgpSpeaker::reprocess_now(const net::Prefix& prefix) {
   if (!changed) return;
 
   note_fib_dirty(prefix);
-  for (const auto& [neighbor, state] : sessions_) sync_export(neighbor, prefix);
+  // `best` now equals the Loc-RIB entry, and the export walk does not touch
+  // the Adj-RIB-In or the originations it points into.
+  sync_exports(prefix, best, sessions_.begin(), sessions_.end());
 }
 
 void BgpSpeaker::commit_batch() {
@@ -155,44 +177,53 @@ void BgpSpeaker::commit_batch() {
   batch_dirty_.clear();
 }
 
-void BgpSpeaker::sync_export(RouterId neighbor, const net::Prefix& prefix) {
-  const Route* best = loc_rib_.find(prefix);
-  const SessionState& sess = sessions_.at(neighbor);
-
-  std::optional<Route> exported;
+void BgpSpeaker::sync_exports(const net::Prefix& prefix, const Route* best,
+                              Sessions::const_iterator first, Sessions::const_iterator last) {
+  ExportContext ctx{.exporter = asn_,
+                    .to_neighbor = 0,
+                    .to_rel = Relationship::peer,
+                    .learned_rel = Relationship::customer,
+                    .honors_action_communities = options_.honors_action_communities,
+                    .strips_private_asns = options_.strips_private_asns};
   if (best != nullptr) {
+    // Self-originated routes export like customer routes.
+    ctx.from_local_origination = best->locally_originated();
+    if (!ctx.from_local_origination) ctx.learned_rel = sessions_.at(best->learned_from).config.rel;
+  }
+
+  const auto entry = adj_rib_out_.try_emplace(prefix).first;
+  std::vector<Advertised>& out = entry->second;
+  for (auto it = first; it != last; ++it) {
+    const auto& [neighbor, sess] = *it;
+    std::optional<Route> exported;
     // Never reflect a route back to the router we learned it from.
-    if (best->learned_from != neighbor) {
-      const Relationship learned_rel =
-          best->locally_originated()
-              ? Relationship::customer  // self-originated exports like customer routes
-              : sessions_.at(best->learned_from).config.rel;
-      ExportContext ctx{.exporter = asn_,
-                        .to_neighbor = sess.asn,
-                        .to_rel = sess.config.rel,
-                        .learned_rel = learned_rel,
-                        .from_local_origination = best->locally_originated(),
-                        .honors_action_communities = options_.honors_action_communities,
-                        .strips_private_asns = options_.strips_private_asns};
+    if (best != nullptr && best->learned_from != neighbor) {
+      ctx.to_neighbor = sess.asn;
+      ctx.to_rel = sess.config.rel;
       exported = ExportPolicy::apply(*best, ctx);
     }
-  }
 
-  auto& out_map = adj_rib_out_[neighbor];
-  auto prev = out_map.find(prefix);
-  if (exported) {
-    if (prev != out_map.end() && prev->second == *exported) return;  // no change
-    out_map[prefix] = *exported;
-    Update u = Update::announce(*exported);
-    u.from = id_;
-    outbox_.emplace_back(neighbor, std::move(u));
-  } else {
-    if (prev == out_map.end()) return;  // neighbor never heard it
-    out_map.erase(prev);
-    Update u = Update::withdraw(prefix);
-    u.from = id_;
-    outbox_.emplace_back(neighbor, std::move(u));
+    auto pos = advertised_pos(out, neighbor);
+    const bool heard = pos != out.end() && pos->to == neighbor;
+    if (exported) {
+      if (heard) {
+        if (pos->route == *exported) continue;  // no change
+        pos->route = *exported;
+      } else {
+        out.insert(pos, Advertised{.to = neighbor, .route = *exported});
+      }
+      Update u = Update::announce(std::move(*exported));
+      u.from = id_;
+      outbox_.emplace_back(neighbor, std::move(u));
+    } else {
+      if (!heard) continue;  // neighbor never heard it
+      out.erase(pos);
+      Update u = Update::withdraw(prefix);
+      u.from = id_;
+      outbox_.emplace_back(neighbor, std::move(u));
+    }
   }
+  if (out.empty()) adj_rib_out_.erase(entry);
 }
 
 }  // namespace tango::bgp

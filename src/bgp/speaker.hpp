@@ -6,6 +6,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "bgp/policy.hpp"
@@ -120,22 +122,24 @@ class BgpSpeaker {
   // --- FIB dirty-prefix delta ----------------------------------------------
   // Every Loc-RIB change (best route replaced or removed) records its prefix
   // here, so a data-plane consumer (sim::Wan) can resync FIBs incrementally:
-  // cost proportional to what changed, not to the RIB.  The list may carry
-  // duplicates (dedup is the consumer's concern) and is bounded: past
-  // kFibDirtyLimit distinct records it collapses into an overflow flag, the
+  // cost proportional to what changed, not to the RIB.  Each prefix appears
+  // at most once per window (between clears), and the list is bounded: past
+  // kFibDirtyLimit distinct prefixes it collapses into an overflow flag, the
   // signal to fall back to a full per-router rebuild (bulk events such as
   // session teardown or initial convergence land here by design).
 
   static constexpr std::size_t kFibDirtyLimit = 1024;
 
-  /// Prefixes whose best route changed since the last clear_fib_dirty().
-  /// Meaningless while fib_dirty_overflowed().
+  /// Distinct prefixes whose best route changed since the last
+  /// clear_fib_dirty(), in first-change order.  Meaningless while
+  /// fib_dirty_overflowed().
   [[nodiscard]] const std::vector<net::Prefix>& fib_dirty() const noexcept {
     return fib_dirty_;
   }
   [[nodiscard]] bool fib_dirty_overflowed() const noexcept { return fib_dirty_overflow_; }
   void clear_fib_dirty() noexcept {
     fib_dirty_.clear();
+    fib_dirty_marks_.clear();
     fib_dirty_overflow_ = false;
   }
 
@@ -147,27 +151,40 @@ class BgpSpeaker {
   void reprocess_now(const net::Prefix& prefix);
   void note_fib_dirty(const net::Prefix& prefix);
 
-  /// Computes the desired export of the best route for `prefix` to
-  /// `neighbor` and emits an announce/withdraw if it differs from what the
-  /// neighbor last heard.
-  void sync_export(RouterId neighbor, const net::Prefix& prefix);
-
-  RouterId id_;
-  Asn asn_;
-  SpeakerOptions options_;
   struct SessionState {
     Asn asn = 0;
     SessionConfig config;
   };
-  std::map<RouterId, SessionState> sessions_;
-  std::map<net::Prefix, Route> originated_;
+  /// Ordered: the export fan-out walks sessions in router-id order.
+  using Sessions = std::map<RouterId, SessionState>;
+
+  /// One Adj-RIB-Out record: the route neighbor `to` last heard from us.
+  struct Advertised {
+    RouterId to = kLocalRouter;
+    Route route;
+  };
+
+  /// Computes the desired export of `best` (the Loc-RIB entry for `prefix`,
+  /// or nullptr) to each session in [first, last) and emits an
+  /// announce/withdraw wherever it differs from what that neighbor last heard.
+  void sync_exports(const net::Prefix& prefix, const Route* best,
+                    Sessions::const_iterator first, Sessions::const_iterator last);
+
+  RouterId id_;
+  Asn asn_;
+  SpeakerOptions options_;
+  Sessions sessions_;
+  std::unordered_map<net::Prefix, Route> originated_;
   AdjRibIn adj_rib_in_;
   LocRib loc_rib_;
-  /// What each neighbor currently believes we announced: neighbor -> prefix -> route.
-  std::map<RouterId, std::map<net::Prefix, Route>> adj_rib_out_;
+  /// Adj-RIB-Out, prefix-major: prefix -> what each neighbor currently
+  /// believes we announced, sorted by neighbor.  One lookup serves a decision
+  /// pass's whole export fan-out.
+  std::unordered_map<net::Prefix, std::vector<Advertised>> adj_rib_out_;
   std::vector<std::pair<RouterId, Update>> outbox_;
   std::uint64_t updates_processed_ = 0;
   std::vector<net::Prefix> fib_dirty_;
+  std::unordered_set<net::Prefix> fib_dirty_marks_;  ///< the prefixes in fib_dirty_
   bool fib_dirty_overflow_ = false;
   bool batching_ = false;
   std::vector<net::Prefix> batch_dirty_;  ///< prefixes touched inside the batch

@@ -303,8 +303,9 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
   }
 
   // --- UPDATE ---------------------------------------------------------------
-  Update update;
+  net::Prefix prefix;  // the message's NLRI (the last one wins)
   Route route;
+  std::vector<Community> communities;  // every COMMUNITIES attribute, unioned
   bool saw_announce_v4 = false;
   bool saw_mp_reach = false;
   bool saw_withdraw = false;
@@ -312,7 +313,7 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
   const std::uint16_t withdrawn_len = r.u16();
   net::ByteReader withdrawn{r.bytes(withdrawn_len)};
   while (withdrawn.remaining() > 0) {
-    update.prefix = net::Prefix{read_prefix_v4(withdrawn)};
+    prefix = net::Prefix{read_prefix_v4(withdrawn)};
     saw_withdraw = true;
   }
 
@@ -356,7 +357,7 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
         if (len == 0 || len % 4 != 0) throw WireError{"bad COMMUNITIES length"};
         for (std::size_t i = 0; i < len / 4; ++i) {
           const std::uint32_t raw = value.u32();
-          route.communities.add(Community{static_cast<std::uint16_t>(raw >> 16),
+          communities.push_back(Community{static_cast<std::uint16_t>(raw >> 16),
                                           static_cast<std::uint16_t>(raw)});
         }
         break;
@@ -378,7 +379,7 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
         // still decode, or the attribute is malformed.
         if (value.remaining() == 0) throw WireError{"MP_REACH_NLRI carries no NLRI"};
         while (value.remaining() > 0) {
-          update.prefix = net::Prefix{read_prefix_v6(value)};
+          prefix = net::Prefix{read_prefix_v6(value)};
         }
         saw_mp_reach = true;
         break;
@@ -390,7 +391,7 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
         if (afi != 2 || safi != kSafiUnicast) throw WireError{"unsupported AFI/SAFI"};
         if (value.remaining() == 0) throw WireError{"MP_UNREACH_NLRI carries no NLRI"};
         while (value.remaining() > 0) {
-          update.prefix = net::Prefix{read_prefix_v6(value)};
+          prefix = net::Prefix{read_prefix_v6(value)};
         }
         saw_withdraw = true;
         break;
@@ -405,7 +406,7 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
 
   // Classic NLRI (IPv4 announcements).
   while (r.remaining() > 0) {
-    update.prefix = net::Prefix{read_prefix_v4(r)};
+    prefix = net::Prefix{read_prefix_v4(r)};
     saw_announce_v4 = true;
   }
   // The simulator's updates carry exactly one prefix; a message mixing
@@ -414,16 +415,14 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
   if (saw_announce_v4 && saw_mp_reach) throw WireError{"mixed v4 and MP NLRI"};
 
   if (saw_withdraw && !saw_announce_v4 && !saw_mp_reach) {
-    update.kind = Update::Kind::withdraw;
-    out.update = std::move(update);
+    out.update = Update::withdraw(prefix);
     return out;
   }
   if (!saw_announce_v4 && !saw_mp_reach) throw WireError{"update carries no NLRI"};
 
-  update.kind = Update::Kind::announce;
-  route.prefix = update.prefix;
-  update.route = std::move(route);
-  out.update = std::move(update);
+  route.prefix = prefix;
+  route.communities = CommunitySet{std::move(communities)};
+  out.update = Update::announce(std::move(route));
   return out;
 }
 

@@ -152,10 +152,6 @@ std::string Ipv6Address::to_string() const {
   return join(0, best_start) + "::" + join(best_start + best_len, 8);
 }
 
-bool Ipv6Address::bit(std::size_t i) const {
-  return (bytes_[i / 8] >> (7 - i % 8)) & 1u;
-}
-
 Ipv6Address Ipv6Address::with_bit(std::size_t i, bool v) const {
   Bytes b = bytes_;
   const std::uint8_t mask = static_cast<std::uint8_t>(1u << (7 - i % 8));

@@ -67,7 +67,9 @@ class Ipv6Address {
   [[nodiscard]] std::string to_string() const;
 
   /// Returns the bit at position `i` (0 = most significant bit of byte 0).
-  [[nodiscard]] bool bit(std::size_t i) const;
+  [[nodiscard]] bool bit(std::size_t i) const noexcept {
+    return (bytes_[i / 8] >> (7 - i % 8)) & 1u;
+  }
 
   /// Returns a copy with bit `i` set to `v` (used by prefix canonicalization
   /// and address synthesis for tunnel endpoints).

@@ -8,6 +8,8 @@
 
 #include <compare>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -106,3 +108,27 @@ class Prefix {
 };
 
 }  // namespace tango::net
+
+/// Hashes a prefix for the BGP RIBs' hash indexes: the address bits, the
+/// length and the family, mixed so that sibling /48s and /24s spread.
+template <>
+struct std::hash<tango::net::Prefix> {
+  std::size_t operator()(const tango::net::Prefix& p) const noexcept {
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+    if (p.is_v4()) {
+      lo = p.v4().address().value();
+    } else {
+      const auto& bytes = p.v6().address().bytes();
+      std::memcpy(&hi, bytes.data(), sizeof hi);
+      std::memcpy(&lo, bytes.data() + sizeof hi, sizeof lo);
+    }
+    const std::uint64_t shape = (static_cast<std::uint64_t>(p.length()) << 1) | p.is_v6();
+    std::uint64_t h = (hi * 0x9E3779B97F4A7C15ull) ^ lo ^ (shape << 48);
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 31;
+    h *= 0x94D049BB133111EBull;
+    h ^= h >> 29;
+    return static_cast<std::size_t>(h);
+  }
+};

@@ -6,8 +6,9 @@
 // call site, which keeps one trie per FIB.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -18,19 +19,24 @@ namespace tango::net {
 
 /// Binary trie mapping Ipv6Prefix -> V with longest-prefix-match lookup.
 ///
+/// Nodes live in one contiguous pool and link by index, so a trie's nodes
+/// sit together in memory whatever state the heap is in, and clear() keeps
+/// the pool for the rebuild that follows.  An empty pool is an empty trie
+/// (the root is created by the first insert).  Pointers returned by find()
+/// and lookup() stay valid until the next insert().
+///
 /// Not thread-safe; simulated routers are single-threaded per the
 /// discrete-event model.
 template <typename V>
 class PrefixTrie {
  public:
-  PrefixTrie() : root_{std::make_unique<Node>()} {}
-
   /// Inserts or replaces the value at `prefix`.  Returns true when a new
   /// entry was created (false when an existing entry was overwritten).
   bool insert(const Ipv6Prefix& prefix, V value) {
-    Node* node = descend_create(prefix);
-    const bool created = !node->value.has_value();
-    node->value = std::move(value);
+    if (nodes_.empty()) nodes_.emplace_back();  // the root
+    Node& node = nodes_[descend_create(prefix)];
+    const bool created = !node.value.has_value();
+    node.value = std::move(value);
     if (created) ++size_;
     return created;
   }
@@ -54,11 +60,14 @@ class PrefixTrie {
 
   /// Longest-prefix match for `addr`; nullptr when no covering prefix exists.
   [[nodiscard]] const V* lookup(const Ipv6Address& addr) const {
-    const Node* node = root_.get();
+    if (nodes_.empty()) return nullptr;
+    const Node* node = &nodes_[kRoot];
     const V* best = node->value ? &*node->value : nullptr;
-    for (std::size_t depth = 0; depth < 128 && node != nullptr; ++depth) {
-      node = addr.bit(depth) ? node->one.get() : node->zero.get();
-      if (node != nullptr && node->value) best = &*node->value;
+    for (std::size_t depth = 0; depth < 128; ++depth) {
+      const std::uint32_t next = node->child[addr.bit(depth)];
+      if (next == kNone) break;
+      node = &nodes_[next];
+      if (node->value) best = &*node->value;
     }
     return best;
   }
@@ -66,12 +75,15 @@ class PrefixTrie {
   /// Longest-prefix match returning the matched prefix alongside the value.
   [[nodiscard]] std::optional<std::pair<Ipv6Prefix, V>> lookup_entry(
       const Ipv6Address& addr) const {
-    const Node* node = root_.get();
+    if (nodes_.empty()) return std::nullopt;
+    const Node* node = &nodes_[kRoot];
     const Node* best = node->value ? node : nullptr;
     std::size_t best_depth = 0;
-    for (std::size_t depth = 0; depth < 128 && node != nullptr; ++depth) {
-      node = addr.bit(depth) ? node->one.get() : node->zero.get();
-      if (node != nullptr && node->value) {
+    for (std::size_t depth = 0; depth < 128; ++depth) {
+      const std::uint32_t next = node->child[addr.bit(depth)];
+      if (next == kNone) break;
+      node = &nodes_[next];
+      if (node->value) {
         best = node;
         best_depth = depth + 1;
       }
@@ -85,7 +97,7 @@ class PrefixTrie {
   [[nodiscard]] std::vector<std::pair<Ipv6Prefix, V>> entries() const {
     std::vector<std::pair<Ipv6Prefix, V>> out;
     Ipv6Address addr{};
-    walk(root_.get(), addr, 0, out);
+    if (!nodes_.empty()) walk(kRoot, addr, 0, out);
     return out;
   }
 
@@ -93,57 +105,68 @@ class PrefixTrie {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   void clear() {
-    root_ = std::make_unique<Node>();
+    nodes_.clear();
     size_ = 0;
   }
 
  private:
+  /// The root is node 0 and never anyone's child, so 0 also means "none".
+  static constexpr std::uint32_t kRoot = 0;
+  static constexpr std::uint32_t kNone = 0;
+
   struct Node {
     std::optional<V> value;
-    std::unique_ptr<Node> zero;
-    std::unique_ptr<Node> one;
+    std::array<std::uint32_t, 2> child{kNone, kNone};  ///< [bit]
   };
 
-  Node* descend_create(const Ipv6Prefix& prefix) {
-    Node* node = root_.get();
+  std::uint32_t descend_create(const Ipv6Prefix& prefix) {
+    std::uint32_t n = kRoot;
     for (std::size_t depth = 0; depth < prefix.length(); ++depth) {
-      auto& child = prefix.address().bit(depth) ? node->one : node->zero;
-      if (!child) child = std::make_unique<Node>();
-      node = child.get();
+      const bool bit = prefix.address().bit(depth);
+      std::uint32_t next = nodes_[n].child[bit];
+      if (next == kNone) {
+        next = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();  // may reallocate: hold indices, not references
+        nodes_[n].child[bit] = next;
+      }
+      n = next;
     }
-    return node;
+    return n;
   }
 
-  const Node* descend(const Ipv6Prefix& prefix) const {
-    const Node* node = root_.get();
-    for (std::size_t depth = 0; depth < prefix.length() && node != nullptr; ++depth) {
-      node = prefix.address().bit(depth) ? node->one.get() : node->zero.get();
+  /// The node at exactly `prefix`, or nullptr.
+  [[nodiscard]] const Node* descend(const Ipv6Prefix& prefix) const {
+    if (nodes_.empty()) return nullptr;
+    std::uint32_t n = kRoot;
+    for (std::size_t depth = 0; depth < prefix.length(); ++depth) {
+      n = nodes_[n].child[prefix.address().bit(depth)];
+      if (n == kNone) return nullptr;
     }
-    return node;
+    return &nodes_[n];
   }
 
-  Node* descend(const Ipv6Prefix& prefix) {
+  [[nodiscard]] Node* descend(const Ipv6Prefix& prefix) {
     return const_cast<Node*>(std::as_const(*this).descend(prefix));
   }
 
-  void walk(const Node* node, Ipv6Address& addr, std::size_t depth,
+  void walk(std::uint32_t n, Ipv6Address& addr, std::size_t depth,
             std::vector<std::pair<Ipv6Prefix, V>>& out) const {
-    if (node == nullptr) return;
-    if (node->value) {
-      out.emplace_back(Ipv6Prefix{addr, static_cast<std::uint8_t>(depth)}, *node->value);
+    const Node& node = nodes_[n];
+    if (node.value) {
+      out.emplace_back(Ipv6Prefix{addr, static_cast<std::uint8_t>(depth)}, *node.value);
     }
     if (depth >= 128) return;
-    if (node->zero) {
+    if (node.child[0] != kNone) {
       Ipv6Address next = addr.with_bit(depth, false);
-      walk(node->zero.get(), next, depth + 1, out);
+      walk(node.child[0], next, depth + 1, out);
     }
-    if (node->one) {
+    if (node.child[1] != kNone) {
       Ipv6Address next = addr.with_bit(depth, true);
-      walk(node->one.get(), next, depth + 1, out);
+      walk(node.child[1], next, depth + 1, out);
     }
   }
 
-  std::unique_ptr<Node> root_;
+  std::vector<Node> nodes_;
   std::size_t size_ = 0;
 };
 

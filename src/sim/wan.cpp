@@ -90,6 +90,8 @@ Wan::LinkState* Wan::find_link(const topo::LinkKey& key) noexcept {
 
 void Wan::rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp) {
   state.fib.clear();
+  // Storage order, no sort: trie contents (and so fib_digest()) do not
+  // depend on insertion order.
   sp.loc_rib().for_each([&](const bgp::Route& route) {
     const bgp::RouterId next_hop = route.locally_originated() ? state.id : route.learned_from;
     state.fib.insert(net::trie_key(route.prefix), next_hop);
@@ -149,14 +151,9 @@ void Wan::sync_fibs() {
     }
     const std::vector<net::Prefix>& dirty = sp.fib_dirty();
     if (dirty.empty()) continue;
-    // The speaker's list may repeat a prefix (it flip-flopped during
-    // convergence); deltas are idempotent, so dedup is purely an optimization
-    // — through a reused scratch buffer to keep the steady state allocation-free.
-    dirty_scratch_.assign(dirty.begin(), dirty.end());
-    std::sort(dirty_scratch_.begin(), dirty_scratch_.end());
-    dirty_scratch_.erase(std::unique(dirty_scratch_.begin(), dirty_scratch_.end()),
-                         dirty_scratch_.end());
-    for (const net::Prefix& prefix : dirty_scratch_) apply_fib_delta(state, sp, prefix);
+    // The speaker lists each changed prefix once; deltas are idempotent and
+    // commute, so the list's order does not matter.
+    for (const net::Prefix& prefix : dirty) apply_fib_delta(state, sp, prefix);
     sp.clear_fib_dirty();
   }
   fib_synced_once_ = true;

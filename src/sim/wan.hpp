@@ -282,7 +282,6 @@ class Wan {
   FibSyncStats fib_stats_;
   FibSync fib_sync_mode_ = FibSync::incremental;
   bool fib_synced_once_ = false;
-  std::vector<net::Prefix> dirty_scratch_;  ///< reused per-sync dedup buffer
   telemetry::PacketTracer* tracer_ = nullptr;
 };
 

@@ -82,6 +82,25 @@ TEST(PrefixTrie, DefaultRouteOnly) {
   trie.insert(pfx("::/0"), 42);
   EXPECT_EQ(*trie.lookup(addr("::")), 42);
   EXPECT_EQ(*trie.lookup(addr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")), 42);
+  ASSERT_NE(trie.find(pfx("::/0")), nullptr);
+  EXPECT_EQ(*trie.find(pfx("::/0")), 42);
+  EXPECT_TRUE(trie.erase(pfx("::/0")));
+  EXPECT_EQ(trie.lookup(addr("::")), nullptr);
+}
+
+// clear() keeps the node pool; the trie must rebuild from it as if new.
+TEST(PrefixTrie, ClearThenRebuild) {
+  PrefixTrie<int> trie;
+  trie.insert(pfx("2001:db8::/32"), 1);
+  trie.insert(pfx("2001:db8:1::/48"), 2);
+  trie.clear();
+  EXPECT_TRUE(trie.empty());
+  EXPECT_EQ(trie.lookup(addr("2001:db8:1::1")), nullptr);
+  EXPECT_TRUE(trie.entries().empty());
+  trie.insert(pfx("2001:db8:1::/48"), 3);
+  EXPECT_EQ(*trie.lookup(addr("2001:db8:1::1")), 3);
+  EXPECT_EQ(trie.lookup(addr("2001:db8:2::1")), nullptr);
+  EXPECT_EQ(trie.size(), 1u);
 }
 
 TEST(PrefixTrie, FullLengthPrefix) {
