@@ -183,10 +183,9 @@ std::vector<std::vector<std::uint8_t>> make_malformed_frames() {
 
   const auto src = *net::Ipv6Address::parse("2001:db8::1");
   const auto dst = *net::Ipv6Address::parse("2001:db8::2");
-  const net::Packet inner =
+  net::Packet wan =
       net::make_udp_packet(src, dst, 1111, 2222, std::vector<std::uint8_t>{1, 2, 3});
-  const net::Packet wan =
-      net::encapsulate_tango(inner, src, dst, 49200, net::TangoHeader{.path_id = 1});
+  net::encapsulate_tango_inplace(wan, src, dst, 49200, net::TangoHeader{.path_id = 1});
 
   std::vector<std::uint8_t> bad_len{wan.bytes().begin(), wan.bytes().end()};
   bad_len[4] ^= 0x01;  // outer payload_length disagrees with the buffer
@@ -408,8 +407,8 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
         const core::PathId la_path = tb.la_outbound.paths.front().id;
         const core::PathId ny_path = tb.ny_outbound.paths.front().id;
         for (int i = 0; i < 8; ++i) {
-          to_ny->push_back(*la_twin.wrap(inner_to_ny, la_path, tb.wan.now()));
-          to_la->push_back(*ny_twin.wrap(inner_to_la, ny_path, tb.wan.now()));
+          la_twin.wrap_inplace(to_ny->emplace_back(inner_to_ny), la_path, tb.wan.now());
+          ny_twin.wrap_inplace(to_la->emplace_back(inner_to_la), ny_path, tb.wan.now());
         }
       }
       for (const net::Packet& p : *to_ny) tb.ny.dp().inject_wan(p);

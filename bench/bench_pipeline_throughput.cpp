@@ -33,8 +33,8 @@
 
 #include "common.hpp"
 #include "core/policy_engine.hpp"
-#include "net/checksum.hpp"
 #include "net/packet.hpp"
+#include "wire_reference.hpp"
 
 #ifdef TANGO_ALLOC_TRACE
 #include <execinfo.h>
@@ -108,62 +108,10 @@ Counted measure(std::size_t iterations, Fn&& fn) {
   };
 }
 
-// --- Seed-replica legacy path ----------------------------------------------
-// The copying implementation this PR replaced, kept here verbatim so the
-// comparison is against real seed behaviour rather than a strawman.
-
-net::Packet legacy_make_udp_packet(const net::Ipv6Address& src, const net::Ipv6Address& dst,
-                                   std::uint16_t src_port, std::uint16_t dst_port,
-                                   std::span<const std::uint8_t> payload,
-                                   std::uint8_t hop_limit = 64) {
-  const auto udp_len = static_cast<std::uint16_t>(net::UdpHeader::kSize + payload.size());
-  net::ByteWriter udp_w{udp_len};
-  net::UdpHeader udp{
-      .src_port = src_port, .dst_port = dst_port, .length = udp_len, .checksum = 0};
-  udp.serialize(udp_w);
-  udp_w.bytes(payload);
-  udp_w.patch_u16(6, net::udp6_checksum(src, dst, udp_w.view()));
-
-  net::Ipv6Header ip{.payload_length = udp_len,
-                     .next_header = net::Ipv6Header::kNextHeaderUdp,
-                     .hop_limit = hop_limit,
-                     .src = src,
-                     .dst = dst};
-  net::ByteWriter w{net::Ipv6Header::kSize + udp_len};
-  ip.serialize(w);
-  w.bytes(udp_w.view());
-  return net::Packet{std::move(w).take()};
-}
-
-net::Packet legacy_encapsulate_tango(const net::Packet& inner, const net::Ipv6Address& tunnel_src,
-                                     const net::Ipv6Address& tunnel_dst,
-                                     std::uint16_t udp_src_port,
-                                     const net::TangoHeader& tango_header,
-                                     std::uint8_t hop_limit = 64) {
-  const auto udp_len = static_cast<std::uint16_t>(net::UdpHeader::kSize +
-                                                  tango_header.wire_size() + inner.size());
-  net::ByteWriter udp_w{udp_len};
-  net::UdpHeader udp{.src_port = udp_src_port,
-                     .dst_port = net::TangoHeader::kUdpPort,
-                     .length = udp_len,
-                     .checksum = 0};
-  udp.serialize(udp_w);
-  tango_header.serialize(udp_w);
-  udp_w.bytes(inner.bytes());
-  udp_w.patch_u16(6, net::udp6_checksum(tunnel_src, tunnel_dst, udp_w.view()));
-
-  net::Ipv6Header outer{.payload_length = udp_len,
-                        .next_header = net::Ipv6Header::kNextHeaderUdp,
-                        .hop_limit = hop_limit,
-                        .src = tunnel_src,
-                        .dst = tunnel_dst};
-  net::ByteWriter w{net::Ipv6Header::kSize + udp_len};
-  outer.serialize(w);
-  w.bytes(udp_w.view());
-  return net::Packet{std::move(w).take()};
-}
-
 // --- Microbench -------------------------------------------------------------
+// The legacy side is the seed's copying encoder, kept verbatim in
+// wire_reference.hpp, so the comparison is against real seed behaviour
+// rather than a strawman.
 
 struct MicroResult {
   Counted legacy;
@@ -188,7 +136,7 @@ MicroResult run_micro(std::size_t iterations) {
       std::fprintf(stderr, "FAIL: fast-path wire bytes differ from legacy encapsulation\n");
       std::exit(1);
     }
-    const auto view = net::decapsulate_tango_view(fast);
+    const auto view = net::decode_tango_view(fast).view;
     if (!view || view->tango.sequence != 42) {
       std::fprintf(stderr, "FAIL: fast-path decapsulation rejected its own wire format\n");
       std::exit(1);
@@ -202,14 +150,17 @@ MicroResult run_micro(std::size_t iterations) {
 
   MicroResult result;
 
-  // Legacy cycle: build inner, copy-encapsulate, copy-decapsulate.
+  // Legacy cycle: build inner, copy-encapsulate, copy-decapsulate (the
+  // seed's decoder was the view decode plus an owning copy of the inner).
   result.legacy = measure(iterations, [&](std::size_t i) {
     net::TangoHeader hdr = tango;
     hdr.sequence = i;
     const net::Packet inner = legacy_make_udp_packet(src, dst, 4000, 9, payload);
     const net::Packet wan = legacy_encapsulate_tango(inner, tun_src, tun_dst, 40001, hdr);
-    const auto dec = net::decapsulate_tango(wan);
-    if (!dec || dec->inner.size() != inner.size()) std::abort();
+    const auto view = net::decode_tango_view(wan).view;
+    if (!view) std::abort();
+    const net::Packet dec{std::vector<std::uint8_t>{view->inner.begin(), view->inner.end()}};
+    if (dec.size() != inner.size()) std::abort();
   });
 
   // Fast cycle: pooled inner build, in-place encap, zero-copy decap + trim,
@@ -220,7 +171,7 @@ MicroResult run_micro(std::size_t iterations) {
     hdr.sequence = i;
     net::Packet p = net::make_udp_packet(pool, src, dst, 4000, 9, payload);
     net::encapsulate_tango_inplace(p, tun_src, tun_dst, 40001, hdr);
-    const auto view = net::decapsulate_tango_view(p);
+    const auto view = net::decode_tango_view(p).view;
     if (!view) std::abort();
     p.trim_front(view->outer_size);
     pool.release(std::move(p).release_buffer());

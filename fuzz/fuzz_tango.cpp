@@ -39,10 +39,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const TangoDecodeResult decoded = decode_tango_view(wan);
   FUZZ_CHECK(decoded.view.has_value() == (decoded.status == TangoDecodeStatus::ok),
              "view must be populated exactly on ok");
-  // The legacy nullopt-style API must agree with the classification.
-  FUZZ_CHECK(decapsulate_tango_view(wan).has_value() ==
-                 (decoded.status == TangoDecodeStatus::ok),
-             "classified and legacy decode must agree");
   if (decoded.status != TangoDecodeStatus::ok) return 0;
 
   const TangoView& view = *decoded.view;
@@ -51,10 +47,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
   // Re-encapsulate the inner bytes with the parsed headers: the result must
   // decode to the identical telemetry header and inner payload.
-  Packet inner{std::vector<std::uint8_t>{view.inner.begin(), view.inner.end()}};
-  const Packet rebuilt =
-      encapsulate_tango(inner, view.outer_ip.src, view.outer_ip.dst, view.udp.src_port,
-                        view.tango, view.outer_ip.hop_limit);
+  Packet rebuilt{std::vector<std::uint8_t>{view.inner.begin(), view.inner.end()}};
+  encapsulate_tango_inplace(rebuilt, view.outer_ip.src, view.outer_ip.dst, view.udp.src_port,
+                            view.tango, view.outer_ip.hop_limit);
   const TangoDecodeResult redecoded = decode_tango_view(rebuilt);
   FUZZ_CHECK(redecoded.status == TangoDecodeStatus::ok, "re-encapsulation must decode");
   FUZZ_CHECK(redecoded.view->tango == view.tango,

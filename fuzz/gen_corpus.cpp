@@ -104,13 +104,15 @@ void emit_tango(const fs::path& dir) {
   th.path_id = 2;
   th.tx_time_ns = 123456789;
   th.sequence = 42;
-  const net::Packet wan = net::encapsulate_tango(inner, tun_a, tun_b, 49153, th);
+  net::Packet wan = inner;
+  net::encapsulate_tango_inplace(wan, tun_a, tun_b, 49153, th);
   write_seed(dir, "wan_packet", wan.bytes());
 
   net::TangoHeader authed = th;
   authed.flags |= net::TangoHeader::kFlagAuthenticated;
   authed.auth_tag = 0x1122334455667788ull;
-  const net::Packet wan_auth = net::encapsulate_tango(inner, tun_a, tun_b, 49153, authed);
+  net::Packet wan_auth = inner;
+  net::encapsulate_tango_inplace(wan_auth, tun_a, tun_b, 49153, authed);
   write_seed(dir, "wan_packet_auth", wan_auth.bytes());
 
   // Reproducers: the receive-path verdicts that must drop, not deliver.

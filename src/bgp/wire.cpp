@@ -202,7 +202,7 @@ std::vector<std::uint8_t> encode_update(const Update& update,
     if (v6) {
       // MP_REACH_NLRI: AFI, SAFI, next hop, reserved, NLRI.
       if (!next_hop.is_v6()) throw WireError{"IPv6 NLRI needs an IPv6 next hop"};
-      net::ByteWriter mp;
+      net::ByteWriter mp{5 + 16 + 17};  // fixed fields, next hop, largest NLRI
       mp.u8(kAfiIpv6Hi);
       mp.u8(kAfiIpv6Lo);
       mp.u8(kSafiUnicast);

@@ -49,19 +49,8 @@ bool TunnelSender::wrap_inplace(net::Packet& packet, PathId path, sim::Time now)
   return true;
 }
 
-std::optional<net::Packet> TunnelSender::wrap(const net::Packet& inner, PathId path,
-                                              sim::Time now) {
-  net::Packet packet = inner;
-  if (!wrap_inplace(packet, path, now)) return std::nullopt;
-  return packet;
-}
-
 std::uint64_t TunnelSender::next_sequence(PathId path) const {
   return path < seq_.size() ? seq_[path] : 0;
-}
-
-std::optional<ReceiveInfo> TunnelReceiver::unwrap_inplace(net::Packet& packet, sim::Time now) {
-  return unwrap_classified(packet, now).info;
 }
 
 UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time now) {
@@ -160,14 +149,6 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
 
   packet.trim_front(view->outer_size);
   return {UnwrapStatus::ok, info};
-}
-
-std::optional<std::pair<net::Packet, ReceiveInfo>> TunnelReceiver::unwrap(
-    const net::Packet& wan_packet, sim::Time now) {
-  net::Packet packet = wan_packet;
-  auto info = unwrap_inplace(packet, now);
-  if (!info) return std::nullopt;
-  return std::make_pair(std::move(packet), *info);
 }
 
 const PathTracker* TunnelReceiver::tracker(PathId path) const {

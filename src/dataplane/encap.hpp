@@ -3,10 +3,10 @@
 // chosen path; the receiver computes the one-way delay, records it and
 // decapsulates.
 //
-// Both stages have an in-place fast path (wrap_inplace / unwrap_inplace)
-// that rewrites the packet buffer through its headroom — zero per-packet
-// allocations in the steady state — and per-path state lives in dense
-// PathId-indexed vectors instead of trees.
+// Both stages work in place (wrap_inplace / unwrap_classified), rewriting
+// the packet buffer through its headroom — zero per-packet allocations in
+// the steady state — and per-path state lives in dense PathId-indexed
+// vectors instead of trees.
 #pragma once
 
 #include <memory>
@@ -48,14 +48,9 @@ class TunnelSender {
                std::optional<net::SipHashKey> auth_key = std::nullopt)
       : table_{&table}, clock_{&clock}, auth_key_{auth_key} {}
 
-  /// Fast path: turns `packet` into its WAN form in place (headroom
-  /// prepend).  Returns false (packet untouched) when the tunnel is unknown.
+  /// Turns `packet` into its WAN form in place (headroom prepend).  Returns
+  /// false (packet untouched) when the tunnel is unknown.
   bool wrap_inplace(net::Packet& packet, PathId path, sim::Time now);
-
-  /// Copying wrapper around wrap_inplace.  Returns nullopt when the tunnel
-  /// is unknown.
-  [[nodiscard]] std::optional<net::Packet> wrap(const net::Packet& inner, PathId path,
-                                                sim::Time now);
 
   [[nodiscard]] std::uint64_t next_sequence(PathId path) const;
   [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_; }
@@ -128,21 +123,12 @@ class TunnelReceiver {
                  std::optional<net::SipHashKey> auth_key = std::nullopt)
       : clock_{&clock}, keep_series_{keep_series}, auth_key_{auth_key} {}
 
-  /// Fast path: validates and measures `packet`, then trims the outer
-  /// headers in place so the same buffer becomes the inner packet.  Returns
-  /// nullopt (packet untouched) for non-Tango traffic or auth failures.
-  [[nodiscard]] std::optional<ReceiveInfo> unwrap_inplace(net::Packet& packet, sim::Time now);
-
-  /// Classified fast path: like unwrap_inplace but reports *why* a packet
-  /// was not decapsulated, so the switch can drop-and-count malformed and
-  /// forged input instead of delivering it as plain traffic.  The packet is
-  /// modified only on `ok`.  Never throws.
+  /// Validates and measures `packet`, then trims the outer headers in place
+  /// so the same buffer becomes the inner packet.  Otherwise reports *why*
+  /// the packet was not decapsulated, so the switch can drop-and-count
+  /// malformed, forged and replayed input instead of delivering it as plain
+  /// traffic.  The packet is modified only on `ok`.  Never throws.
   [[nodiscard]] UnwrapResult unwrap_classified(net::Packet& packet, sim::Time now);
-
-  /// Copying wrapper: on success returns the inner packet plus measurement
-  /// info; nullopt for non-Tango traffic (caller forwards it unmodified).
-  [[nodiscard]] std::optional<std::pair<net::Packet, ReceiveInfo>> unwrap(
-      const net::Packet& wan_packet, sim::Time now);
 
   [[nodiscard]] const PathTracker* tracker(PathId path) const;
   [[nodiscard]] PathTracker* tracker(PathId path);

@@ -104,16 +104,11 @@ bool TangoSwitch::prepare_outbound(net::Packet& inner) {
   }
 
   std::optional<PathId> path;
-  bool by_selector = false;
-  if (selector_) {
-    path = selector_(inner);
-    by_selector = path.has_value();
-  }
   PathId dup_path = 0;
   if (route_fn_ != nullptr) {
     const RouteDecision decision =
         route_fn_(route_ctx_, inner, *peer, flow->hash, wan_.now());
-    if (!path && decision.primary != 0) path = decision.primary;
+    if (decision.primary != 0) path = decision.primary;
     if (decision.duplicate != 0 && (!path || decision.duplicate != *path)) {
       dup_path = decision.duplicate;
     }
@@ -141,8 +136,7 @@ bool TangoSwitch::prepare_outbound(net::Packet& inner) {
                      .node = router_,
                      .path = *path,
                      .stage = telemetry::TraceStage::route_select,
-                     .cause = by_selector ? telemetry::TraceCause::selector
-                                          : telemetry::TraceCause::active_path});
+                     .cause = telemetry::TraceCause::active_path});
   }
 
   // The hedged second copy must be taken *before* the in-place wrap below
@@ -263,16 +257,10 @@ void TangoSwitch::on_wan_packet(net::Packet& packet) {
       trace_malformed_drop(packet, telemetry::TraceCause::malformed_tango);
       return;
     case UnwrapStatus::auth_failed:
-      // The receiver already counted and traced the failure; the switch
-      // records that the packet was consumed here rather than delivered
-      // (forged envelopes must not reach hosts as plain traffic).
-      ++auth_drops_;
-      return;
     case UnwrapStatus::replayed:
-      // Valid tag, already-seen sequence: a captured-and-replayed packet.
-      // The receiver counted and traced it before any tracker was touched;
-      // the switch consumes it here — a replay must not reach the hosts.
-      ++replay_drops_;
+      // Forged envelopes and replayed captures: the receiver counted and
+      // traced the drop before any tracker was touched; the switch consumes
+      // the packet here, so neither reaches the hosts as plain traffic.
       return;
   }
 }

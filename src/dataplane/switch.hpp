@@ -45,16 +45,13 @@ class TangoSwitch {
   using HostHandler =
       std::function<void(const net::Packet& inner, const std::optional<ReceiveInfo>& info)>;
 
-  /// Per-packet path choice; returning nullopt falls back to the switch's
-  /// active path.  Enables the paper's "application-specific routing
-  /// decision" (§3) — e.g. keying on the inner traffic class.
-  using Selector = std::function<std::optional<PathId>(const net::Packet& inner)>;
-
-  /// Raw (devirtualized) per-packet route hook for the policy engine: a
-  /// plain function pointer, mirroring Wan::attach_raw, so the hot path pays
-  /// no std::function dispatch.  primary == 0 falls back to the active path;
-  /// duplicate != 0 additionally sends a copy of the packet on that path
-  /// (hedged duplication; the receiving switch suppresses the second copy).
+  /// The per-packet route hook: the paper's "application-specific routing
+  /// decision" (§3), e.g. keying on the inner traffic class; the policy
+  /// engine installs it.  A plain function pointer, mirroring
+  /// Wan::attach_raw, so the hot path pays no std::function dispatch.
+  /// primary == 0 falls back to the active path; duplicate != 0
+  /// additionally sends a copy of the packet on that path (hedged
+  /// duplication; the receiving switch suppresses the second copy).
   struct RouteDecision {
     PathId primary = 0;
     PathId duplicate = 0;
@@ -117,12 +114,10 @@ class TangoSwitch {
 
   static constexpr PeerId kDefaultPeer = 0;
 
-  void set_selector(Selector selector) { selector_ = std::move(selector); }
   void set_host_handler(HostHandler handler) { host_handler_ = std::move(handler); }
 
-  /// Installs the raw route hook (nullptr detaches).  Consulted after the
-  /// Selector: a Selector verdict wins on the primary path; the hook's
-  /// duplicate request is honored either way.
+  /// Installs the route hook (nullptr detaches), consulted once per peer
+  /// packet before the active path.
   void set_route_fn(RouteFn fn, void* ctx) noexcept {
     route_fn_ = fn;
     route_ctx_ = ctx;
@@ -199,13 +194,14 @@ class TangoSwitch {
   [[nodiscard]] std::uint64_t malformed_drops() const noexcept {
     return malformed_outer_drops_ + malformed_tango_drops_;
   }
-  /// WAN arrivals dropped for missing/invalid telemetry auth tags (§6).
-  /// Counted here at the switch; the receiver's auth_failures() matches.
-  [[nodiscard]] std::uint64_t auth_drops() const noexcept { return auth_drops_; }
+  /// WAN arrivals dropped for missing/invalid telemetry auth tags (§6),
+  /// as counted by the receiver.
+  [[nodiscard]] std::uint64_t auth_drops() const noexcept { return receiver_.auth_failures(); }
   /// WAN arrivals dropped as replays: a valid tag but an already-seen
-  /// per-path sequence.  Counted here at the switch; the receiver's
-  /// replay_dropped() matches.
-  [[nodiscard]] std::uint64_t replay_drops() const noexcept { return replay_drops_; }
+  /// per-path sequence, as counted by the receiver.
+  [[nodiscard]] std::uint64_t replay_drops() const noexcept {
+    return receiver_.replay_dropped();
+  }
   /// Hedged duplicates this switch sent (second copies, not the primaries).
   [[nodiscard]] std::uint64_t hedge_duplicates() const noexcept { return hedge_duplicates_; }
   /// Hedged second copies this switch suppressed before host delivery.
@@ -246,7 +242,6 @@ class TangoSwitch {
   /// Small flat map (a pairing has a handful of peers at most); linear scan
   /// beats a tree for these sizes and never allocates on lookup.
   std::vector<std::pair<PeerId, PathId>> active_by_peer_;
-  Selector selector_;
   HostHandler host_handler_;
   RouteFn route_fn_ = nullptr;
   void* route_ctx_ = nullptr;
@@ -259,8 +254,6 @@ class TangoSwitch {
   std::uint64_t passthrough_ = 0;
   std::uint64_t malformed_outer_drops_ = 0;
   std::uint64_t malformed_tango_drops_ = 0;
-  std::uint64_t auth_drops_ = 0;
-  std::uint64_t replay_drops_ = 0;
   // Pre-resolved instruments (nullptr until wire_observability).
   telemetry::Counter* passthrough_metric_ = nullptr;
   telemetry::Counter* no_tunnel_metric_ = nullptr;

@@ -249,14 +249,6 @@ void encapsulate_tango_inplace(Packet& packet, const Ipv6Address& tunnel_src,
   b[Ipv6Header::kSize + 7] = static_cast<std::uint8_t>(csum);
 }
 
-Packet encapsulate_tango(const Packet& inner, const Ipv6Address& tunnel_src,
-                         const Ipv6Address& tunnel_dst, std::uint16_t udp_src_port,
-                         const TangoHeader& tango_header, std::uint8_t hop_limit) {
-  Packet out = inner;
-  encapsulate_tango_inplace(out, tunnel_src, tunnel_dst, udp_src_port, tango_header, hop_limit);
-  return out;
-}
-
 TangoDecodeResult decode_tango_view(const Packet& wan_packet) {
   // Non-IPv6 traffic (IPv4 hosts, garbage version nibbles) is foreign: the
   // WAN segment only ever carries Tango encapsulation over IPv6, so there is
@@ -300,20 +292,6 @@ TangoDecodeResult decode_tango_view(const Packet& wan_packet) {
                     .tango = *tango,
                     .inner = r.rest(),
                     .outer_size = r.position()}};
-}
-
-std::optional<TangoView> decapsulate_tango_view(const Packet& wan_packet) {
-  return decode_tango_view(wan_packet).view;
-}
-
-std::optional<TangoEncapsulated> decapsulate_tango(const Packet& wan_packet) {
-  auto view = decapsulate_tango_view(wan_packet);
-  if (!view) return std::nullopt;
-  return TangoEncapsulated{
-      .outer_ip = view->outer_ip,
-      .udp = view->udp,
-      .tango = view->tango,
-      .inner = Packet{std::vector<std::uint8_t>{view->inner.begin(), view->inner.end()}}};
 }
 
 std::string describe(const Packet& p) {

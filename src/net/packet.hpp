@@ -9,9 +9,10 @@
 // Fast-path layout: packets are carried inside a buffer with *headroom* —
 // spare bytes in front of the packet data — so Tango encapsulation is an
 // in-place header prepend and decapsulation an in-place front trim, with
-// zero buffer allocations in the steady state.  The legacy copying
-// builders (`encapsulate_tango`/`decapsulate_tango`) remain as the
-// byte-exact reference implementations.
+// zero buffer allocations in the steady state.  There is one encoder
+// (encapsulate_tango_inplace) and one fail-closed decoder
+// (decode_tango_view); tests and E11 check them byte for byte against an
+// independent reference encoder in bench/wire_reference.hpp.
 #pragma once
 
 #include <algorithm>
@@ -187,14 +188,6 @@ class BufferPool {
                                       std::span<const std::uint8_t> payload,
                                       std::uint8_t ttl = 64);
 
-/// Fields of a decoded Tango WAN packet (owning copy of the inner packet).
-struct TangoEncapsulated {
-  Ipv6Header outer_ip;
-  UdpHeader udp;
-  TangoHeader tango;
-  Packet inner;  // the original host packet, byte-identical
-};
-
 /// Zero-copy view of a decoded Tango WAN packet: `inner` aliases the WAN
 /// packet's buffer and is valid only while that packet is alive and
 /// unmodified.  `outer_size` is what trim_front() must drop to turn the WAN
@@ -207,18 +200,11 @@ struct TangoView {
   std::size_t outer_size = 0;
 };
 
-/// Wraps `inner` for the WAN: outer IPv6 (src/dst = tunnel endpoints), UDP
-/// (fixed ports pin ECMP), Tango telemetry header.  Computes the outer UDP
-/// checksum over the pseudo-header.  Copying reference implementation; the
-/// fast path is encapsulate_tango_inplace.
-[[nodiscard]] Packet encapsulate_tango(const Packet& inner, const Ipv6Address& tunnel_src,
-                                       const Ipv6Address& tunnel_dst, std::uint16_t udp_src_port,
-                                       const TangoHeader& tango_header,
-                                       std::uint8_t hop_limit = 64);
-
-/// In-place fast path: prepends the outer headers into `packet`'s headroom
-/// (allocating only when the headroom is insufficient).  On return `packet`
-/// is the WAN packet, byte-identical to what encapsulate_tango builds.
+/// Wraps `packet` for the WAN in place: prepends outer IPv6 (src/dst =
+/// tunnel endpoints), UDP (fixed ports pin ECMP) and the Tango telemetry
+/// header into its headroom (allocating only when the headroom is
+/// insufficient), and computes the outer UDP checksum over the
+/// pseudo-header.  On return `packet` is the WAN packet.
 void encapsulate_tango_inplace(Packet& packet, const Ipv6Address& tunnel_src,
                                const Ipv6Address& tunnel_dst, std::uint16_t udp_src_port,
                                const TangoHeader& tango_header, std::uint8_t hop_limit = 64);
@@ -242,21 +228,12 @@ struct TangoDecodeResult {
   std::optional<TangoView> view;
 };
 
-/// Attempts to decode a WAN packet as Tango-encapsulated.  Returns nullopt
-/// for anything that is not a valid Tango packet (wrong next header, wrong
-/// port, bad magic, bad UDP checksum, truncation) so callers can fall back
-/// to normal forwarding.  Copies the inner packet; the fast path is
-/// decapsulate_tango_view + Packet::trim_front.
-[[nodiscard]] std::optional<TangoEncapsulated> decapsulate_tango(const Packet& wan_packet);
-
-/// Zero-copy decode: parses the outer headers once and returns spans into
-/// `wan_packet` instead of copying the inner bytes.  Same validation rules
-/// as decapsulate_tango.
-[[nodiscard]] std::optional<TangoView> decapsulate_tango_view(const Packet& wan_packet);
-
-/// Classified variant of decapsulate_tango_view: distinguishes foreign
-/// traffic (pass through) from malformed input (drop and count).  Never
-/// throws; every reject path is bounds-checked.
+/// Zero-copy decode of a WAN packet: parses the outer headers once and
+/// returns spans into `wan_packet`.  Anything that is not a valid Tango
+/// packet (wrong next header, wrong port, bad magic, bad UDP checksum,
+/// truncation) is classified: foreign traffic (pass through) apart from
+/// malformed input (drop and count).  Never throws; every reject path is
+/// bounds-checked.  Decapsulation is this plus Packet::trim_front.
 [[nodiscard]] TangoDecodeResult decode_tango_view(const Packet& wan_packet);
 
 /// Renders the header stack of a packet for logs and examples.

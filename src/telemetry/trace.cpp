@@ -31,8 +31,6 @@ const char* to_string(TraceCause cause) noexcept {
   switch (cause) {
     case TraceCause::none:
       return "-";
-    case TraceCause::selector:
-      return "selector";
     case TraceCause::active_path:
       return "active-path";
     case TraceCause::no_tunnel:

@@ -174,8 +174,10 @@ std::vector<std::uint8_t> craft_update(std::vector<std::uint8_t> attrs,
 /// One path attribute in non-extended form.
 std::vector<std::uint8_t> attr(std::uint8_t flags, AttrType type,
                                std::vector<std::uint8_t> value) {
-  std::vector<std::uint8_t> out{flags, static_cast<std::uint8_t>(type),
-                                static_cast<std::uint8_t>(value.size())};
+  std::vector<std::uint8_t> out;
+  out.reserve(3 + value.size());
+  out.insert(out.end(), {flags, static_cast<std::uint8_t>(type),
+                         static_cast<std::uint8_t>(value.size())});
   out.insert(out.end(), value.begin(), value.end());
   return out;
 }
@@ -252,7 +254,9 @@ TEST(WireParse, FixedLengthAttributesRejectWrongSizes) {
 
 TEST(WireParse, MpReachWithoutNlriRejected) {
   // AFI/SAFI, 16-byte next hop, reserved — and then nothing announced.
-  std::vector<std::uint8_t> mp{0, 2, 1, 16};
+  std::vector<std::uint8_t> mp;
+  mp.reserve(4 + 16 + 1);
+  mp.insert(mp.end(), {0, 2, 1, 16});
   mp.insert(mp.end(), 16, 0x20);
   mp.push_back(0);  // reserved
   EXPECT_THROW((void)parse_message(craft_update(attr(0x80, AttrType::mp_reach_nlri, mp))),

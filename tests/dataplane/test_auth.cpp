@@ -33,6 +33,29 @@ net::Packet inner_packet() {
   return net::make_udp_packet(kHostA, kHostB, 1000, 2000, payload);
 }
 
+/// inner_packet() as `sender` puts it on the wire on path 1.
+net::Packet wrapped(TunnelSender& sender, sim::Time now) {
+  net::Packet packet = inner_packet();
+  EXPECT_TRUE(sender.wrap_inplace(packet, 1, now));
+  return packet;
+}
+
+/// The decoded view of a WAN packet the sender built (must be valid Tango).
+net::TangoView decoded(const net::Packet& wan) {
+  const net::TangoDecodeResult result = net::decode_tango_view(wan);
+  EXPECT_EQ(result.status, net::TangoDecodeStatus::ok);
+  return result.view.value_or(net::TangoView{});
+}
+
+/// `wan` re-encapsulated around the same inner bytes with header `h`: an
+/// on-path rewrite that keeps the envelope (lengths, checksum) valid.
+net::Packet with_header(const net::Packet& wan, const net::TangoHeader& h) {
+  const net::TangoView v = decoded(wan);
+  net::Packet out{std::vector<std::uint8_t>{v.inner.begin(), v.inner.end()}};
+  net::encapsulate_tango_inplace(out, v.outer_ip.src, v.outer_ip.dst, v.udp.src_port, h);
+  return out;
+}
+
 TEST(AuthHeader, SerializeParsePreservesTag) {
   net::TangoHeader h;
   h.flags |= net::TangoHeader::kFlagAuthenticated;
@@ -65,17 +88,14 @@ TEST(AuthPipeline, TaggedAndVerified) {
   TunnelSender sender{table, clock, kKey};
   TunnelReceiver receiver{clock, false, kKey};
 
-  auto wan = sender.wrap(inner_packet(), 1, sim::from_ms(1));
-  ASSERT_TRUE(wan.has_value());
-  auto decoded = net::decapsulate_tango(*wan);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->tango.authenticated());
-  EXPECT_NE(decoded->tango.auth_tag, 0u);
+  net::Packet wan = wrapped(sender, sim::from_ms(1));
+  const net::TangoHeader header = decoded(wan).tango;
+  EXPECT_TRUE(header.authenticated());
+  EXPECT_NE(header.auth_tag, 0u);
 
-  auto result = receiver.unwrap(*wan, sim::from_ms(30));
-  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(receiver.unwrap_classified(wan, sim::from_ms(30)).status, UnwrapStatus::ok);
   EXPECT_EQ(receiver.auth_failures(), 0u);
-  EXPECT_EQ(result->first, inner_packet());
+  EXPECT_EQ(wan, inner_packet());
 }
 
 TEST(AuthPipeline, WrongKeyRejected) {
@@ -84,8 +104,9 @@ TEST(AuthPipeline, WrongKeyRejected) {
   TunnelSender sender{table, clock, kWrongKey};
   TunnelReceiver receiver{clock, false, kKey};
 
-  auto wan = sender.wrap(inner_packet(), 1, 0);
-  EXPECT_FALSE(receiver.unwrap(*wan, sim::from_ms(30)).has_value());
+  net::Packet wan = wrapped(sender, 0);
+  EXPECT_EQ(receiver.unwrap_classified(wan, sim::from_ms(30)).status,
+            UnwrapStatus::auth_failed);
   EXPECT_EQ(receiver.auth_failures(), 1u);
   EXPECT_EQ(receiver.tracker(1), nullptr) << "no measurement recorded from a forgery";
 }
@@ -96,8 +117,9 @@ TEST(AuthPipeline, UnauthenticatedTrafficRejectedWhenKeyRequired) {
   TunnelSender plain_sender{table, clock};  // no key: legacy traffic
   TunnelReceiver receiver{clock, false, kKey};
 
-  auto wan = plain_sender.wrap(inner_packet(), 1, 0);
-  EXPECT_FALSE(receiver.unwrap(*wan, sim::from_ms(30)).has_value());
+  net::Packet wan = wrapped(plain_sender, 0);
+  EXPECT_EQ(receiver.unwrap_classified(wan, sim::from_ms(30)).status,
+            UnwrapStatus::auth_failed);
   EXPECT_EQ(receiver.auth_failures(), 1u);
 }
 
@@ -109,27 +131,25 @@ TEST(AuthPipeline, TamperedMeasurementFieldsRejected) {
   TunnelSender sender{table, clock, kKey};
   TunnelReceiver receiver{clock, false, kKey};
 
-  auto wan = sender.wrap(inner_packet(), 1, sim::from_ms(1));
-  auto decoded = net::decapsulate_tango(*wan);
-  ASSERT_TRUE(decoded.has_value());
+  net::Packet wan = wrapped(sender, sim::from_ms(1));
+  const net::TangoHeader genuine = decoded(wan).tango;
 
-  auto rebuild_with = [&](net::TangoHeader h) {
-    return net::encapsulate_tango(decoded->inner, decoded->outer_ip.src,
-                                  decoded->outer_ip.dst, decoded->udp.src_port, h);
-  };
-
-  net::TangoHeader skewed = decoded->tango;
+  net::TangoHeader skewed = genuine;
   skewed.tx_time_ns += 5'000'000;  // make the path look 5 ms faster
-  EXPECT_FALSE(receiver.unwrap(rebuild_with(skewed), sim::from_ms(30)).has_value());
+  net::Packet skewed_wan = with_header(wan, skewed);
+  EXPECT_EQ(receiver.unwrap_classified(skewed_wan, sim::from_ms(30)).status,
+            UnwrapStatus::auth_failed);
 
-  net::TangoHeader reseq = decoded->tango;
+  net::TangoHeader reseq = genuine;
   reseq.sequence += 100;  // fake a burst of loss
-  EXPECT_FALSE(receiver.unwrap(rebuild_with(reseq), sim::from_ms(30)).has_value());
+  net::Packet reseq_wan = with_header(wan, reseq);
+  EXPECT_EQ(receiver.unwrap_classified(reseq_wan, sim::from_ms(30)).status,
+            UnwrapStatus::auth_failed);
 
   EXPECT_EQ(receiver.auth_failures(), 2u);
 
   // The untampered original still verifies afterwards.
-  EXPECT_TRUE(receiver.unwrap(*wan, sim::from_ms(30)).has_value());
+  EXPECT_EQ(receiver.unwrap_classified(wan, sim::from_ms(30)).status, UnwrapStatus::ok);
 }
 
 TEST(AuthPipeline, OffPathInjectionCannotPolluteMeasurements) {
@@ -174,8 +194,9 @@ TEST(AuthPipeline, OffPathInjectionCannotPolluteMeasurements) {
   TunnelSender attacker{attacker_table, attacker_clock, kWrongKey};
   for (int i = 0; i < 200; ++i) {
     wan.events().schedule_in(i * sim::kMillisecond, [&wan, &attacker, &genuine]() {
-      auto forged = attacker.wrap(genuine, 1, wan.now());
-      wan.send_from(kTelia, std::move(*forged));
+      net::Packet forged = genuine;
+      attacker.wrap_inplace(forged, 1, wan.now());
+      wan.send_from(kTelia, std::move(forged));
     });
   }
 
@@ -217,14 +238,10 @@ TEST(AuthPipeline, FlippedFlagBitRejected) {
   TunnelSender sender{table, clock, kKey};
   TunnelReceiver receiver{clock, false, kKey};
 
-  auto wan = sender.wrap(inner_packet(), 1, sim::from_ms(1));
-  auto decoded = net::decapsulate_tango(*wan);
-  ASSERT_TRUE(decoded.has_value());
-  net::TangoHeader flipped = decoded->tango;
+  const net::Packet wan = wrapped(sender, sim::from_ms(1));
+  net::TangoHeader flipped = decoded(wan).tango;
   flipped.flags |= 0x80;
-  net::Packet tampered = net::encapsulate_tango(decoded->inner, decoded->outer_ip.src,
-                                                decoded->outer_ip.dst, decoded->udp.src_port,
-                                                flipped);
+  net::Packet tampered = with_header(wan, flipped);
   auto result = receiver.unwrap_classified(tampered, sim::from_ms(30));
   EXPECT_EQ(result.status, UnwrapStatus::auth_failed);
   EXPECT_EQ(receiver.auth_failures(), 1u);
@@ -240,8 +257,8 @@ TEST(ReplayPipeline, VerbatimCaptureDroppedBeforeTrackers) {
   TunnelSender sender{table, clock, kKey};
   TunnelReceiver receiver{clock, false, kKey};
 
-  auto wan = sender.wrap(inner_packet(), 1, sim::from_ms(1));
-  net::Packet first = *wan;
+  const net::Packet wan = wrapped(sender, sim::from_ms(1));
+  net::Packet first = wan;
   EXPECT_EQ(receiver.unwrap_classified(first, sim::from_ms(30)).status, UnwrapStatus::ok);
 
   const PathTracker* tracker = receiver.tracker(1);
@@ -250,7 +267,7 @@ TEST(ReplayPipeline, VerbatimCaptureDroppedBeforeTrackers) {
   const double ewma = tracker->delay().ewma().value();
 
   for (int i = 0; i < 5; ++i) {
-    net::Packet replay = *wan;
+    net::Packet replay = wan;
     EXPECT_EQ(receiver.unwrap_classified(replay, sim::from_ms(200 + i)).status,
               UnwrapStatus::replayed);
   }
@@ -283,7 +300,7 @@ TEST(ReplayPipeline, ReplayFloodThroughLiveSwitch) {
   TunnelSender genuine{table, clock, kKey};
   std::vector<net::Packet> captured;
   for (int i = 0; i < 20; ++i) {
-    captured.push_back(*genuine.wrap(inner_packet(), 1, sim::from_ms(i)));
+    captured.push_back(wrapped(genuine, sim::from_ms(i)));
   }
 
   for (const net::Packet& p : captured) ny.inject_wan(p);  // the genuine stream

@@ -30,6 +30,20 @@ net::Packet inner_packet() {
   return net::make_udp_packet(kHostA, kHostB, 1111, 2222, payload);
 }
 
+/// inner_packet() as `sender` puts it on the wire on `path`.
+net::Packet wrapped(TunnelSender& sender, PathId path, sim::Time now) {
+  net::Packet packet = inner_packet();
+  EXPECT_TRUE(sender.wrap_inplace(packet, path, now));
+  return packet;
+}
+
+/// The decoded view of a WAN packet the sender built (must be valid Tango).
+net::TangoView decoded(const net::Packet& wan) {
+  const net::TangoDecodeResult result = net::decode_tango_view(wan);
+  EXPECT_EQ(result.status, net::TangoDecodeStatus::ok);
+  return result.view.value_or(net::TangoView{});
+}
+
 TEST(TunnelTable, InstallFindRemove) {
   TunnelTable t = two_tunnels();
   EXPECT_EQ(t.size(), 2u);
@@ -47,24 +61,21 @@ TEST(TunnelSender, WrapsOnChosenTunnelWithSequence) {
   sim::NodeClock clock;
   TunnelSender sender{table, clock};
 
-  auto w1 = sender.wrap(inner_packet(), 1, sim::from_ms(5));
-  ASSERT_TRUE(w1.has_value());
-  auto d1 = net::decapsulate_tango(*w1);
-  ASSERT_TRUE(d1.has_value());
-  EXPECT_EQ(d1->tango.path_id, 1);
-  EXPECT_EQ(d1->tango.sequence, 0u);
-  EXPECT_EQ(d1->tango.tx_time_ns, static_cast<std::uint64_t>(sim::from_ms(5)));
-  EXPECT_EQ(d1->outer_ip.dst, *net::Ipv6Address::parse("2620:110:9011::1"));
-  EXPECT_EQ(d1->udp.src_port, 49153);
+  const net::Packet w1 = wrapped(sender, 1, sim::from_ms(5));
+  const net::TangoView d1 = decoded(w1);
+  EXPECT_EQ(d1.tango.path_id, 1);
+  EXPECT_EQ(d1.tango.sequence, 0u);
+  EXPECT_EQ(d1.tango.tx_time_ns, static_cast<std::uint64_t>(sim::from_ms(5)));
+  EXPECT_EQ(d1.outer_ip.dst, *net::Ipv6Address::parse("2620:110:9011::1"));
+  EXPECT_EQ(d1.udp.src_port, 49153);
 
-  auto w2 = sender.wrap(inner_packet(), 1, sim::from_ms(6));
-  auto d2 = net::decapsulate_tango(*w2);
-  EXPECT_EQ(d2->tango.sequence, 1u) << "per-tunnel sequence must increment";
+  const net::Packet w2 = wrapped(sender, 1, sim::from_ms(6));
+  EXPECT_EQ(decoded(w2).tango.sequence, 1u) << "per-tunnel sequence must increment";
 
-  auto w3 = sender.wrap(inner_packet(), 2, sim::from_ms(7));
-  auto d3 = net::decapsulate_tango(*w3);
-  EXPECT_EQ(d3->tango.sequence, 0u) << "sequences are per-tunnel";
-  EXPECT_EQ(d3->udp.src_port, 49154);
+  const net::Packet w3 = wrapped(sender, 2, sim::from_ms(7));
+  const net::TangoView d3 = decoded(w3);
+  EXPECT_EQ(d3.tango.sequence, 0u) << "sequences are per-tunnel";
+  EXPECT_EQ(d3.udp.src_port, 49154);
 
   EXPECT_EQ(sender.packets_sent(), 3u);
   EXPECT_EQ(sender.next_sequence(1), 2u);
@@ -75,7 +86,9 @@ TEST(TunnelSender, UnknownTunnelReturnsNullopt) {
   TunnelTable table = two_tunnels();
   sim::NodeClock clock;
   TunnelSender sender{table, clock};
-  EXPECT_FALSE(sender.wrap(inner_packet(), 42, 0).has_value());
+  net::Packet packet = inner_packet();
+  EXPECT_FALSE(sender.wrap_inplace(packet, 42, 0));
+  EXPECT_EQ(packet, inner_packet()) << "a refused wrap leaves the packet untouched";
   EXPECT_EQ(sender.packets_sent(), 0u);
 }
 
@@ -88,12 +101,12 @@ TEST(TunnelReceiver, MeasuresOneWayDelay) {
 
   const sim::Time sent_at = sim::from_ms(100);
   const sim::Time arrived_at = sent_at + sim::from_ms(28.4);
-  auto wan = sender.wrap(inner_packet(), 1, sent_at);
-  auto result = receiver.unwrap(*wan, arrived_at);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->second.path, 1);
-  EXPECT_NEAR(result->second.owd_ms, 28.4, 1e-6);
-  EXPECT_EQ(result->first, inner_packet());
+  net::Packet packet = wrapped(sender, 1, sent_at);
+  const UnwrapResult result = receiver.unwrap_classified(packet, arrived_at);
+  ASSERT_EQ(result.status, UnwrapStatus::ok);
+  EXPECT_EQ(result.info->path, 1);
+  EXPECT_NEAR(result.info->owd_ms, 28.4, 1e-6);
+  EXPECT_EQ(packet, inner_packet());
 
   const PathTracker* tracker = receiver.tracker(1);
   ASSERT_NE(tracker, nullptr);
@@ -113,16 +126,18 @@ TEST(TunnelReceiver, ClockOffsetShiftsAllPathsEqually) {
 
   const double true_owd_1 = 36.9;
   const double true_owd_2 = 32.9;
-  auto wan1 = sender.wrap(inner_packet(), 1, 0);
-  auto r1 = receiver.unwrap(*wan1, sim::from_ms(true_owd_1));
-  auto wan2 = sender.wrap(inner_packet(), 2, 0);
-  auto r2 = receiver.unwrap(*wan2, sim::from_ms(true_owd_2));
+  net::Packet wan1 = wrapped(sender, 1, 0);
+  const UnwrapResult r1 = receiver.unwrap_classified(wan1, sim::from_ms(true_owd_1));
+  net::Packet wan2 = wrapped(sender, 2, 0);
+  const UnwrapResult r2 = receiver.unwrap_classified(wan2, sim::from_ms(true_owd_2));
+  ASSERT_EQ(r1.status, UnwrapStatus::ok);
+  ASSERT_EQ(r2.status, UnwrapStatus::ok);
 
   const double offset_ms = -5.0;  // rx - tx offset
-  EXPECT_NEAR(r1->second.owd_ms, true_owd_1 + offset_ms, 1e-6);
-  EXPECT_NEAR(r2->second.owd_ms, true_owd_2 + offset_ms, 1e-6);
+  EXPECT_NEAR(r1.info->owd_ms, true_owd_1 + offset_ms, 1e-6);
+  EXPECT_NEAR(r2.info->owd_ms, true_owd_2 + offset_ms, 1e-6);
   // The relative comparison is exact.
-  EXPECT_NEAR(r1->second.owd_ms - r2->second.owd_ms, true_owd_1 - true_owd_2, 1e-6);
+  EXPECT_NEAR(r1.info->owd_ms - r2.info->owd_ms, true_owd_1 - true_owd_2, 1e-6);
 }
 
 TEST(TunnelReceiver, NegativeApparentOwdStaysComparable) {
@@ -133,16 +148,18 @@ TEST(TunnelReceiver, NegativeApparentOwdStaysComparable) {
   TunnelSender sender{table, tx_clock};
   TunnelReceiver receiver{rx_clock};
 
-  auto wan = sender.wrap(inner_packet(), 1, 0);
-  auto r = receiver.unwrap(*wan, sim::from_ms(28.4));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_NEAR(r->second.owd_ms, 28.4 - 100.0, 1e-6);
+  net::Packet wan = wrapped(sender, 1, 0);
+  const UnwrapResult r = receiver.unwrap_classified(wan, sim::from_ms(28.4));
+  ASSERT_EQ(r.status, UnwrapStatus::ok);
+  EXPECT_NEAR(r.info->owd_ms, 28.4 - 100.0, 1e-6);
 }
 
 TEST(TunnelReceiver, RejectsNonTango) {
   sim::NodeClock clock;
   TunnelReceiver receiver{clock};
-  EXPECT_FALSE(receiver.unwrap(inner_packet(), 0).has_value());
+  net::Packet plain = inner_packet();
+  EXPECT_EQ(receiver.unwrap_classified(plain, 0).status, UnwrapStatus::not_tango);
+  EXPECT_EQ(plain, inner_packet()) << "foreign traffic passes through unmodified";
   EXPECT_EQ(receiver.packets_received(), 0u);
   EXPECT_EQ(receiver.tracker(1), nullptr);
 }

@@ -1,13 +1,16 @@
 // Fast-path equivalence: the in-place headroom encap/decap must produce
-// wire output byte-identical to the copying reference implementation —
-// including authenticated packets and the outer UDP checksum — and the
-// zero-copy view + trim must recover the inner packet exactly.
+// wire output byte-identical to the seed's copying encoder
+// (wire_reference.hpp, an independent ByteWriter implementation) —
+// including authenticated packets, the no-headroom slow path and the outer
+// UDP checksum — and the zero-copy view + trim must recover the inner
+// packet exactly.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "dataplane/encap.hpp"
 #include "net/checksum.hpp"
+#include "wire_reference.hpp"
 
 namespace tango::dataplane {
 namespace {
@@ -40,15 +43,23 @@ std::vector<std::uint8_t> to_vec(std::span<const std::uint8_t> s) {
   return {s.begin(), s.end()};
 }
 
+constexpr std::size_t kPayloadSizes[] = {0, 1, 64, 512, 1400};
+
 TEST(FastPath, InplaceEncapMatchesCopyingEncap) {
-  const net::TangoHeader hdr{.path_id = 7, .tx_time_ns = 123456789, .sequence = 99};
-  for (std::size_t payload : {0u, 1u, 64u, 512u, 1400u}) {
-    const net::Packet inner = inner_packet(payload);
-    const net::Packet reference = net::encapsulate_tango(inner, kTunA, kTunB, 49153, hdr);
-    net::Packet fast = inner;  // copy keeps the headroom
-    net::encapsulate_tango_inplace(fast, kTunA, kTunB, 49153, hdr);
-    EXPECT_EQ(to_vec(fast.bytes()), to_vec(reference.bytes()))
-        << "wire bytes diverge at payload size " << payload;
+  net::TangoHeader authed{.path_id = 7, .tx_time_ns = 123456789, .sequence = 99};
+  authed.flags |= net::TangoHeader::kFlagAuthenticated;
+  authed.auth_tag = 0x0123456789abcdefull;
+  for (const net::TangoHeader& hdr :
+       {net::TangoHeader{.path_id = 7, .tx_time_ns = 123456789, .sequence = 99}, authed}) {
+    for (std::size_t payload : kPayloadSizes) {
+      const net::Packet inner = inner_packet(payload);
+      const net::Packet reference =
+          bench::legacy_encapsulate_tango(inner, kTunA, kTunB, 49153, hdr, 17);
+      net::Packet fast = inner;  // copy keeps the headroom
+      net::encapsulate_tango_inplace(fast, kTunA, kTunB, 49153, hdr, 17);
+      EXPECT_EQ(to_vec(fast.bytes()), to_vec(reference.bytes()))
+          << "payload size " << payload << (hdr.authenticated() ? " (authenticated)" : "");
+    }
   }
 }
 
@@ -56,14 +67,17 @@ TEST(FastPath, InplaceEncapCorrectWithoutHeadroom) {
   // A packet adopted from raw bytes has no headroom: prepend must take the
   // reallocating slow path and still produce identical wire output.
   const net::TangoHeader hdr{.path_id = 2, .tx_time_ns = 55, .sequence = 3};
-  const net::Packet inner = inner_packet();
-  net::Packet bare{to_vec(inner.bytes())};
-  ASSERT_EQ(bare.headroom(), 0u);
-  const net::Packet reference = net::encapsulate_tango(inner, kTunA, kTunB, 49153, hdr);
-  net::encapsulate_tango_inplace(bare, kTunA, kTunB, 49153, hdr);
-  EXPECT_EQ(to_vec(bare.bytes()), to_vec(reference.bytes()));
-  EXPECT_EQ(bare.headroom(), net::Packet::kDefaultHeadroom)
-      << "slow path reopens default headroom for the next encapsulation";
+  for (std::size_t payload : kPayloadSizes) {
+    const net::Packet inner = inner_packet(payload);
+    net::Packet bare{to_vec(inner.bytes())};
+    ASSERT_EQ(bare.headroom(), 0u);
+    const net::Packet reference =
+        bench::legacy_encapsulate_tango(inner, kTunA, kTunB, 49153, hdr);
+    net::encapsulate_tango_inplace(bare, kTunA, kTunB, 49153, hdr);
+    EXPECT_EQ(to_vec(bare.bytes()), to_vec(reference.bytes())) << "payload size " << payload;
+    EXPECT_EQ(bare.headroom(), net::Packet::kDefaultHeadroom)
+        << "slow path reopens default headroom for the next encapsulation";
+  }
 }
 
 TEST(FastPath, OuterUdpChecksumValidOnInplaceWire) {
@@ -75,36 +89,55 @@ TEST(FastPath, OuterUdpChecksumValidOnInplaceWire) {
 }
 
 TEST(FastPath, AuthenticatedWrapInplaceMatchesCopyingWrap) {
-  TunnelTable table_a = one_tunnel();
-  TunnelTable table_b = one_tunnel();
-  sim::NodeClock clock;
-  TunnelSender copying{table_a, clock, kKey};
-  TunnelSender inplace{table_b, clock, kKey};
+  // The sender stamps the clock, the next per-path sequence and the tag;
+  // the reference encodes the header those fields should produce.
+  TunnelTable table = one_tunnel();
+  const sim::NodeClock clock{+3 * sim::kMillisecond};
+  TunnelSender sender{table, clock, kKey};
 
-  for (int i = 0; i < 3; ++i) {  // sequences advance in lockstep
-    auto reference = copying.wrap(inner_packet(), 1, sim::from_ms(10 + i));
-    ASSERT_TRUE(reference.has_value());
-    net::Packet fast = inner_packet();
-    ASSERT_TRUE(inplace.wrap_inplace(fast, 1, sim::from_ms(10 + i)));
-    EXPECT_EQ(to_vec(fast.bytes()), to_vec(reference->bytes()))
-        << "authenticated wire bytes diverge at sequence " << i;
+  std::uint64_t sequence = 0;
+  for (std::size_t payload : kPayloadSizes) {
+    const sim::Time now = sim::from_ms(10) + static_cast<sim::Time>(sequence);
+    const net::Packet inner = inner_packet(payload);
+    net::TangoHeader hdr{.path_id = 1, .tx_time_ns = clock.now(now), .sequence = sequence++};
+    hdr.flags |= net::TangoHeader::kFlagAuthenticated;
+    hdr.auth_tag = telemetry_auth_tag(kKey, hdr, inner);
+    const net::Packet reference =
+        bench::legacy_encapsulate_tango(inner, kTunA, kTunB, 49153, hdr);
+
+    net::Packet fast = inner;
+    ASSERT_TRUE(sender.wrap_inplace(fast, 1, now));
+    EXPECT_EQ(to_vec(fast.bytes()), to_vec(reference.bytes()))
+        << "authenticated wire bytes diverge at payload size " << payload;
   }
 }
 
 TEST(FastPath, ViewMatchesCopyingDecap) {
-  const net::TangoHeader hdr{.path_id = 5, .tx_time_ns = 777, .sequence = 13};
-  net::Packet wan = inner_packet(128);
-  net::encapsulate_tango_inplace(wan, kTunA, kTunB, 49153, hdr);
+  // Decoding the reference encoder's output must yield exactly the headers
+  // and inner bytes that went in.
+  net::TangoHeader authed{.path_id = 5, .tx_time_ns = 777, .sequence = 13};
+  authed.flags |= net::TangoHeader::kFlagAuthenticated;
+  authed.auth_tag = 0xfeedfacecafebeefull;
+  for (const net::TangoHeader& hdr :
+       {net::TangoHeader{.path_id = 5, .tx_time_ns = 777, .sequence = 13}, authed}) {
+    for (std::size_t payload : kPayloadSizes) {
+      const net::Packet inner = inner_packet(payload);
+      const net::Packet wan =
+          bench::legacy_encapsulate_tango(inner, kTunA, kTunB, 49153, hdr, 9);
 
-  const auto copied = net::decapsulate_tango(wan);
-  const auto view = net::decapsulate_tango_view(wan);
-  ASSERT_TRUE(copied.has_value());
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->outer_ip, copied->outer_ip);
-  EXPECT_EQ(view->udp, copied->udp);
-  EXPECT_EQ(view->tango, copied->tango);
-  EXPECT_EQ(to_vec(view->inner), to_vec(copied->inner.bytes()));
-  EXPECT_EQ(view->outer_size + view->inner.size(), wan.size());
+      const net::TangoDecodeResult decoded = net::decode_tango_view(wan);
+      ASSERT_EQ(decoded.status, net::TangoDecodeStatus::ok) << "payload size " << payload;
+      const net::TangoView& view = *decoded.view;
+      EXPECT_EQ(view.outer_ip.src, kTunA);
+      EXPECT_EQ(view.outer_ip.dst, kTunB);
+      EXPECT_EQ(view.outer_ip.hop_limit, 9);
+      EXPECT_EQ(view.udp.src_port, 49153);
+      EXPECT_EQ(view.udp.dst_port, net::TangoHeader::kUdpPort);
+      EXPECT_EQ(view.tango, hdr);
+      EXPECT_EQ(to_vec(view.inner), to_vec(inner.bytes()));
+      EXPECT_EQ(view.outer_size + view.inner.size(), wan.size());
+    }
+  }
 }
 
 TEST(FastPath, TrimAfterViewRecoversInnerExactly) {
@@ -112,7 +145,7 @@ TEST(FastPath, TrimAfterViewRecoversInnerExactly) {
   const net::Packet inner = inner_packet(256);
   net::Packet wan = inner;
   net::encapsulate_tango_inplace(wan, kTunA, kTunB, 49153, hdr);
-  const auto view = net::decapsulate_tango_view(wan);
+  const auto view = net::decode_tango_view(wan).view;
   ASSERT_TRUE(view.has_value());
   wan.trim_front(view->outer_size);
   EXPECT_EQ(wan, inner);
@@ -120,25 +153,24 @@ TEST(FastPath, TrimAfterViewRecoversInnerExactly) {
       << "trimmed outer headers become headroom for re-encapsulation";
 }
 
-TEST(FastPath, UnwrapInplaceMatchesCopyingUnwrap) {
-  TunnelTable table = one_tunnel();
+TEST(FastPath, UnwrapClassifiedRecoversReferenceInner) {
+  // The receiver measures and trims a reference-encoded authenticated
+  // packet in place, leaving exactly the inner packet.
   sim::NodeClock clock;
-  TunnelSender sender{table, clock, kKey};
-  TunnelReceiver copying{clock, /*keep_series=*/false, kKey};
-  TunnelReceiver inplace{clock, /*keep_series=*/false, kKey};
+  TunnelReceiver receiver{clock, /*keep_series=*/false, kKey};
 
-  auto wan = sender.wrap(inner_packet(), 1, sim::from_ms(100));
-  ASSERT_TRUE(wan.has_value());
-  net::Packet wan2 = *wan;
+  const net::Packet inner = inner_packet();
+  net::TangoHeader hdr{.path_id = 1, .tx_time_ns = clock.now(sim::from_ms(100)), .sequence = 4};
+  hdr.flags |= net::TangoHeader::kFlagAuthenticated;
+  hdr.auth_tag = telemetry_auth_tag(kKey, hdr, inner);
+  net::Packet wan = bench::legacy_encapsulate_tango(inner, kTunA, kTunB, 49153, hdr);
 
-  auto ref = copying.unwrap(*wan, sim::from_ms(130));
-  auto info = inplace.unwrap_inplace(wan2, sim::from_ms(130));
-  ASSERT_TRUE(ref.has_value());
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->path, ref->second.path);
-  EXPECT_DOUBLE_EQ(info->owd_ms, ref->second.owd_ms);
-  EXPECT_EQ(info->sequence, ref->second.sequence);
-  EXPECT_EQ(wan2, ref->first) << "in-place unwrap must leave exactly the inner packet";
+  const UnwrapResult result = receiver.unwrap_classified(wan, sim::from_ms(130));
+  ASSERT_EQ(result.status, UnwrapStatus::ok);
+  EXPECT_EQ(result.info->path, 1);
+  EXPECT_EQ(result.info->sequence, 4u);
+  EXPECT_DOUBLE_EQ(result.info->owd_ms, 30.0);
+  EXPECT_EQ(wan, inner) << "in-place unwrap must leave exactly the inner packet";
 }
 
 TEST(FastPath, AuthRejectionLeavesPacketUntouched) {
@@ -147,9 +179,8 @@ TEST(FastPath, AuthRejectionLeavesPacketUntouched) {
   TunnelSender sender{table, clock, kKey};
   TunnelReceiver receiver{clock, /*keep_series=*/false, kKey};
 
-  auto wan = sender.wrap(inner_packet(), 1, 0);
-  ASSERT_TRUE(wan.has_value());
-  net::Packet tampered = *wan;
+  net::Packet tampered = inner_packet();
+  ASSERT_TRUE(sender.wrap_inplace(tampered, 1, 0));
   // Flip a bit in the Tango sequence field (after IPv6+UDP+magic..), then
   // fix the UDP checksum so only the auth check can catch it.
   const std::size_t seq_off = net::Ipv6Header::kSize + net::UdpHeader::kSize + 16;
@@ -162,7 +193,8 @@ TEST(FastPath, AuthRejectionLeavesPacketUntouched) {
   tampered.mutable_bytes()[net::Ipv6Header::kSize + 7] = static_cast<std::uint8_t>(csum);
 
   const auto before = to_vec(tampered.bytes());
-  EXPECT_FALSE(receiver.unwrap_inplace(tampered, sim::from_ms(30)).has_value());
+  EXPECT_EQ(receiver.unwrap_classified(tampered, sim::from_ms(30)).status,
+            UnwrapStatus::auth_failed);
   EXPECT_EQ(to_vec(tampered.bytes()), before)
       << "rejected packets must not be mutated (no partial trim)";
   EXPECT_EQ(receiver.auth_failures(), 1u);

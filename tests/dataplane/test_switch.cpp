@@ -12,6 +12,28 @@ namespace {
 
 using namespace topo::vultr;
 
+struct HookCalls {
+  int count = 0;
+  TangoSwitch::PeerId peer = 99;
+};
+
+/// Route hook: dport 5555 (a latency-critical app) rides path 2; everything
+/// else gets primary 0, i.e. the active path.  `ctx` is a HookCalls.
+TangoSwitch::RouteDecision route_by_dport(void* ctx, const net::Packet& inner,
+                                          bgp::RouterId peer, std::uint64_t, sim::Time) {
+  auto* calls = static_cast<HookCalls*>(ctx);
+  ++calls->count;
+  calls->peer = peer;
+  if (net::udp_dst_port(inner) == 5555) return {.primary = 2};
+  return {};
+}
+
+/// Route hook: keep the active path, and hedge a copy onto path 2.
+TangoSwitch::RouteDecision hedge_on_path_2(void*, const net::Packet&, bgp::RouterId,
+                                           std::uint64_t, sim::Time) {
+  return {.duplicate = 2};
+}
+
 class SwitchTest : public ::testing::Test {
  protected:
   SwitchTest()
@@ -31,6 +53,20 @@ class SwitchTest : public ::testing::Test {
                                  .udp_src_port = 49153});
     la_.add_peer_prefix(s_.plan.ny_hosts);
     la_.set_active_path(1);
+  }
+
+  /// A second tunnel on Telia, whose NY prefix is kept off NTT so the two
+  /// paths are distinct.
+  void install_telia_tunnel() {
+    la_.tunnels().install(Tunnel{.id = 2,
+                                 .label = "Telia",
+                                 .local_endpoint = s_.plan.la_tunnel[1].host(1),
+                                 .remote_endpoint = s_.plan.ny_tunnel[1].host(1),
+                                 .remote_prefix = s_.plan.ny_tunnel[1],
+                                 .udp_src_port = 49154});
+    s_.topo.bgp().originate(kServerNy, net::Prefix{s_.plan.ny_tunnel[1]},
+                            bgp::CommunitySet{bgp::action::do_not_announce_to(kAsnNtt)});
+    wan_.sync_fibs();
   }
 
   net::Packet to_peer(std::uint16_t dport = 2000) {
@@ -162,35 +198,45 @@ TEST_F(SwitchTest, UnknownActivePathCountsAsNoTunnel) {
   EXPECT_EQ(la_.no_tunnel_drops(), 1u);
 }
 
-TEST_F(SwitchTest, SelectorOverridesActivePath) {
-  // Application-specific routing (§3): the selector steers by inner dport.
-  la_.tunnels().install(Tunnel{.id = 2,
-                               .label = "Telia",
-                               .local_endpoint = s_.plan.la_tunnel[1].host(1),
-                               .remote_endpoint = s_.plan.ny_tunnel[1].host(1),
-                               .remote_prefix = s_.plan.ny_tunnel[1],
-                               .udp_src_port = 49154});
-  s_.topo.bgp().originate(kServerNy, net::Prefix{s_.plan.ny_tunnel[1]},
-                          bgp::CommunitySet{bgp::action::do_not_announce_to(kAsnNtt)});
-  wan_.sync_fibs();
-
-  la_.set_selector([](const net::Packet& inner) -> std::optional<PathId> {
-    net::ByteReader r{inner.payload()};
-    const auto udp = net::UdpHeader::parse(r);
-    if (udp && udp->dst_port == 5555) return PathId{2};  // latency-critical app
-    return std::nullopt;                         // default path otherwise
-  });
+TEST_F(SwitchTest, RouteHookOverridesActivePath) {
+  // Application-specific routing (§3): the route hook steers by inner dport.
+  install_telia_tunnel();
+  HookCalls calls;
+  la_.set_route_fn(route_by_dport, &calls);
 
   std::vector<PathId> seen;
   ny_.set_host_handler([&](const net::Packet&, const std::optional<ReceiveInfo>& info) {
     if (info) seen.push_back(info->path);
   });
 
-  la_.send_from_host(to_peer(2000));  // selector declines -> active path 1
-  la_.send_from_host(to_peer(5555));  // selector picks path 2
+  la_.send_from_host(to_peer(2000));  // hook declines -> active path 1
+  la_.send_from_host(to_peer(5555));  // hook picks path 2
   wan_.events().run_all();
 
+  EXPECT_EQ(calls.count, 2);
+  EXPECT_EQ(calls.peer, TangoSwitch::kDefaultPeer);
   // Telia (path 2) is faster toward NY, so it arrives first; compare as a set.
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<PathId>{1, 2}));
+  EXPECT_EQ(la_.hedge_duplicates(), 0u);
+}
+
+TEST_F(SwitchTest, RouteHookDuplicateSendsHedgedCopy) {
+  install_telia_tunnel();
+  la_.set_route_fn(hedge_on_path_2, nullptr);
+
+  const net::Packet sent = to_peer();
+  std::vector<PathId> seen;
+  ny_.set_host_handler([&](const net::Packet& p, const std::optional<ReceiveInfo>& info) {
+    EXPECT_EQ(p, sent) << "both copies reach the hosts intact (no dedup armed)";
+    if (info) seen.push_back(info->path);
+  });
+
+  la_.send_from_host(sent);
+  wan_.events().run_all();
+
+  // The primary rides the active path, the hedged copy path 2.
+  EXPECT_EQ(la_.hedge_duplicates(), 1u);
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(seen, (std::vector<PathId>{1, 2}));
 }

@@ -44,8 +44,8 @@ class SwitchMalformedTest : public ::testing::Test {
   /// A well-formed Tango WAN frame as the fabric would deliver it to NY.
   std::vector<std::uint8_t> wan_frame(bool authenticated = false) {
     const std::vector<std::uint8_t> payload{1, 2, 3};
-    const net::Packet inner = net::make_udp_packet(s_.plan.la_hosts.host(1),
-                                                   s_.plan.ny_hosts.host(7), 1000, 2000, payload);
+    net::Packet wan = net::make_udp_packet(s_.plan.la_hosts.host(1), s_.plan.ny_hosts.host(7),
+                                           1000, 2000, payload);
     net::TangoHeader th;
     th.path_id = 1;
     th.sequence = 7;
@@ -53,8 +53,8 @@ class SwitchMalformedTest : public ::testing::Test {
       th.flags |= net::TangoHeader::kFlagAuthenticated;
       th.auth_tag = 0xABCDABCDABCDABCDull;
     }
-    const net::Packet wan = net::encapsulate_tango(inner, s_.plan.la_tunnel[0].host(1),
-                                                   s_.plan.ny_tunnel[0].host(1), 49153, th);
+    net::encapsulate_tango_inplace(wan, s_.plan.la_tunnel[0].host(1),
+                                   s_.plan.ny_tunnel[0].host(1), 49153, th);
     return {wan.bytes().begin(), wan.bytes().end()};
   }
 

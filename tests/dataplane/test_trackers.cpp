@@ -189,22 +189,22 @@ TEST(ReplayWindow, AcceptsEachSequenceOnce) {
 
 TEST(ReplayWindow, LateFirstArrivalInsideWindowAccepted) {
   ReplayWindow w{64};
-  w.accept(0);
-  w.accept(10);  // 1..9 skipped, still inside the window
+  EXPECT_TRUE(w.accept(0));
+  EXPECT_TRUE(w.accept(10));  // 1..9 skipped, still inside the window
   EXPECT_TRUE(w.accept(5));
   EXPECT_FALSE(w.accept(5)) << "second copy is the replay";
 }
 
 TEST(ReplayWindow, BelowWindowFloorRejected) {
   ReplayWindow w{64};
-  w.accept(1000);
+  EXPECT_TRUE(w.accept(1000));
   EXPECT_FALSE(w.accept(1000 - w.width())) << "at the floor: too old to distinguish";
   EXPECT_TRUE(w.accept(1000 - w.width() + 1)) << "oldest in-window sequence still accepted";
 }
 
 TEST(ReplayWindow, LargeJumpForgetsStaleBits) {
   ReplayWindow w{64};
-  for (std::uint64_t s = 0; s < 64; ++s) w.accept(s);
+  for (std::uint64_t s = 0; s < 64; ++s) EXPECT_TRUE(w.accept(s)) << s;
   // Jump several windows ahead: ring positions are re-used and must not
   // leak "seen" bits onto the new window's sequences.
   const std::uint64_t jump = 10 * w.width();

@@ -179,13 +179,15 @@ TEST(Ipv4Packet, RidesInsideTangoTunnel) {
                                         1000, 2000, payload);
   TangoHeader th;
   th.path_id = 2;
-  const Packet wan = encapsulate_tango(inner, *Ipv6Address::parse("2620:110:9001::1"),
-                                       *Ipv6Address::parse("2620:110:9011::1"), 49153, th);
+  Packet wan = inner;
+  encapsulate_tango_inplace(wan, *Ipv6Address::parse("2620:110:9001::1"),
+                            *Ipv6Address::parse("2620:110:9011::1"), 49153, th);
   EXPECT_EQ(wan.version(), 6) << "outer is always IPv6";
-  auto decoded = decapsulate_tango(wan);
+  const auto decoded = decode_tango_view(wan).view;
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->inner, inner);
-  EXPECT_EQ(decoded->inner.version(), 4);
+  wan.trim_front(decoded->outer_size);
+  EXPECT_EQ(wan, inner);
+  EXPECT_EQ(wan.version(), 4);
 }
 
 }  // namespace

@@ -21,6 +21,17 @@ std::vector<std::uint8_t> payload_bytes(std::size_t n, std::uint8_t seed = 7) {
   return out;
 }
 
+/// The WAN form of `inner` (a copy, wrapped in place).
+Packet encapsulated(Packet inner, std::uint16_t udp_src_port, const TangoHeader& th) {
+  encapsulate_tango_inplace(inner, kTunA, kTunB, udp_src_port, th);
+  return inner;
+}
+
+/// An owning copy of a decoded view's inner packet.
+Packet inner_of(const TangoView& view) {
+  return Packet{std::vector<std::uint8_t>{view.inner.begin(), view.inner.end()}};
+}
+
 TEST(Headers, Ipv6RoundTrip) {
   Ipv6Header h{.traffic_class = 0xAB,
                .flow_label = 0xFFFFF,
@@ -141,50 +152,53 @@ TEST(Packet, EncapDecapRoundTripPreservesInnerExactly) {
   th.tx_time_ns = 123456789;
   th.sequence = 7;
 
-  Packet wan = encapsulate_tango(inner, kTunA, kTunB, 49154, th);
+  Packet wan = encapsulated(inner, 49154, th);
   const auto outer = wan.ip();
   ASSERT_TRUE(outer.has_value());
   EXPECT_EQ(outer->src, kTunA);
   EXPECT_EQ(outer->dst, kTunB);
   EXPECT_EQ(outer->next_header, Ipv6Header::kNextHeaderUdp);
 
-  auto decoded = decapsulate_tango(wan);
+  const auto decoded = decode_tango_view(wan).view;
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->tango, th);
   EXPECT_EQ(decoded->udp.src_port, 49154);
   EXPECT_EQ(decoded->udp.dst_port, TangoHeader::kUdpPort);
-  EXPECT_EQ(decoded->inner, inner);  // byte-identical
+  EXPECT_EQ(inner_of(*decoded), inner);  // byte-identical
 }
 
 TEST(Packet, DecapsulateRejectsNonTangoTraffic) {
   // Plain UDP to a non-Tango port.
   Packet plain = make_udp_packet(kHostA, kHostB, 1234, 80, payload_bytes(8));
-  EXPECT_FALSE(decapsulate_tango(plain).has_value());
+  EXPECT_EQ(decode_tango_view(plain).status, TangoDecodeStatus::not_tango);
 
   // UDP to the Tango port but garbage payload (bad magic).
   Packet fake = make_udp_packet(kHostA, kHostB, 1234, TangoHeader::kUdpPort,
                                 payload_bytes(TangoHeader::kSize + 4));
-  EXPECT_FALSE(decapsulate_tango(fake).has_value());
+  EXPECT_EQ(decode_tango_view(fake).status, TangoDecodeStatus::malformed_tango);
 }
 
 TEST(Packet, DecapsulateRejectsCorruptedChecksum) {
   Packet inner = make_udp_packet(kHostA, kHostB, 5000, 6000, payload_bytes(10));
-  TangoHeader th;
-  Packet wan = encapsulate_tango(inner, kTunA, kTunB, 49152, th);
+  Packet wan = encapsulated(inner, 49152, TangoHeader{});
 
   auto bytes = std::vector<std::uint8_t>{wan.bytes().begin(), wan.bytes().end()};
   ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() - 1] ^= 0xFF;  // corrupt the inner payload; outer UDP checksum breaks
-  EXPECT_FALSE(decapsulate_tango(Packet{bytes}).has_value());
+  EXPECT_EQ(decode_tango_view(Packet{bytes}).status, TangoDecodeStatus::malformed_outer);
 }
 
 TEST(Packet, DecapsulateRejectsTruncation) {
   Packet inner = make_udp_packet(kHostA, kHostB, 5000, 6000, payload_bytes(10));
-  Packet wan = encapsulate_tango(inner, kTunA, kTunB, 49152, TangoHeader{});
-  for (std::size_t keep : {std::size_t{0}, std::size_t{10}, Ipv6Header::kSize,
-                           Ipv6Header::kSize + 4}) {
+  Packet wan = encapsulated(inner, 49152, TangoHeader{});
+  // An empty buffer carries no version nibble, so it is foreign; every
+  // other cut is an IPv6 envelope too short for what it declares.
+  EXPECT_EQ(decode_tango_view(Packet{}).status, TangoDecodeStatus::not_tango);
+  for (std::size_t keep : {std::size_t{10}, Ipv6Header::kSize, Ipv6Header::kSize + 4,
+                           wan.size() - 1}) {
     std::vector<std::uint8_t> cut{wan.bytes().begin(), wan.bytes().begin() + keep};
-    EXPECT_FALSE(decapsulate_tango(Packet{std::move(cut)}).has_value()) << keep;
+    const TangoDecodeStatus status = decode_tango_view(Packet{std::move(cut)}).status;
+    EXPECT_EQ(status, TangoDecodeStatus::malformed_outer) << keep;
   }
 }
 
@@ -193,7 +207,7 @@ TEST(Packet, DescribeRendersStack) {
   TangoHeader th;
   th.path_id = 9;
   th.sequence = 11;
-  Packet wan = encapsulate_tango(inner, kTunA, kTunB, 49152, th);
+  Packet wan = encapsulated(inner, 49152, th);
   const std::string text = describe(wan);
   EXPECT_NE(text.find("Tango"), std::string::npos);
   EXPECT_NE(text.find("path=9"), std::string::npos);
@@ -219,10 +233,10 @@ TEST_P(EncapRoundTrip, RandomizedRoundTrip) {
     th.tx_time_ns = rng();
     th.sequence = rng();
 
-    Packet wan = encapsulate_tango(inner, kTunA, kTunB, static_cast<std::uint16_t>(rng()), th);
-    auto decoded = decapsulate_tango(wan);
+    Packet wan = encapsulated(inner, static_cast<std::uint16_t>(rng()), th);
+    const auto decoded = decode_tango_view(wan).view;
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->inner, inner);
+    EXPECT_EQ(inner_of(*decoded), inner);
     EXPECT_EQ(decoded->tango, th);
   }
 }
@@ -304,7 +318,7 @@ TEST(PacketFlowKey, InvalidatedByPrependAndTrim) {
   const Packet::FlowKey* outer_key = p.flow_key();
   ASSERT_NE(outer_key, nullptr);
   EXPECT_EQ(outer_key->dst, kTunB) << "after encapsulation the flow key is the outer tunnel's";
-  const auto view = decapsulate_tango_view(p);
+  const auto view = decode_tango_view(p).view;
   ASSERT_TRUE(view.has_value());
   p.trim_front(view->outer_size);
   const Packet::FlowKey* inner_key = p.flow_key();
