@@ -23,19 +23,18 @@
 //       move, while selective report suppression — which cannot be
 //       prevented — is at least *detected* through sequence gaps.
 //
-// TANGO_BENCH_QUICK=1 shrinks the soak for CI (same invariants, fewer
-// faults).  Results go to stdout and the BENCH_chaos detail JSON, plus a
-// one-line run record appended to BENCH_chaos.json at the repo root.
+// TANGO_BENCH_QUICK=1 shrinks the soak to 45 simulated seconds (same
+// invariants, fewer faults); the chaos_soak ctest runs it that way.  Results
+// go to stdout, and the instrumented run's metrics to tango_soak_snapshot.*.
 #include <array>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <random>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common.hpp"
@@ -161,7 +160,6 @@ struct SoakResult {
   int max_unusable_streak = 0;
   std::uint64_t digest = 0;
   std::uint64_t fib_digest = 0;  ///< final FIB contents (incremental-vs-full oracle)
-  double pkts_per_sec = 0;  ///< WAN deliveries per wall-clock second (not in the digest)
   std::vector<std::uint64_t> buckets_la;
   std::vector<std::uint64_t> buckets_ny;
 };
@@ -458,12 +456,9 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
     tb.la.stop_probing();
     tb.ny.stop_probing();
   });
-  const auto wall_start = std::chrono::steady_clock::now();
   tb.wan.run_all();  // I1: completes without crashing or wedging
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
 
   r.wan_delivered = tb.wan.delivered();
-  if (wall.count() > 0) r.pkts_per_sec = static_cast<double>(tb.wan.delivered()) / wall.count();
   r.wan_dropped = tb.wan.total_dropped();
   r.switches = tb.la.path_switches() + tb.ny.path_switches();
   r.quarantines = tb.la.health().quarantines() + tb.ny.health().quarantines();
@@ -539,15 +534,13 @@ int check_invariants(const SoakResult& r, const std::vector<Fault>& schedule, si
 // --- Incremental FIB sync determinism (I4-fib) -------------------------------
 
 /// Runs the soak with the full-rebuild FIB sync oracle and requires it to
-/// match the incremental-mode run bit for bit — both the soak digest (every
-/// delivery and fault reaction) and the final FIB digest.  The gate that
-/// incremental delta application and surgical cache invalidation never
-/// change a forwarding decision.
+/// match the bare incremental-mode run `base` bit for bit — both the soak
+/// digest (every delivery and fault reaction) and the final FIB digest.  The
+/// gate that incremental delta application and surgical cache invalidation
+/// never change a forwarding decision.
 int check_fib_sync_determinism(std::uint64_t seed, sim::Time total,
-                               const std::vector<Fault>& schedule) {
+                               const std::vector<Fault>& schedule, const SoakResult& base) {
   std::printf("incremental FIB sync determinism (I4-fib, full-rebuild oracle run):\n");
-  const SoakResult base = run_soak(seed, total, schedule,
-                                   sim::EventQueue::Backend::timing_wheel);
   const SoakResult full = run_soak(seed, total, schedule,
                                    sim::EventQueue::Backend::timing_wheel, {},
                                    /*inject_malformed=*/false, sim::FibSync::full_rebuild);
@@ -576,14 +569,13 @@ int check_fib_sync_determinism(std::uint64_t seed, sim::Time total,
 
 /// Runs the soak with the pluggable policy engine enabled in failover mode on
 /// both nodes and requires a bitwise-identical digest against the bare
-/// baseline: the engine's hook rides every packet and its weight table
+/// baseline `base`: the engine's hook rides every packet and its weight table
 /// refreshes on every policy tick, yet in failover mode none of it may
 /// change a forwarding decision, a measurement, or an RNG draw.
 int check_policy_engine_determinism(std::uint64_t seed, sim::Time total,
-                                    const std::vector<Fault>& schedule) {
+                                    const std::vector<Fault>& schedule,
+                                    const SoakResult& base) {
   std::printf("policy-engine transparency (I4-policy, failover-mode engine enabled):\n");
-  const SoakResult base = run_soak(seed, total, schedule,
-                                   sim::EventQueue::Backend::timing_wheel);
   const SoakResult engine = run_soak(seed, total, schedule,
                                      sim::EventQueue::Backend::timing_wheel, {},
                                      /*inject_malformed=*/false, sim::FibSync::incremental,
@@ -628,8 +620,8 @@ struct AdversarialOutcome {
 /// drops == injections exactly, switch and receiver accounting agreeing);
 /// suppression legitimately starves the sender, so there the gate is
 /// detection: sequence gaps appear, bounded by the count actually swallowed.
-AdversarialOutcome check_adversarial_resilience(std::uint64_t seed, sim::Time total,
-                                                const std::vector<Fault>& schedule) {
+int check_adversarial_resilience(std::uint64_t seed, sim::Time total,
+                                 const std::vector<Fault>& schedule) {
   std::printf("adversarial resilience (I5, keyed pairing under attack):\n");
   AdversarialOutcome o;
   const auto wheel = sim::EventQueue::Backend::timing_wheel;
@@ -733,35 +725,14 @@ AdversarialOutcome check_adversarial_resilience(std::uint64_t seed, sim::Time to
     ++o.violations;
   }
   std::printf("\n");
-  return o;
+  return o.violations;
 }
 
-// --- Reporting ---------------------------------------------------------------
-
-void emit_result(JsonWriter& w, const char* key, const SoakResult& r) {
-  w.begin_object(key)
-      .field("traffic_delivered_ny_to_la", r.traffic_la)
-      .field("traffic_delivered_la_to_ny", r.traffic_ny)
-      .field("wan_delivered", r.wan_delivered)
-      .field("wan_dropped", r.wan_dropped)
-      .field("path_switches", r.switches)
-      .field("quarantines", r.quarantines)
-      .field("recoveries", r.recoveries)
-      .field("max_unusable_streak", static_cast<std::uint64_t>(r.max_unusable_streak))
-      .field("malformed_ingress", r.malformed_ingress)
-      .field("malformed_drops", r.malformed_drops)
-      .field("reports_delivered", r.reports_delivered)
-      .field("reports_suppressed", r.reports_suppressed)
-      .field("report_forged_dropped", r.forged_dropped)
-      .field("report_replayed", r.reports_replayed)
-      .field("report_stale", r.reports_stale)
-      .field("report_gaps", r.report_gaps)
-      .field("forged_injected", r.forged_injected)
-      .field("replay_injected", r.replay_injected)
-      .field("replay_dropped", r.replay_rx_dropped)
-      .field("pkts_per_sec", r.pkts_per_sec, 0)
-      .field("digest", r.digest)
-      .end_object();
+bool degenerate(const std::vector<Fault>& schedule) {
+  if (schedule.size() >= 2) return false;
+  std::fprintf(stderr, "FAIL: degenerate schedule (%zu faults) — soak too short\n",
+               schedule.size());
+  return true;
 }
 
 int run(std::uint64_t seed, sim::Time total) {
@@ -780,11 +751,7 @@ int run(std::uint64_t seed, sim::Time total) {
                 sim::to_ms(f.end) / 1000.0);
   }
   std::printf("\n");
-  if (schedule.size() < 2) {
-    std::fprintf(stderr, "FAIL: degenerate schedule (%zu faults) — soak too short\n",
-                 schedule.size());
-    return 1;
-  }
+  if (degenerate(schedule)) return 1;
 
   // The wheel run carries full observability (metrics + a 1/32-sampled
   // packet trace); the heap twin runs bare.  I4 then also proves telemetry
@@ -795,6 +762,9 @@ int run(std::uint64_t seed, sim::Time total) {
   const SoakResult wheel = run_soak(seed, total, schedule, sim::EventQueue::Backend::timing_wheel,
                                     {.metrics = &registry, .tracer = &tracer});
   const SoakResult heap = run_soak(seed, total, schedule, sim::EventQueue::Backend::binary_heap);
+  // The bare wheel run: the yardstick for the FIB-sync and policy-engine twins.
+  const SoakResult bare =
+      run_soak(seed, total, schedule, sim::EventQueue::Backend::timing_wheel);
   // The poisoned twin: same seed and schedule, plus a steady stream of
   // malformed WAN frames into both receive paths.  Fail-closed decoding
   // means every frame is dropped and counted and the digest does not move.
@@ -852,51 +822,9 @@ int run(std::uint64_t seed, sim::Time total) {
                  static_cast<unsigned long long>(poisoned.malformed_drops));
     ++violations;
   }
-  const int fib_sync_violations = check_fib_sync_determinism(seed, total, schedule);
-  violations += fib_sync_violations;
-  const int policy_violations = check_policy_engine_determinism(seed, total, schedule);
-  violations += policy_violations;
-  const AdversarialOutcome adversarial = check_adversarial_resilience(seed, total, schedule);
-  violations += adversarial.violations;
-
-  JsonWriter w;
-  w.begin_object();
-  w.field("seed", seed);
-  w.field("sim_seconds", sim::to_ms(total) / 1000.0, 1);
-  w.field("faults", static_cast<std::uint64_t>(schedule.size()));
-  emit_result(w, "timing_wheel", wheel);
-  emit_result(w, "binary_heap", heap);
-  emit_result(w, "timing_wheel_malformed", poisoned);
-  emit_result(w, "keyed_clean", adversarial.clean);
-  emit_result(w, "keyed_report_forgery", adversarial.forged);
-  emit_result(w, "keyed_replay_flood", adversarial.replayed);
-  emit_result(w, "keyed_report_suppression", adversarial.starved);
-  w.field("invariant_violations", static_cast<std::uint64_t>(violations));
-  w.end_object();
-  const auto path = detail_report_path("BENCH_chaos");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-
-  char record[768];
-  std::snprintf(record, sizeof record,
-                "    {\"sha\": \"%s\", \"date\": \"%s\", \"seed\": %llu, \"faults\": %zu, "
-                "\"traffic_delivered\": %llu, \"quarantines\": %llu, \"recoveries\": %llu, "
-                "\"max_unusable_streak\": %d, \"pkts_per_sec\": %.0f, \"deterministic\": %s, "
-                "\"fib_sync_deterministic\": %s, "
-                "\"policy_engine_deterministic\": %s, \"adversarially_resilient\": %s, "
-                "\"violations\": %d}",
-                git_head_sha().c_str(), utc_timestamp().c_str(),
-                static_cast<unsigned long long>(seed), schedule.size(),
-                static_cast<unsigned long long>(wheel.traffic_la + wheel.traffic_ny),
-                static_cast<unsigned long long>(wheel.quarantines),
-                static_cast<unsigned long long>(wheel.recoveries), wheel.max_unusable_streak,
-                wheel.pkts_per_sec, wheel.digest == heap.digest ? "true" : "false",
-                fib_sync_violations == 0 ? "true" : "false",
-                policy_violations == 0 ? "true" : "false",
-                adversarial.violations == 0 ? "true" : "false", violations);
-  if (append_run_history("BENCH_chaos", record)) {
-    std::printf("appended run record to <repo-root>/BENCH_chaos.json\n");
-  }
+  violations += check_fib_sync_determinism(seed, total, schedule, bare);
+  violations += check_policy_engine_determinism(seed, total, schedule, bare);
+  violations += check_adversarial_resilience(seed, total, schedule);
 
   // The snapshot rides along as a CI artifact either way; on a violation the
   // packet trace is the post-mortem — dump its retained tail to stderr.
@@ -915,64 +843,27 @@ int run(std::uint64_t seed, sim::Time total) {
   return 0;
 }
 
-/// `--policy-only`: just the I4-policy gate (failover-mode policy engine vs
-/// the bare baseline), no reports and no run history — the ctest gate that
-/// enabling the engine cannot perturb the soak.
-int run_policy_only(std::uint64_t seed, sim::Time total) {
-  print_header("Chaos soak (policy-engine transparency gate)",
-               "same fault schedule with the failover-mode policy engine enabled; "
-               "bitwise-equal soak and FIB digests required",
-               seed);
-  const std::vector<Fault> schedule = make_schedule(seed, total);
-  if (schedule.size() < 2) {
-    std::fprintf(stderr, "FAIL: degenerate schedule (%zu faults) — soak too short\n",
-                 schedule.size());
-    return 1;
-  }
-  const int violations = check_policy_engine_determinism(seed, total, schedule);
-  if (violations > 0) return 1;
-  std::printf("I4-policy held (%zu faults, engine enabled on both nodes)\n", schedule.size());
-  return 0;
-}
+/// One leg of the soak on its own, so that its ctest names the gate that
+/// broke: I4-fib (`--fib-sync-only`), I4-policy (`--policy-only`) or I5
+/// (`--adversarial-only`).  The full run covers every leg as well.
+enum class Leg { fib_sync, policy, adversarial };
 
-/// `--adversarial-only`: just the I5 gate (keyed pairing under report
-/// forgery, data replay flood and report suppression), no reports and no
-/// run history — the ctest shape.
-int run_adversarial_only(std::uint64_t seed, sim::Time total) {
-  print_header("Chaos soak (adversarial resilience gate)",
-               "same fault schedule on a keyed pairing under report forgery, replay "
-               "flood and selective suppression; forged/replayed input must drop with "
-               "exact accounting and an unmoved digest, suppression must be detected",
-               seed);
+int run_leg(Leg leg, std::uint64_t seed, sim::Time total) {
+  print_header("Chaos soak (one leg)", "same fault schedule, a single invariant leg", seed);
   const std::vector<Fault> schedule = make_schedule(seed, total);
-  if (schedule.size() < 2) {
-    std::fprintf(stderr, "FAIL: degenerate schedule (%zu faults) — soak too short\n",
-                 schedule.size());
-    return 1;
+  if (degenerate(schedule)) return 1;
+  int violations = 0;
+  if (leg == Leg::adversarial) {
+    violations = check_adversarial_resilience(seed, total, schedule);
+  } else {
+    const SoakResult bare =
+        run_soak(seed, total, schedule, sim::EventQueue::Backend::timing_wheel);
+    violations = leg == Leg::fib_sync
+                     ? check_fib_sync_determinism(seed, total, schedule, bare)
+                     : check_policy_engine_determinism(seed, total, schedule, bare);
   }
-  const AdversarialOutcome o = check_adversarial_resilience(seed, total, schedule);
-  if (o.violations > 0) return 1;
-  std::printf("I5 held (%zu faults; forgery, replay flood and suppression twins)\n",
-              schedule.size());
-  return 0;
-}
-
-/// `--fib-sync-only`: just the I4-fib gate (incremental FIB sync vs the
-/// full-rebuild oracle), no reports and no run history.
-int run_fib_sync_only(std::uint64_t seed, sim::Time total) {
-  print_header("Chaos soak (incremental FIB sync gate)",
-               "incremental vs full-rebuild FIB sync; "
-               "bitwise-equal soak and FIB digests required",
-               seed);
-  const std::vector<Fault> schedule = make_schedule(seed, total);
-  if (schedule.size() < 2) {
-    std::fprintf(stderr, "FAIL: degenerate schedule (%zu faults) — soak too short\n",
-                 schedule.size());
-    return 1;
-  }
-  const int violations = check_fib_sync_determinism(seed, total, schedule);
   if (violations > 0) return 1;
-  std::printf("I4-fib held (%zu faults)\n", schedule.size());
+  std::printf("leg held (%zu faults)\n", schedule.size());
   return 0;
 }
 
@@ -985,25 +876,25 @@ int main(int argc, char** argv) {
   if (tango::bench::quick_mode()) {
     total = 45 * tango::sim::kSecond;  // ~3 faults: same invariants, CI-sized
   }
-  bool fib_sync_only = false;
-  bool policy_only = false;
-  bool adversarial_only = false;
+  using tango::bench::Leg;
+  std::optional<Leg> leg;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fib-sync-only") == 0) {
-      fib_sync_only = true;
-    } else if (std::strcmp(argv[i], "--policy-only") == 0) {
-      policy_only = true;
-    } else if (std::strcmp(argv[i], "--adversarial-only") == 0) {
-      adversarial_only = true;
+    const std::string_view arg = argv[i];
+    if (arg == "--fib-sync-only") {
+      leg = Leg::fib_sync;
+    } else if (arg == "--policy-only") {
+      leg = Leg::policy;
+    } else if (arg == "--adversarial-only") {
+      leg = Leg::adversarial;
     } else {
       positional.push_back(argv[i]);
     }
   }
   if (positional.size() > 0) seed = std::strtoull(positional[0], nullptr, 10);
-  if (positional.size() > 1) total = std::strtoull(positional[1], nullptr, 10) * tango::sim::kSecond;
-  if (fib_sync_only) return tango::bench::run_fib_sync_only(seed, total);
-  if (policy_only) return tango::bench::run_policy_only(seed, total);
-  if (adversarial_only) return tango::bench::run_adversarial_only(seed, total);
+  if (positional.size() > 1) {
+    total = std::strtoull(positional[1], nullptr, 10) * tango::sim::kSecond;
+  }
+  if (leg) return tango::bench::run_leg(*leg, seed, total);
   return tango::bench::run(seed, total);
 }

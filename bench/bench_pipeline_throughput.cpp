@@ -1,6 +1,6 @@
 // E11: data-plane throughput and allocation budget.
 //
-// Two measurements, one binary:
+// Three measurements, one binary:
 //
 //  1. Encap/decap microbench — the seed's copying implementation (ByteWriter
 //     per header stack, owning inner copy on decap) against the headroom
@@ -9,20 +9,18 @@
 //  2. Pipeline throughput — N concurrent flows pushed through the full
 //     LA<->NY Vultr testbed (encap, WAN forwarding, ECMP, decap), measuring
 //     delivered packets per wall-clock second and steady-state heap
-//     allocations per packet.
+//     allocations per packet, bare and with the weighted flowlet policy.
 //  3. Scale scenario — 64 flows, >=1M packets injected in bursts at line
 //     rate (tens of thousands of events in flight), run once per scheduler
-//     backend.  The timing wheel must beat the binary-heap baseline by
-//     >=1.3x delivered pkts/sec; FIB flow-cache hit rate is reported.
-//  4. Scheduler microbench — self-perpetuating no-op events through a bare
-//     EventQueue per backend: pure schedule+dispatch ns/event.
+//     backend; both backends must deliver the same packets.
 //
 // Heap allocations are counted by overriding global operator new/delete in
-// this binary.  Results go to stdout and the BENCH_dataplane detail JSON,
-// and a one-line run record (git SHA, date, headline numbers) is appended
-// to BENCH_dataplane.json at the repo root.  The process exits nonzero if
-// the shape checks fail.  TANGO_BENCH_QUICK=1 shrinks every iteration count
-// for CI smoke runs (same checks, smaller samples).
+// this binary.  The process exits nonzero if a check fails: byte identity,
+// fast path <= legacy/2 allocs, a zero-alloc weighted pipeline that is not
+// inert, and backend agreement.  The wall-clock figures are printed, never
+// gated: one lap on one host says nothing about a speed change (the paired
+// benchmark in tangobench/ does).  TANGO_BENCH_QUICK=1 shrinks every
+// iteration count (same checks); the pipeline_throughput_e11 ctest runs it.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -364,164 +362,6 @@ ScaleResult run_scale(std::uint64_t seed, std::size_t flows, std::size_t rounds,
   return result;
 }
 
-// --- Scheduler microbench ----------------------------------------------------
-
-struct SchedResult {
-  std::uint64_t events = 0;
-  double ns_per_event = 0;
-};
-
-SchedResult run_scheduler_micro(sim::EventQueue::Backend backend, std::uint64_t budget) {
-  sim::EventQueue q{backend};
-  // Self-perpetuating no-op events: each execution schedules one successor at
-  // a pseudo-random link-scale delay, holding a fixed population in flight.
-  // Measures pure schedule+dispatch cost with zero packet work.
-  struct Hop {
-    sim::EventQueue* q;
-    std::uint64_t* state;
-    std::uint64_t* budget;
-    void operator()() const {
-      if (*budget == 0) return;
-      --*budget;
-      *state = *state * 6364136223846793005ull + 1442695040888963407ull;
-      const auto delay = static_cast<sim::Time>(1 + (*state >> 33) % (40 * sim::kMillisecond));
-      q->schedule_in(delay, Hop{*this});
-    }
-  };
-  std::uint64_t state = 0x243F6A8885A308D3ull;
-  constexpr std::size_t kInFlight = 4096;
-  for (std::size_t i = 0; i < kInFlight; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const auto delay = static_cast<sim::Time>(1 + (state >> 33) % (40 * sim::kMillisecond));
-    q.schedule_in(delay, Hop{&q, &state, &budget});
-  }
-  const auto t0 = Clock::now();
-  q.run_all();
-  const auto t1 = Clock::now();
-  SchedResult result;
-  result.events = q.executed();
-  const double wall =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0).count();
-  result.ns_per_event =
-      result.events > 0 ? wall * 1e9 / static_cast<double>(result.events) : 0;
-  return result;
-}
-
-// --- Reporting ---------------------------------------------------------------
-
-void emit_counted(JsonWriter& w, const char* key, const Counted& c) {
-  w.begin_object(key)
-      .field("ns_per_packet", c.ns_per_packet, 1)
-      .field("allocs_per_packet", c.allocs_per_packet, 2)
-      .field("alloc_bytes_per_packet", c.bytes_per_packet, 1)
-      .end_object();
-}
-
-void emit_scale(JsonWriter& w, const char* key, const ScaleResult& s) {
-  w.begin_object(key)
-      .field("packets_sent", s.sent)
-      .field("packets_delivered", s.delivered)
-      .field("events_executed", s.events)
-      .field("wall_seconds", s.wall_seconds, 3)
-      .field("pkts_per_sec", s.pkts_per_sec, 0)
-      .field("events_per_sec", s.events_per_sec, 0)
-      .field("fib_cache_hit_rate", s.fib_cache_hit_rate, 4)
-      .end_object();
-}
-
-void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
-                       const PipelineResult& pipe_weighted, const ScaleResult& wheel,
-                       const ScaleResult& heap, const SchedResult& sched_wheel,
-                       const SchedResult& sched_heap) {
-  JsonWriter w;
-  w.begin_object();
-
-  w.begin_object("microbench");
-  emit_counted(w, "legacy", micro.legacy);
-  emit_counted(w, "fastpath", micro.fast);
-  w.field("alloc_reduction",
-          micro.fast.allocs_per_packet > 0
-              ? micro.legacy.allocs_per_packet / micro.fast.allocs_per_packet
-              : micro.legacy.allocs_per_packet,
-          1);
-  w.field("speedup",
-          micro.fast.ns_per_packet > 0 ? micro.legacy.ns_per_packet / micro.fast.ns_per_packet
-                                       : 0.0,
-          2);
-  w.end_object();
-
-  w.begin_object("pipeline")
-      .field("flows", pipe.flows)
-      .field("packets_sent", pipe.sent)
-      .field("packets_delivered", pipe.delivered)
-      .field("pkts_per_sec", pipe.pkts_per_sec, 0)
-      .field("ns_per_packet", pipe.ns_per_packet, 1)
-      .field("allocs", pipe.allocs)
-      .field("allocs_per_packet", pipe.allocs_per_packet, 3)
-      .field("pool_hit_rate", pipe.pool_hit_rate, 3)
-      .end_object();
-
-  w.begin_object("pipeline_weighted")
-      .field("flows", pipe_weighted.flows)
-      .field("packets_sent", pipe_weighted.sent)
-      .field("packets_delivered", pipe_weighted.delivered)
-      .field("pkts_per_sec", pipe_weighted.pkts_per_sec, 0)
-      .field("allocs", pipe_weighted.allocs)
-      .field("allocs_per_packet", pipe_weighted.allocs_per_packet, 3)
-      .field("weighted_decisions", pipe_weighted.weighted_decisions)
-      .field("flowlets_started", pipe_weighted.flowlets_started)
-      .end_object();
-
-  w.begin_object("scale");
-  w.field("flows", wheel.flows);
-  emit_scale(w, "timing_wheel", wheel);
-  emit_scale(w, "binary_heap", heap);
-  w.field("wheel_speedup",
-          heap.pkts_per_sec > 0 ? wheel.pkts_per_sec / heap.pkts_per_sec : 0.0, 2);
-  w.end_object();
-
-  w.begin_object("scheduler");
-  w.begin_object("timing_wheel")
-      .field("events", sched_wheel.events)
-      .field("ns_per_event", sched_wheel.ns_per_event, 1)
-      .end_object();
-  w.begin_object("binary_heap")
-      .field("events", sched_heap.events)
-      .field("ns_per_event", sched_heap.ns_per_event, 1)
-      .end_object();
-  w.end_object();
-
-  w.end_object();
-  const auto path = detail_report_path("BENCH_dataplane");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-}
-
-void append_history(const ScaleResult& wheel, const ScaleResult& heap,
-                    const SchedResult& sched_wheel, const SchedResult& sched_heap,
-                    const PipelineResult& pipe, const PipelineResult& pipe_weighted) {
-  char record[768];
-  std::snprintf(
-      record, sizeof record,
-      "    {\"sha\": \"%s\", \"date\": \"%s\", \"scale_flows\": %zu, "
-      "\"scale_packets\": %llu, \"wheel_pkts_per_sec\": %.0f, \"heap_pkts_per_sec\": %.0f, "
-      "\"wheel_speedup\": %.2f, \"wheel_ns_per_event\": %.1f, \"heap_ns_per_event\": %.1f, "
-      "\"fib_cache_hit_rate\": %.4f, \"pipeline_pkts_per_sec\": %.0f, "
-      "\"pipeline_allocs_per_packet\": %.3f, \"pipeline_weighted_pkts_per_sec\": %.0f, "
-      "\"pipeline_weighted_allocs_per_packet\": %.3f",
-      git_head_sha().c_str(), utc_timestamp().c_str(), wheel.flows,
-      static_cast<unsigned long long>(wheel.sent), wheel.pkts_per_sec, heap.pkts_per_sec,
-      heap.pkts_per_sec > 0 ? wheel.pkts_per_sec / heap.pkts_per_sec : 0.0,
-      sched_wheel.ns_per_event, sched_heap.ns_per_event, wheel.fib_cache_hit_rate,
-      pipe.pkts_per_sec, pipe.allocs_per_packet, pipe_weighted.pkts_per_sec,
-      pipe_weighted.allocs_per_packet);
-  std::string rec{record};
-  rec += "}";
-  if (append_run_history("BENCH_dataplane", rec)) {
-    std::printf("appended run record to <repo-root>/BENCH_dataplane.json\n");
-  }
-}
-
 struct Config {
   std::uint64_t seed = 7;
   std::size_t micro_iters = 50000;
@@ -529,13 +369,12 @@ struct Config {
   std::size_t rounds = 200;
   std::size_t scale_flows = 64;
   std::size_t scale_rounds = 16000;  // x64 flows ~= 1.02M packets
-  std::uint64_t sched_events = 1'000'000;
 };
 
 int run(const Config& cfg) {
   print_header("E11: data-plane throughput",
                "encap/decap allocation budget + full-testbed pkts/sec + "
-               "timing-wheel vs heap scheduler",
+               "timing-wheel vs heap agreement",
                cfg.seed);
 
   const MicroResult micro = run_micro(cfg.micro_iters);
@@ -573,20 +412,10 @@ int run(const Config& cfg) {
               static_cast<unsigned long long>(pipe_weighted.weighted_decisions),
               static_cast<unsigned long long>(pipe_weighted.flowlets_started));
 
-  const SchedResult sched_heap =
-      run_scheduler_micro(sim::EventQueue::Backend::binary_heap, cfg.sched_events);
-  const SchedResult sched_wheel =
-      run_scheduler_micro(sim::EventQueue::Backend::timing_wheel, cfg.sched_events);
-  std::printf("scheduler microbench (%llu self-perpetuating events, 4096 in flight):\n",
-              static_cast<unsigned long long>(sched_wheel.events));
-  std::printf("  binary_heap  %8.1f ns/event\n", sched_heap.ns_per_event);
-  std::printf("  timing_wheel %8.1f ns/event\n\n", sched_wheel.ns_per_event);
-
   const ScaleResult heap =
       run_scale(cfg.seed, cfg.scale_flows, cfg.scale_rounds, sim::EventQueue::Backend::binary_heap);
   const ScaleResult wheel = run_scale(cfg.seed, cfg.scale_flows, cfg.scale_rounds,
                                       sim::EventQueue::Backend::timing_wheel);
-  const double speedup = heap.pkts_per_sec > 0 ? wheel.pkts_per_sec / heap.pkts_per_sec : 0.0;
   std::printf("scale scenario (%zu flows x %zu burst rounds, line-rate injection):\n",
               cfg.scale_flows, cfg.scale_rounds);
   std::printf("  %-12s %12s %12s %14s %10s\n", "backend", "delivered", "pkts/sec",
@@ -597,11 +426,7 @@ int run(const Config& cfg) {
   std::printf("  %-12s %12llu %12.0f %14.0f %9.3fs\n", "timing_wheel",
               static_cast<unsigned long long>(wheel.delivered), wheel.pkts_per_sec,
               wheel.events_per_sec, wheel.wall_seconds);
-  std::printf("  wheel speedup %.2fx, FIB flow-cache hit rate %.1f%%\n\n", speedup,
-              100.0 * wheel.fib_cache_hit_rate);
-
-  write_detail_json(micro, pipe, pipe_weighted, wheel, heap, sched_wheel, sched_heap);
-  append_history(wheel, heap, sched_wheel, sched_heap, pipe, pipe_weighted);
+  std::printf("  FIB flow-cache hit rate %.1f%%\n\n", 100.0 * wheel.fib_cache_hit_rate);
 
   // Shape checks (the acceptance criteria for this bench).
   bool ok = true;
@@ -642,17 +467,10 @@ int run(const Config& cfg) {
                  static_cast<unsigned long long>(heap.delivered));
     ok = false;
   }
-  if (speedup < 1.3) {
-    std::fprintf(stderr,
-                 "FAIL: timing wheel %.0f pkts/sec vs heap %.0f (%.2fx) — "
-                 "regression gate requires >=1.3x\n",
-                 wheel.pkts_per_sec, heap.pkts_per_sec, speedup);
-    ok = false;
-  }
   if (!ok) return 1;
   std::printf(
       "shape checks passed (fast path <= legacy/2 allocs, weighted-policy pipeline "
-      "zero-alloc, traffic delivered, wheel >= 1.3x heap)\n");
+      "zero-alloc, traffic delivered, backends agree)\n");
   return 0;
 }
 
@@ -662,14 +480,12 @@ int run(const Config& cfg) {
 int main(int argc, char** argv) {
   tango::bench::Config cfg;
   if (tango::bench::quick_mode()) {
-    // CI smoke mode: same scenarios and checks, fractions of the samples.
-    // scale_rounds still covers > 37 ms of injection so the scale scenario
-    // reaches its steady-state in-flight population (where the wheel-vs-heap
-    // gap lives) before the drain.
+    // ctest mode: same scenarios and checks, fractions of the samples.
+    // scale_rounds still covers > 37 ms of injection so the backend check
+    // sees the steady-state in-flight population before the drain.
     cfg.micro_iters = 2000;
     cfg.rounds = 40;
     cfg.scale_rounds = 4800;
-    cfg.sched_events = 100'000;
   }
   if (argc > 1) cfg.seed = std::strtoull(argv[1], nullptr, 10);
   if (argc > 2) cfg.micro_iters = std::strtoull(argv[2], nullptr, 10);

@@ -17,11 +17,10 @@
 // gets a 1200 pkt/s capacity with a 30 ms queue and 1% steady loss, and the
 // offered ~2000 pkt/s overwhelms any single path while fitting comfortably in
 // the aggregate — the regime where weighted splitting buys goodput and
-// hedging buys the loss-sensitive class its tail.  Results go to the
-// BENCH_policy detail JSON plus a run record appended to BENCH_policy.json
-// at the repo root; the process exits nonzero when the expected dominance
-// (weighted goodput > failover; hedged sensitive p99/loss < failover) fails.
-// TANGO_BENCH_QUICK=1 runs E16 only, on a shorter window (same gates).
+// hedging buys the loss-sensitive class its tail.  The process exits nonzero
+// when the expected dominance (weighted goodput > failover; hedged sensitive
+// p99/loss < failover) fails.  TANGO_BENCH_QUICK=1 runs E16 only, on a
+// shorter window (same gates); the policy_ablation_e16 ctest runs it that way.
 #include <array>
 #include <cstring>
 #include <map>
@@ -340,27 +339,6 @@ CellResult run_cell(std::uint64_t seed, const std::string& workload_name, Engine
   return r;
 }
 
-void emit_cell(JsonWriter& w, const char* key, const CellResult& r) {
-  w.begin_object(key)
-      .field("app_sent", r.app_sent)
-      .field("sensitive_sent", r.sensitive_sent)
-      .field("flows", r.flows)
-      .field("unique_delivered", r.unique_delivered)
-      .field("goodput_pps", r.goodput_pps, 1)
-      .field("loss_pct", r.loss_pct, 3)
-      .field("sensitive_p99_owd_ms", r.sensitive_p99_ms, 3)
-      .field("sensitive_loss_pct", r.sensitive_loss_pct, 3)
-      .field("reorder_pct", r.reorder_pct, 3)
-      .field("app_duplicates", r.app_duplicates)
-      .field("hedge_duplicates", r.hedge_duplicates)
-      .field("hedge_suppressed", r.hedge_suppressed)
-      .field("flowlets_started", r.flowlets)
-      .field("flowlet_switches", r.flowlet_switches)
-      .field("congestion_drops", r.congestion_drops)
-      .field("path_switches", r.path_switches)
-      .end_object();
-}
-
 int run_e16(std::uint64_t seed, bool quick) {
   const sim::Time duration = quick ? 8 * sim::kSecond : 60 * sim::kSecond;
   print_header("E16 - policy-engine ablation (failover / weighted / hedged)",
@@ -398,7 +376,7 @@ int run_e16(std::uint64_t seed, bool quick) {
   std::printf("  * hedged duplicates the sensitive class on the two best paths: the\n");
   std::printf("    receiver keeps the first copy, so its loss and p99 collapse.\n\n");
 
-  // Gates (heavy_tail is the headline row the history tracks).
+  // Gates (heavy_tail is the headline row).
   const CellResult& fo = cells["heavy_tail"]["failover"];
   const CellResult& we = cells["heavy_tail"]["weighted"];
   const CellResult& he = cells["heavy_tail"]["hedged"];
@@ -433,42 +411,6 @@ int run_e16(std::uint64_t seed, bool quick) {
   if (we.flowlets == 0) {
     std::fprintf(stderr, "FAIL E16: weighted run started no flowlets\n");
     ++violations;
-  }
-
-  JsonWriter w;
-  w.begin_object();
-  w.field("seed", seed);
-  w.field("sim_seconds", sim::to_ms(duration) / 1000.0, 1);
-  w.field("offered_pps", 2000.0, 0);
-  w.field("link_capacity_pps", kLinkCapacityPps, 0);
-  w.field("link_loss_rate", kLinkLossRate, 3);
-  for (const char* wl : workloads) {
-    w.begin_object(wl);
-    for (const EngineMode mode : modes) emit_cell(w, mode_name(mode), cells[wl][mode_name(mode)]);
-    w.end_object();
-  }
-  w.field("gate_violations", static_cast<std::uint64_t>(violations));
-  w.end_object();
-  const auto path = detail_report_path("BENCH_policy");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-
-  char record[640];
-  std::snprintf(
-      record, sizeof record,
-      "    {\"sha\": \"%s\", \"date\": \"%s\", \"seed\": %llu, \"workload_packets\": %llu, "
-      "\"heavy_tail_failover_goodput_pps\": %.0f, \"heavy_tail_weighted_goodput_pps\": %.0f, "
-      "\"heavy_tail_hedged_goodput_pps\": %.0f, "
-      "\"heavy_tail_failover_sensitive_p99_ms\": %.2f, "
-      "\"heavy_tail_hedged_sensitive_p99_ms\": %.2f, "
-      "\"heavy_tail_failover_sensitive_loss_pct\": %.3f, "
-      "\"heavy_tail_hedged_sensitive_loss_pct\": %.3f, \"gates_ok\": %s}",
-      git_head_sha().c_str(), utc_timestamp().c_str(), static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(fo.app_sent), fo.goodput_pps, we.goodput_pps,
-      he.goodput_pps, fo.sensitive_p99_ms, he.sensitive_p99_ms, fo.sensitive_loss_pct,
-      he.sensitive_loss_pct, violations == 0 ? "true" : "false");
-  if (append_run_history("BENCH_policy", record)) {
-    std::printf("appended run record to <repo-root>/BENCH_policy.json\n");
   }
 
   if (violations > 0) return 1;

@@ -5,18 +5,15 @@
 // pointer nullptr — one predicted branch per site) and once fully
 // instrumented (metrics registry across the WAN, both switches and the
 // scheduler, plus the packet tracer sampling 1/32 lifecycles).  Laps are
-// interleaved baseline/instrumented and the best lap of each wins, so page
-// cache, frequency scaling and scheduler noise hit both variants alike.
+// interleaved baseline/instrumented, so page cache, frequency scaling and
+// scheduler noise hit both variants alike.
 //
-// The acceptance gate is the ISSUE's overhead budget: instrumented
-// throughput within kMaxOverheadPct of baseline.  The gated figure is the
-// MINIMUM per-lap overhead: telemetry can only add work, so the cleanest
-// adjacent baseline/instrumented pair is the tightest upper bound on its
-// true cost, and one calm lap is enough to prove the budget holds even
-// when a noisy-neighbour lap inflates the others.  Results go to stdout and
-// BENCH_telemetry detail JSON, and a one-line run record is appended to
-// BENCH_telemetry.json at the repo root.  TANGO_BENCH_QUICK=1 shrinks the
-// laps for CI smoke runs (same gate).
+// The budget: instrumented throughput within kMaxOverheadPct of baseline.
+// One lap's overhead swings by several percent either way on a shared host,
+// so the verdict reads the quartiles of the per-lap overhead: PASS when Q3
+// is within budget, FAIL (exit 1) when even Q1 exceeds it, UNRESOLVED when
+// the budget falls between them.  Every lap must also deliver the same
+// packets in both variants: the instruments may not perturb the simulation.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "telemetry/export.hpp"
 
 namespace tango::bench {
 namespace {
@@ -85,25 +81,35 @@ LapResult run_lap(std::uint64_t seed, std::size_t flows, std::size_t rounds,
   return result;
 }
 
+/// Quantile `q` of ascending `sorted` by the exclusive method (1-based
+/// position q * (n + 1), linear between neighbours), as Python's
+/// statistics.quantiles computes it.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = std::clamp(q * static_cast<double>(sorted.size() + 1), 1.0,
+                                static_cast<double>(sorted.size()));
+  const auto i = static_cast<std::size_t>(pos);
+  if (i == sorted.size()) return sorted.back();
+  return sorted[i - 1] + (pos - static_cast<double>(i)) * (sorted[i] - sorted[i - 1]);
+}
+
 struct Config {
   std::uint64_t seed = 7;
   std::size_t flows = 32;
   std::size_t rounds = 200;
   std::size_t warmup_rounds = 20;
-  std::size_t laps = 5;
+  std::size_t laps = 21;
   std::uint64_t trace_sample = 32;
 };
 
 int run(const Config& cfg) {
   print_header("E13: telemetry overhead",
-               "instrumented vs unwired pipeline throughput (interleaved best-of-N)",
+               "instrumented vs unwired pipeline throughput (interleaved laps, quartiles)",
                cfg.seed);
 
-  LapResult best_base;
-  LapResult best_inst;
-  double overhead_pct = 1e300;  // min per-lap overhead (the gated figure)
+  std::vector<double> overheads;
   std::size_t registry_size = 0;
   std::uint64_t traced_events = 0;
+  bool ok = true;
   for (std::size_t lap = 0; lap < cfg.laps; ++lap) {
     const LapResult base = run_lap(cfg.seed, cfg.flows, cfg.rounds, cfg.warmup_rounds, {});
 
@@ -117,91 +123,43 @@ int run(const Config& cfg) {
     registry_size = registry.size();
     traced_events = tracer.recorded();
 
-    if (base.pkts_per_sec > best_base.pkts_per_sec) best_base = base;
-    if (inst.pkts_per_sec > best_inst.pkts_per_sec) best_inst = inst;
+    if (base.delivered == 0 || inst.delivered != base.delivered) {
+      std::fprintf(stderr,
+                   "FAIL: lap %zu delivered %llu instrumented vs %llu baseline — telemetry "
+                   "must be invisible to the simulation, and traffic must flow\n",
+                   lap + 1, static_cast<unsigned long long>(inst.delivered),
+                   static_cast<unsigned long long>(base.delivered));
+      ok = false;
+    }
     const double lap_overhead =
         base.pkts_per_sec > 0
             ? 100.0 * (base.pkts_per_sec - inst.pkts_per_sec) / base.pkts_per_sec
             : 0.0;
-    overhead_pct = std::min(overhead_pct, lap_overhead);
+    overheads.push_back(lap_overhead);
     std::printf(
         "  lap %zu/%zu: baseline %.0f pkts/sec, instrumented %.0f pkts/sec (%+.2f%%)\n",
         lap + 1, cfg.laps, base.pkts_per_sec, inst.pkts_per_sec, lap_overhead);
   }
-  if (overhead_pct < 0) overhead_pct = 0;  // a faster instrumented lap is pure noise
 
-  std::printf("\nbest of %zu laps (%zu flows x %zu rounds):\n", cfg.laps, cfg.flows,
-              cfg.rounds);
-  std::printf("  %-14s %12s %12s\n", "variant", "delivered", "pkts/sec");
-  std::printf("  %-14s %12llu %12.0f\n", "baseline",
-              static_cast<unsigned long long>(best_base.delivered), best_base.pkts_per_sec);
-  std::printf("  %-14s %12llu %12.0f\n", "instrumented",
-              static_cast<unsigned long long>(best_inst.delivered), best_inst.pkts_per_sec);
+  std::sort(overheads.begin(), overheads.end());
+  const double q1 = quantile(overheads, 0.25);
+  const double median = quantile(overheads, 0.5);
+  const double q3 = quantile(overheads, 0.75);
   std::printf(
-      "  overhead %.2f%% = min over laps (budget %.1f%%), %zu instruments, %llu trace "
-      "events\n\n",
-      overhead_pct, kMaxOverheadPct, registry_size,
+      "\noverhead over %zu laps (%zu flows x %zu rounds): Q1 %+.2f%%, median %+.2f%%, "
+      "Q3 %+.2f%% (budget %.1f%%); %zu instruments, %llu trace events\n",
+      cfg.laps, cfg.flows, cfg.rounds, q1, median, q3, kMaxOverheadPct, registry_size,
       static_cast<unsigned long long>(traced_events));
-
-  JsonWriter w;
-  w.begin_object();
-  w.field("flows", static_cast<std::uint64_t>(cfg.flows))
-      .field("rounds", static_cast<std::uint64_t>(cfg.rounds))
-      .field("laps", static_cast<std::uint64_t>(cfg.laps))
-      .field("trace_sample", cfg.trace_sample)
-      .field("instruments", static_cast<std::uint64_t>(registry_size))
-      .field("traced_events", traced_events);
-  w.begin_object("baseline")
-      .field("delivered", best_base.delivered)
-      .field("pkts_per_sec", best_base.pkts_per_sec, 0)
-      .end_object();
-  w.begin_object("instrumented")
-      .field("delivered", best_inst.delivered)
-      .field("pkts_per_sec", best_inst.pkts_per_sec, 0)
-      .end_object();
-  w.field("overhead_pct", overhead_pct, 2).field("budget_pct", kMaxOverheadPct, 1);
-  w.end_object();
-  const auto path = detail_report_path("BENCH_telemetry");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-
-  char record[384];
-  std::snprintf(record, sizeof record,
-                "    {\"sha\": \"%s\", \"date\": \"%s\", \"baseline_pkts_per_sec\": %.0f, "
-                "\"instrumented_pkts_per_sec\": %.0f, \"overhead_pct\": %.2f, "
-                "\"instruments\": %zu}",
-                git_head_sha().c_str(), utc_timestamp().c_str(), best_base.pkts_per_sec,
-                best_inst.pkts_per_sec, overhead_pct, registry_size);
-  if (append_run_history("BENCH_telemetry", record)) {
-    std::printf("appended run record to <repo-root>/BENCH_telemetry.json\n");
-  }
-
-  // Shape checks: traffic flowed, both variants agree on delivery (the
-  // instruments must not perturb the simulation), and the overhead budget.
-  bool ok = true;
-  if (best_base.delivered == 0 || best_inst.delivered == 0) {
-    std::fprintf(stderr, "FAIL: a variant delivered no packets\n");
-    ok = false;
-  }
-  if (best_base.delivered != best_inst.delivered) {
-    std::fprintf(stderr,
-                 "FAIL: instrumented run delivered %llu packets, baseline %llu — "
-                 "telemetry must be invisible to the simulation\n",
-                 static_cast<unsigned long long>(best_inst.delivered),
-                 static_cast<unsigned long long>(best_base.delivered));
-    ok = false;
-  }
-  if (overhead_pct > kMaxOverheadPct) {
-    std::fprintf(stderr,
-                 "FAIL: telemetry overhead %.2f%% exceeds the %.1f%% budget "
-                 "(baseline %.0f pkts/sec, instrumented %.0f)\n",
-                 overhead_pct, kMaxOverheadPct, best_base.pkts_per_sec,
-                 best_inst.pkts_per_sec);
-    ok = false;
-  }
   if (!ok) return 1;
-  std::printf("shape checks passed (identical delivery, overhead %.2f%% <= %.1f%%)\n",
-              overhead_pct, kMaxOverheadPct);
+  if (q3 <= kMaxOverheadPct) {
+    std::printf("PASS: Q3 %+.2f%% within the %.1f%% budget\n", q3, kMaxOverheadPct);
+  } else if (q1 > kMaxOverheadPct) {
+    std::fprintf(stderr, "FAIL: Q1 %+.2f%% exceeds the %.1f%% budget\n", q1, kMaxOverheadPct);
+    return 1;
+  } else {
+    std::printf("UNRESOLVED: the %.1f%% budget lies between Q1 %+.2f%% and Q3 %+.2f%%\n",
+                kMaxOverheadPct, q1, q3);
+  }
   return 0;
 }
 
@@ -210,14 +168,12 @@ int run(const Config& cfg) {
 
 int main(int argc, char** argv) {
   tango::bench::Config cfg;
-  if (tango::bench::quick_mode()) {
-    // CI smoke mode: same gate, smaller samples.  Rounds stay high enough
-    // that a lap is not dominated by timer quantization and cache warmup.
-    cfg.rounds = 150;
-    cfg.laps = 3;
-  }
   if (argc > 1) cfg.seed = std::strtoull(argv[1], nullptr, 10);
   if (argc > 2) cfg.rounds = std::strtoull(argv[2], nullptr, 10);
   if (argc > 3) cfg.laps = std::strtoull(argv[3], nullptr, 10);
+  if (cfg.laps == 0) {
+    std::fprintf(stderr, "usage: bench_telemetry_overhead [seed rounds laps>=1]\n");
+    return 2;
+  }
   return tango::bench::run(cfg);
 }
