@@ -479,6 +479,13 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
   mix(r.digest, r.switches);
   mix(r.digest, r.quarantines);
   mix(r.digest, r.recoveries);
+
+  // The registry exposes counters this testbed owns, so the snapshot (a CI
+  // artifact either way) is written before the testbed is torn down.
+  if (obs.metrics != nullptr && telemetry::write_snapshot(*obs.metrics, "tango_soak_snapshot")) {
+    std::printf("wrote tango_soak_snapshot.prom / tango_soak_snapshot.json (%zu instruments)\n\n",
+                obs.metrics->size());
+  }
   return r;
 }
 
@@ -826,12 +833,8 @@ int run(std::uint64_t seed, sim::Time total) {
   violations += check_policy_engine_determinism(seed, total, schedule, bare);
   violations += check_adversarial_resilience(seed, total, schedule);
 
-  // The snapshot rides along as a CI artifact either way; on a violation the
-  // packet trace is the post-mortem — dump its retained tail to stderr.
-  if (telemetry::write_snapshot(registry, "tango_soak_snapshot")) {
-    std::printf("wrote tango_soak_snapshot.prom / tango_soak_snapshot.json (%zu instruments)\n",
-                registry.size());
-  }
+  // On a violation the packet trace is the post-mortem: dump its retained
+  // tail to stderr.
   if (violations > 0) {
     std::fprintf(stderr, "\npacket trace at failure (%zu retained of %llu recorded):\n",
                  tracer.stored(), static_cast<unsigned long long>(tracer.recorded()));

@@ -33,18 +33,16 @@ bool ComplianceMonitor::flagged(PathId id) const {
 }
 
 void ComplianceMonitor::wire_metrics(telemetry::MetricsRegistry& registry,
-                                     const std::string& node_label) {
-  violations_metric_ = &registry.counter(
-      "tango_node_report_lying_total", {{"node", node_label}},
-      "Authenticated reports rejected as inconsistent with sent accounting");
+                                     const std::string& node_label) const {
+  registry.expose(violations_, "tango_node_report_lying_total", {{"node", node_label}},
+                  "Authenticated reports rejected as inconsistent with sent accounting");
 }
 
 ComplianceVerdict ComplianceMonitor::check(PathId id, const PathReport& report,
                                            std::uint64_t sent) {
   Entry& e = entry(id);
   if (e.flagged) {
-    ++violations_;
-    telemetry::inc(violations_metric_);
+    violations_.inc();
     return ComplianceVerdict::flagged;
   }
 
@@ -62,8 +60,7 @@ ComplianceVerdict ComplianceMonitor::check(PathId id, const PathReport& report,
   if (verdict != ComplianceVerdict::ok) {
     e.flagged = true;
     ++flagged_paths_;
-    ++violations_;
-    telemetry::inc(violations_metric_);
+    violations_.inc();
     return verdict;
   }
 

@@ -55,7 +55,7 @@ class ComplianceMonitor {
   [[nodiscard]] bool flagged(PathId id) const;
 
   /// Reports rejected (overclaim + regression + post-flag rejections).
-  [[nodiscard]] std::uint64_t violations() const noexcept { return violations_; }
+  [[nodiscard]] std::uint64_t violations() const noexcept { return violations_.value(); }
   /// Distinct paths flagged as lying.
   [[nodiscard]] std::uint64_t flagged_paths() const noexcept { return flagged_paths_; }
 
@@ -63,9 +63,9 @@ class ComplianceMonitor {
     return sizeof(ComplianceMonitor) + entries_.capacity() * sizeof(Entry);
   }
 
-  /// Registers `tango_node_report_lying_total{node=...}` and resolves it;
-  /// every rejected report then pays one relaxed increment.
-  void wire_metrics(telemetry::MetricsRegistry& registry, const std::string& node_label);
+  /// Exposes the violations counter as
+  /// `tango_node_report_lying_total{node=...}`.
+  void wire_metrics(telemetry::MetricsRegistry& registry, const std::string& node_label) const;
 
  private:
   struct Entry {
@@ -80,9 +80,8 @@ class ComplianceMonitor {
   /// Flat and insertion-ordered, like the health monitor's entries: a
   /// pairing has a handful of paths and lookups stay allocation-free.
   std::vector<Entry> entries_;
-  std::uint64_t violations_ = 0;
+  telemetry::Counter violations_;
   std::uint64_t flagged_paths_ = 0;
-  telemetry::Counter* violations_metric_ = nullptr;
 };
 
 }  // namespace tango::core

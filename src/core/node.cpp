@@ -19,26 +19,22 @@ TangoNode::TangoNode(topo::Topology& topo, sim::Wan& wan, NodeConfig config)
   if (label.empty()) label = std::string{"r"}.append(std::to_string(config_.router));
   switch_.wire_observability(config_.obs, label);
   tracer_ = config_.obs.tracer;
-  if (config_.obs.metrics != nullptr) {
-    health_.wire_metrics(*config_.obs.metrics, label);
-    path_switches_metric_ =
-        &config_.obs.metrics->counter("tango_node_path_switches_total", {{"node", label}},
-                                      "Active-path switches made by the routing policy");
-    probes_metric_ = &config_.obs.metrics->counter("tango_node_probes_sent_total",
-                                                   {{"node", label}}, "Measurement probes sent");
-    report_forged_metric_ = &config_.obs.metrics->counter(
-        "tango_node_report_forged_total", {{"node", label}},
-        "Wire reports dropped as unparseable or wrongly authenticated");
-    report_replayed_metric_ = &config_.obs.metrics->counter(
-        "tango_node_report_replayed_total", {{"node", label}},
-        "Wire reports dropped for re-delivering the last accepted sequence");
-    report_stale_metric_ = &config_.obs.metrics->counter(
-        "tango_node_report_stale_total", {{"node", label}},
-        "Wire reports dropped for a sequence older than one already accepted");
-    report_gaps_metric_ = &config_.obs.metrics->counter(
-        "tango_node_report_gaps_total", {{"node", label}},
-        "Report sequences skipped before an accepted envelope (suppression evidence)");
-    compliance_.wire_metrics(*config_.obs.metrics, label);
+  if (telemetry::MetricsRegistry* reg = config_.obs.metrics) {
+    health_.wire_metrics(*reg, label);
+    const telemetry::Labels labels{{"node", label}};
+    reg->expose(path_switches_, "tango_node_path_switches_total", labels,
+                "Active-path switches made by the routing policy");
+    reg->expose(probes_sent_, "tango_node_probes_sent_total", labels,
+                "Measurement probes sent");
+    reg->expose(report_forged_, "tango_node_report_forged_total", labels,
+                "Wire reports dropped as unparseable or wrongly authenticated");
+    reg->expose(report_replayed_, "tango_node_report_replayed_total", labels,
+                "Wire reports dropped for re-delivering the last accepted sequence");
+    reg->expose(report_stale_, "tango_node_report_stale_total", labels,
+                "Wire reports dropped for a sequence older than one already accepted");
+    reg->expose(report_gaps_, "tango_node_report_gaps_total", labels,
+                "Report sequences skipped before an accepted envelope (suppression evidence)");
+    compliance_.wire_metrics(*reg, label);
   }
   if (config_.policy_engine) enable_policy_engine(*config_.policy_engine);
 }
@@ -167,8 +163,7 @@ std::optional<PathId> TangoNode::apply_policy(sim::Time now) {
     auto chosen = policy_ ? policy_->choose(views, now, effective_current) : effective_current;
     if (chosen && chosen != current) {
       switch_.set_active_path(peer, *chosen);
-      ++path_switches_;
-      telemetry::inc(path_switches_metric_);
+      path_switches_.inc();
     }
     // The engine rides the same tick and the same health-filtered view: its
     // weighted/hedged ranking always reflects what the failover policy saw.
@@ -208,10 +203,7 @@ void TangoNode::send_probe_round() {
                              kProbePort, kProbePort, payload);
     for (PathId id : peer_paths_[i].second) {
       if (!health_.should_probe(id, now)) continue;
-      if (switch_.send_on_path(probe, id)) {
-        ++probes_sent_;
-        telemetry::inc(probes_metric_);
-      }
+      if (switch_.send_on_path(probe, id)) probes_sent_.inc();
     }
   }
 }
@@ -304,8 +296,7 @@ bool TangoNode::ingest_report_wire(std::span<const std::uint8_t> wire) {
                    (envelope->authenticated() &&
                     envelope->auth_tag == net::report_auth_tag(*config_.auth_key, *envelope)));
   if (!authentic) {
-    ++report_forged_;
-    telemetry::inc(report_forged_metric_);
+    report_forged_.inc();
     drop(telemetry::TraceCause::report_forged, envelope ? envelope->path_id : 0,
          envelope ? envelope->report_seq : 0);
     return false;
@@ -319,12 +310,10 @@ bool TangoNode::ingest_report_wire(std::span<const std::uint8_t> wire) {
     // sequence, so this is a capture re-delivered (replayed = the newest
     // such capture, stale = anything older still).
     if (envelope->report_seq + 1 == next) {
-      ++report_replayed_;
-      telemetry::inc(report_replayed_metric_);
+      report_replayed_.inc();
       drop(telemetry::TraceCause::report_replayed, id, envelope->report_seq);
     } else {
-      ++report_stale_;
-      telemetry::inc(report_stale_metric_);
+      report_stale_.inc();
       drop(telemetry::TraceCause::report_stale, id, envelope->report_seq);
     }
     return false;
@@ -332,9 +321,7 @@ bool TangoNode::ingest_report_wire(std::span<const std::uint8_t> wire) {
   if (next != 0 && envelope->report_seq > next) {
     // Sequences [next, report_seq) were built by the peer but never arrived
     // here — each one is a missing report, the §6 suppression signal.
-    const std::uint64_t skipped = envelope->report_seq - next;
-    report_gaps_ += skipped;
-    if (report_gaps_metric_ != nullptr) report_gaps_metric_->inc(skipped);
+    report_gaps_.inc(envelope->report_seq - next);
   }
   report_rx_next_[id] = envelope->report_seq + 1;
 

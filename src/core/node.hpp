@@ -170,21 +170,23 @@ class TangoNode {
   bool ingest_report_wire(std::span<const std::uint8_t> wire);
 
   /// Wire reports dropped as unparseable or wrongly authenticated.
-  [[nodiscard]] std::uint64_t report_forged() const noexcept { return report_forged_; }
+  [[nodiscard]] std::uint64_t report_forged() const noexcept { return report_forged_.value(); }
   /// Wire reports dropped for re-delivering the last accepted sequence.
-  [[nodiscard]] std::uint64_t report_replayed() const noexcept { return report_replayed_; }
+  [[nodiscard]] std::uint64_t report_replayed() const noexcept {
+    return report_replayed_.value();
+  }
   /// Wire reports dropped for a sequence older than one already accepted.
-  [[nodiscard]] std::uint64_t report_stale() const noexcept { return report_stale_; }
+  [[nodiscard]] std::uint64_t report_stale() const noexcept { return report_stale_.value(); }
   /// Report sequences skipped before an accepted envelope (each one is a
   /// report that was built but never arrived — suppression evidence).
-  [[nodiscard]] std::uint64_t report_gaps() const noexcept { return report_gaps_; }
+  [[nodiscard]] std::uint64_t report_gaps() const noexcept { return report_gaps_.value(); }
 
   /// The sent-accounting cross-check over ingested reports.
   [[nodiscard]] ComplianceMonitor& compliance() noexcept { return compliance_; }
   [[nodiscard]] const ComplianceMonitor& compliance() const noexcept { return compliance_; }
 
   /// Count of active-path switches the policy has made.
-  [[nodiscard]] std::uint64_t path_switches() const noexcept { return path_switches_; }
+  [[nodiscard]] std::uint64_t path_switches() const noexcept { return path_switches_.value(); }
 
   // --- Measurement probes --------------------------------------------------
 
@@ -196,7 +198,7 @@ class TangoNode {
   /// Schedules recurring probe rounds every `period` (paper: 10 ms).
   void start_probing(sim::Time period);
   void stop_probing() noexcept { probing_ = false; }
-  [[nodiscard]] std::uint64_t probes_sent() const noexcept { return probes_sent_; }
+  [[nodiscard]] std::uint64_t probes_sent() const noexcept { return probes_sent_.value(); }
 
   // --- Access --------------------------------------------------------------------
 
@@ -225,26 +227,19 @@ class TangoNode {
   /// 0 = none accepted yet, so sequence 0 itself stays acceptable).
   std::vector<std::uint64_t> report_tx_seq_;
   std::vector<std::uint64_t> report_rx_next_;
-  std::uint64_t report_forged_ = 0;
-  std::uint64_t report_replayed_ = 0;
-  std::uint64_t report_stale_ = 0;
-  std::uint64_t report_gaps_ = 0;
+  telemetry::Counter report_forged_;
+  telemetry::Counter report_replayed_;
+  telemetry::Counter report_stale_;
+  telemetry::Counter report_gaps_;
   std::unique_ptr<RoutingPolicy> policy_;
   std::unique_ptr<PolicyEngine> engine_;
-  std::uint64_t path_switches_ = 0;
+  telemetry::Counter path_switches_;
   /// Outbound paths per peer (router id); insertion order preserved for
   /// deterministic iteration.
   std::vector<std::pair<bgp::RouterId, std::vector<PathId>>> peer_paths_;
   std::vector<net::Ipv6Prefix> peer_host_prefixes_;
   bool probing_ = false;
-  std::uint64_t probes_sent_ = 0;
-  // Pre-resolved instruments (nullptr without config.obs.metrics).
-  telemetry::Counter* path_switches_metric_ = nullptr;
-  telemetry::Counter* probes_metric_ = nullptr;
-  telemetry::Counter* report_forged_metric_ = nullptr;
-  telemetry::Counter* report_replayed_metric_ = nullptr;
-  telemetry::Counter* report_stale_metric_ = nullptr;
-  telemetry::Counter* report_gaps_metric_ = nullptr;
+  telemetry::Counter probes_sent_;
   telemetry::PacketTracer* tracer_ = nullptr;
 };
 

@@ -43,12 +43,11 @@ void PathHealthMonitor::track(PathId id, sim::Time now) {
 }
 
 void PathHealthMonitor::wire_metrics(telemetry::MetricsRegistry& registry,
-                                     const std::string& node_label) {
-  for (std::size_t i = 0; i < transition_metrics_.size(); ++i) {
-    transition_metrics_[i] = &registry.counter(
-        "tango_health_transitions_total",
-        {{"node", node_label}, {"to", to_string(static_cast<PathHealth>(i))}},
-        "Path-health state-machine transitions by target state");
+                                     const std::string& node_label) const {
+  for (std::size_t i = 0; i < transitions_.size(); ++i) {
+    registry.expose(transitions_[i], "tango_health_transitions_total",
+                    {{"node", node_label}, {"to", to_string(static_cast<PathHealth>(i))}},
+                    "Path-health state-machine transitions by target state");
   }
 }
 
@@ -111,7 +110,6 @@ void PathHealthMonitor::on_report(PathId id, const PathReport& report, sim::Time
       if (++e->good_streak >= options_.good_reports_to_recover) {
         enter(*e, PathHealth::recovered);
         e->good_streak = 0;
-        ++recoveries_;
       }
       break;
     case PathHealth::recovered:

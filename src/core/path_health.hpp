@@ -100,19 +100,25 @@ class PathHealthMonitor {
   // --- Statistics -----------------------------------------------------------
 
   /// Transitions into quarantine / out of it (soak-harness invariants).
+  /// Quarantines exclude probing->quarantined edges; recoveries are the
+  /// transitions into `recovered`.
   [[nodiscard]] std::uint64_t quarantines() const noexcept { return quarantines_; }
-  [[nodiscard]] std::uint64_t recoveries() const noexcept { return recoveries_; }
+  [[nodiscard]] std::uint64_t recoveries() const noexcept {
+    return transitions(PathHealth::recovered);
+  }
+  /// State-machine edges into `to`, from any state.
+  [[nodiscard]] std::uint64_t transitions(PathHealth to) const noexcept {
+    return transitions_[static_cast<std::size_t>(to)].value();
+  }
 
   /// Estimated resident bytes of tracked-path state (mesh-scale accounting).
   [[nodiscard]] std::size_t state_bytes() const noexcept {
     return sizeof(PathHealthMonitor) + entries_.capacity() * sizeof(Entry);
   }
 
-  /// Registers one transition counter per target state
-  /// (`tango_health_transitions_total{node=..., to=<state>}`) and resolves
-  /// their raw pointers; every state-machine edge then pays one relaxed
-  /// increment.
-  void wire_metrics(telemetry::MetricsRegistry& registry, const std::string& node_label);
+  /// Exposes the per-target-state transition counters as
+  /// `tango_health_transitions_total{node=..., to=<state>}`.
+  void wire_metrics(telemetry::MetricsRegistry& registry, const std::string& node_label) const;
 
  private:
   struct Entry {
@@ -134,7 +140,7 @@ class PathHealthMonitor {
   /// per-target-state transition counter.
   void enter(Entry& e, PathHealth to) noexcept {
     e.state = to;
-    telemetry::inc(transition_metrics_[static_cast<std::size_t>(to)]);
+    transitions_[static_cast<std::size_t>(to)].inc();
   }
 
   PathHealthOptions options_;
@@ -142,9 +148,8 @@ class PathHealthMonitor {
   /// handful of paths, and deterministic iteration keeps runs reproducible.
   std::vector<Entry> entries_;
   std::uint64_t quarantines_ = 0;
-  std::uint64_t recoveries_ = 0;
   /// Indexed by the target PathHealth of a transition.
-  std::array<telemetry::Counter*, 5> transition_metrics_{};
+  std::array<telemetry::Counter, 5> transitions_{};
 };
 
 }  // namespace tango::core

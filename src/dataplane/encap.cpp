@@ -34,8 +34,7 @@ bool TunnelSender::wrap_inplace(net::Packet& packet, PathId path, sim::Time now)
     header.auth_tag = telemetry_auth_tag(*auth_key_, header, packet.bytes());
   }
 
-  ++sent_;
-  telemetry::inc(sent_metric_);
+  sent_.inc();
   if (tracer_ != nullptr && tracer_->armed()) {
     tracer_->record({.at = now,
                      .key = header.sequence,
@@ -47,6 +46,16 @@ bool TunnelSender::wrap_inplace(net::Packet& packet, PathId path, sim::Time now)
   net::encapsulate_tango_inplace(packet, tunnel->local_endpoint, tunnel->remote_endpoint,
                                  tunnel->udp_src_port, header);
   return true;
+}
+
+void TunnelSender::wire_telemetry(const telemetry::Observability& obs,
+                                  const telemetry::Labels& labels, std::uint32_t node) {
+  if (obs.metrics != nullptr) {
+    obs.metrics->expose(sent_, "tango_switch_encap_total", labels,
+                        "Packets stamped, sequenced and encapsulated");
+  }
+  tracer_ = obs.tracer;
+  trace_node_ = node;
 }
 
 std::uint64_t TunnelSender::next_sequence(PathId path) const {
@@ -74,8 +83,7 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
                        view->tango.auth_tag ==
                            telemetry_auth_tag(*auth_key_, view->tango, view->inner);
     if (!valid) {
-      ++auth_failures_;
-      telemetry::inc(telemetry_.auth_failures);
+      auth_failures_.inc();
       if (telemetry_.tracer != nullptr && telemetry_.tracer->armed()) {
         telemetry_.tracer->record({.at = now,
                                    .key = view->tango.sequence,
@@ -96,8 +104,7 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
       replay_windows_.resize(static_cast<std::size_t>(path) + 1);
     }
     if (!replay_windows_[path].accept(view->tango.sequence)) {
-      ++replay_dropped_;
-      telemetry::inc(telemetry_.replay_dropped);
+      replay_dropped_.inc();
       if (telemetry_.tracer != nullptr && telemetry_.tracer->armed()) {
         telemetry_.tracer->record({.at = now,
                                    .key = view->tango.sequence,
@@ -123,8 +130,7 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
   auto& slot = trackers_[info.path];
   if (!slot) slot = std::make_unique<PathTracker>(keep_series_);
   slot->record(now, info.owd_ms, info.sequence);
-  ++received_;
-  telemetry::inc(telemetry_.received);
+  received_.inc();
   if (telemetry_.registry != nullptr) {
     // Lazy per-path histogram registration rides the same first-packet path
     // as the tracker; after that, one pre-resolved pointer per packet.
@@ -149,6 +155,19 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
 
   packet.trim_front(view->outer_size);
   return {UnwrapStatus::ok, info};
+}
+
+void TunnelReceiver::wire_telemetry(Telemetry wiring) {
+  telemetry_ = std::move(wiring);
+  telemetry::MetricsRegistry* reg = telemetry_.registry;
+  if (reg == nullptr) return;
+  const telemetry::Labels labels{{"node", telemetry_.node_label}};
+  reg->expose(received_, "tango_switch_decap_total", labels,
+              "Tango packets measured and decapsulated");
+  reg->expose(auth_failures_, "tango_switch_auth_failures_total", labels,
+              "Packets rejected for invalid authentication tags");
+  reg->expose(replay_dropped_, "tango_switch_replay_drops_total", labels,
+              "Authenticated packets dropped for an already-seen sequence (anti-replay window)");
 }
 
 const PathTracker* TunnelReceiver::tracker(PathId path) const {

@@ -53,7 +53,7 @@ class TunnelSender {
   bool wrap_inplace(net::Packet& packet, PathId path, sim::Time now);
 
   [[nodiscard]] std::uint64_t next_sequence(PathId path) const;
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_; }
+  [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_.value(); }
 
   /// Estimated resident bytes of per-path sender state (the dense sequence
   /// array, sized by the highest PathId sent on).
@@ -61,14 +61,11 @@ class TunnelSender {
     return sizeof(TunnelSender) + seq_.capacity() * sizeof(std::uint64_t);
   }
 
-  /// Resolves the sender's instruments (encap counter, lifecycle tracer).
-  /// `node` labels trace events with the router where encapsulation happens.
-  void wire_telemetry(telemetry::Counter* sent, telemetry::PacketTracer* tracer,
-                      std::uint32_t node) noexcept {
-    sent_metric_ = sent;
-    tracer_ = tracer;
-    trace_node_ = node;
-  }
+  /// Exposes the encap counter under `labels` and arms the lifecycle
+  /// tracer.  `node` labels trace events with the router where
+  /// encapsulation happens.
+  void wire_telemetry(const telemetry::Observability& obs, const telemetry::Labels& labels,
+                      std::uint32_t node);
 
  private:
   const TunnelTable* table_;
@@ -77,8 +74,7 @@ class TunnelSender {
   /// Dense per-path sequence counters indexed by PathId (path ids are small
   /// per-pairing integers; the vector grows to the highest id used).
   std::vector<std::uint64_t> seq_;
-  std::uint64_t sent_ = 0;
-  telemetry::Counter* sent_metric_ = nullptr;
+  telemetry::Counter sent_;
   telemetry::PacketTracer* tracer_ = nullptr;
   std::uint32_t trace_node_ = 0;
 };
@@ -139,26 +135,25 @@ class TunnelReceiver {
   /// tracker-slot array plus each live tracker (and its retained time
   /// series when keep_series is on).  Trend accounting, not exact.
   [[nodiscard]] std::size_t state_bytes() const;
-  [[nodiscard]] std::uint64_t packets_received() const noexcept { return received_; }
+  [[nodiscard]] std::uint64_t packets_received() const noexcept { return received_.value(); }
   /// Packets rejected for missing/invalid authentication tags.
-  [[nodiscard]] std::uint64_t auth_failures() const noexcept { return auth_failures_; }
+  [[nodiscard]] std::uint64_t auth_failures() const noexcept { return auth_failures_.value(); }
   /// Authenticated packets rejected for an already-seen (replayed) or
   /// below-window sequence, before they could touch the trackers.
-  [[nodiscard]] std::uint64_t replay_dropped() const noexcept { return replay_dropped_; }
+  [[nodiscard]] std::uint64_t replay_dropped() const noexcept { return replay_dropped_.value(); }
 
-  /// Receiver-side wire-up.  The registry pointer is kept (not just the
-  /// resolved counters) because per-path OWD histograms register lazily,
-  /// alongside the tracker a path's first packet creates.
+  /// Receiver-side wire-up.  The registry pointer is kept because per-path
+  /// OWD histograms register lazily, alongside the tracker a path's first
+  /// packet creates.
   struct Telemetry {
     telemetry::MetricsRegistry* registry = nullptr;
-    std::string node_label;  ///< `node` label on per-path histograms
-    telemetry::Counter* received = nullptr;
-    telemetry::Counter* auth_failures = nullptr;
-    telemetry::Counter* replay_dropped = nullptr;
+    std::string node_label;  ///< `node` label on the counters and histograms
     telemetry::PacketTracer* tracer = nullptr;
     std::uint32_t node = 0;  ///< router id on trace events
   };
-  void wire_telemetry(Telemetry telemetry) { telemetry_ = std::move(telemetry); }
+  /// Exposes the decap, auth-failure and replay counters and arms the
+  /// tracer and the lazy per-path histograms.
+  void wire_telemetry(Telemetry wiring);
 
  private:
   const sim::NodeClock* clock_;
@@ -170,9 +165,9 @@ class TunnelReceiver {
   /// Dense per-path anti-replay windows (authenticated deployments only;
   /// grown alongside trackers_ on a path's first packet).
   std::vector<ReplayWindow> replay_windows_;
-  std::uint64_t received_ = 0;
-  std::uint64_t auth_failures_ = 0;
-  std::uint64_t replay_dropped_ = 0;
+  telemetry::Counter received_;
+  telemetry::Counter auth_failures_;
+  telemetry::Counter replay_dropped_;
   Telemetry telemetry_;
   /// Dense per-path one-way-delay histograms (microseconds), resolved when
   /// the path's tracker is created; nullptr while uninstrumented.

@@ -32,52 +32,25 @@ void TangoSwitch::wire_observability(const telemetry::Observability& obs,
     // false positive on in-place literal concatenation.
     node_label = std::string{"r"}.append(std::to_string(router_));
   }
-  telemetry::Counter* encap = nullptr;
-  telemetry::Counter* decap = nullptr;
-  telemetry::Counter* auth_fail = nullptr;
-  telemetry::Counter* replay = nullptr;
-  if (obs.metrics != nullptr) {
-    const telemetry::Labels labels{{"node", node_label}};
-    passthrough_metric_ = &obs.metrics->counter(
-        "tango_switch_passthrough_total", labels,
-        "Packets forwarded without encapsulation (non-peer destinations)");
-    no_tunnel_metric_ =
-        &obs.metrics->counter("tango_switch_no_tunnel_drops_total", labels,
-                              "Peer packets dropped for want of a usable tunnel");
-    encap = &obs.metrics->counter("tango_switch_encap_total", labels,
-                                  "Packets stamped, sequenced and encapsulated");
-    decap = &obs.metrics->counter("tango_switch_decap_total", labels,
-                                  "Tango packets measured and decapsulated");
-    auth_fail = &obs.metrics->counter("tango_switch_auth_failures_total", labels,
-                                      "Packets rejected for invalid authentication tags");
-    replay = &obs.metrics->counter(
-        "tango_switch_replay_drops_total", labels,
-        "Authenticated packets dropped for an already-seen sequence (anti-replay window)");
-    telemetry::Labels outer_labels = labels;
-    outer_labels.emplace_back("cause", "outer");
-    malformed_outer_metric_ = &obs.metrics->counter(
-        "tango_switch_malformed_drops_total", std::move(outer_labels),
-        "WAN arrivals dropped for malformed input, by cause");
-    telemetry::Labels tango_labels = labels;
-    tango_labels.emplace_back("cause", "tango");
-    malformed_tango_metric_ = &obs.metrics->counter(
-        "tango_switch_malformed_drops_total", std::move(tango_labels),
-        "WAN arrivals dropped for malformed input, by cause");
-    hedge_duplicates_metric_ =
-        &obs.metrics->counter("tango_hedge_duplicates_total", labels,
-                              "Hedged second copies sent on the backup path");
-    hedge_suppressed_metric_ =
-        &obs.metrics->counter("tango_hedge_suppressed_total", labels,
-                              "Hedged second copies suppressed before host delivery");
-  }
-  sender_.wire_telemetry(encap, obs.tracer, router_);
-  receiver_.wire_telemetry({.registry = obs.metrics,
-                            .node_label = std::move(node_label),
-                            .received = decap,
-                            .auth_failures = auth_fail,
-                            .replay_dropped = replay,
-                            .tracer = obs.tracer,
-                            .node = router_});
+  const telemetry::Labels labels{{"node", node_label}};
+  telemetry::MetricsRegistry* reg = obs.metrics;
+  sender_.wire_telemetry(obs, labels, router_);
+  receiver_.wire_telemetry(
+      {.registry = reg, .node_label = node_label, .tracer = obs.tracer, .node = router_});
+  if (reg == nullptr) return;
+  reg->expose(passthrough_, "tango_switch_passthrough_total", labels,
+              "Packets forwarded without encapsulation (non-peer destinations)");
+  reg->expose(no_tunnel_drops_, "tango_switch_no_tunnel_drops_total", labels,
+              "Peer packets dropped for want of a usable tunnel");
+  reg->expose(malformed_outer_drops_, "tango_switch_malformed_drops_total",
+              {{"node", node_label}, {"cause", "outer"}},
+              "WAN arrivals dropped for malformed input, by cause");
+  reg->expose(malformed_tango_drops_, "tango_switch_malformed_drops_total",
+              {{"node", node_label}, {"cause", "tango"}},
+              "WAN arrivals dropped for malformed input, by cause");
+  reg->expose(hedge_duplicates_, "tango_hedge_duplicates_total", labels,
+              "Hedged second copies sent on the backup path");
+  deduper_.wire_metrics(*reg, labels);
 }
 
 std::optional<PathId> TangoSwitch::active_path(TangoSwitch::PeerId peer) const {
@@ -98,8 +71,7 @@ bool TangoSwitch::prepare_outbound(net::Packet& inner) {
   const PeerId* peer = peer_prefixes_.lookup(flow->dst);
   if (peer == nullptr) {
     // Not for a cooperating peer: traditional forwarding, unencapsulated.
-    ++passthrough_;
-    telemetry::inc(passthrough_metric_);
+    passthrough_.inc();
     return true;
   }
 
@@ -115,8 +87,7 @@ bool TangoSwitch::prepare_outbound(net::Packet& inner) {
   }
   if (!path) path = active_path(*peer);
   if (!path) {
-    ++no_tunnel_drops_;
-    telemetry::inc(no_tunnel_metric_);
+    no_tunnel_drops_.inc();
     if (tracer_ != nullptr && tracer_->armed()) {
       tracer_->record({.at = wan_.now(),
                        .key = flow->hash,
@@ -144,8 +115,7 @@ bool TangoSwitch::prepare_outbound(net::Packet& inner) {
   if (dup_path != 0) send_hedge_duplicate(inner, dup_path);
 
   if (!sender_.wrap_inplace(inner, *path, wan_.now())) {
-    ++no_tunnel_drops_;
-    telemetry::inc(no_tunnel_metric_);
+    no_tunnel_drops_.inc();
     if (tracer_ != nullptr && tracer_->armed()) {
       tracer_->record({.at = wan_.now(),
                        .key = flow->hash,
@@ -178,8 +148,7 @@ void TangoSwitch::send_hedge_duplicate(const net::Packet& inner, PathId path) {
     wan_.buffer_pool().release(std::move(copy).release_buffer());
     return;
   }
-  ++hedge_duplicates_;
-  telemetry::inc(hedge_duplicates_metric_);
+  hedge_duplicates_.inc();
   wan_.send_from(router_, std::move(copy));
 }
 
@@ -193,9 +162,7 @@ bool TangoSwitch::suppress_hedged_duplicate(const net::Packet& inner) {
     h ^= b;
     h *= 1099511628211ull;
   }
-  if (!deduper_.seen_before(h)) return false;
-  telemetry::inc(hedge_suppressed_metric_);
-  return true;
+  return deduper_.seen_before(h);
 }
 
 void TangoSwitch::send_from_host(net::Packet inner) {
@@ -216,8 +183,7 @@ std::size_t TangoSwitch::send_burst(std::span<net::Packet> inners) {
 
 bool TangoSwitch::send_on_path(net::Packet inner, PathId path) {
   if (!sender_.wrap_inplace(inner, path, wan_.now())) {
-    ++no_tunnel_drops_;
-    telemetry::inc(no_tunnel_metric_);
+    no_tunnel_drops_.inc();
     return false;
   }
   if (tracer_ != nullptr && tracer_->armed()) {
@@ -247,13 +213,11 @@ void TangoSwitch::on_wan_packet(net::Packet& packet) {
       if (host_handler_) host_handler_(packet, std::nullopt);
       return;
     case UnwrapStatus::malformed_outer:
-      ++malformed_outer_drops_;
-      telemetry::inc(malformed_outer_metric_);
+      malformed_outer_drops_.inc();
       trace_malformed_drop(packet, telemetry::TraceCause::malformed_outer);
       return;
     case UnwrapStatus::malformed_tango:
-      ++malformed_tango_drops_;
-      telemetry::inc(malformed_tango_metric_);
+      malformed_tango_drops_.inc();
       trace_malformed_drop(packet, telemetry::TraceCause::malformed_tango);
       return;
     case UnwrapStatus::auth_failed:

@@ -164,10 +164,10 @@ class TangoSwitch {
 
   // --- Telemetry ----------------------------------------------------------------
 
-  /// Wires the switch and its sender/receiver stages to `obs`: registers the
-  /// switch's counters under `node_label` (defaults to "r<router-id>"),
-  /// resolves raw instrument pointers, and arms the lifecycle trace points
-  /// (route-select, wan-enqueue, encap, decap, drops).
+  /// Wires the switch and its sender/receiver stages to `obs`: exposes the
+  /// counters they keep under `node_label` (defaults to "r<router-id>") and
+  /// arms the lifecycle trace points (route-select, wan-enqueue, encap,
+  /// decap, drops).
   void wire_observability(const telemetry::Observability& obs, std::string node_label = "");
 
   [[nodiscard]] const TunnelSender& sender() const noexcept { return sender_; }
@@ -177,22 +177,24 @@ class TangoSwitch {
   [[nodiscard]] bgp::RouterId router() const noexcept { return router_; }
 
   /// Packets that matched a peer prefix but had no usable tunnel.
-  [[nodiscard]] std::uint64_t no_tunnel_drops() const noexcept { return no_tunnel_drops_; }
+  [[nodiscard]] std::uint64_t no_tunnel_drops() const noexcept {
+    return no_tunnel_drops_.value();
+  }
   /// Packets forwarded without encapsulation (non-peer destinations).
-  [[nodiscard]] std::uint64_t passthrough() const noexcept { return passthrough_; }
+  [[nodiscard]] std::uint64_t passthrough() const noexcept { return passthrough_.value(); }
   /// WAN arrivals dropped for a truncated/length-inconsistent IPv6|UDP
   /// envelope (never delivered, never decapsulated).
   [[nodiscard]] std::uint64_t malformed_outer_drops() const noexcept {
-    return malformed_outer_drops_;
+    return malformed_outer_drops_.value();
   }
   /// WAN arrivals on the Tango port dropped for a bad magic/version or a
   /// truncated Tango header.
   [[nodiscard]] std::uint64_t malformed_tango_drops() const noexcept {
-    return malformed_tango_drops_;
+    return malformed_tango_drops_.value();
   }
   /// All malformed-input drops on the receive path.
   [[nodiscard]] std::uint64_t malformed_drops() const noexcept {
-    return malformed_outer_drops_ + malformed_tango_drops_;
+    return malformed_outer_drops() + malformed_tango_drops();
   }
   /// WAN arrivals dropped for missing/invalid telemetry auth tags (§6),
   /// as counted by the receiver.
@@ -203,7 +205,9 @@ class TangoSwitch {
     return receiver_.replay_dropped();
   }
   /// Hedged duplicates this switch sent (second copies, not the primaries).
-  [[nodiscard]] std::uint64_t hedge_duplicates() const noexcept { return hedge_duplicates_; }
+  [[nodiscard]] std::uint64_t hedge_duplicates() const noexcept {
+    return hedge_duplicates_.value();
+  }
   /// Hedged second copies this switch suppressed before host delivery.
   [[nodiscard]] std::uint64_t hedge_suppressed() const noexcept {
     return deduper_.suppressed();
@@ -249,18 +253,11 @@ class TangoSwitch {
   bool hedge_dedup_armed_ = false;
   std::uint16_t hedge_dedup_lo_ = 0;
   std::uint16_t hedge_dedup_hi_ = 0;
-  std::uint64_t hedge_duplicates_ = 0;
-  std::uint64_t no_tunnel_drops_ = 0;
-  std::uint64_t passthrough_ = 0;
-  std::uint64_t malformed_outer_drops_ = 0;
-  std::uint64_t malformed_tango_drops_ = 0;
-  // Pre-resolved instruments (nullptr until wire_observability).
-  telemetry::Counter* passthrough_metric_ = nullptr;
-  telemetry::Counter* no_tunnel_metric_ = nullptr;
-  telemetry::Counter* malformed_outer_metric_ = nullptr;
-  telemetry::Counter* malformed_tango_metric_ = nullptr;
-  telemetry::Counter* hedge_duplicates_metric_ = nullptr;
-  telemetry::Counter* hedge_suppressed_metric_ = nullptr;
+  telemetry::Counter hedge_duplicates_;
+  telemetry::Counter no_tunnel_drops_;
+  telemetry::Counter passthrough_;
+  telemetry::Counter malformed_outer_drops_;
+  telemetry::Counter malformed_tango_drops_;
   telemetry::PacketTracer* tracer_ = nullptr;
 };
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
 #include "telemetry/stats.hpp"
 #include "telemetry/timeseries.hpp"
 
@@ -211,7 +212,7 @@ class HedgeDeduper {
     if (key == 0) key = 1;  // 0 marks an empty slot
     std::uint64_t& slot = keys_[static_cast<std::size_t>(key & mask_)];
     if (slot == key) {
-      ++suppressed_;
+      suppressed_.inc();
       return true;
     }
     slot = key;
@@ -219,7 +220,12 @@ class HedgeDeduper {
   }
 
   /// Copies suppressed as already-delivered duplicates.
-  [[nodiscard]] std::uint64_t suppressed() const noexcept { return suppressed_; }
+  [[nodiscard]] std::uint64_t suppressed() const noexcept { return suppressed_.value(); }
+  /// Exposes the suppressed-copies counter under `labels`.
+  void wire_metrics(telemetry::MetricsRegistry& registry, const telemetry::Labels& labels) const {
+    registry.expose(suppressed_, "tango_hedge_suppressed_total", labels,
+                    "Hedged second copies suppressed before host delivery");
+  }
   [[nodiscard]] std::size_t state_bytes() const noexcept {
     return keys_.capacity() * sizeof(keys_[0]);
   }
@@ -227,7 +233,7 @@ class HedgeDeduper {
  private:
   std::vector<std::uint64_t> keys_;
   std::uint64_t mask_ = 0;
-  std::uint64_t suppressed_ = 0;
+  telemetry::Counter suppressed_;
 };
 
 /// Reordering detection: counts packets arriving with a sequence lower than

@@ -58,14 +58,17 @@ class EventQueue {
     return backend_ == Backend::timing_wheel ? wheel_.size() : heap_.size();
   }
   [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
-  [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
+  [[nodiscard]] std::uint64_t executed() const noexcept { return executed_.value(); }
   /// Total schedule calls (scheduler-throughput accounting).
   [[nodiscard]] std::uint64_t scheduled() const noexcept { return next_seq_; }
 
-  /// Registers the scheduler's instruments (executed counter, pending gauge,
-  /// wheel slot occupancy and overflow-heap spills) and resolves their raw
-  /// pointers.  The pending gauge is refreshed when a run loop returns — not
-  /// per event — so instrumentation stays off the dispatch hot path.
+  /// The timing wheel (spill and cascade statistics).
+  [[nodiscard]] const TimingWheel& wheel() const noexcept { return wheel_; }
+
+  /// Exposes the scheduler's counters (executed events, wheel spills and
+  /// cascades) and registers its pending gauge and slot-occupancy
+  /// histogram.  The pending gauge is refreshed when a run loop returns —
+  /// not per event — so instrumentation stays off the dispatch hot path.
   void wire_metrics(telemetry::MetricsRegistry& registry);
 
  private:
@@ -88,8 +91,7 @@ class EventQueue {
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  telemetry::Counter* executed_metric_ = nullptr;
+  telemetry::Counter executed_;
   telemetry::Gauge* pending_gauge_ = nullptr;
 };
 

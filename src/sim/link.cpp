@@ -10,16 +10,13 @@ Link::Link(const topo::LinkProfile& profile, Rng rng)
       rng_{rng} {}
 
 Transmission Link::transmit(Time now, std::uint64_t flow_hash) {
-  ++packets_;
-  telemetry::inc(packets_metric_);
+  packets_.inc();
   if (down_) {
-    ++drops_;
-    telemetry::inc(drops_metric_);
+    drops_.inc();
     return Transmission{.dropped = true};
   }
   if (loss_->drop(rng_)) {
-    ++drops_;
-    telemetry::inc(drops_metric_);
+    drops_.inc();
     return Transmission{.dropped = true};
   }
   // Virtual-queue capacity: computed after the loss draw so enabling the
@@ -29,9 +26,8 @@ Transmission Link::transmit(Time now, std::uint64_t flow_hash) {
   if (service_time_ > 0) {
     const Time backlog = next_free_ > now ? next_free_ - now : 0;
     if (backlog > max_queue_) {
-      ++drops_;
+      drops_.inc();
       ++congestion_drops_;
-      telemetry::inc(drops_metric_);
       return Transmission{.dropped = true};
     }
     queue_wait = backlog;
@@ -40,6 +36,13 @@ Transmission Link::transmit(Time now, std::uint64_t flow_hash) {
   const auto lane = static_cast<std::uint32_t>(flow_hash % lanes_);
   const double ms = delay_.sample_ms(rng_, now) + lane * lane_spread_ms_;
   return Transmission{.dropped = false, .delay = from_ms(ms) + queue_wait, .lane = lane};
+}
+
+void Link::wire_metrics(telemetry::MetricsRegistry& registry,
+                        const telemetry::Labels& labels) const {
+  registry.expose(packets_, "tango_link_packets_total", labels, "Packets offered to a link");
+  registry.expose(drops_, "tango_link_drops_total", labels,
+                  "Packets a link dropped (loss model or down state)");
 }
 
 void Link::set_ecmp(std::uint32_t lanes, double spread_ms) {

@@ -32,8 +32,8 @@ class Link {
   /// The delay model, exposed for scenario event injection.
   [[nodiscard]] CompositeDelayModel& delay() noexcept { return delay_; }
 
-  [[nodiscard]] std::uint64_t packets() const noexcept { return packets_; }
-  [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
+  [[nodiscard]] std::uint64_t packets() const noexcept { return packets_.value(); }
+  [[nodiscard]] std::uint64_t drops() const noexcept { return drops_.value(); }
   [[nodiscard]] std::uint32_t lanes() const noexcept { return lanes_; }
 
   /// Reconfigures ECMP fan-out (E9 ablation).
@@ -67,11 +67,8 @@ class Link {
   void set_capacity(double pkts_per_sec, double max_queue_ms);
   [[nodiscard]] std::uint64_t congestion_drops() const noexcept { return congestion_drops_; }
 
-  /// Resolves this link's registry instruments (nullptr = uninstrumented).
-  void wire_metrics(telemetry::Counter* packets, telemetry::Counter* drops) noexcept {
-    packets_metric_ = packets;
-    drops_metric_ = drops;
-  }
+  /// Exposes this link's packet and drop counters under `labels`.
+  void wire_metrics(telemetry::MetricsRegistry& registry, const telemetry::Labels& labels) const;
 
  private:
   CompositeDelayModel delay_;
@@ -86,10 +83,8 @@ class Link {
   Time max_queue_ = 0;
   Time next_free_ = 0;
   std::uint64_t congestion_drops_ = 0;
-  std::uint64_t packets_ = 0;
-  std::uint64_t drops_ = 0;
-  telemetry::Counter* packets_metric_ = nullptr;
-  telemetry::Counter* drops_metric_ = nullptr;
+  telemetry::Counter packets_;
+  telemetry::Counter drops_;
 };
 
 }  // namespace tango::sim

@@ -94,7 +94,7 @@ void TimingWheel::schedule(Time at, std::uint64_t seq, Action action) {
   const std::uint64_t delta = static_cast<std::uint64_t>(at) - cursor_;
   if (delta >= kSpan) {
     far_.push(item);
-    telemetry::inc(far_spills_metric_);
+    far_spills_.inc();
   } else {
     place(item);
   }
@@ -122,7 +122,7 @@ bool TimingWheel::level_empty(int level) const noexcept {
 }
 
 void TimingWheel::cascade(int level, std::size_t slot) {
-  telemetry::inc(cascades_metric_);
+  cascades_.inc();
   Bucket& b = bucket(level, slot);
   unmark(level, slot);
   // Items re-place by their delta to the (just advanced) cursor: items of
@@ -246,6 +246,16 @@ TimingWheel::Popped TimingWheel::pop(Time limit) {
   out.valid = true;
   --size_;
   return out;
+}
+
+void TimingWheel::wire_metrics(telemetry::MetricsRegistry& registry) {
+  registry.expose(far_spills_, "tango_sched_far_spills_total", {},
+                  "Events scheduled beyond the wheel span, spilled to the overflow heap");
+  registry.expose(cascades_, "tango_sched_cascades_total", {},
+                  "Bucket cascades while advancing the timing wheel");
+  batch_metric_ = &registry.histogram(
+      "tango_sched_batch_events", {},
+      "Events per staged same-timestamp wheel batch (slot occupancy)");
 }
 
 void TimingWheel::clear() {

@@ -72,15 +72,14 @@ class TimingWheel {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-  /// Resolves the wheel's registry instruments: far-heap spills (events past
-  /// the wheel span), bucket cascades, and the size of each staged
-  /// same-timestamp batch (slot occupancy).  Nullptr = uninstrumented.
-  void wire_metrics(telemetry::Counter* far_spills, telemetry::Counter* cascades,
-                    telemetry::Histogram* batch_events) noexcept {
-    far_spills_metric_ = far_spills;
-    cascades_metric_ = cascades;
-    batch_metric_ = batch_events;
-  }
+  /// Events scheduled past the wheel span (spilled to the far heap).
+  [[nodiscard]] std::uint64_t far_spills() const noexcept { return far_spills_.value(); }
+  /// Bucket cascades while advancing the wheel.
+  [[nodiscard]] std::uint64_t cascades() const noexcept { return cascades_.value(); }
+
+  /// Exposes the spill and cascade counters and registers the histogram of
+  /// staged same-timestamp batch sizes (slot occupancy).
+  void wire_metrics(telemetry::MetricsRegistry& registry);
 
  private:
   static constexpr int kLevelBits = 8;
@@ -187,8 +186,8 @@ class TimingWheel {
   std::vector<Action> actions_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t size_ = 0;
-  telemetry::Counter* far_spills_metric_ = nullptr;
-  telemetry::Counter* cascades_metric_ = nullptr;
+  telemetry::Counter far_spills_;
+  telemetry::Counter cascades_;
   telemetry::Histogram* batch_metric_ = nullptr;
 };
 

@@ -245,32 +245,27 @@ void Wan::wire_observability(const telemetry::Observability& obs) {
   tracer_ = obs.tracer;
   telemetry::MetricsRegistry* reg = obs.metrics;
   if (reg == nullptr) return;
-  delivered_metric_ =
-      &reg->counter("tango_wan_delivered_total", {}, "Packets delivered to an edge switch");
-  hops_metric_ = &reg->counter("tango_wan_hops_total", {}, "Router-to-router forwarding hops");
-  fib_hits_metric_ = &reg->counter("tango_wan_fib_cache_hits_total", {},
-                                   "FIB lookups served by a router flow cache");
-  fib_lookups_metric_ =
-      &reg->counter("tango_wan_fib_lookups_total", {}, "FIB lookups (one per forwarding hop)");
-  for (std::size_t r = 0; r < drop_metrics_.size(); ++r) {
-    const telemetry::Labels labels{{"cause", to_string(static_cast<DropReason>(r))}};
-    drop_metrics_[r] =
-        &reg->counter("tango_wan_drops_total", labels, "Packets dropped in the WAN by cause");
+  reg->expose(delivered_, "tango_wan_delivered_total", {},
+              "Packets delivered to an edge switch");
+  reg->expose(hops_, "tango_wan_hops_total", {}, "Router-to-router forwarding hops");
+  reg->expose(fib_cache_hits_, "tango_wan_fib_cache_hits_total", {},
+              "FIB lookups served by a router flow cache");
+  reg->expose(fib_lookups_, "tango_wan_fib_lookups_total", {},
+              "FIB lookups (one per forwarding hop)");
+  for (std::size_t r = 0; r < drops_.size(); ++r) {
+    reg->expose(drops_[r], "tango_wan_drops_total",
+                {{"cause", to_string(static_cast<DropReason>(r))}},
+                "Packets dropped in the WAN by cause");
   }
   events_.wire_metrics(*reg);
-  for (LinkState& ls : links_) {
-    const telemetry::Labels labels{{"from", std::to_string(ls.key.from)},
-                                   {"to", std::to_string(ls.key.to)}};
-    ls.link.wire_metrics(
-        &reg->counter("tango_link_packets_total", labels, "Packets offered to a link"),
-        &reg->counter("tango_link_drops_total", labels,
-                      "Packets a link dropped (loss model or down state)"));
+  for (const LinkState& ls : links_) {
+    ls.link.wire_metrics(*reg, {{"from", std::to_string(ls.key.from)},
+                                {"to", std::to_string(ls.key.to)}});
   }
 }
 
 void Wan::drop(DropReason r, RouterState& state, net::Packet&& packet) {
-  ++drops_[static_cast<std::size_t>(r)];
-  telemetry::inc(drop_metrics_[static_cast<std::size_t>(r)]);
+  drops_[static_cast<std::size_t>(r)].inc();
   if (tracer_ != nullptr && tracer_->armed()) {
     const net::Packet::FlowKey* flow = packet.flow_key();
     tracer_->record({.at = events_.now(),
@@ -291,24 +286,21 @@ Link& Wan::link(bgp::RouterId from, bgp::RouterId to) {
 
 std::uint64_t Wan::total_dropped() const noexcept {
   std::uint64_t n = 0;
-  for (std::uint64_t count : drops_) n += count;
+  for (const telemetry::Counter& count : drops_) n += count.value();
   return n;
 }
 
 bool Wan::lookup_next_hop(RouterState& state, const net::Packet::FlowKey& flow,
                           bgp::RouterId& next_hop) {
-  ++fib_lookups_;
-  telemetry::inc(fib_lookups_metric_);
+  fib_lookups_.inc();
   FlowCacheSet& set = state.flow_cache[flow.hash & (kFlowCacheSets - 1)];
   if (set.way[0].generation == state.generation && set.way[0].dst == flow.dst) {
-    ++fib_cache_hits_;
-    telemetry::inc(fib_hits_metric_);
+    fib_cache_hits_.inc();
     next_hop = set.way[0].next_hop;
     return true;
   }
   if (set.way[1].generation == state.generation && set.way[1].dst == flow.dst) {
-    ++fib_cache_hits_;
-    telemetry::inc(fib_hits_metric_);
+    fib_cache_hits_.inc();
     std::swap(set.way[0], set.way[1]);  // move-to-front LRU
     next_hop = set.way[0].next_hop;
     return true;
@@ -349,8 +341,7 @@ void Wan::forward(bgp::RouterId at, net::Packet packet) {
       drop(DropReason::no_handler, *state, std::move(packet));
       return;
     }
-    ++delivered_;
-    telemetry::inc(delivered_metric_);
+    delivered_.inc();
     if (tracer_ != nullptr && tracer_->armed()) {
       tracer_->record({.at = events_.now(),
                        .key = flow->hash,
@@ -388,7 +379,7 @@ void Wan::forward(bgp::RouterId at, net::Packet packet) {
     return;
   }
 
-  telemetry::inc(hops_metric_);
+  hops_.inc();
   if (hop_observer_) hop_observer_(at, next, packet);
   events_.schedule_in(
       tx.delay, [this, next, p = std::move(packet)]() mutable { forward(next, std::move(p)); });

@@ -124,7 +124,6 @@ class Wan {
   };
   [[nodiscard]] const FibSyncStats& fib_sync_stats() const noexcept { return fib_stats_; }
 
-  void set_fib_sync_mode(FibSync mode) noexcept { fib_sync_mode_ = mode; }
   [[nodiscard]] FibSync fib_sync_mode() const noexcept { return fib_sync_mode_; }
 
   /// Deterministic digest over every router's FIB contents (router id,
@@ -177,8 +176,8 @@ class Wan {
 
   /// Wires the WAN (delivery/drop counters by cause, per-link packet/drop
   /// counters, FIB-cache effectiveness), the scheduler and the packet tracer
-  /// to `obs`.  Registration happens here, once; the forwarding path then
-  /// touches only pre-resolved instrument pointers.
+  /// to `obs`: exposes the counters they already keep, so totals include
+  /// traffic from before the wiring.  Idempotent.
   void wire_observability(const telemetry::Observability& obs);
 
   /// The packet-buffer free list: buffers of delivered and dropped packets
@@ -189,16 +188,18 @@ class Wan {
 
   // --- Statistics -------------------------------------------------------------
 
-  [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
+  [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_.value(); }
   [[nodiscard]] std::uint64_t dropped(DropReason r) const noexcept {
-    return drops_[static_cast<std::size_t>(r)];
+    return drops_[static_cast<std::size_t>(r)].value();
   }
   [[nodiscard]] std::uint64_t total_dropped() const noexcept;
 
   /// Flow-cache effectiveness: FIB lookups served by the per-router flow
   /// cache vs. total FIB lookups (every forwarding hop does one).
-  [[nodiscard]] std::uint64_t fib_cache_hits() const noexcept { return fib_cache_hits_; }
-  [[nodiscard]] std::uint64_t fib_lookups() const noexcept { return fib_lookups_; }
+  [[nodiscard]] std::uint64_t fib_cache_hits() const noexcept { return fib_cache_hits_.value(); }
+  [[nodiscard]] std::uint64_t fib_lookups() const noexcept { return fib_lookups_.value(); }
+  /// Router-to-router forwarding hops (packets that survived their link).
+  [[nodiscard]] std::uint64_t hops() const noexcept { return hops_.value(); }
   [[nodiscard]] double fib_cache_hit_rate() const noexcept {
     const std::uint64_t lookups = fib_lookups();
     return lookups > 0 ? static_cast<double>(fib_cache_hits()) / static_cast<double>(lookups)
@@ -268,16 +269,11 @@ class Wan {
   EventQueue events_;
   net::BufferPool pool_;
   std::vector<std::vector<net::Packet>> burst_pool_;
-  std::uint64_t fib_cache_hits_ = 0;
-  std::uint64_t fib_lookups_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::array<std::uint64_t, 5> drops_{};
-  // Pre-resolved instruments (nullptr until wire_observability).
-  telemetry::Counter* delivered_metric_ = nullptr;
-  telemetry::Counter* hops_metric_ = nullptr;
-  telemetry::Counter* fib_hits_metric_ = nullptr;
-  telemetry::Counter* fib_lookups_metric_ = nullptr;
-  std::array<telemetry::Counter*, 5> drop_metrics_{};
+  telemetry::Counter fib_cache_hits_;
+  telemetry::Counter fib_lookups_;
+  telemetry::Counter delivered_;
+  telemetry::Counter hops_;
+  std::array<telemetry::Counter, 5> drops_{};
   HopObserver hop_observer_;
   FibSyncStats fib_stats_;
   FibSync fib_sync_mode_ = FibSync::incremental;

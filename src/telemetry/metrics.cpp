@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace tango::telemetry {
 
@@ -50,18 +51,18 @@ MetricEntry* MetricsRegistry::find(const std::string& name, const Labels& labels
   return nullptr;
 }
 
-Counter& MetricsRegistry::counter(std::string name, Labels labels, std::string help) {
+void MetricsRegistry::expose(const Counter& counter, std::string name, Labels labels,
+                             std::string help) {
   const std::lock_guard<std::mutex> lock{mutex_};
-  if (MetricEntry* e = find(name, labels, MetricKind::counter)) {
-    return const_cast<Counter&>(*e->counter);
+  if (const MetricEntry* e = find(name, labels, MetricKind::counter)) {
+    if (e->counter == &counter) return;
+    throw std::logic_error{"MetricsRegistry: counter " + name + " already exposed"};
   }
-  Counter& c = counters_.emplace_back();
   entries_.push_back(MetricEntry{.name = std::move(name),
                                  .help = std::move(help),
                                  .labels = std::move(labels),
                                  .kind = MetricKind::counter,
-                                 .counter = &c});
-  return c;
+                                 .counter = &counter});
 }
 
 Gauge& MetricsRegistry::gauge(std::string name, Labels labels, std::string help) {

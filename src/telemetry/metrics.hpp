@@ -3,12 +3,15 @@
 //
 // The paper's premise is that the edge pair can *see* its wide-area paths
 // because telemetry piggybacks on every data packet (§3); this registry is
-// the same idea turned inward.  Registration (cold, mutex-guarded, does the
-// string work) hands back a stable instrument pointer; the data-plane fast
-// path then pays exactly one relaxed atomic increment per event — no map
-// lookup, no lock, no allocation.  Components keep raw `Counter*` /
-// `Gauge*` / `Histogram*` members resolved once at wire-up time; a nullptr
-// means "not instrumented" and the guard branch is perfectly predicted.
+// the same idea turned inward.  Each component owns its counters as plain
+// `Counter` members and reads them back through its own accessors, wired or
+// not: a counter exists once, and the registry only *exposes* it, by
+// reference, under a name and labels (cold, mutex-guarded, does the string
+// work).  The data-plane fast path pays one relaxed increment per event —
+// no map lookup, no lock, no allocation, no branch on "wired".  Gauges and
+// histograms are export-only, so the registry creates and owns those, and
+// components keep the raw `Gauge*` / `Histogram*` it hands back (nullptr =
+// not exported).
 //
 // Write contract: instruments are SINGLE-WRITER (the simulator's data plane
 // is single-threaded), so updates are relaxed load+store pairs — a plain
@@ -29,16 +32,26 @@
 
 namespace tango::telemetry {
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count, owned by the component that
+/// counts.  Copies carry the value, so a component holding counters stays
+/// copyable and movable (a `Link` in the WAN's sorted link table); the
+/// registry holds the counter's address, so expose it only once its owner
+/// sits at its final address.
 class Counter {
  public:
+  Counter() = default;
+  Counter(const Counter& other) noexcept : value_{other.value()} {}
+  Counter& operator=(const Counter& other) noexcept {
+    value_.store(other.value(), std::memory_order_relaxed);
+    return *this;
+  }
+
   void inc(std::uint64_t n = 1) noexcept {
     value_.store(value_.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -140,8 +153,9 @@ enum class MetricKind : std::uint8_t { counter, gauge, histogram };
 
 [[nodiscard]] const char* to_string(MetricKind kind) noexcept;
 
-/// One registered instrument, as the exporters see it.  The instrument
-/// pointers stay valid for the registry's lifetime (deque storage).
+/// One registered instrument, as the exporters see it.  Gauge and histogram
+/// pointers stay valid for the registry's lifetime (deque storage); counter
+/// pointers for as long as the component that owns the counter.
 struct MetricEntry {
   std::string name;
   std::string help;
@@ -152,16 +166,23 @@ struct MetricEntry {
   const Histogram* histogram = nullptr;
 };
 
-/// Owns every instrument.  Registration is idempotent: asking for the same
-/// (name, labels) pair again returns the same instrument, so wire-up code
-/// can run per component without coordinating ownership.
+/// Exports counters by reference and owns the gauges and histograms.
+/// Registration is idempotent: exposing the same counter, or asking for the
+/// same gauge or histogram, under the same (name, labels) again is a no-op,
+/// so wire-up code can run per component without coordinating ownership.
+/// Exposing a *different* counter under a taken key throws std::logic_error.
+///
+/// Lifetime contract: an exposed counter must outlive every read of the
+/// registry (entries(), the exporters).  Write a snapshot before tearing
+/// down the components it exposes.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  [[nodiscard]] Counter& counter(std::string name, Labels labels = {}, std::string help = "");
+  void expose(const Counter& counter, std::string name, Labels labels = {},
+              std::string help = "");
   [[nodiscard]] Gauge& gauge(std::string name, Labels labels = {}, std::string help = "");
   [[nodiscard]] Histogram& histogram(std::string name, Labels labels = {}, std::string help = "");
 
@@ -176,20 +197,16 @@ class MetricsRegistry {
                                   MetricKind kind);
 
   mutable std::mutex mutex_;
-  std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
   std::vector<MetricEntry> entries_;
 };
 
 // --- Nullable-instrument helpers ---------------------------------------------
-// Instrumented components hold raw pointers that are nullptr until wired;
-// these keep the call sites to one line and the disabled cost to one
+// Components hold raw gauge and histogram pointers that are nullptr until
+// wired; these keep the call sites to one line and the disabled cost to one
 // perfectly predicted branch.
 
-inline void inc(Counter* c, std::uint64_t n = 1) noexcept {
-  if (c != nullptr) c->inc(n);
-}
 inline void observe(Histogram* h, std::uint64_t value) noexcept {
   if (h != nullptr) h->record(value);
 }

@@ -1,6 +1,7 @@
 // End-to-end observability: one registry + tracer wired through the WAN and
-// both nodes must agree with the components' own counters, capture whole
-// packet lifecycles, and export a coherent snapshot.
+// both nodes must export the components' own counters (one storage location
+// per fact, so every accessor equals its export), capture whole packet
+// lifecycles, and export a coherent snapshot.
 #include <gtest/gtest.h>
 
 #include "core/pairing.hpp"
@@ -40,15 +41,101 @@ class ObservabilityTest : public ::testing::Test {
         .obs = {.metrics = &registry_, .tracer = &tracer_}};
   }
 
-  /// The counter registered under (name, labels), or nullptr.
-  [[nodiscard]] const telemetry::Counter* find_counter(const std::string& name,
-                                                       const telemetry::Labels& labels) const {
-    for (const telemetry::MetricEntry& e : registry_.entries()) {
+  /// The counter exposed under (name, labels) in `registry`, or nullptr.
+  [[nodiscard]] static const telemetry::Counter* find_counter(
+      const telemetry::MetricsRegistry& registry, const std::string& name,
+      const telemetry::Labels& labels) {
+    for (const telemetry::MetricEntry& e : registry.entries()) {
       if (e.kind == telemetry::MetricKind::counter && e.name == name && e.labels == labels) {
         return e.counter;
       }
     }
     return nullptr;
+  }
+  [[nodiscard]] const telemetry::Counter* find_counter(const std::string& name,
+                                                       const telemetry::Labels& labels) const {
+    return find_counter(registry_, name, labels);
+  }
+
+  /// One exported counter and the value its component's accessor reports.
+  struct Expected {
+    std::string name;
+    telemetry::Labels labels;
+    std::uint64_t value;
+  };
+
+  /// Every counter family the WAN, the scheduler, the links, both switches
+  /// and both nodes export, read back through the public accessors.
+  [[nodiscard]] std::vector<Expected> accessor_values() {
+    std::vector<Expected> out;
+    for (const sim::DropReason r : {sim::DropReason::no_route, sim::DropReason::link_loss,
+                                    sim::DropReason::hop_limit, sim::DropReason::no_handler,
+                                    sim::DropReason::malformed}) {
+      out.push_back({"tango_wan_drops_total", {{"cause", to_string(r)}}, wan_.dropped(r)});
+    }
+    out.push_back({"tango_wan_delivered_total", {}, wan_.delivered()});
+    out.push_back({"tango_wan_hops_total", {}, wan_.hops()});
+    out.push_back({"tango_wan_fib_cache_hits_total", {}, wan_.fib_cache_hits()});
+    out.push_back({"tango_wan_fib_lookups_total", {}, wan_.fib_lookups()});
+    out.push_back({"tango_sched_executed_total", {}, wan_.events().executed()});
+    out.push_back({"tango_sched_far_spills_total", {}, wan_.events().wheel().far_spills()});
+    out.push_back({"tango_sched_cascades_total", {}, wan_.events().wheel().cascades()});
+    for (const topo::LinkKey& key : s_.topo.links()) {
+      const telemetry::Labels labels{{"from", std::to_string(key.from)},
+                                     {"to", std::to_string(key.to)}};
+      const sim::Link& link = wan_.link(key.from, key.to);
+      out.push_back({"tango_link_packets_total", labels, link.packets()});
+      out.push_back({"tango_link_drops_total", labels, link.drops()});
+    }
+    for (const auto& [label, node] : {std::pair<std::string, TangoNode*>{"la", &la_},
+                                      std::pair<std::string, TangoNode*>{"ny", &ny_}}) {
+      const telemetry::Labels labels{{"node", label}};
+      const dataplane::TangoSwitch& dp = node->dp();
+      out.push_back({"tango_switch_passthrough_total", labels, dp.passthrough()});
+      out.push_back({"tango_switch_no_tunnel_drops_total", labels, dp.no_tunnel_drops()});
+      out.push_back({"tango_switch_encap_total", labels, dp.sender().packets_sent()});
+      out.push_back({"tango_switch_decap_total", labels, dp.receiver().packets_received()});
+      out.push_back({"tango_switch_auth_failures_total", labels, dp.auth_drops()});
+      out.push_back({"tango_switch_replay_drops_total", labels, dp.replay_drops()});
+      out.push_back({"tango_switch_malformed_drops_total",
+                     {{"node", label}, {"cause", "outer"}},
+                     dp.malformed_outer_drops()});
+      out.push_back({"tango_switch_malformed_drops_total",
+                     {{"node", label}, {"cause", "tango"}},
+                     dp.malformed_tango_drops()});
+      out.push_back({"tango_hedge_duplicates_total", labels, dp.hedge_duplicates()});
+      out.push_back({"tango_hedge_suppressed_total", labels, dp.hedge_suppressed()});
+      out.push_back({"tango_node_path_switches_total", labels, node->path_switches()});
+      out.push_back({"tango_node_probes_sent_total", labels, node->probes_sent()});
+      out.push_back({"tango_node_report_forged_total", labels, node->report_forged()});
+      out.push_back({"tango_node_report_replayed_total", labels, node->report_replayed()});
+      out.push_back({"tango_node_report_stale_total", labels, node->report_stale()});
+      out.push_back({"tango_node_report_gaps_total", labels, node->report_gaps()});
+      out.push_back({"tango_node_report_lying_total", labels, node->compliance().violations()});
+      for (std::size_t i = 0; i < 5; ++i) {
+        const auto to = static_cast<PathHealth>(i);
+        out.push_back({"tango_health_transitions_total",
+                       {{"node", label}, {"to", to_string(to)}},
+                       node->health().transitions(to)});
+      }
+    }
+    return out;
+  }
+
+  /// Every counter `registry` exports equals its accessor, and every
+  /// accessor above is exported.
+  void expect_exports_match_accessors(const telemetry::MetricsRegistry& registry) {
+    const std::vector<Expected> expected = accessor_values();
+    for (const Expected& e : expected) {
+      const telemetry::Counter* c = find_counter(registry, e.name, e.labels);
+      ASSERT_NE(c, nullptr) << e.name;
+      EXPECT_EQ(c->value(), e.value) << e.name;
+    }
+    std::size_t exported = 0;
+    for (const telemetry::MetricEntry& e : registry.entries()) {
+      if (e.kind == telemetry::MetricKind::counter) ++exported;
+    }
+    EXPECT_EQ(exported, expected.size()) << "an exported counter has no accessor check";
   }
 
   void run_traffic(int packets) {
@@ -98,6 +185,68 @@ TEST_F(ObservabilityTest, CountersMirrorComponentStatistics) {
   const auto* executed = find_counter("tango_sched_executed_total", {});
   ASSERT_NE(executed, nullptr);
   EXPECT_EQ(executed->value(), wan_.events().executed());
+}
+
+TEST_F(ObservabilityTest, EveryExportedCounterEqualsItsAccessor) {
+  // Move as many counters off zero as a short run can: a downed link (WAN,
+  // link and health drops), probes, policy ticks and a malformed frame.
+  la_.set_policy(std::make_unique<LowestDelayPolicy>());
+  wan_.link(kServerLa, kVultrLa).set_down(true);
+  run_traffic(8);
+  wan_.link(kServerLa, kVultrLa).set_down(false);
+  la_.send_probe_round();
+  ny_.send_probe_round();
+  run_traffic(64);
+  la_.apply_policy(10 * sim::kSecond);
+  std::vector<std::uint8_t> truncated(20, 0);
+  truncated[0] = 0x60;  // IPv6, cut short of its fixed header
+  ny_.dp().inject_wan(net::Packet{std::move(truncated)});
+
+  EXPECT_GT(wan_.delivered(), 0u);
+  EXPECT_GT(wan_.dropped(sim::DropReason::link_loss), 0u);
+  EXPECT_GT(ny_.dp().malformed_outer_drops(), 0u);
+  EXPECT_GT(la_.health().quarantines(), 0u);
+  expect_exports_match_accessors(registry_);
+}
+
+TEST_F(ObservabilityTest, LateWiringExportsTotalsFromBeforeTheWiring) {
+  // A registry wired after traffic has flowed exports the components'
+  // counters themselves, history included.
+  run_traffic(32);
+  telemetry::MetricsRegistry late;
+  wan_.wire_observability({.metrics = &late});
+  la_.dp().wire_observability({.metrics = &late}, "la");
+
+  const auto* delivered = find_counter(late, "tango_wan_delivered_total", {});
+  const auto* encap = find_counter(late, "tango_switch_encap_total", {{"node", "la"}});
+  const auto* executed = find_counter(late, "tango_sched_executed_total", {});
+  ASSERT_NE(delivered, nullptr);
+  ASSERT_NE(encap, nullptr);
+  ASSERT_NE(executed, nullptr);
+  EXPECT_GT(wan_.delivered(), 0u);
+  EXPECT_EQ(delivered->value(), wan_.delivered());
+  EXPECT_EQ(encap->value(), la_.dp().sender().packets_sent());
+  EXPECT_EQ(executed->value(), wan_.events().executed());
+  // Both registries expose the same counter, and re-wiring is idempotent.
+  EXPECT_EQ(delivered, find_counter("tango_wan_delivered_total", {}));
+  const std::size_t size = late.size();
+  wan_.wire_observability({.metrics = &late});
+  EXPECT_EQ(late.size(), size);
+}
+
+TEST_F(ObservabilityTest, ExecutedCounterIsCurrentInsideAnEvent) {
+  const auto* executed = find_counter("tango_sched_executed_total", {});
+  ASSERT_NE(executed, nullptr);
+  run_traffic(4);
+  std::uint64_t exported = 0;
+  std::uint64_t accessor = 0;
+  wan_.events().schedule_in(sim::kMillisecond, [&, executed] {
+    exported = executed->value();
+    accessor = wan_.events().executed();
+  });
+  wan_.events().run_all();
+  EXPECT_GT(accessor, 0u);
+  EXPECT_EQ(exported, accessor);
 }
 
 TEST_F(ObservabilityTest, PerPathDelayHistogramsRegisterLazily) {

@@ -268,11 +268,20 @@ TEST(FibSync, ModeSelectionAndStats) {
   EXPECT_EQ(wan.fib_sync_stats().syncs, 2u);
   EXPECT_GT(wan.fib_sync_stats().delta_applies, 0u);
 
-  wan.set_fib_sync_mode(FibSync::full_rebuild);
-  EXPECT_EQ(wan.fib_sync_mode(), FibSync::full_rebuild);
-  const std::uint64_t rebuilds = wan.fib_sync_stats().full_rebuilds;
+  // The oracle mode rebuilds every router on every sync and applies no
+  // deltas.  (A second Wan on the topology must be full-mode: only one may
+  // consume the speakers' dirty lists.)
+  Wan full{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}};
+  EXPECT_EQ(full.fib_sync_mode(), FibSync::full_rebuild);
+  EXPECT_EQ(full.fib_sync_stats().full_rebuilds, 1u);
+  topo.bgp().router(1).originate(net::Prefix{stub_prefix(2)});
+  topo.bgp().run_to_convergence();
+  full.sync_fibs();
+  EXPECT_EQ(full.fib_sync_stats().syncs, 2u);
+  EXPECT_EQ(full.fib_sync_stats().full_rebuilds, 2u);
+  EXPECT_EQ(full.fib_sync_stats().delta_applies, 0u);
   wan.sync_fibs();
-  EXPECT_EQ(wan.fib_sync_stats().full_rebuilds, rebuilds + 1);
+  EXPECT_EQ(full.fib_digest(), wan.fib_digest());
 }
 
 }  // namespace

@@ -10,17 +10,23 @@
 namespace tango::telemetry {
 namespace {
 
+/// The counters a golden registry exposes; they outlive every read of it.
+struct GoldenCounters {
+  Counter delivered;
+  Counter link_loss;
+  Counter no_route;
+};
+
 /// A small registry with every instrument kind and deterministic values,
 /// shared by the golden-file checks below.
-void populate(MetricsRegistry& reg) {
-  Counter& delivered =
-      reg.counter("tango_wan_delivered_total", {}, "Packets delivered to an edge switch");
-  delivered.inc(128);
-  Counter& drops = reg.counter("tango_wan_drops_total", {{"cause", "link-loss"}},
-                               "Packets dropped in the WAN by cause");
-  drops.inc(3);
-  (void)reg.counter("tango_wan_drops_total", {{"cause", "no-route"}},
-                    "Packets dropped in the WAN by cause");
+void populate(MetricsRegistry& reg, GoldenCounters& c) {
+  c.delivered.inc(128);
+  reg.expose(c.delivered, "tango_wan_delivered_total", {}, "Packets delivered to an edge switch");
+  c.link_loss.inc(3);
+  reg.expose(c.link_loss, "tango_wan_drops_total", {{"cause", "link-loss"}},
+             "Packets dropped in the WAN by cause");
+  reg.expose(c.no_route, "tango_wan_drops_total", {{"cause", "no-route"}},
+             "Packets dropped in the WAN by cause");
   Gauge& pending = reg.gauge("tango_sched_pending", {}, "Events pending in the scheduler");
   pending.set(42);
   Histogram& owd = reg.histogram("tango_path_owd_us", {{"node", "la"}, {"path", "1"}},
@@ -68,14 +74,16 @@ const char* const kGoldenJson =
     "}\n";
 
 TEST(Exporters, PrometheusGolden) {
+  GoldenCounters counters;
   MetricsRegistry reg;
-  populate(reg);
+  populate(reg, counters);
   EXPECT_EQ(to_prometheus(reg), kGoldenPrometheus);
 }
 
 TEST(Exporters, JsonGolden) {
+  GoldenCounters counters;
   MetricsRegistry reg;
-  populate(reg);
+  populate(reg, counters);
   EXPECT_EQ(to_json(reg), kGoldenJson);
 }
 
@@ -86,9 +94,11 @@ TEST(Exporters, EmptyRegistryExportsEmptyDocuments) {
 }
 
 TEST(Exporters, FamilyHeaderEmittedOncePerName) {
+  const Counter la;
+  const Counter ny;
   MetricsRegistry reg;
-  (void)reg.counter("tango_multi_total", {{"node", "la"}}, "multi");
-  (void)reg.counter("tango_multi_total", {{"node", "ny"}}, "multi");
+  reg.expose(la, "tango_multi_total", {{"node", "la"}}, "multi");
+  reg.expose(ny, "tango_multi_total", {{"node", "ny"}}, "multi");
   const std::string text = to_prometheus(reg);
   std::size_t count = 0;
   for (std::size_t pos = text.find("# TYPE"); pos != std::string::npos;
@@ -99,8 +109,9 @@ TEST(Exporters, FamilyHeaderEmittedOncePerName) {
 }
 
 TEST(Exporters, WriteSnapshotProducesBothFiles) {
+  GoldenCounters counters;
   MetricsRegistry reg;
-  populate(reg);
+  populate(reg, counters);
   const std::filesystem::path stem =
       std::filesystem::temp_directory_path() / "tango_test_snapshot";
   ASSERT_TRUE(write_snapshot(reg, stem));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace tango::telemetry {
@@ -14,8 +15,12 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
   c.inc();
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
+  // Copies carry the value (a component holding counters stays movable).
+  Counter copy{c};
+  EXPECT_EQ(copy.value(), 42u);
+  Counter assigned;
+  assigned = c;
+  EXPECT_EQ(assigned.value(), 42u);
 }
 
 TEST(Gauge, SetAddSubAndSignedValues) {
@@ -120,29 +125,40 @@ TEST(Histogram, QuantilesBracketTheDistribution) {
 
 // --- Registry ----------------------------------------------------------------
 
-TEST(MetricsRegistry, RegistrationIsIdempotent) {
+TEST(MetricsRegistry, ExposeIsIdempotentAndKeysAreExclusive) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("tango_test_total", {{"node", "la"}});
-  Counter& b = reg.counter("tango_test_total", {{"node", "la"}});
-  EXPECT_EQ(&a, &b);
+  Counter a;
+  a.inc(5);
+  reg.expose(a, "tango_test_total", {{"node", "la"}});
+  reg.expose(a, "tango_test_total", {{"node", "la"}});  // re-wiring: a no-op
+  ASSERT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.entries()[0].counter, &a);
+  EXPECT_EQ(reg.entries()[0].counter->value(), 5u);
+
+  // A second counter may not shadow the first under the same key.
+  Counter b;
+  EXPECT_THROW(reg.expose(b, "tango_test_total", {{"node", "la"}}), std::logic_error);
   EXPECT_EQ(reg.size(), 1u);
 }
 
 TEST(MetricsRegistry, DistinctLabelsAreDistinctInstruments) {
   MetricsRegistry reg;
-  Counter& la = reg.counter("tango_test_total", {{"node", "la"}});
-  Counter& ny = reg.counter("tango_test_total", {{"node", "ny"}});
-  EXPECT_NE(&la, &ny);
+  Counter la;
+  Counter ny;
+  reg.expose(la, "tango_test_total", {{"node", "la"}});
+  reg.expose(ny, "tango_test_total", {{"node", "ny"}});
   la.inc(3);
   ny.inc(4);
-  EXPECT_EQ(la.value(), 3u);
-  EXPECT_EQ(ny.value(), 4u);
-  EXPECT_EQ(reg.size(), 2u);
+  const std::vector<MetricEntry> entries = reg.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].counter->value(), 3u);
+  EXPECT_EQ(entries[1].counter->value(), 4u);
 }
 
 TEST(MetricsRegistry, KindsShareNamespaceWithoutCollision) {
   MetricsRegistry reg;
-  (void)reg.counter("tango_a", {});
+  const Counter a;
+  reg.expose(a, "tango_a", {});
   (void)reg.gauge("tango_b", {});
   (void)reg.histogram("tango_c", {});
   ASSERT_EQ(reg.size(), 3u);
@@ -157,8 +173,10 @@ TEST(MetricsRegistry, KindsShareNamespaceWithoutCollision) {
 
 TEST(MetricsRegistry, EntriesPreserveRegistrationOrder) {
   MetricsRegistry reg;
-  (void)reg.counter("tango_z_total", {}, "last name, first registered");
-  (void)reg.counter("tango_a_total", {});
+  const Counter z;
+  const Counter a;
+  reg.expose(z, "tango_z_total", {}, "last name, first registered");
+  reg.expose(a, "tango_a_total", {});
   const auto entries = reg.entries();
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].name, "tango_z_total");
@@ -166,29 +184,30 @@ TEST(MetricsRegistry, EntriesPreserveRegistrationOrder) {
   EXPECT_EQ(entries[1].name, "tango_a_total");
 }
 
-TEST(MetricsRegistry, InstrumentAddressesStableAcrossGrowth) {
+TEST(MetricsRegistry, GaugeAndHistogramAddressesStableAcrossGrowth) {
   MetricsRegistry reg;
-  Counter& first = reg.counter("tango_first_total", {});
-  first.inc(7);
+  Gauge& gauge = reg.gauge("tango_first", {});
+  Histogram& hist = reg.histogram("tango_first_us", {});
+  gauge.set(7);
+  hist.record(9);
   for (int i = 0; i < 200; ++i) {
-    (void)reg.counter("tango_filler_total", {{"i", std::to_string(i)}});
+    (void)reg.gauge("tango_filler", {{"i", std::to_string(i)}});
+    (void)reg.histogram("tango_filler_us", {{"i", std::to_string(i)}});
   }
-  // Deque storage: the early pointer must still be the live instrument.
-  EXPECT_EQ(&reg.counter("tango_first_total", {}), &first);
-  EXPECT_EQ(first.value(), 7u);
+  // Deque storage: the early pointers must still be the live instruments.
+  EXPECT_EQ(&reg.gauge("tango_first", {}), &gauge);
+  EXPECT_EQ(&reg.histogram("tango_first_us", {}), &hist);
+  EXPECT_EQ(gauge.value(), 7);
+  EXPECT_EQ(hist.count(), 1u);
 }
 
 TEST(MetricsRegistry, NullableHelpersTolerateUnwiredPointers) {
-  inc(nullptr);
   observe(nullptr, 5);
   set(nullptr, 1);
-  Counter c;
   Histogram h;
   Gauge g;
-  inc(&c, 2);
   observe(&h, 3);
   set(&g, 4);
-  EXPECT_EQ(c.value(), 2u);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(g.value(), 4);
 }
