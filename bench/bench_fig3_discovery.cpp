@@ -39,6 +39,29 @@ void print_direction(const char* title, const core::DiscoveryResult& result,
   (void)bed;
 }
 
+/// True when `result` exhausted its routes having found exactly the paper's
+/// transit chains, in order; prints the first difference otherwise.
+bool matches_paper(const char* direction, const core::DiscoveryResult& result,
+                   const std::vector<std::string>& chains) {
+  if (!result.exhausted) {
+    std::printf("%s: discovery did not end by unreachability\n", direction);
+    return false;
+  }
+  if (result.paths.size() != chains.size()) {
+    std::printf("%s: %zu paths, paper has %zu\n", direction, result.paths.size(),
+                chains.size());
+    return false;
+  }
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    if (result.paths[i].label != chains[i]) {
+      std::printf("%s: path %zu is \"%s\", paper has \"%s\"\n", direction, i + 1,
+                  result.paths[i].label.c_str(), chains[i].c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 }  // namespace tango::bench
 
@@ -60,9 +83,13 @@ int main() {
   std::printf("  LA->NY: (i) NTT (ii) Telia (iii) GTT (iv) NTT+Cogent   [4 paths]\n");
   std::printf("  NY->LA: (i) NTT (ii) Telia (iii) GTT (iv) Level3       [4 paths]\n");
 
-  const bool ok = bed.la_outbound.paths.size() == 4 && bed.ny_outbound.paths.size() == 4 &&
-                  bed.la_outbound.exhausted && bed.ny_outbound.exhausted;
-  std::printf("\nreproduction: %s\n", ok ? "MATCHES (4 paths each direction, same chains)"
-                                         : "MISMATCH");
+  std::printf("\n");
+  const bool la_ok =
+      matches_paper("LA->NY", bed.la_outbound, {"NTT", "Telia", "GTT", "NTT Cogent"});
+  const bool ny_ok =
+      matches_paper("NY->LA", bed.ny_outbound, {"NTT", "Telia", "GTT", "NTT Level3"});
+  const bool ok = la_ok && ny_ok;
+  std::printf("reproduction: %s\n", ok ? "MATCHES (4 paths each direction, same chains)"
+                                       : "MISMATCH");
   return ok ? 0 : 1;
 }

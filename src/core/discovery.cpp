@@ -24,123 +24,12 @@ std::optional<bgp::Asn> suppression_target(const bgp::AsPath& observed,
   return std::nullopt;
 }
 
-DiscoveryResult discover_paths(topo::Topology& topo, const DiscoveryRequest& request,
-                               PathId first_id) {
-  DiscoveryResult result;
-  bgp::BgpNetwork& bgp = topo.bgp();
-  const std::uint64_t messages_before = bgp.total_messages();
-  const bool poisoning = request.mechanism == SteeringMechanism::poisoning;
-
-  // The growing exclusion set, in both representations; one grows per
-  // discovered path.
-  bgp::CommunitySet suppression;
-  std::vector<bgp::Asn> targets;
-  PathId next_id = first_id;
-
-  auto announce = [&](const net::Ipv6Prefix& prefix) {
-    if (poisoning) {
-      bgp.originate(request.destination, net::Prefix{prefix}, {}, targets);
-    } else {
-      bgp.originate(request.destination, net::Prefix{prefix}, suppression);
-    }
-  };
-  auto label_exclusions = [&]() {
-    // Poisoned ASNs appear inside observed AS paths; keep them out of the
-    // human path labels (they are artifacts of steering, not transit hops).
-    std::vector<bgp::Asn> out = request.edge_asns;
-    if (poisoning) out.insert(out.end(), targets.begin(), targets.end());
-    return out;
-  };
-
-  for (const net::Ipv6Prefix& prefix : request.prefix_pool) {
-    // Announce the next prefix pinned by the current exclusion set.
-    announce(prefix);
-
-    const bgp::Route* best = bgp.best_route(request.source, net::Prefix{prefix});
-    DiscoveryStep step{.prefix = prefix,
-                       .communities = suppression,
-                       .poisoned = targets,
-                       .observed = std::nullopt};
-
-    if (best == nullptr) {
-      // Suppressing the previously used route made the prefix unreachable:
-      // every path is enumerated (§4.1 termination condition).  Withdraw
-      // the dead announcement.
-      bgp.withdraw(request.destination, net::Prefix{prefix});
-      result.steps.push_back(std::move(step));
-      result.exhausted = true;
-      break;
-    }
-
-    step.observed = best->as_path;
-    result.steps.push_back(step);
-
-    // Safety valve the paper's live runs did not need: if suppression had no
-    // effect (a provider ignoring the community), the observed route repeats
-    // — stop rather than record duplicates.
-    if (!result.paths.empty() && result.paths.back().as_path == best->as_path) {
-      bgp.withdraw(request.destination, net::Prefix{prefix});
-      result.steps.back().observed = std::nullopt;
-      break;
-    }
-
-    DiscoveredPath path{.id = next_id++,
-                        .prefix = prefix,
-                        .communities = suppression,
-                        .poisoned = targets,
-                        .as_path = best->as_path,
-                        .label = topo.label_path(best->as_path.unique_sequence(),
-                                                 label_exclusions())};
-    result.paths.push_back(std::move(path));
-
-    // Suppress the route just recorded and continue with the next prefix.
-    auto target = suppression_target(best->as_path, request.edge_asns, targets);
-    if (!target) {
-      // Nothing suppressible (single-hop edge-to-edge): enumeration done.
-      result.exhausted = true;
-      break;
-    }
-    targets.push_back(*target);
-    if (!poisoning) suppression.add(bgp::action::do_not_announce_to(*target));
-  }
-
-  // Termination probe: when every pool prefix is pinned to a path, the
-  // paper's stopping rule ("until suppressing the used route caused the
-  // prefix to become unreachable") still needs one more iteration.  Reuse
-  // the last prefix for the probe, then restore its steady-state
-  // announcement.
-  if (!result.exhausted && !result.paths.empty() &&
-      result.paths.size() == request.prefix_pool.size()) {
-    const DiscoveredPath& last = result.paths.back();
-    announce(last.prefix);
-    const bgp::Route* best = bgp.best_route(request.source, net::Prefix{last.prefix});
-    DiscoveryStep probe{.prefix = last.prefix,
-                        .communities = suppression,
-                        .poisoned = targets,
-                        .observed = std::nullopt};
-    if (best == nullptr) {
-      result.exhausted = true;
-    } else {
-      probe.observed = best->as_path;  // more paths exist than pool prefixes
-    }
-    result.steps.push_back(std::move(probe));
-    // Restore the last path's steady-state announcement.
-    if (poisoning) {
-      bgp.originate(request.destination, net::Prefix{last.prefix}, {}, last.poisoned);
-    } else {
-      bgp.originate(request.destination, net::Prefix{last.prefix}, last.communities);
-    }
-  }
-
-  result.bgp_messages = bgp.total_messages() - messages_before;
-  return result;
-}
-
 namespace {
 
-/// One direction's place in the shared work-queue: the same state
-/// discover_paths() keeps in locals, lifted into a struct so the engine can
-/// advance every direction one convergence step at a time.
+/// One direction's §4.1 state machine: the exclusion set grown so far (in
+/// both representations; one entry per discovered path), the next pool
+/// prefix and the phase.  The engine advances every direction one
+/// convergence step at a time.
 struct DirectionState {
   const DiscoveryRequest* request = nullptr;
   DiscoveryResult result;
@@ -169,16 +58,18 @@ void announce_deferred(bgp::BgpNetwork& bgp, DirectionState& d, const net::Ipv6P
   }
 }
 
-std::vector<bgp::Asn> batch_label_exclusions(const DirectionState& d) {
+/// Poisoned ASNs appear inside observed AS paths; keep them out of the human
+/// path labels (they are artifacts of steering, not transit hops).
+std::vector<bgp::Asn> label_exclusions(const DirectionState& d) {
   std::vector<bgp::Asn> out = d.request->edge_asns;
   if (d.poisoning()) out.insert(out.end(), d.targets.begin(), d.targets.end());
   return out;
 }
 
 /// Advances one direction after a shared convergence run: observes the best
-/// route for the prefix it announced this round and runs the same
-/// record/suppress/terminate logic as the sequential loop.  Any follow-up
-/// announcement or withdrawal is queued speaker-side for the next round.
+/// route for the prefix it announced this round, records it, grows the
+/// exclusion set or terminates.  Any follow-up announcement or withdrawal is
+/// queued speaker-side for the next round.
 void advance_direction(topo::Topology& topo, DirectionState& d) {
   bgp::BgpNetwork& bgp = topo.bgp();
   const DiscoveryRequest& request = *d.request;
@@ -212,7 +103,9 @@ void advance_direction(topo::Topology& topo, DirectionState& d) {
                      .observed = std::nullopt};
 
   if (best == nullptr) {
-    // Suppression made the prefix unreachable: enumeration complete.
+    // Suppressing the previously used route made the prefix unreachable:
+    // every path is enumerated (§4.1 termination condition).  Withdraw the
+    // dead announcement.
     bgp.router(request.destination).withdraw_origin(net::Prefix{prefix});
     d.result.steps.push_back(std::move(step));
     d.result.exhausted = true;
@@ -223,8 +116,9 @@ void advance_direction(topo::Topology& topo, DirectionState& d) {
   step.observed = best->as_path;
   d.result.steps.push_back(step);
 
-  // Same safety valve as the sequential loop: an ignored suppression
-  // community repeats the previous route — stop, don't record duplicates.
+  // Safety valve the paper's live runs did not need: if suppression had no
+  // effect (a provider ignoring the community), the observed route repeats
+  // — stop rather than record duplicates.
   if (!d.result.paths.empty() && d.result.paths.back().as_path == best->as_path) {
     bgp.router(request.destination).withdraw_origin(net::Prefix{prefix});
     d.result.steps.back().observed = std::nullopt;
@@ -238,11 +132,13 @@ void advance_direction(topo::Topology& topo, DirectionState& d) {
                       .poisoned = d.targets,
                       .as_path = best->as_path,
                       .label = topo.label_path(best->as_path.unique_sequence(),
-                                               batch_label_exclusions(d))};
+                                               label_exclusions(d))};
   d.result.paths.push_back(std::move(path));
 
+  // Suppress the route just recorded and continue with the next prefix.
   auto target = suppression_target(best->as_path, request.edge_asns, d.targets);
   if (!target) {
+    // Nothing suppressible (single-hop edge-to-edge): enumeration done.
     d.result.exhausted = true;
     d.phase = DirectionState::Phase::done;
     return;
@@ -264,8 +160,7 @@ std::vector<DiscoveryResult> discover_paths_batch(topo::Topology& topo,
                                                   const std::vector<DiscoveryRequest>& requests,
                                                   BatchDiscoveryStats* stats) {
   bgp::BgpNetwork& bgp = topo.bgp();
-  const std::uint64_t messages_before = bgp.total_messages();
-  BatchDiscoveryStats local;
+  std::uint64_t rounds = 0;
 
   std::vector<DirectionState> directions(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -294,8 +189,7 @@ std::vector<DiscoveryResult> discover_paths_batch(topo::Topology& topo,
     }
     // One shared convergence run settles every direction's announcement.
     bgp.run_to_convergence();
-    ++local.convergence_runs;
-    ++local.rounds;
+    ++rounds;
     // Observe round: every active direction reads its converged best route
     // and advances (queuing follow-up withdrawals/restores for later).
     for (DirectionState& d : directions) {
@@ -304,15 +198,23 @@ std::vector<DiscoveryResult> discover_paths_batch(topo::Topology& topo,
   }
   // Flush trailing speaker-side withdrawals and steady-state restores.
   bgp.run_to_convergence();
-  ++local.convergence_runs;
-
-  local.bgp_messages = bgp.total_messages() - messages_before;
-  if (stats != nullptr) *stats = local;
+  if (stats != nullptr) stats->rounds = rounds;
 
   std::vector<DiscoveryResult> results;
   results.reserve(directions.size());
   for (DirectionState& d : directions) results.push_back(std::move(d.result));
   return results;
+}
+
+DiscoveryResult discover_paths(topo::Topology& topo, const DiscoveryRequest& request,
+                               PathId first_id) {
+  const std::uint64_t messages_before = topo.bgp().total_messages();
+  DiscoveryResult result = std::move(discover_paths_batch(topo, {request}).front());
+  for (DiscoveredPath& path : result.paths) {
+    path.id = static_cast<PathId>(path.id - 1 + first_id);
+  }
+  result.bgp_messages = topo.bgp().total_messages() - messages_before;
+  return result;
 }
 
 }  // namespace tango::core

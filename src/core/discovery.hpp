@@ -11,6 +11,12 @@
 //
 // Each discovered path is pinned to its own prefix from the destination's
 // pool, so all paths stay simultaneously usable ("prefixes as routes", §3).
+//
+// One engine runs this state machine: discover_paths_batch() advances any
+// number of directions in lock-step, and discover_paths() is a batch of
+// one.  The seed's one-direction loop, which paid a convergence run per
+// originate/withdraw, is kept verbatim as a test-only reference model
+// (tests/core/discovery_reference.hpp) that the engine is checked against.
 #pragma once
 
 #include <optional>
@@ -66,31 +72,29 @@ struct DiscoveryResult {
   /// True when the run ended because suppression exhausted every route
   /// (vs. running out of prefixes).
   bool exhausted = false;
-  /// BGP messages it cost (the control-plane overhead of discovery).
+  /// BGP messages it cost (the control-plane overhead of discovery).  Set by
+  /// discover_paths(); zero in discover_paths_batch() results, where a shared
+  /// convergence run carries many directions' updates and the caller reads
+  /// the network's total_messages() delta instead.
   std::uint64_t bgp_messages = 0;
 };
 
-/// Runs discovery for one direction on a converged topology.  Mutates the
-/// control plane: on return the destination is left announcing one prefix
-/// per discovered path, each pinned by its community set — the steady state
-/// Tango operates in.  Path ids start at `first_id`.
+/// Runs discovery for one direction on a converged topology: a batch of one
+/// through discover_paths_batch(), ids shifted to start at `first_id`.
+/// Mutates the control plane: on return the destination is left announcing
+/// one prefix per discovered path, each pinned by its community set — the
+/// steady state Tango operates in.
 [[nodiscard]] DiscoveryResult discover_paths(topo::Topology& topo,
                                              const DiscoveryRequest& request,
                                              PathId first_id = 1);
 
 /// Cost accounting for a batched discovery run (the control-plane price of
 /// establishing a whole mesh, the metric bench_mesh_scale E15 gates on).
+/// Convergence runs and messages are read as BgpNetwork deltas around the
+/// call (one run per round plus the final flush).
 struct BatchDiscoveryStats {
   /// Work-queue rounds (the longest direction's step count dominates).
   std::uint64_t rounds = 0;
-  /// Shared run_to_convergence() calls — one per round plus the final flush,
-  /// versus one per originate/withdraw in the sequential path.
-  std::uint64_t convergence_runs = 0;
-  /// Total BGP messages across the batch.  Message counts cannot be
-  /// attributed per direction here (a shared convergence run carries many
-  /// directions' updates), so per-result bgp_messages stays zero in batch
-  /// mode and this total is the authoritative figure.
-  std::uint64_t bgp_messages = 0;
 };
 
 /// Runs many discovery directions through a work-queue that interleaves
@@ -104,11 +108,11 @@ struct BatchDiscoveryStats {
 /// independent of every other direction's announcements — and the BGP
 /// decision process is a total order over route attributes, not arrival
 /// order.  The per-direction results (paths, steps, exhaustion) are
-/// therefore identical to calling discover_paths() once per request in
-/// sequence; only the number of convergence runs changes (O(max steps)
-/// instead of O(total steps)).  Path ids are assigned per direction starting
-/// at 1 — callers coordinating a shared id space renumber afterwards
-/// (TangoMesh uses a PathIdAllocator).
+/// therefore identical to running each request alone, one convergence run
+/// per originate/withdraw; only the number of convergence runs changes
+/// (O(max steps) instead of O(total steps)).  Path ids are assigned per
+/// direction starting at 1 — callers coordinating a shared id space
+/// renumber afterwards (TangoMesh uses a PathIdAllocator).
 std::vector<DiscoveryResult> discover_paths_batch(
     topo::Topology& topo, const std::vector<DiscoveryRequest>& requests,
     BatchDiscoveryStats* stats = nullptr);

@@ -36,13 +36,13 @@ std::vector<net::Ipv6Prefix> TangoMesh::pool_slice(const std::vector<net::Ipv6Pr
 }
 
 std::vector<DiscoveryResult> TangoMesh::establish(SteeringMechanism mechanism,
-                                                  EstablishMode mode) {
+                                                  EstablishMode /*mode*/) {
   const std::size_t n = sites_.size();
   if (n < 2) throw std::logic_error{"TangoMesh: need at least two sites"};
 
   // Build one request per ordered pair, source-major — the canonical
   // direction order every later stage (renumbering, installation, results)
-  // follows, so sequential and interleaved establish are bit-identical.
+  // follows.
   struct Direction {
     std::size_t src;
     std::size_t dst;
@@ -69,19 +69,9 @@ std::vector<DiscoveryResult> TangoMesh::establish(SteeringMechanism mechanism,
   const std::uint64_t msgs_before = topo.bgp().total_messages();
   const std::uint64_t runs_before = topo.bgp().convergence_runs();
 
-  std::vector<DiscoveryResult> results;
-  if (mode == EstablishMode::interleaved) {
-    BatchDiscoveryStats batch_stats;
-    results = discover_paths_batch(topo, requests, &batch_stats);
-    stats_.discovery_rounds = batch_stats.rounds;
-  } else {
-    results.reserve(requests.size());
-    // Placeholder ids (1..k per direction), same as the batch engine emits;
-    // the allocator below renumbers both modes identically.
-    for (const DiscoveryRequest& request : requests) {
-      results.push_back(discover_paths(topo, request, 1));
-    }
-  }
+  BatchDiscoveryStats batch_stats;
+  std::vector<DiscoveryResult> results = discover_paths_batch(topo, requests, &batch_stats);
+  stats_.discovery_rounds = batch_stats.rounds;
   stats_.bgp_messages = topo.bgp().total_messages() - msgs_before;
   stats_.convergence_runs = topo.bgp().convergence_runs() - runs_before;
 
@@ -144,9 +134,14 @@ void TangoMesh::feedback_tick() {
       if (it == by_router_.end()) continue;
       TangoNode* receiver = it->second;
       for (PathId id : ids) {
-        if (auto wire = receiver->build_report_envelope_for(id, now)) {
-          batch.push_back({sender, std::move(*wire)});
+        auto wire = receiver->build_report_envelope_for(id, now);
+        if (!wire) continue;
+        if (options_.suppress_report != nullptr &&
+            options_.suppress_report(options_.suppress_ctx, id, *wire)) {
+          ++reports_suppressed_;
+          continue;
         }
+        batch.push_back({sender, std::move(*wire)});
       }
     }
   }

@@ -19,13 +19,12 @@
 //
 // At N sites the N*(N-1) discovery directions are independent (disjoint
 // prefix slices, per-announcement steering state), so establish() runs them
-// through a work-queue that interleaves their steps and shares one BGP
-// convergence run per round (EstablishMode::interleaved); the historical
-// one-direction-at-a-time loop survives as EstablishMode::sequential and is
-// the oracle the interleaved engine is tested against.  The recurring
-// feedback/policy work is likewise batched: one mesh-level feedback tick
-// and one policy tick, instead of N*(N-1) + N recurring event-queue
-// lambdas.
+// through the discovery work-queue, which interleaves their steps and shares
+// one BGP convergence run per round.  The recurring feedback/policy work is
+// likewise batched: one mesh-level feedback tick and one policy tick,
+// instead of N*(N-1) + N recurring event-queue lambdas.  These two ticks are
+// the only cooperation loop in the tree: a TangoPairing is a two-site mesh
+// that discovers its own two directions and runs on them.
 //
 // Clock-sync note (paper §3 footnote 1): every measurement the mesh uses
 // compares paths *within one ordered pair* — one sending clock, one
@@ -37,18 +36,32 @@
 
 #include <map>
 
-#include "core/pairing.hpp"
+#include "core/node.hpp"
 #include "core/path_alloc.hpp"
 
 namespace tango::core {
 
-/// How establish() runs the N*(N-1) discovery directions.
+struct PairingOptions {
+  /// How often each receiver publishes reports to the opposite sender.
+  sim::Time feedback_period = 100 * sim::kMillisecond;
+  /// One-way latency of the control channel carrying a report.
+  sim::Time feedback_delay = 40 * sim::kMillisecond;
+  /// How often each sender re-evaluates its routing policy.
+  sim::Time policy_period = 100 * sim::kMillisecond;
+  /// On-path adversary hook (chaos/tests): called with each serialized
+  /// report before it is shipped; returning true swallows it (selective
+  /// suppression — the sender sees a sequence gap, not a drop counter).
+  /// Raw function pointer + context, like the switch's RouteFn.
+  bool (*suppress_report)(void* ctx, PathId id,
+                          std::span<const std::uint8_t> wire) = nullptr;
+  void* suppress_ctx = nullptr;
+};
+
+/// How establish() runs the N*(N-1) discovery directions.  One value: every
+/// direction goes through the discovery work-queue (discover_paths_batch),
+/// one shared convergence run per round.  The parameter stays so existing
+/// callers that name the mode keep compiling.
 enum class EstablishMode : std::uint8_t {
-  /// One direction at a time; every announce/withdraw pays its own BGP
-  /// convergence run.  Historical behaviour, kept as the correctness oracle.
-  sequential,
-  /// All directions through the discovery work-queue (discover_paths_batch):
-  /// one shared convergence run per round.  Identical results and path ids.
   interleaved,
 };
 
@@ -59,7 +72,7 @@ struct MeshEstablishStats {
   std::size_t paths = 0;             ///< total paths across all directions
   std::uint64_t convergence_runs = 0;///< BGP convergence runs consumed
   std::uint64_t bgp_messages = 0;    ///< BGP messages consumed
-  std::uint64_t discovery_rounds = 0;///< work-queue rounds (interleaved only)
+  std::uint64_t discovery_rounds = 0;///< discovery work-queue rounds
 };
 
 class TangoMesh {
@@ -73,8 +86,8 @@ class TangoMesh {
   /// Runs discovery for every ordered pair (N*(N-1) directions) with
   /// per-pair prefix-pool slices, renumbers every discovered path from the
   /// mesh's collision-checked id allocator (compact, source-major direction
-  /// order — both modes yield identical final ids), installs tunnels and
-  /// steering, and refreshes the WAN FIBs once at the end.
+  /// order), installs tunnels and steering, and refreshes the WAN FIBs once
+  /// at the end.
   /// Returns one result per ordered pair, in (source-major) order.
   std::vector<DiscoveryResult> establish(
       SteeringMechanism mechanism = SteeringMechanism::communities,
@@ -96,10 +109,15 @@ class TangoMesh {
       const std::vector<net::Ipv6Prefix>& pool, std::size_t slices, std::size_t rank);
 
   /// Starts the feedback + policy loops: ONE recurring mesh-level feedback
-  /// tick (walks every ordered pair, ships all due reports as one delayed
-  /// batch) and ONE recurring policy tick, not a lambda per pair.
+  /// tick (walks every ordered pair in site order, ships all due reports as
+  /// one delayed batch) and ONE recurring policy tick (every site in site
+  /// order), not a lambda per pair.  Works on whatever each site has
+  /// installed, whether establish() or the sites' own discover_outbound()
+  /// put it there.
   void start();
+  /// Stops scheduling further ticks (in-flight reports still land).
   void stop() noexcept { running_ = false; }
+  [[nodiscard]] bool running() const noexcept { return running_; }
 
   [[nodiscard]] std::size_t sites() const noexcept { return sites_.size(); }
   [[nodiscard]] TangoNode& site(std::size_t i) { return *sites_.at(i); }
@@ -108,7 +126,12 @@ class TangoMesh {
   void start_probing(sim::Time period);
   void stop_probing();
 
+  /// Reports the senders accepted (parsed, authenticated, fresh, compliant).
   [[nodiscard]] std::uint64_t reports_delivered() const noexcept { return reports_delivered_; }
+  /// Reports swallowed by PairingOptions::suppress_report before shipping.
+  [[nodiscard]] std::uint64_t reports_suppressed() const noexcept {
+    return reports_suppressed_;
+  }
 
   /// Estimated resident bytes of pairing state across every site: registry
   /// entries + reports, tunnel tables, sender/receiver per-path state,
@@ -131,6 +154,7 @@ class TangoMesh {
   bool running_ = false;
   bool established_ = false;
   std::uint64_t reports_delivered_ = 0;
+  std::uint64_t reports_suppressed_ = 0;
 };
 
 }  // namespace tango::core

@@ -3,57 +3,15 @@
 namespace tango::core {
 
 TangoPairing::TangoPairing(sim::Wan& wan, TangoNode& a, TangoNode& b, PairingOptions options)
-    : wan_{wan}, a_{a}, b_{b}, options_{options} {}
+    : a_{a}, b_{b}, mesh_{wan, options} {
+  mesh_.add_site(a_);
+  mesh_.add_site(b_);
+}
 
 std::pair<DiscoveryResult, DiscoveryResult> TangoPairing::establish() {
   DiscoveryResult a_out = a_.discover_outbound(b_);
   DiscoveryResult b_out = b_.discover_outbound(a_);
   return {std::move(a_out), std::move(b_out)};
-}
-
-void TangoPairing::start() {
-  if (running_) return;
-  running_ = true;
-  schedule_feedback(b_, a_);  // B measures A's outbound paths
-  schedule_feedback(a_, b_);  // A measures B's outbound paths
-  schedule_policy(a_);
-  schedule_policy(b_);
-}
-
-void TangoPairing::feedback_tick(TangoNode& receiver_side, TangoNode& sender_side) {
-  const sim::Time now = wan_.now();
-  for (PathId id : sender_side.registry().ids()) {
-    // What crosses the control channel is the serialized envelope, not the
-    // struct: the sender re-derives the report through the fail-closed
-    // parse + auth + sequence + compliance pipeline (§6).
-    auto wire = receiver_side.build_report_envelope_for(id, now);
-    if (!wire) continue;
-    if (options_.suppress_report != nullptr &&
-        options_.suppress_report(options_.suppress_ctx, id, *wire)) {
-      ++reports_suppressed_;
-      continue;
-    }
-    wan_.events().schedule_in(options_.feedback_delay,
-                              [this, &sender_side, bytes = std::move(*wire)]() {
-                                if (sender_side.ingest_report_wire(bytes)) ++reports_delivered_;
-                              });
-  }
-}
-
-void TangoPairing::schedule_feedback(TangoNode& receiver_side, TangoNode& sender_side) {
-  wan_.events().schedule_in(options_.feedback_period, [this, &receiver_side, &sender_side]() {
-    if (!running_) return;
-    feedback_tick(receiver_side, sender_side);
-    schedule_feedback(receiver_side, sender_side);
-  });
-}
-
-void TangoPairing::schedule_policy(TangoNode& node) {
-  wan_.events().schedule_in(options_.policy_period, [this, &node]() {
-    if (!running_) return;
-    node.apply_policy(wan_.now());
-    schedule_policy(node);
-  });
 }
 
 }  // namespace tango::core

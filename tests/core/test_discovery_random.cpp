@@ -5,12 +5,15 @@
 // mechanisms must terminate and produce paths that are (a) real — each
 // recorded AS path equals the live best route for its prefix, (b) distinct,
 // and (c) in the case of communities, at most one per destination transit.
+// On every seed the work-queue engine must also reproduce the reference
+// one-direction loop exactly, run on a twin of the same world.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <set>
 
 #include "core/discovery.hpp"
+#include "discovery_reference.hpp"
 
 namespace tango::core {
 namespace {
@@ -81,16 +84,47 @@ RandomWorld make_world(std::uint64_t seed) {
   return w;
 }
 
+DiscoveryRequest request_for(const RandomWorld& w, SteeringMechanism mechanism) {
+  return DiscoveryRequest{.destination = w.destination,
+                          .source = w.source,
+                          .prefix_pool = w.pool,
+                          .edge_asns = {65000, 65001},
+                          .mechanism = mechanism};
+}
+
+/// Runs the reference loop on a twin of seed's world and expects `r` (the
+/// engine's result for the same request) to equal it field for field.
+void expect_matches_reference(const DiscoveryResult& r, std::uint64_t seed,
+                              SteeringMechanism mechanism) {
+  RandomWorld twin = make_world(seed);
+  const DiscoveryResult ref =
+      reference::discover_paths(twin.topo, request_for(twin, mechanism));
+  ASSERT_EQ(r.paths.size(), ref.paths.size());
+  for (std::size_t i = 0; i < ref.paths.size(); ++i) {
+    EXPECT_EQ(r.paths[i].id, ref.paths[i].id) << "path " << i;
+    EXPECT_EQ(r.paths[i].prefix, ref.paths[i].prefix) << "path " << i;
+    EXPECT_EQ(r.paths[i].as_path, ref.paths[i].as_path) << "path " << i;
+    EXPECT_EQ(r.paths[i].label, ref.paths[i].label) << "path " << i;
+    EXPECT_EQ(r.paths[i].poisoned, ref.paths[i].poisoned) << "path " << i;
+    EXPECT_EQ(r.paths[i].communities, ref.paths[i].communities) << "path " << i;
+  }
+  ASSERT_EQ(r.steps.size(), ref.steps.size());
+  for (std::size_t i = 0; i < ref.steps.size(); ++i) {
+    EXPECT_EQ(r.steps[i].prefix, ref.steps[i].prefix) << "step " << i;
+    EXPECT_EQ(r.steps[i].communities, ref.steps[i].communities) << "step " << i;
+    EXPECT_EQ(r.steps[i].poisoned, ref.steps[i].poisoned) << "step " << i;
+    EXPECT_EQ(r.steps[i].observed, ref.steps[i].observed) << "step " << i;
+  }
+  EXPECT_EQ(r.exhausted, ref.exhausted);
+  EXPECT_EQ(r.bgp_messages, ref.bgp_messages);
+}
+
 class RandomTopology : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomTopology, CommunitiesDiscoveryInvariants) {
   RandomWorld w = make_world(GetParam());
-  DiscoveryResult r = discover_paths(
-      w.topo, DiscoveryRequest{.destination = w.destination,
-                               .source = w.source,
-                               .prefix_pool = w.pool,
-                               .edge_asns = {65000, 65001},
-                               .mechanism = SteeringMechanism::communities});
+  DiscoveryResult r = discover_paths(w.topo, request_for(w, SteeringMechanism::communities));
+  expect_matches_reference(r, GetParam(), SteeringMechanism::communities);
 
   // Terminates having found at least the default path, at most one path per
   // destination transit (each suppression removes one first-hop choice).
@@ -116,12 +150,8 @@ TEST_P(RandomTopology, CommunitiesDiscoveryInvariants) {
 
 TEST_P(RandomTopology, PoisoningDiscoveryInvariants) {
   RandomWorld w = make_world(GetParam());
-  DiscoveryResult r = discover_paths(
-      w.topo, DiscoveryRequest{.destination = w.destination,
-                               .source = w.source,
-                               .prefix_pool = w.pool,
-                               .edge_asns = {65000, 65001},
-                               .mechanism = SteeringMechanism::poisoning});
+  DiscoveryResult r = discover_paths(w.topo, request_for(w, SteeringMechanism::poisoning));
+  expect_matches_reference(r, GetParam(), SteeringMechanism::poisoning);
 
   ASSERT_GE(r.paths.size(), 1u);
   EXPECT_LE(r.paths.size(), w.dst_transits);
@@ -137,11 +167,8 @@ TEST_P(RandomTopology, PoisoningDiscoveryInvariants) {
 
   // Both mechanisms agree on the default (first) path.
   RandomWorld w2 = make_world(GetParam());
-  DiscoveryResult via_comm = discover_paths(
-      w2.topo, DiscoveryRequest{.destination = w2.destination,
-                                .source = w2.source,
-                                .prefix_pool = w2.pool,
-                                .edge_asns = {65000, 65001}});
+  DiscoveryResult via_comm =
+      discover_paths(w2.topo, request_for(w2, SteeringMechanism::communities));
   ASSERT_FALSE(via_comm.paths.empty());
   EXPECT_EQ(r.paths.front().as_path, via_comm.paths.front().as_path);
 }

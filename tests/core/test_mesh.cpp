@@ -165,6 +165,43 @@ TEST_F(MeshTest, PerPeerPoliciesConvergeIndependently) {
   }
 }
 
+// The pairing's on-path adversary (ReportIngestTest.SuppressionHookStarves-
+// TheSenderDetectably) at three sites: the mesh tick runs the same hook, so
+// every third report across the six ordered pairs is swallowed, and the
+// senders must see it as sequence gaps, never as forged or stale reports.
+TEST_F(MeshTest, SuppressionHookStarvesEverySenderDetectably) {
+  PairingOptions options;
+  struct Ctx {
+    std::uint64_t count = 0;
+  } ctx;
+  options.suppress_report = [](void* c, PathId, std::span<const std::uint8_t>) {
+    return ++static_cast<Ctx*>(c)->count % 3 == 0;  // swallow every third report
+  };
+  options.suppress_ctx = &ctx;
+  TangoMesh mesh{wan_, options};
+  for (TangoNode* node : {&la_, &ny_, &ch_}) mesh.add_site(*node);
+  mesh.establish();
+  mesh.start();
+  mesh.start_probing(10 * sim::kMillisecond);
+  wan_.events().run_until(5 * sim::kSecond);
+  mesh.stop();
+  mesh.stop_probing();
+  wan_.events().run_all();
+
+  EXPECT_GT(mesh.reports_suppressed(), 0u);
+  EXPECT_GT(mesh.reports_delivered(), 0u);
+  std::uint64_t gaps = 0;
+  for (const TangoNode* node : {&la_, &ny_, &ch_}) {
+    gaps += node->report_gaps();
+    EXPECT_EQ(node->report_forged(), 0u);
+    EXPECT_EQ(node->report_replayed(), 0u);
+    EXPECT_EQ(node->report_stale(), 0u);
+  }
+  EXPECT_GT(gaps, 0u) << "suppression must surface as sequence gaps";
+  EXPECT_LE(gaps, mesh.reports_suppressed())
+      << "every gap is a suppressed report (the tail can hide at most one per path)";
+}
+
 TEST_F(MeshTest, AddSiteAfterEstablishThrows) {
   mesh_.establish();
   TangoNode extra{s_.topo, wan_, site_config(s_.ch)};  // would double-attach anyway

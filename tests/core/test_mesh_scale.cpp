@@ -3,7 +3,7 @@
 // bench (E15) gates on at 64 sites: compact disjoint path ids from the
 // mesh allocator, per-pair feedback delivery, and — the load-bearing
 // one — that the interleaved discovery work-queue produces results
-// identical to running the historical sequential loop per direction.
+// identical to running the reference one-direction loop per direction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/mesh.hpp"
+#include "discovery_reference.hpp"
 #include "topo/mesh_gen.hpp"
 
 namespace tango::core {
@@ -20,7 +21,8 @@ constexpr std::size_t kSites = 8;
 
 /// A small generated mesh with Tango sites on its first kSites stubs.
 /// Everything is seed-determined, so two Worlds with the same seed hold
-/// byte-identical control planes — the basis of the mode-equivalence test.
+/// byte-identical control planes — the basis of the reference-equivalence
+/// test.
 struct World {
   topo::Topology topo;
   std::unique_ptr<sim::Wan> wan;
@@ -85,13 +87,52 @@ TEST(MeshScale, CompactDisjointIdsAcrossAllOrderedPairs) {
   }
 }
 
+/// What establish() does, with the reference loop in place of the engine:
+/// the same per-direction requests (source-major, pool sliced by the
+/// source's rank among the destination's peers), one reference run per
+/// direction, the same allocator renumbering and the same deferred install.
+/// Returns the results; `convergence_runs` receives the runs they cost.
+std::vector<DiscoveryResult> reference_establish(World& w, std::uint64_t& convergence_runs) {
+  const std::size_t n = w.nodes.size();
+  const std::uint64_t runs_before = w.topo.bgp().convergence_runs();
+  std::vector<DiscoveryResult> results;
+  std::vector<std::pair<TangoNode*, TangoNode*>> directions;
+  for (std::size_t src = 0; src < n; ++src) {
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      if (src == dst) continue;
+      const std::size_t rank = src < dst ? src : src - 1;
+      const std::vector<net::Ipv6Prefix> slice =
+          TangoMesh::pool_slice(w.nodes[dst]->config().tunnel_prefix_pool, n - 1, rank);
+      const DiscoveryRequest request = w.nodes[src]->build_discovery_request(
+          *w.nodes[dst], SteeringMechanism::communities, &slice);
+      results.push_back(reference::discover_paths(w.topo, request, 1));
+      directions.emplace_back(w.nodes[src].get(), w.nodes[dst].get());
+    }
+  }
+  convergence_runs = w.topo.bgp().convergence_runs() - runs_before;
+
+  PathIdAllocator ids;
+  for (DiscoveryResult& result : results) {
+    if (result.paths.empty()) continue;
+    const PathId first = ids.reserve(result.paths.size());
+    for (std::size_t i = 0; i < result.paths.size(); ++i) {
+      result.paths[i].id = static_cast<PathId>(first + i);
+    }
+  }
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    directions[k].first->install_outbound(*directions[k].second, results[k],
+                                          /*sync_fibs=*/false);
+  }
+  w.wan->sync_fibs();
+  return results;
+}
+
 TEST(MeshScale, SequentialAndInterleavedEstablishAreIdentical) {
   World seq_world;
   World batch_world;
-  const auto seq = seq_world.mesh->establish(SteeringMechanism::communities,
-                                             EstablishMode::sequential);
-  const auto batch = batch_world.mesh->establish(SteeringMechanism::communities,
-                                                 EstablishMode::interleaved);
+  std::uint64_t seq_runs = 0;
+  const auto seq = reference_establish(seq_world, seq_runs);
+  const auto batch = batch_world.mesh->establish();
   ASSERT_EQ(seq.size(), batch.size());
   for (std::size_t k = 0; k < seq.size(); ++k) {
     ASSERT_EQ(seq[k].paths.size(), batch[k].paths.size()) << "direction " << k;
@@ -118,8 +159,7 @@ TEST(MeshScale, SequentialAndInterleavedEstablishAreIdentical) {
   }
 
   // And the batch engine must actually be cheaper on convergence runs.
-  EXPECT_LT(batch_world.mesh->establish_stats().convergence_runs,
-            seq_world.mesh->establish_stats().convergence_runs);
+  EXPECT_LT(batch_world.mesh->establish_stats().convergence_runs, seq_runs);
 }
 
 TEST(MeshScale, FeedbackDeliversReportsForEveryOrderedPair) {
