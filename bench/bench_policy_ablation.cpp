@@ -72,7 +72,7 @@ Outcome run_policy(std::uint64_t seed, const std::string& which) {
                          const net::Packet&,
                          const std::optional<dataplane::ReceiveInfo>& info) {
     if (!info) return;
-    if (bed.ny.dp().active_path() != info->path) return;  // only the live path counts
+    if (bed.ny.dp().active_path(kServerLa) != info->path) return;  // only the live path counts
     app_delay->record(bed.wan.now(), info->owd_ms);
     ++*total;
     if (info->owd_ms > kDeadlineMs) ++*misses;

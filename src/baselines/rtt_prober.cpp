@@ -82,21 +82,24 @@ void RttProber::probe(core::PathId path, const net::Ipv6Address& peer_host) {
       net::make_udp_packet(node_.host_address(0x100), peer_host, kProbePort, kProbePort,
                            payload.serialize());
   const sim::Time host_delay = sim::from_ms(noise_.sample_ms(rng_));
-  wan_.events().schedule_in(host_delay, [this, path, packet = std::move(packet)]() {
-    // Pin the probe to the requested path regardless of the active one.
-    auto previous = node_.dp().active_path();
-    node_.dp().set_active_path(path);
-    node_.dp().send_from_host(packet);
-    if (previous) node_.dp().set_active_path(*previous);
+  wan_.events().schedule_in(host_delay, [this, path, packet = std::move(packet)]() mutable {
+    // Straight onto the requested tunnel: the node's active paths (the
+    // policy's per-peer choices) are left alone.
+    node_.dp().send_on_path(std::move(packet), path);
   });
 }
 
 void RttProber::start(const net::Ipv6Address& peer_host, sim::Time period) {
   running_ = true;
-  wan_.events().schedule_in(period, [this, peer_host, period]() {
-    if (!running_) return;
+  ++epoch_;
+  schedule_round(peer_host, period);
+}
+
+void RttProber::schedule_round(const net::Ipv6Address& peer_host, sim::Time period) {
+  wan_.events().schedule_in(period, [this, peer_host, period, epoch = epoch_]() {
+    if (!running_ || epoch != epoch_) return;
     for (core::PathId id : node_.registry().ids()) probe(id, peer_host);
-    start(peer_host, period);
+    schedule_round(peer_host, period);
   });
 }
 

@@ -91,6 +91,8 @@ class RttProber {
   [[nodiscard]] std::uint64_t answers() const noexcept { return answers_; }
 
  private:
+  void schedule_round(const net::Ipv6Address& peer_host, sim::Time period);
+
   core::TangoNode& node_;
   sim::Wan& wan_;
   EdgeNoise noise_;
@@ -101,6 +103,9 @@ class RttProber {
   std::map<std::uint64_t, std::pair<core::PathId, std::uint64_t>> in_flight_;
   std::uint64_t answers_ = 0;
   bool running_ = false;
+  /// Bumped by start(); a round scheduled under an older epoch returns
+  /// without rescheduling, so a restart keeps one probe loop.
+  std::uint64_t epoch_ = 0;
   double ewma_alpha_ = 0.2;
 };
 

@@ -114,6 +114,7 @@ std::vector<DiscoveryResult> TangoMesh::establish(SteeringMechanism mechanism,
 void TangoMesh::start() {
   if (running_) return;
   running_ = true;
+  ++epoch_;
   schedule_feedback_tick();
   schedule_policy_tick();
 }
@@ -156,16 +157,16 @@ void TangoMesh::feedback_tick() {
 }
 
 void TangoMesh::schedule_feedback_tick() {
-  wan_.events().schedule_in(options_.feedback_period, [this]() {
-    if (!running_) return;
+  wan_.events().schedule_in(options_.feedback_period, [this, epoch = epoch_]() {
+    if (!running_ || epoch != epoch_) return;
     feedback_tick();
     schedule_feedback_tick();
   });
 }
 
 void TangoMesh::schedule_policy_tick() {
-  wan_.events().schedule_in(options_.policy_period, [this]() {
-    if (!running_) return;
+  wan_.events().schedule_in(options_.policy_period, [this, epoch = epoch_]() {
+    if (!running_ || epoch != epoch_) return;
     const sim::Time now = wan_.now();
     for (TangoNode* site : sites_) site->apply_policy(now);
     schedule_policy_tick();

@@ -152,6 +152,9 @@ class TangoMesh {
   PathIdAllocator id_alloc_;
   MeshEstablishStats stats_;
   bool running_ = false;
+  /// Bumped by start(); a tick scheduled under an older epoch returns
+  /// without rescheduling, so a restart keeps one loop.
+  std::uint64_t epoch_ = 0;
   bool established_ = false;
   std::uint64_t reports_delivered_ = 0;
   std::uint64_t reports_suppressed_ = 0;

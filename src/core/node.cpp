@@ -210,10 +210,15 @@ void TangoNode::send_probe_round() {
 
 void TangoNode::start_probing(sim::Time period) {
   probing_ = true;
-  wan_.events().schedule_in(period, [this, period]() {
-    if (!probing_) return;
+  ++probe_epoch_;
+  schedule_probe_round(period);
+}
+
+void TangoNode::schedule_probe_round(sim::Time period) {
+  wan_.events().schedule_in(period, [this, period, epoch = probe_epoch_]() {
+    if (!probing_ || epoch != probe_epoch_) return;
     send_probe_round();
-    start_probing(period);
+    schedule_probe_round(period);
   });
 }
 

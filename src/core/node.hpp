@@ -215,6 +215,8 @@ class TangoNode {
   }
 
  private:
+  void schedule_probe_round(sim::Time period);
+
   topo::Topology& topo_;
   sim::Wan& wan_;
   NodeConfig config_;
@@ -239,6 +241,9 @@ class TangoNode {
   std::vector<std::pair<bgp::RouterId, std::vector<PathId>>> peer_paths_;
   std::vector<net::Ipv6Prefix> peer_host_prefixes_;
   bool probing_ = false;
+  /// Bumped by start_probing(): a round scheduled under an older epoch
+  /// returns without rescheduling, so a restart keeps one probe loop.
+  std::uint64_t probe_epoch_ = 0;
   telemetry::Counter probes_sent_;
   telemetry::PacketTracer* tracer_ = nullptr;
 };

@@ -94,31 +94,35 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
       }
       return {UnwrapStatus::auth_failed, std::nullopt};
     }
-    // Anti-replay: a verbatim capture re-injected later carries a *valid*
-    // tag, so only sequence memory can reject it — and it must do so here,
-    // before the stale tx_time reaches the trackers.  Meaningful only once
-    // the tag proves the sequence is the sender's own (an unauthenticated
-    // deployment could be desynchronized by spoofed far-future sequences).
-    const PathId path = view->tango.path_id;
-    if (replay_windows_.size() <= path) {
-      replay_windows_.resize(static_cast<std::size_t>(path) + 1);
+  }
+
+  const PathId path = view->tango.path_id;
+  if (trackers_.size() <= path) trackers_.resize(static_cast<std::size_t>(path) + 1);
+  auto& slot = trackers_[path];
+  if (!slot) {
+    slot = std::make_unique<PathTracker>(keep_series_,
+                                         auth_key_ ? kReplayWindow : LossTracker::kHorizon);
+  }
+  // Anti-replay: a verbatim capture re-injected later carries a *valid*
+  // tag, so only sequence memory can reject it — and it must do so here,
+  // before the stale tx_time reaches the trackers.  Meaningful only once
+  // the tag proves the sequence is the sender's own (an unauthenticated
+  // deployment could be desynchronized by spoofed far-future sequences).
+  if (auth_key_ && !slot->window().fresh(view->tango.sequence)) {
+    replay_dropped_.inc();
+    if (telemetry_.tracer != nullptr && telemetry_.tracer->armed()) {
+      telemetry_.tracer->record({.at = now,
+                                 .key = view->tango.sequence,
+                                 .node = telemetry_.node,
+                                 .path = path,
+                                 .stage = telemetry::TraceStage::drop,
+                                 .cause = telemetry::TraceCause::replay});
     }
-    if (!replay_windows_[path].accept(view->tango.sequence)) {
-      replay_dropped_.inc();
-      if (telemetry_.tracer != nullptr && telemetry_.tracer->armed()) {
-        telemetry_.tracer->record({.at = now,
-                                   .key = view->tango.sequence,
-                                   .node = telemetry_.node,
-                                   .path = path,
-                                   .stage = telemetry::TraceStage::drop,
-                                   .cause = telemetry::TraceCause::replay});
-      }
-      return {UnwrapStatus::replayed, std::nullopt};
-    }
+    return {UnwrapStatus::replayed, std::nullopt};
   }
 
   ReceiveInfo info;
-  info.path = view->tango.path_id;
+  info.path = path;
   info.sequence = view->tango.sequence;
   // Unsigned wraparound is intended: with clocks offset in either direction
   // the difference is still the same constant across paths.
@@ -126,9 +130,6 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
   info.owd_ms = static_cast<double>(static_cast<std::int64_t>(rx - view->tango.tx_time_ns)) /
                 static_cast<double>(sim::kMillisecond);
 
-  if (trackers_.size() <= info.path) trackers_.resize(static_cast<std::size_t>(info.path) + 1);
-  auto& slot = trackers_[info.path];
-  if (!slot) slot = std::make_unique<PathTracker>(keep_series_);
   slot->record(now, info.owd_ms, info.sequence);
   received_.inc();
   if (telemetry_.registry != nullptr) {
@@ -190,11 +191,8 @@ std::size_t TunnelReceiver::state_bytes() const {
   std::size_t bytes = sizeof(TunnelReceiver) +
                       trackers_.capacity() * sizeof(trackers_[0]) +
                       owd_hist_.capacity() * sizeof(owd_hist_[0]);
-  for (const ReplayWindow& w : replay_windows_) bytes += w.state_bytes();
   for (const auto& tracker : trackers_) {
-    if (!tracker) continue;
-    bytes += sizeof(PathTracker) +
-             tracker->series().size() * sizeof(telemetry::Sample);
+    if (tracker) bytes += tracker->state_bytes();
   }
   return bytes;
 }

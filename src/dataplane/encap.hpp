@@ -142,6 +142,10 @@ class TunnelReceiver {
   /// below-window sequence, before they could touch the trackers.
   [[nodiscard]] std::uint64_t replay_dropped() const noexcept { return replay_dropped_.value(); }
 
+  /// Width of a keyed receiver's path windows: a sequence this far behind
+  /// the newest is rejected as a replay (§6).
+  static constexpr std::uint64_t kReplayWindow = 1024;
+
   /// Receiver-side wire-up.  The registry pointer is kept because per-path
   /// OWD histograms register lazily, alongside the tracker a path's first
   /// packet creates.
@@ -162,9 +166,6 @@ class TunnelReceiver {
   /// Dense PathId-indexed slots; unique_ptr keeps tracker addresses stable
   /// across growth (callers hold PathTracker* across packets).
   std::vector<std::unique_ptr<PathTracker>> trackers_;
-  /// Dense per-path anti-replay windows (authenticated deployments only;
-  /// grown alongside trackers_ on a path's first packet).
-  std::vector<ReplayWindow> replay_windows_;
   telemetry::Counter received_;
   telemetry::Counter auth_failures_;
   telemetry::Counter replay_dropped_;

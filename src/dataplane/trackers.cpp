@@ -15,80 +15,63 @@ void OneWayDelayTracker::record(sim::Time at, double owd_ms) {
   }
 }
 
-Arrival LossTracker::record(std::uint64_t sequence) {
-  ++received_;
-  Arrival arrival = Arrival::in_order;
-  if (!any_) {
-    any_ = true;
-    highest_ = sequence;
-    // Tunnel sequences start at 0; when the first arrival is a later (but
-    // nearby) sequence, its predecessors are in flight or lost — mark them
-    // missing.  A far-from-zero first arrival means we attached to an
-    // existing stream mid-flight: use it as the baseline instead.
-    if (sequence > 0 && sequence <= horizon_) {
-      for (std::uint64_t s = 0; s < sequence; ++s) set_bit(s);
-    } else {
-      base_ = sequence > horizon_ ? sequence - horizon_ : 0;
-      // The attach window [base_, sequence) must be marked missing too:
-      // without these bits an in-horizon predecessor arriving late after the
-      // attach fell through to the duplicate branch, deflating
-      // unique_received and skipping reorder accounting.
-      for (std::uint64_t s = base_; s < sequence; ++s) set_bit(s);
-    }
-    return arrival;
-  }
-  if (sequence > highest_) {
-    const std::uint64_t new_base = sequence > horizon_ ? sequence - horizon_ : 0;
-    // Sweep: still-missing sequences that fall below the new window floor
-    // are beyond the reordering horizon — confirmed lost.  Bits are only
-    // ever set at or below highest_, which bounds the scan at horizon_+1.
-    const std::uint64_t sweep_end = std::min(new_base, highest_ + 1);
-    for (std::uint64_t s = base_; s < sweep_end; ++s) {
-      if (test_bit(s)) {
-        clear_bit(s);
-        ++confirmed_lost_;
-      }
-    }
-    // Everything between the previous highest and this one is now missing.
-    // The part already below the new floor was never within the horizon of
-    // any arrival — it goes straight to confirmed lost.
-    if (new_base > highest_ + 1) confirmed_lost_ += new_base - highest_ - 1;
-    for (std::uint64_t s = std::max(highest_ + 1, new_base); s < sequence; ++s) set_bit(s);
-    highest_ = sequence;
-    if (new_base > base_) base_ = new_base;
-  } else if (sequence >= base_ && test_bit(sequence)) {
-    // A late first arrival: reordering, not loss.
-    clear_bit(sequence);
-    arrival = Arrival::reordered;
-  } else {
-    // Already counted (or below the mid-stream attach baseline): duplicate.
-    ++duplicates_;
-    arrival = Arrival::duplicate;
-  }
-  return arrival;
-}
-
-std::uint64_t LossTracker::lost() const noexcept { return confirmed_lost_; }
-
-double LossTracker::loss_rate() const noexcept {
-  // Duplicates are re-receptions of a sequence already counted: the share of
-  // the stream that was lost is lost / (distinct receptions + lost).
-  const std::uint64_t denom = unique_received() + confirmed_lost_;
-  return denom == 0 ? 0.0 : static_cast<double>(confirmed_lost_) / static_cast<double>(denom);
-}
-
-void ReorderTracker::record(std::uint64_t sequence) {
-  ++total_;
+void SequenceWindow::record(std::uint64_t sequence) noexcept {
   if (!any_) {
     any_ = true;
     highest_ = sequence;
     return;
   }
-  if (sequence < highest_) {
-    ++reordered_;
-  } else {
+  if (sequence > highest_) {
+    // Advance: the old mark becomes an ordinary seen bit, and the positions
+    // the skipped sequences re-use must forget what they held a ring ago.
+    // Bounded at width clears per call.
+    if (sequence - highest_ > width()) {
+      std::fill_n(ring(), static_cast<std::size_t>(width() / 64), std::uint64_t{0});
+    } else {
+      for (std::uint64_t s = highest_ + 1; s < sequence; ++s) clear_bit(s);
+      set_bit(highest_);
+    }
     highest_ = sequence;
+    return;
   }
+  const std::uint64_t behind = highest_ - sequence;
+  if (behind != 0 && behind <= width()) set_bit(sequence);
+}
+
+Arrival LossTracker::record(std::uint64_t sequence) {
+  ++received_;
+  const auto [kind, behind] = window_.classify(sequence);
+  Arrival arrival = Arrival::in_order;
+  if (kind == SequenceWindow::Kind::ahead) {
+    // Sequences still unseen as they fall more than the horizon behind the
+    // new mark are confirmed lost: those behind the old mark are read off
+    // the window before it advances; those skipped past the new floor were
+    // never within the horizon of any arrival.
+    const std::uint64_t mark = window_.highest();
+    const std::uint64_t new_floor = floor(sequence);
+    for (std::uint64_t s = floor(mark); s < std::min(new_floor, mark + 1); ++s) {
+      if (window_.classify(s).kind == SequenceWindow::Kind::late) ++lost_;
+    }
+    if (new_floor > mark + 1) lost_ += new_floor - mark - 1;
+  } else if (kind == SequenceWindow::Kind::late && behind <= horizon_) {
+    // A late first arrival: reordering, not loss.
+    ++reordered_;
+    arrival = Arrival::reordered;
+  } else if (kind != SequenceWindow::Kind::first) {
+    // Already seen, or from beyond the horizon (which includes the stream
+    // before a mid-stream attach): a duplicate.
+    ++duplicates_;
+    arrival = Arrival::duplicate;
+  }
+  window_.record(sequence);
+  return arrival;
+}
+
+double LossTracker::loss_rate() const noexcept {
+  // Duplicates are re-receptions of a sequence already counted: the share of
+  // the stream that was lost is lost / (distinct receptions + lost).
+  const std::uint64_t denom = unique_received() + lost_;
+  return denom == 0 ? 0.0 : static_cast<double>(lost_) / static_cast<double>(denom);
 }
 
 void PathTracker::record(sim::Time at, double owd_ms, std::uint64_t sequence) {
@@ -96,39 +79,12 @@ void PathTracker::record(sim::Time at, double owd_ms, std::uint64_t sequence) {
   // packet that slipped past the receiver's window) carries a stale
   // tx_time_ns, and feeding it to the delay tracker would corrupt the OWD
   // EWMA, the jitter accumulator and the kept series.  Its arrival is still
-  // counted by the loss tracker's own duplicate accounting; nothing else
-  // moves.  A duplicate is not a late first arrival either: counting it in
-  // the reorder tracker would report reordering on a path that merely
-  // duplicated.
+  // counted by the loss tracker's own duplicate accounting (and is not a
+  // late first arrival either, so reorder() never sees it); nothing else
+  // moves.
   if (loss_.record(sequence) == Arrival::duplicate) return;
   delay_.record(at, owd_ms);
-  reorder_.record(sequence);
   if (keep_series_) series_.record(at, owd_ms);
-}
-
-bool ReplayWindow::accept(std::uint64_t sequence) {
-  if (!any_) {
-    any_ = true;
-    highest_ = sequence;
-    set_bit(sequence);
-    return true;
-  }
-  if (sequence > highest_) {
-    // Advance: positions the new span re-uses must forget the sequences
-    // they tracked a window ago.  Bounded at width_ clears per call.
-    const std::uint64_t clear_from =
-        sequence - highest_ >= width_ ? sequence - width_ + 1 : highest_ + 1;
-    for (std::uint64_t s = clear_from; s < sequence; ++s) clear_bit(s);
-    set_bit(sequence);
-    highest_ = sequence;
-    return true;
-  }
-  // Below the window floor: too old to distinguish from a replay — reject
-  // (the IPsec anti-replay rule; a legitimate sender never lags this far).
-  if (highest_ - sequence >= width_) return false;
-  if (test_bit(sequence)) return false;
-  set_bit(sequence);
-  return true;
 }
 
 }  // namespace tango::dataplane

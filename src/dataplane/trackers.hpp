@@ -7,6 +7,7 @@
 // and reordering", §3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +62,97 @@ class OneWayDelayTracker {
   std::uint64_t jitter_windows_ = 0;
 };
 
+/// One path's sequence memory, shared by every question asked of the
+/// per-tunnel sequence number (loss, reordering, duplicates, anti-replay):
+/// the highest sequence seen so far (the mark) and a ring of *seen* bits for
+/// the `width` sequences just behind it, cleared as the mark advances.  The
+/// mark itself is always seen, so a width-W ring answers for every sequence
+/// 0..W behind the mark; further back nothing is remembered.
+///
+/// The window only classifies; each owner applies its own policy to the
+/// class and the distance (LossTracker's reorder horizon, the keyed
+/// receiver's replay rule, the workload sink's duplicate count).  The ring
+/// is sized once at construction — classify() and record() are on the
+/// per-received-packet path and never touch the heap — and a window of
+/// width 64 or less keeps it inline.
+class SequenceWindow {
+ public:
+  enum class Kind : std::uint8_t {
+    first,  ///< the window's first arrival
+    ahead,  ///< past the mark
+    late,   ///< behind the mark and not seen (or too far behind to tell)
+    seen,   ///< already recorded: the mark itself or a set bit
+  };
+  /// Where one sequence stands: its class and how far behind the mark it
+  /// is (0 for first and ahead).
+  struct Sighting {
+    Kind kind;
+    std::uint64_t behind;
+  };
+
+  /// `width` rounds up to a power of two, at least 64.
+  explicit SequenceWindow(std::uint64_t width) {
+    std::uint64_t bits = 64;
+    while (bits < width) bits <<= 1;
+    mask_ = bits - 1;
+    if (bits > 64) wide_.assign(static_cast<std::size_t>(bits / 64), 0);
+  }
+
+  [[nodiscard]] Sighting classify(std::uint64_t sequence) const noexcept {
+    if (!any_) return {Kind::first, 0};
+    if (sequence > highest_) return {Kind::ahead, 0};
+    const std::uint64_t behind = highest_ - sequence;
+    const bool seen = behind == 0 || (behind <= width() && test_bit(sequence));
+    return {seen ? Kind::seen : Kind::late, behind};
+  }
+
+  /// Marks `sequence` seen, advancing the mark when it is ahead.
+  void record(std::uint64_t sequence) noexcept;
+
+  /// The IPsec anti-replay rule: true when `sequence` is certainly new —
+  /// ahead of the mark, or less than `width` behind it and not seen.
+  [[nodiscard]] bool fresh(std::uint64_t sequence) const noexcept {
+    const Sighting s = classify(sequence);
+    return s.kind != Kind::seen && s.behind < width();
+  }
+
+  /// The mark (0 before the first arrival).
+  [[nodiscard]] std::uint64_t highest() const noexcept { return highest_; }
+  [[nodiscard]] std::uint64_t width() const noexcept { return mask_ + 1; }
+  /// Heap bytes of a ring wider than 64 (0 for an inline ring).
+  [[nodiscard]] std::size_t heap_bytes() const noexcept {
+    return wide_.capacity() * sizeof(wide_[0]);
+  }
+
+ private:
+  [[nodiscard]] const std::uint64_t* ring() const noexcept {
+    return wide_.empty() ? &narrow_ : wide_.data();
+  }
+  [[nodiscard]] std::uint64_t* ring() noexcept {
+    return wide_.empty() ? &narrow_ : wide_.data();
+  }
+  [[nodiscard]] bool test_bit(std::uint64_t seq) const noexcept {
+    const std::uint64_t i = seq & mask_;
+    return (ring()[i >> 6] >> (i & 63)) & 1;
+  }
+  void set_bit(std::uint64_t seq) noexcept {
+    const std::uint64_t i = seq & mask_;
+    ring()[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+  void clear_bit(std::uint64_t seq) noexcept {
+    const std::uint64_t i = seq & mask_;
+    ring()[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  }
+
+  std::uint64_t highest_ = 0;
+  bool any_ = false;
+  std::uint64_t mask_ = 0;
+  /// Bit (seq & mask_) is set iff seq was seen and is 1..width behind the
+  /// mark.  One inline word up to width 64, the heap ring beyond.
+  std::uint64_t narrow_ = 0;
+  std::vector<std::uint64_t> wide_;
+};
+
 /// How the loss tracker classified one arrival.
 enum class Arrival : std::uint8_t {
   in_order,   ///< a new sequence at or past the previous highest
@@ -68,27 +160,25 @@ enum class Arrival : std::uint8_t {
   duplicate,  ///< a sequence already counted (retransmit or network dup)
 };
 
-/// Sequence-number based loss accounting for one path.
+/// Sequence-number based loss, duplicate and reordering accounting for one
+/// path, over the path's SequenceWindow.
 ///
-/// A sequence is "lost" once `reorder_horizon` later sequences have been
-/// seen without it (late arrivals within the horizon are reordering, not
-/// loss).  This matches how a switch with bounded state distinguishes the
-/// two.
+/// A sequence is "lost" once it falls more than `reorder_horizon` behind the
+/// mark without having been seen (late arrivals within the horizon are
+/// reordering, not loss); a late arrival from further back is booked as a
+/// duplicate.  This matches how a switch with bounded state distinguishes
+/// the three.  The window may be wider than the horizon (`window_width`): a
+/// keyed receiver's anti-replay rule reads the same window further back.
 class LossTracker {
  public:
-  explicit LossTracker(std::uint64_t reorder_horizon = 64) : horizon_{reorder_horizon} {
-    // One bit per in-window sequence, ring-indexed by sequence number.  The
-    // window spans horizon_+1 sequences; round up to a power of two so the
-    // ring index is a mask.  Allocated once here — record() is on the
-    // per-delivered-packet path and must not touch the heap.
-    std::uint64_t bits = 1;
-    while (bits < horizon_ + 1) bits <<= 1;
-    ring_.assign(static_cast<std::size_t>((bits + 63) / 64), 0);
-    ring_mask_ = bits - 1;
-  }
+  /// The reorder horizon every path uses.
+  static constexpr std::uint64_t kHorizon = 64;
+
+  explicit LossTracker(std::uint64_t reorder_horizon = kHorizon, std::uint64_t window_width = 0)
+      : horizon_{reorder_horizon}, window_{std::max(reorder_horizon, window_width)} {}
 
   /// Records one arrival and reports how it was classified, so co-located
-  /// trackers (reordering) can skip duplicates instead of double-counting.
+  /// trackers (delay) can skip duplicates instead of double-counting.
   Arrival record(std::uint64_t sequence);
 
   /// Raw arrivals, duplicates included.
@@ -98,92 +188,26 @@ class LossTracker {
     return received_ - duplicates_;
   }
   [[nodiscard]] std::uint64_t duplicates() const noexcept { return duplicates_; }
+  /// Late first arrivals (Arrival::reordered).
+  [[nodiscard]] std::uint64_t reordered() const noexcept { return reordered_; }
   /// Sequences declared lost (beyond the reordering horizon).
-  [[nodiscard]] std::uint64_t lost() const noexcept;
+  [[nodiscard]] std::uint64_t lost() const noexcept { return lost_; }
   [[nodiscard]] double loss_rate() const noexcept;
-  [[nodiscard]] std::uint64_t highest_seen() const noexcept { return highest_; }
+  [[nodiscard]] std::uint64_t highest_seen() const noexcept { return window_.highest(); }
+  [[nodiscard]] const SequenceWindow& window() const noexcept { return window_; }
 
  private:
-  [[nodiscard]] bool test_bit(std::uint64_t seq) const noexcept {
-    const std::uint64_t i = seq & ring_mask_;
-    return (ring_[i >> 6] >> (i & 63)) & 1;
-  }
-  void set_bit(std::uint64_t seq) noexcept {
-    const std::uint64_t i = seq & ring_mask_;
-    ring_[i >> 6] |= std::uint64_t{1} << (i & 63);
-  }
-  void clear_bit(std::uint64_t seq) noexcept {
-    const std::uint64_t i = seq & ring_mask_;
-    ring_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  /// Lowest sequence still within the horizon of `mark`.
+  [[nodiscard]] std::uint64_t floor(std::uint64_t mark) const noexcept {
+    return mark > horizon_ ? mark - horizon_ : 0;
   }
 
   std::uint64_t horizon_;
+  SequenceWindow window_;
   std::uint64_t received_ = 0;
   std::uint64_t duplicates_ = 0;
-  std::uint64_t highest_ = 0;
-  bool any_ = false;
-  /// Missing-sequence window as a ring of bits: bit(seq) is set iff seq is
-  /// <= highest_, not yet seen, and still within the reordering horizon
-  /// (base_ <= seq).  Replaces a std::set whose node churn was one heap
-  /// alloc/free per reordered delivery on the receive fast path.
-  std::vector<std::uint64_t> ring_;
-  std::uint64_t ring_mask_ = 0;
-  /// Window floor: sequences below this were swept (confirmed lost or
-  /// pre-attach); their bits are clear.
-  std::uint64_t base_ = 0;
-  std::uint64_t confirmed_lost_ = 0;
-};
-
-/// Per-path anti-replay window for authenticated tunnels (§6): an
-/// IPsec-style sliding bitset over the last `width` sequences, ring-indexed
-/// like LossTracker's missing-sequence window.  A sequence is accepted at
-/// most once; anything at or below the window floor is rejected outright
-/// (too old to distinguish from a replay).  The ring is allocated once at
-/// construction — accept() is on the per-received-packet path and must not
-/// touch the heap.
-///
-/// This sits *in front of* the measurement trackers: a replayed packet
-/// carries a valid tag (it is a verbatim capture), so the MAC cannot reject
-/// it — only sequence memory can, and it must, before the stale tx_time
-/// reaches the delay trackers or the duplicate inflates loss accounting.
-class ReplayWindow {
- public:
-  explicit ReplayWindow(std::uint64_t width = 1024) {
-    std::uint64_t bits = 1;
-    while (bits < width) bits <<= 1;
-    width_ = bits;
-    ring_.assign(static_cast<std::size_t>(bits / 64), 0);
-    ring_mask_ = bits - 1;
-  }
-
-  /// True when `sequence` is fresh (and records it); false for an
-  /// already-seen or below-window sequence — drop the packet as a replay.
-  [[nodiscard]] bool accept(std::uint64_t sequence);
-
-  [[nodiscard]] std::uint64_t width() const noexcept { return width_; }
-  [[nodiscard]] std::size_t state_bytes() const noexcept {
-    return sizeof(ReplayWindow) + ring_.capacity() * sizeof(ring_[0]);
-  }
-
- private:
-  [[nodiscard]] bool test_bit(std::uint64_t seq) const noexcept {
-    const std::uint64_t i = seq & ring_mask_;
-    return (ring_[i >> 6] >> (i & 63)) & 1;
-  }
-  void set_bit(std::uint64_t seq) noexcept {
-    const std::uint64_t i = seq & ring_mask_;
-    ring_[i >> 6] |= std::uint64_t{1} << (i & 63);
-  }
-  void clear_bit(std::uint64_t seq) noexcept {
-    const std::uint64_t i = seq & ring_mask_;
-    ring_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-  }
-
-  std::uint64_t width_ = 0;
-  std::vector<std::uint64_t> ring_;
-  std::uint64_t ring_mask_ = 0;
-  std::uint64_t highest_ = 0;
-  bool any_ = false;
+  std::uint64_t reordered_ = 0;
+  std::uint64_t lost_ = 0;
 };
 
 /// Receiver-side duplicate suppression for hedged traffic.
@@ -236,18 +260,14 @@ class HedgeDeduper {
   telemetry::Counter suppressed_;
 };
 
-/// Reordering detection: counts packets arriving with a sequence lower than
-/// one already seen (late arrivals).  TCP's in-order delivery turns every
-/// such event into head-of-line blocking, the §5 argument for switching away
-/// from an unstable path.
-///
-/// The tracker itself keeps no per-sequence state, so it cannot tell a
-/// duplicate from a late first arrival — feed it de-duplicated arrivals
-/// (PathTracker consults its LossTracker's classification and skips
-/// duplicates; see Arrival).
-class ReorderTracker {
+/// Reordering on one path: late first arrivals among its distinct arrivals.
+/// TCP's in-order delivery turns every late arrival into head-of-line
+/// blocking, the §5 argument for switching away from an unstable path.
+/// Read off the loss tracker's classification, so a duplicate never counts.
+class ReorderStats {
  public:
-  void record(std::uint64_t sequence);
+  ReorderStats(std::uint64_t reordered, std::uint64_t total) noexcept
+      : reordered_{reordered}, total_{total} {}
 
   [[nodiscard]] std::uint64_t reordered() const noexcept { return reordered_; }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
@@ -256,17 +276,19 @@ class ReorderTracker {
   }
 
  private:
-  std::uint64_t reordered_ = 0;
-  std::uint64_t total_ = 0;
-  std::uint64_t highest_ = 0;
-  bool any_ = false;
+  std::uint64_t reordered_;
+  std::uint64_t total_;
 };
 
 /// Everything the receiver tracks for one path, plus an optional time series
 /// of every one-way-delay sample (enabled by the measurement study benches).
 class PathTracker {
  public:
-  explicit PathTracker(bool keep_series = false) : keep_series_{keep_series} {}
+  /// `window_width` sizes the path's SequenceWindow: the loss horizon by
+  /// default, wider where a keyed receiver checks replays against it.
+  explicit PathTracker(bool keep_series = false,
+                       std::uint64_t window_width = LossTracker::kHorizon)
+      : keep_series_{keep_series}, loss_{LossTracker::kHorizon, window_width} {}
 
   void record(sim::Time at, double owd_ms, std::uint64_t sequence);
 
@@ -275,15 +297,25 @@ class PathTracker {
   /// samples relative to the caller's `now` (the live report path).
   [[nodiscard]] OneWayDelayTracker& delay() noexcept { return delay_; }
   [[nodiscard]] const LossTracker& loss() const noexcept { return loss_; }
-  [[nodiscard]] const ReorderTracker& reorder() const noexcept { return reorder_; }
+  [[nodiscard]] ReorderStats reorder() const noexcept {
+    return {loss_.reordered(), loss_.unique_received()};
+  }
+  /// The path's one sequence window (the keyed receiver's replay check).
+  [[nodiscard]] const SequenceWindow& window() const noexcept { return loss_.window(); }
   [[nodiscard]] const telemetry::TimeSeries& series() const noexcept { return series_; }
   [[nodiscard]] telemetry::TimeSeries& series() noexcept { return series_; }
+
+  /// Estimated resident bytes: the tracker, its window's ring and the kept
+  /// series.
+  [[nodiscard]] std::size_t state_bytes() const noexcept {
+    return sizeof(PathTracker) + loss_.window().heap_bytes() +
+           series_.size() * sizeof(telemetry::Sample);
+  }
 
  private:
   bool keep_series_;
   OneWayDelayTracker delay_;
   LossTracker loss_;
-  ReorderTracker reorder_;
   telemetry::TimeSeries series_;
 };
 

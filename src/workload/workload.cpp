@@ -18,6 +18,7 @@ TrafficGenerator::TrafficGenerator(sim::Wan& wan, core::TangoNode& src,
 void TrafficGenerator::start() {
   started_at_ = wan_.now();
   running_ = true;
+  ++epoch_;
   schedule_next_flow();
 }
 
@@ -39,8 +40,8 @@ void TrafficGenerator::schedule_next_flow() {
                             : exponential(rng_, mean_gap_ms);
   sim::Time dt = sim::from_ms(gap_ms);
   if (dt < 1) dt = 1;
-  wan_.events().schedule_in(dt, [this]() {
-    if (!running_) return;
+  wan_.events().schedule_in(dt, [this, epoch = epoch_]() {
+    if (!running_ || epoch != epoch_) return;
     if (wan_.now() - started_at_ < options_.duration) launch_flow();
     schedule_next_flow();
   });
@@ -112,44 +113,15 @@ void WorkloadSink::on_packet(const net::Packet& inner,
   ++cls->delivered;
   cls->owd.record(now, info->owd_ms);
 
-  FlowState& fs = flows_[app->flow_id];
-  const std::uint32_t seq = app->seq;
-  if (!fs.any) {
-    fs.any = true;
-    fs.max_seq = seq;
-    fs.window = 0;
-    return;
-  }
-  if (seq > fs.max_seq) {
-    const std::uint32_t d = seq - fs.max_seq;
-    // window bit j == "seq (max_seq-1-j) seen"; advance the high-water mark
-    // and record the old max as seen at its new offset.
-    if (d >= 65) {
-      fs.window = 0;
-    } else if (d == 64) {
-      fs.window = std::uint64_t{1} << 63;
-    } else {
-      fs.window = (fs.window << d) | (std::uint64_t{1} << (d - 1));
-    }
-    fs.max_seq = seq;
-    return;
-  }
-  if (seq == fs.max_seq) {
-    ++cls->app_duplicates;
-    return;
-  }
-  const std::uint32_t off = fs.max_seq - seq - 1;
-  if (off >= 64) {
-    ++cls->reordered;  // far behind the window: late, indistinguishable from dup
-    return;
-  }
-  const std::uint64_t bit = std::uint64_t{1} << off;
-  if ((fs.window & bit) != 0) {
-    ++cls->app_duplicates;
-  } else {
-    fs.window |= bit;
-    ++cls->reordered;
-  }
+  // A seen sequence is a double delivery; a late one arrived behind the
+  // flow's high-water mark (from beyond the window it cannot be told from a
+  // double delivery, and counts as late).
+  using Kind = dataplane::SequenceWindow::Kind;
+  auto& window = flows_.try_emplace(app->flow_id, kFlowWindow).first->second;
+  const Kind kind = window.classify(app->seq).kind;
+  if (kind == Kind::seen) ++cls->app_duplicates;
+  if (kind == Kind::late) ++cls->reordered;
+  window.record(app->seq);
 }
 
 }  // namespace tango::workload

@@ -15,6 +15,7 @@
 #include <unordered_map>
 
 #include "core/node.hpp"
+#include "dataplane/trackers.hpp"
 #include "sim/rng.hpp"
 #include "sim/wan.hpp"
 #include "telemetry/timeseries.hpp"
@@ -133,6 +134,9 @@ class TrafficGenerator {
   WorkloadOptions options_;
   sim::Time started_at_ = 0;
   bool running_ = false;
+  /// Bumped by start(); a flow arrival scheduled under an older epoch
+  /// returns without rescheduling, so a restart keeps one arrival loop.
+  std::uint64_t epoch_ = 0;
   std::uint32_t next_flow_id_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t flows_started_ = 0;
@@ -170,17 +174,13 @@ class WorkloadSink {
   }
 
  private:
-  /// Compact per-flow state, LossTracker-style: a 64-wide dup/reorder window
-  /// below the high-water mark.
-  struct FlowState {
-    std::uint32_t max_seq = 0;
-    bool any = false;
-    std::uint64_t window = 0;  ///< bit i = seq (max_seq - 1 - i) seen
-  };
+  /// Per-flow sequence windows, 64 wide (inline: no heap allocation per
+  /// flow).
+  static constexpr std::uint64_t kFlowWindow = 64;
 
   ClassStats bulk_;
   ClassStats sensitive_;
-  std::unordered_map<std::uint32_t, FlowState> flows_;
+  std::unordered_map<std::uint32_t, dataplane::SequenceWindow> flows_;
 };
 
 }  // namespace tango::workload

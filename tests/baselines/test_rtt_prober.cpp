@@ -60,6 +60,47 @@ TEST_F(BaselineTest, EchoAndEstimateRoundTrip) {
   EXPECT_NEAR(prober.estimates().at(1).half_rtt_ms(), 37.0, 1.0);
 }
 
+TEST_F(BaselineTest, ProbeRoundLeavesActivePathsAlone) {
+  // Probes go straight onto their tunnel: the per-peer path a policy chose
+  // survives a probe round over every path (pinning the switch to each
+  // probed path used to wipe it).
+  EchoResponder responder{ny_, wan_, EdgeNoise{}, sim::Rng{1}};
+  RttProber prober{la_, wan_, EdgeNoise{}, sim::Rng{2}};
+  la_.dp().set_host_handler(
+      [&prober](const net::Packet& p, const std::optional<dataplane::ReceiveInfo>&) {
+        prober.consume(p);
+      });
+  la_.dp().set_active_path(kServerNy, 2);
+
+  const std::vector<core::PathId> ids = la_.registry().ids();
+  for (core::PathId id : ids) prober.probe(id, ny_.host_address(1));
+  wan_.events().run_all();
+
+  EXPECT_EQ(la_.dp().active_path(kServerNy), std::optional<core::PathId>{2});
+  EXPECT_EQ(prober.answers(), ids.size());
+}
+
+TEST_F(BaselineTest, RestartBeforePendingRoundKeepsOneLoop) {
+  // stop() then start() before the pending round fires: the stale round
+  // must not reschedule itself beside the new loop.
+  EchoResponder responder{ny_, wan_, EdgeNoise{}, sim::Rng{1}};
+  RttProber prober{la_, wan_, EdgeNoise{}, sim::Rng{2}};
+  la_.dp().set_host_handler(
+      [&prober](const net::Packet& p, const std::optional<dataplane::ReceiveInfo>&) {
+        prober.consume(p);
+      });
+  const sim::Time t0 = wan_.now();
+  prober.start(ny_.host_address(1), 100 * sim::kMillisecond);
+  wan_.events().run_until(t0 + 50 * sim::kMillisecond);
+  prober.stop();
+  prober.start(ny_.host_address(1), 100 * sim::kMillisecond);
+  wan_.events().run_until(t0 + 1005 * sim::kMillisecond);
+  prober.stop();
+  wan_.events().run_all();
+  EXPECT_EQ(prober.answers(), 9 * la_.registry().ids().size())
+      << "rounds at 150, 250, ..., 950 ms";
+}
+
 TEST_F(BaselineTest, PeriodicProbingCoversAllPaths) {
   EchoResponder responder{ny_, wan_, EdgeNoise{}, sim::Rng{1}};
   RttProber prober{la_, wan_, EdgeNoise{}, sim::Rng{2}};

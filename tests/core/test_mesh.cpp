@@ -202,6 +202,44 @@ TEST_F(MeshTest, SuppressionHookStarvesEverySenderDetectably) {
       << "every gap is a suppressed report (the tail can hide at most one per path)";
 }
 
+TEST_F(MeshTest, RestartBeforePendingTickKeepsOneLoop) {
+  // stop() then start() before the first ticks fire: the stale ticks must
+  // return without rescheduling, leaving one feedback and one policy tick.
+  mesh_.establish();
+  const sim::Time t0 = wan_.now();
+  const std::size_t idle = wan_.events().pending();
+  mesh_.start();
+  wan_.events().run_until(t0 + 50 * sim::kMillisecond);
+  mesh_.stop();
+  mesh_.start();
+  wan_.events().run_until(t0 + 1005 * sim::kMillisecond);
+  EXPECT_EQ(wan_.events().pending(), idle + 2);
+}
+
+TEST_F(MeshTest, RestartProbingBeforePendingRoundKeepsOneLoop) {
+  // The probing twin: a restart half a period in, and a second start
+  // without a stop, each leave one probe loop per site.
+  mesh_.establish();
+  std::uint64_t tunnels = 0;
+  for (const TangoNode* node : {&la_, &ny_, &ch_}) tunnels += node->registry().ids().size();
+  const auto probes = [this]() {
+    return la_.probes_sent() + ny_.probes_sent() + ch_.probes_sent();
+  };
+  const sim::Time t0 = wan_.now();
+  mesh_.start_probing(10 * sim::kMillisecond);
+  wan_.events().run_until(t0 + 5 * sim::kMillisecond);
+  mesh_.stop_probing();
+  mesh_.start_probing(10 * sim::kMillisecond);
+  wan_.events().run_until(t0 + 1000 * sim::kMillisecond);
+  EXPECT_EQ(probes(), 99 * tunnels) << "rounds at 15, 25, ..., 995 ms";
+
+  mesh_.start_probing(10 * sim::kMillisecond);  // re-arm without a stop
+  const std::uint64_t before = probes();
+  wan_.events().run_until(t0 + 2000 * sim::kMillisecond);
+  mesh_.stop_probing();
+  EXPECT_EQ(probes() - before, 100 * tunnels) << "rounds at 1010, 1020, ..., 2000 ms";
+}
+
 TEST_F(MeshTest, AddSiteAfterEstablishThrows) {
   mesh_.establish();
   TangoNode extra{s_.topo, wan_, site_config(s_.ch)};  // would double-attach anyway

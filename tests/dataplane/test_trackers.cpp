@@ -181,6 +181,22 @@ TEST(LossTracker, MidStreamAttachStillRejectsPreWindowSequences) {
   EXPECT_EQ(t.lost(), 16u) << "the 16 attach-window holes (84..99) sweep out as loss";
 }
 
+/// The keyed receiver's anti-replay step on a path window: accept (and
+/// record) a sequence only while the window vouches it is fresh.
+class ReplayWindow {
+ public:
+  explicit ReplayWindow(std::uint64_t width) : window_{width} {}
+  [[nodiscard]] bool accept(std::uint64_t sequence) {
+    if (!window_.fresh(sequence)) return false;
+    window_.record(sequence);
+    return true;
+  }
+  [[nodiscard]] std::uint64_t width() const noexcept { return window_.width(); }
+
+ private:
+  SequenceWindow window_;
+};
+
 TEST(ReplayWindow, AcceptsEachSequenceOnce) {
   ReplayWindow w{64};
   for (std::uint64_t s = 0; s < 100; ++s) EXPECT_TRUE(w.accept(s)) << s;
@@ -228,16 +244,18 @@ TEST(OneWayDelayTracker, RollingJitterDrainsWithTime) {
 }
 
 TEST(ReorderTracker, CountsLateArrivals) {
-  ReorderTracker t;
-  for (std::uint64_t s : {0ull, 1ull, 2ull, 5ull, 3ull, 4ull, 6ull}) t.record(s);
+  PathTracker path;
+  for (std::uint64_t s : {0ull, 1ull, 2ull, 5ull, 3ull, 4ull, 6ull}) path.record(0, 28.0, s);
+  const ReorderStats t = path.reorder();
   EXPECT_EQ(t.total(), 7u);
   EXPECT_EQ(t.reordered(), 2u);  // 3 and 4 arrive after 5
   EXPECT_NEAR(t.reorder_rate(), 2.0 / 7.0, 1e-12);
 }
 
 TEST(ReorderTracker, InOrderIsClean) {
-  ReorderTracker t;
-  for (std::uint64_t s = 0; s < 100; ++s) t.record(s);
+  PathTracker path;
+  for (std::uint64_t s = 0; s < 100; ++s) path.record(0, 28.0, s);
+  const ReorderStats t = path.reorder();
   EXPECT_EQ(t.reordered(), 0u);
 }
 

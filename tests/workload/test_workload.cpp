@@ -108,6 +108,26 @@ TEST_F(WorkloadTest, CbrFixedFlowsArriveOnScheduleWithExactSizes) {
   EXPECT_EQ(gen.sensitive_sent(), 0u);
 }
 
+TEST_F(WorkloadTest, RestartBeforePendingArrivalKeepsOneLoop) {
+  // stop() then start() before the pending arrival fires: the stale arrival
+  // must not reschedule itself beside the new loop.
+  WorkloadOptions o;
+  o.arrivals = Arrivals::cbr;
+  o.sizes = Sizes::fixed;
+  o.flows_per_sec = 100.0;
+  o.mean_flow_packets = 1.0;
+  o.duration = 10 * sim::kSecond;
+  TrafficGenerator gen{wan_, ny_, ny_.host_address(2), la_.host_address(2), sim::Rng{7}, o};
+  const sim::Time t0 = wan_.now();
+  gen.start();
+  wan_.events().run_until(t0 + 5 * sim::kMillisecond);
+  gen.stop();
+  gen.start();
+  wan_.events().run_until(t0 + 1000 * sim::kMillisecond);
+  gen.stop();
+  EXPECT_EQ(gen.flows_started(), 99u) << "arrivals at 15, 25, ..., 995 ms";
+}
+
 TEST_F(WorkloadTest, PoissonArrivalsClusterAroundTheMean) {
   WorkloadOptions o;
   o.arrivals = Arrivals::poisson;
