@@ -379,9 +379,9 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
   // I5 replay flood: an attacker records early authenticated data packets
   // off the wire and blasts the recording at both switches for the rest of
   // the run.  (The recording is reconstructed with a twin TunnelSender over
-  // the same tunnel table — sequences 0..7, long since seen by the time the
-  // flood starts.)  Every copy must die in the replay window, before the
-  // trackers, before the hosts.
+  // a copy of the recorded tunnel — sequences 0..7, long since seen by the
+  // time the flood starts.)  Every copy must die in the replay window,
+  // before the trackers, before the hosts.
   struct ReplayFloodLoop {
     Testbed& tb;
     SoakResult& r;
@@ -392,9 +392,17 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
     void operator()() const {
       if (!running) return;
       if (to_ny->empty()) {
+        const core::PathId la_path = tb.la_outbound.paths.front().id;
+        const core::PathId ny_path = tb.ny_outbound.paths.front().id;
+        // The sequence counters live in the tunnel table: a twin over the
+        // switch's own table would advance the genuine streams.
+        dataplane::TunnelTable la_table;
+        dataplane::TunnelTable ny_table;
+        la_table.install(*tb.la.dp().tunnels().find(la_path));
+        ny_table.install(*tb.ny.dp().tunnels().find(ny_path));
         const sim::NodeClock clock;
-        dataplane::TunnelSender la_twin{tb.la.dp().tunnels(), clock, key};
-        dataplane::TunnelSender ny_twin{tb.ny.dp().tunnels(), clock, key};
+        dataplane::TunnelSender la_twin{la_table, clock, key};
+        dataplane::TunnelSender ny_twin{ny_table, clock, key};
         const std::vector<std::uint8_t> sting(8, 0xEE);
         const net::Packet inner_to_ny =
             net::make_udp_packet(tb.la.host_address(0x10), tb.scenario.plan.ny_hosts.host(0x20),
@@ -402,8 +410,6 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
         const net::Packet inner_to_la =
             net::make_udp_packet(tb.ny.host_address(0x20), tb.scenario.plan.la_hosts.host(0x10),
                                  4444, 4444, sting);
-        const core::PathId la_path = tb.la_outbound.paths.front().id;
-        const core::PathId ny_path = tb.ny_outbound.paths.front().id;
         for (int i = 0; i < 8; ++i) {
           la_twin.wrap_inplace(to_ny->emplace_back(inner_to_ny), la_path, tb.wan.now());
           ny_twin.wrap_inplace(to_la->emplace_back(inner_to_la), ny_path, tb.wan.now());

@@ -1,6 +1,8 @@
 #include "core/compliance.hpp"
 
-#include <algorithm>
+#include <utility>
+
+#include "core/registry.hpp"
 
 namespace tango::core {
 
@@ -18,18 +20,9 @@ const char* to_string(ComplianceVerdict v) noexcept {
   return "?";
 }
 
-ComplianceMonitor::Entry& ComplianceMonitor::entry(PathId id) {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [id](const Entry& e) { return e.id == id; });
-  if (it != entries_.end()) return *it;
-  entries_.push_back(Entry{.id = id});
-  return entries_.back();
-}
-
 bool ComplianceMonitor::flagged(PathId id) const {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [id](const Entry& e) { return e.id == id; });
-  return it != entries_.end() && it->flagged;
+  const PathRegistry::Entry* e = std::as_const(*registry_).entry(id);
+  return e != nullptr && e->lying;
 }
 
 void ComplianceMonitor::wire_metrics(telemetry::MetricsRegistry& registry,
@@ -40,12 +33,15 @@ void ComplianceMonitor::wire_metrics(telemetry::MetricsRegistry& registry,
 
 ComplianceVerdict ComplianceMonitor::check(PathId id, const PathReport& report,
                                            std::uint64_t sent) {
-  Entry& e = entry(id);
-  if (e.flagged) {
+  PathRegistry::Entry* e = registry_->entry(id);
+  if (e == nullptr) return ComplianceVerdict::flagged;
+  if (e->lying) {
     violations_.inc();
     return ComplianceVerdict::flagged;
   }
 
+  const std::uint64_t prev_samples = e->report ? e->report->samples : 0;
+  const std::uint64_t prev_lost = e->report ? e->report->lost : 0;
   ComplianceVerdict verdict = ComplianceVerdict::ok;
   // Every packet the receiver measured or declared lost was a distinct
   // sequence this sender emitted; the two claims can never sum past the
@@ -53,20 +49,16 @@ ComplianceVerdict ComplianceMonitor::check(PathId id, const PathReport& report,
   // so an honest receiver has slack, never a false positive.)
   if (report.samples + report.lost > sent) {
     verdict = ComplianceVerdict::overclaim;
-  } else if (report.samples < e.prev_samples || report.lost < e.prev_lost) {
+  } else if (report.samples < prev_samples || report.lost < prev_lost) {
     verdict = ComplianceVerdict::regression;
   }
 
   if (verdict != ComplianceVerdict::ok) {
-    e.flagged = true;
+    e->lying = true;
     ++flagged_paths_;
     violations_.inc();
-    return verdict;
   }
-
-  e.prev_samples = report.samples;
-  e.prev_lost = report.lost;
-  return ComplianceVerdict::ok;
+  return verdict;
 }
 
 }  // namespace tango::core

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/path.hpp"
 #include "telemetry/metrics.hpp"
@@ -43,12 +42,19 @@ enum class ComplianceVerdict : std::uint8_t {
 
 [[nodiscard]] const char* to_string(ComplianceVerdict v) noexcept;
 
+class PathRegistry;
+
+/// The checks and counters; the previous report and the sticky "lying" flag
+/// are in the path's registry entry.
 class ComplianceMonitor {
  public:
-  /// Judges one authenticated-and-fresh report for `id`.  `sent` is the
-  /// sender's own count of packets put on the path so far (the tunnel
-  /// sequence counter).  A non-ok verdict means the report must not reach
-  /// the registry or the health monitor's evidence path.
+  explicit ComplianceMonitor(PathRegistry& registry) : registry_{&registry} {}
+
+  /// Judges one authenticated-and-fresh report for `id` against the entry's
+  /// last accepted report.  `sent` is the sender's own count of packets put
+  /// on the path so far (the tunnel sequence counter).  A non-ok verdict
+  /// means the report must not reach the registry or the health monitor's
+  /// evidence path.  An unregistered id is judged `flagged`, uncounted.
   ComplianceVerdict check(PathId id, const PathReport& report, std::uint64_t sent);
 
   /// True once any report on `id` violated a check (sticky).
@@ -59,27 +65,12 @@ class ComplianceMonitor {
   /// Distinct paths flagged as lying.
   [[nodiscard]] std::uint64_t flagged_paths() const noexcept { return flagged_paths_; }
 
-  [[nodiscard]] std::size_t state_bytes() const noexcept {
-    return sizeof(ComplianceMonitor) + entries_.capacity() * sizeof(Entry);
-  }
-
   /// Exposes the violations counter as
   /// `tango_node_report_lying_total{node=...}`.
   void wire_metrics(telemetry::MetricsRegistry& registry, const std::string& node_label) const;
 
  private:
-  struct Entry {
-    PathId id = 0;
-    std::uint64_t prev_samples = 0;
-    std::uint64_t prev_lost = 0;
-    bool flagged = false;
-  };
-
-  [[nodiscard]] Entry& entry(PathId id);
-
-  /// Flat and insertion-ordered, like the health monitor's entries: a
-  /// pairing has a handful of paths and lookups stay allocation-free.
-  std::vector<Entry> entries_;
+  PathRegistry* registry_;
   telemetry::Counter violations_;
   std::uint64_t flagged_paths_ = 0;
 };

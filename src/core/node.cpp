@@ -1,6 +1,7 @@
 #include "core/node.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "net/report.hpp"
 
@@ -13,8 +14,7 @@ TangoNode::TangoNode(topo::Topology& topo, sim::Wan& wan, NodeConfig config)
       switch_{config_.router, wan,
               dataplane::SwitchOptions{.keep_series = config_.keep_series,
                                        .clock = config_.clock,
-                                       .auth_key = config_.auth_key}},
-      health_{config_.health} {
+                                       .auth_key = config_.auth_key}} {
   std::string label = config_.name;
   if (label.empty()) label = std::string{"r"}.append(std::to_string(config_.router));
   switch_.wire_observability(config_.obs, label);
@@ -31,16 +31,16 @@ TangoNode::TangoNode(topo::Topology& topo, sim::Wan& wan, NodeConfig config)
     reg->expose(report_replayed_, "tango_node_report_replayed_total", labels,
                 "Wire reports dropped for re-delivering the last accepted sequence");
     reg->expose(report_stale_, "tango_node_report_stale_total", labels,
-                "Wire reports dropped for a sequence older than one already accepted");
+                "Wire reports dropped for a sequence older than one already accepted, "
+                "or about a path this sender does not have");
     reg->expose(report_gaps_, "tango_node_report_gaps_total", labels,
                 "Report sequences skipped before an accepted envelope (suppression evidence)");
     compliance_.wire_metrics(*reg, label);
   }
-  if (config_.policy_engine) enable_policy_engine(*config_.policy_engine);
 }
 
-void TangoNode::enable_policy_engine(PolicyEngine::Options options) {
-  engine_ = std::make_unique<PolicyEngine>(options);
+void TangoNode::enable_policy_engine() {
+  engine_ = std::make_unique<PolicyEngine>();
   switch_.set_route_fn(
       [](void* ctx, const net::Packet& inner, bgp::RouterId peer, std::uint64_t flow_hash,
          sim::Time now) -> dataplane::TangoSwitch::RouteDecision {
@@ -113,8 +113,28 @@ void TangoNode::install_outbound(TangoNode& peer, const DiscoveryResult& result,
     // Kept index-aligned with peer_paths_ (send_probe_round addresses the
     // probe's inner packet by the same index).
     peer_host_prefixes_.push_back(peer.config_.host_prefix);
-  } else {
-    existing->second = std::move(ids);
+    return;
+  }
+
+  // Re-discovery: retire each old id no peer's list holds any more (a mesh
+  // re-establish may have renumbered it into another direction), one erase
+  // per layer.  The tunnel slot keeps the id's sequence counter (§8a).
+  const std::vector<PathId> old_ids = std::exchange(existing->second, std::move(ids));
+  bool retired = false;
+  for (PathId id : old_ids) {
+    if (std::any_of(peer_paths_.begin(), peer_paths_.end(), [id](const auto& p) {
+          return std::find(p.second.begin(), p.second.end(), id) != p.second.end();
+        })) {
+      continue;
+    }
+    registry_.remove(id);
+    switch_.tunnels().remove(id);
+    retired = true;
+  }
+  // The engine would otherwise keep weighting a retired path until the next
+  // policy tick, and every packet it picked would drop as no_tunnel.
+  if (retired && engine_) {
+    engine_->refresh(peer_id, policy_views(existing->second), wan_.now());
   }
 }
 
@@ -139,22 +159,7 @@ std::optional<PathId> TangoNode::apply_policy(sim::Time now) {
 
   std::optional<PathId> last_choice;
   for (const auto& [peer, ids] : peer_paths_) {
-    // Restrict the policy's view to this peer's paths, minus paths the
-    // health monitor has quarantined (their reports are frozen telemetry a
-    // policy would otherwise keep trusting).
-    PathViews views;
-    for (PathId id : ids) {
-      if (!health_.usable(id)) continue;
-      if (const PathReport* r = registry_.report(id)) views.emplace(id, *r);
-    }
-    if (views.empty()) {
-      // Every path is quarantined: surface all reports and let the policy's
-      // least-stale fallback pick the least-bad option rather than sending
-      // into a void with no information at all.
-      for (PathId id : ids) {
-        if (const PathReport* r = registry_.report(id)) views.emplace(id, *r);
-      }
-    }
+    const PathViews views = policy_views(ids);
     const auto current = switch_.active_path(peer);
     // A quarantined incumbent must not benefit from hysteresis: the policy
     // sees no incumbent and picks the best of the survivors.
@@ -173,19 +178,20 @@ std::optional<PathId> TangoNode::apply_policy(sim::Time now) {
   return last_choice ? last_choice : switch_.active_path();
 }
 
-void TangoNode::update_report(PathId id, const PathReport& report) {
-  registry_.update_report(id, report);
-  health_.on_report(id, report, wan_.now());
-  if (tracer_ != nullptr && tracer_->armed()) {
-    // The report closes the loop: the receiver's cumulative sample count ties
-    // it back to the measured lifecycles it summarizes.
-    tracer_->record({.at = wan_.now(),
-                     .key = report.samples,
-                     .node = config_.router,
-                     .path = id,
-                     .stage = telemetry::TraceStage::report,
-                     .cause = telemetry::TraceCause::none});
+PathViews TangoNode::policy_views(const std::vector<PathId>& ids) const {
+  // This peer's paths, minus paths the health monitor has quarantined (their
+  // reports are frozen telemetry a policy would otherwise keep trusting).
+  PathViews views;
+  for (PathId id : ids) {
+    if (!health_.usable(id)) continue;
+    if (const PathReport* r = registry_.report(id)) views.emplace(id, *r);
   }
+  if (views.empty()) {
+    for (PathId id : ids) {
+      if (const PathReport* r = registry_.report(id)) views.emplace(id, *r);
+    }
+  }
+  return views;
 }
 
 void TangoNode::send_probe_round() {
@@ -227,10 +233,6 @@ std::size_t TangoNode::state_bytes() const {
   bytes += peer_paths_.capacity() * sizeof(peer_paths_[0]);
   for (const auto& [peer, ids] : peer_paths_) bytes += ids.capacity() * sizeof(PathId);
   bytes += peer_host_prefixes_.capacity() * sizeof(peer_host_prefixes_[0]);
-  bytes += health_.state_bytes();
-  bytes += compliance_.state_bytes();
-  bytes += report_tx_seq_.capacity() * sizeof(std::uint64_t);
-  bytes += report_rx_next_.capacity() * sizeof(std::uint64_t);
   return bytes;
 }
 
@@ -257,11 +259,9 @@ std::optional<std::vector<std::uint8_t>> TangoNode::build_report_envelope_for(Pa
   const auto report = build_report_for(id, now);
   if (!report) return std::nullopt;
 
-  if (report_tx_seq_.size() <= id) report_tx_seq_.resize(static_cast<std::size_t>(id) + 1, 0);
-
   net::ReportEnvelope envelope;
   envelope.path_id = id;
-  envelope.report_seq = report_tx_seq_[id]++;
+  envelope.report_seq = switch_.receiver().take_report_sequence(id);
   envelope.owd_ewma_ms = report->owd_ewma_ms;
   envelope.jitter_ms = report->jitter_ms;
   envelope.loss_rate = report->loss_rate;
@@ -308,8 +308,15 @@ bool TangoNode::ingest_report_wire(std::span<const std::uint8_t> wire) {
   }
 
   const PathId id = envelope->path_id;
-  if (report_rx_next_.size() <= id) report_rx_next_.resize(static_cast<std::size_t>(id) + 1, 0);
-  const std::uint64_t next = report_rx_next_[id];  // one past the last accepted; 0 = none
+  PathRegistry::Entry* entry = registry_.entry(id);
+  if (entry == nullptr) {
+    // Authentic, but about no path of ours: never discovered, or retired
+    // while the report was in flight.  Nothing to judge it against.
+    report_stale_.inc();
+    drop(telemetry::TraceCause::report_stale, id, envelope->report_seq);
+    return false;
+  }
+  const std::uint64_t next = entry->report_rx_next;  // one past the last accepted; 0 = none
   if (next != 0 && envelope->report_seq < next) {
     // An authenticated envelope from the past: the peer never reuses a
     // sequence, so this is a capture re-delivered (replayed = the newest
@@ -328,7 +335,7 @@ bool TangoNode::ingest_report_wire(std::span<const std::uint8_t> wire) {
     // here — each one is a missing report, the §6 suppression signal.
     report_gaps_.inc(envelope->report_seq - next);
   }
-  report_rx_next_[id] = envelope->report_seq + 1;
+  entry->report_rx_next = envelope->report_seq + 1;
 
   PathReport report;
   report.owd_ewma_ms = envelope->owd_ewma_ms;
@@ -344,11 +351,21 @@ bool TangoNode::ingest_report_wire(std::span<const std::uint8_t> wire) {
       compliance_.check(id, report, switch_.sender().next_sequence(id));
   if (verdict != ComplianceVerdict::ok) {
     drop(telemetry::TraceCause::report_lying, id, envelope->report_seq);
-    health_.force_quarantine(id, now);
+    health_.force_quarantine(id);
     return false;
   }
 
-  update_report(id, report);
+  health_.on_report(id, report, now);
+  if (tracer_ != nullptr && tracer_->armed()) {
+    // The report closes the loop: the receiver's cumulative sample count ties
+    // it back to the measured lifecycles it summarizes.
+    tracer_->record({.at = now,
+                     .key = report.samples,
+                     .node = config_.router,
+                     .path = id,
+                     .stage = telemetry::TraceStage::report,
+                     .cause = telemetry::TraceCause::none});
+  }
   return true;
 }
 

@@ -36,8 +36,6 @@ struct NodeConfig {
   /// Shared pairing key for authenticated telemetry (§6); both endpoints
   /// must configure the same key.
   std::optional<net::SipHashKey> auth_key;
-  /// Path-health thresholds (staleness/loss quarantine, re-probe cadence).
-  PathHealthOptions health;
   /// Human-readable site label on this node's metrics ("la", "ny");
   /// defaults to "r<router-id>".
   std::string name;
@@ -45,11 +43,6 @@ struct NodeConfig {
   /// Share one Observability across the deployment — both nodes and the WAN
   /// — for a coherent snapshot.
   telemetry::Observability obs;
-  /// When set, a PolicyEngine is created at construction with these options
-  /// and attached to the switch's route hook (class/rule tables are then
-  /// configured through policy_engine()).  Absent = classic failover-only
-  /// routing, bit-identical to builds without the engine.
-  std::optional<PolicyEngine::Options> policy_engine;
 };
 
 class TangoNode {
@@ -91,9 +84,11 @@ class TangoNode {
   /// Installs an already-discovered result toward `peer`: tunnels, registry
   /// entries, health tracking, host-prefix steering and the initial active
   /// path.  Path ids in `result` must already be final (a TangoMesh
-  /// renumbers them from its allocator first).  With `sync_fibs` false the
-  /// WAN FIB refresh is the caller's responsibility — a mesh installing
-  /// thousands of directions syncs once at the end instead of per pair.
+  /// renumbers them from its allocator first).  Re-discovery keeps the
+  /// entries of ids the result still contains and retires the direction's
+  /// others (DESIGN §7g).  With `sync_fibs` false the WAN FIB refresh is
+  /// the caller's responsibility — a mesh installing thousands of
+  /// directions syncs once at the end instead of per pair.
   void install_outbound(TangoNode& peer, const DiscoveryResult& result, bool sync_fibs = true);
 
   /// Router ids of peers with discovered outbound paths.
@@ -109,8 +104,8 @@ class TangoNode {
     return peer_paths_;
   }
 
-  /// Estimated bytes of pairing state this node holds: registry entries and
-  /// reports, per-peer path lists, tunnel-table slots and receiver trackers.
+  /// Estimated bytes of pairing state this node holds: registry entries,
+  /// per-peer path lists, tunnel-table slots and receiver slots.
   /// An estimate (containers report capacity, heap headers are ignored) —
   /// meant for trend accounting at mesh scale, not exact sizing.
   [[nodiscard]] std::size_t state_bytes() const;
@@ -121,23 +116,20 @@ class TangoNode {
   [[nodiscard]] const RoutingPolicy* policy() const noexcept { return policy_.get(); }
 
   /// Creates (or replaces) the per-packet policy engine and attaches it to
-  /// the switch's raw route hook.  The engine's weights refresh on every
+  /// the switch's raw route hook (class/rule tables are then configured
+  /// through policy_engine()).  The engine's weights refresh on every
   /// apply_policy tick from the same health-filtered report view the
   /// RoutingPolicy sees.  In its default failover mode the engine declines
   /// every decision, leaving the data path byte-identical.
-  void enable_policy_engine(PolicyEngine::Options options = {});
+  void enable_policy_engine();
 
-  /// The engine, nullptr until enable_policy_engine (or NodeConfig opt-in).
+  /// The engine, nullptr until enable_policy_engine.
   [[nodiscard]] PolicyEngine* policy_engine() noexcept { return engine_.get(); }
   [[nodiscard]] const PolicyEngine* policy_engine() const noexcept { return engine_.get(); }
 
   /// Runs the policy against the current reports; switches the data plane's
   /// active path when the decision changed.  Returns the chosen path.
   std::optional<PathId> apply_policy(sim::Time now);
-
-  /// Installs a fresh performance report for an outbound path (feedback
-  /// from the cooperating peer) and feeds the path-health monitor.
-  void update_report(PathId id, const PathReport& report);
 
   /// The sender-side health state machine over this node's outbound paths.
   /// apply_policy() excludes quarantined/probing paths from the policy's
@@ -160,7 +152,8 @@ class TangoNode {
       PathId id, sim::Time now);
 
   /// Sender-side ingest of one wire report.  Fail-closed classification:
-  /// unparseable or wrongly-tagged envelopes drop as forged; an envelope
+  /// unparseable or wrongly-tagged envelopes drop as forged; one about a
+  /// path this sender does not have drops as stale; an envelope
   /// re-delivering the last accepted sequence drops as replayed; one older
   /// still drops as stale; a sequence jump is accepted but its gap counted
   /// (suppression evidence).  Survivors are cross-checked against this
@@ -175,7 +168,8 @@ class TangoNode {
   [[nodiscard]] std::uint64_t report_replayed() const noexcept {
     return report_replayed_.value();
   }
-  /// Wire reports dropped for a sequence older than one already accepted.
+  /// Wire reports dropped for a sequence older than one already accepted,
+  /// or for naming a path this sender does not have.
   [[nodiscard]] std::uint64_t report_stale() const noexcept { return report_stale_.value(); }
   /// Report sequences skipped before an accepted envelope (each one is a
   /// report that was built but never arrived — suppression evidence).
@@ -216,19 +210,18 @@ class TangoNode {
 
  private:
   void schedule_probe_round(sim::Time period);
+  /// The routing policy's view of `ids`: reports of the health-usable ones,
+  /// or of all when none is usable (the policy's fallback then picks the
+  /// least-bad option).
+  [[nodiscard]] PathViews policy_views(const std::vector<PathId>& ids) const;
 
   topo::Topology& topo_;
   sim::Wan& wan_;
   NodeConfig config_;
   dataplane::TangoSwitch switch_;
   PathRegistry registry_;
-  PathHealthMonitor health_;
-  ComplianceMonitor compliance_;
-  /// Dense per-path wire-report sequences: next to *send* about the peer's
-  /// path (receiver role) and one past the last *accepted* (sender role;
-  /// 0 = none accepted yet, so sequence 0 itself stays acceptable).
-  std::vector<std::uint64_t> report_tx_seq_;
-  std::vector<std::uint64_t> report_rx_next_;
+  PathHealthMonitor health_{registry_};
+  ComplianceMonitor compliance_{registry_};
   telemetry::Counter report_forged_;
   telemetry::Counter report_replayed_;
   telemetry::Counter report_stale_;

@@ -1,6 +1,9 @@
 #include "core/path_health.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "core/registry.hpp"
 
 namespace tango::core {
 
@@ -20,26 +23,15 @@ const char* to_string(PathHealth h) noexcept {
   return "?";
 }
 
-PathHealthMonitor::Entry* PathHealthMonitor::find(PathId id) {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [id](const Entry& e) { return e.id == id; });
-  return it != entries_.end() ? &*it : nullptr;
-}
-
-const PathHealthMonitor::Entry* PathHealthMonitor::find(PathId id) const {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [id](const Entry& e) { return e.id == id; });
-  return it != entries_.end() ? &*it : nullptr;
+PathHealthState* PathHealthMonitor::find(PathId id) {
+  PathRegistry::Entry* e = registry_->entry(id);
+  return e != nullptr ? &e->health : nullptr;
 }
 
 void PathHealthMonitor::track(PathId id, sim::Time now) {
-  if (Entry* existing = find(id)) {
-    // Re-discovery of a known path: refresh the grace period but keep the
-    // health history (a quarantined path does not heal by re-registration).
-    existing->last_evidence = std::max(existing->last_evidence, now);
-    return;
-  }
-  entries_.push_back(Entry{.id = id, .last_evidence = now});
+  // A new entry's evidence clock starts at 0, so this is its grace period;
+  // a re-discovered path keeps its health history.
+  if (PathHealthState* h = find(id)) h->last_evidence = std::max(h->last_evidence, now);
 }
 
 void PathHealthMonitor::wire_metrics(telemetry::MetricsRegistry& registry,
@@ -51,70 +43,66 @@ void PathHealthMonitor::wire_metrics(telemetry::MetricsRegistry& registry,
   }
 }
 
-void PathHealthMonitor::quarantine(Entry& e) {
-  if (e.state == PathHealth::quarantined || e.state == PathHealth::probing) return;
-  enter(e, PathHealth::quarantined);
-  e.good_streak = 0;
+void PathHealthMonitor::quarantine(PathHealthState& h) {
+  if (h.state == PathHealth::quarantined || h.state == PathHealth::probing) return;
+  enter(h, PathHealth::quarantined);
+  h.good_streak = 0;
   ++quarantines_;
 }
 
-void PathHealthMonitor::force_quarantine(PathId id, sim::Time now) {
-  Entry* e = find(id);
-  if (e == nullptr) {
-    track(id, now);
-    e = find(id);
-  }
+void PathHealthMonitor::force_quarantine(PathId id) {
+  PathHealthState* h = find(id);
+  if (h == nullptr) return;
   // A probing path loses its in-flight probe credit too: the evidence that
   // triggered the force overrides whatever the probe might report.
-  if (e->state == PathHealth::probing) enter(*e, PathHealth::quarantined);
-  quarantine(*e);
+  if (h->state == PathHealth::probing) enter(*h, PathHealth::quarantined);
+  quarantine(*h);
 }
 
 void PathHealthMonitor::on_report(PathId id, const PathReport& report, sim::Time now) {
-  Entry* e = find(id);
-  if (e == nullptr) {
-    track(id, now);
-    e = find(id);
-  }
+  PathRegistry::Entry* entry = registry_->entry(id);
+  if (entry == nullptr) return;
+  PathHealthState& h = entry->health;
 
   // Evidence of life = the receiver measured new packets since last report.
+  const std::uint64_t prev_samples = entry->report ? entry->report->samples : 0;
+  const std::uint64_t prev_lost = entry->report ? entry->report->lost : 0;
   const std::uint64_t delta_samples =
-      report.samples >= e->prev_samples ? report.samples - e->prev_samples : 0;
-  const std::uint64_t delta_lost = report.lost >= e->prev_lost ? report.lost - e->prev_lost : 0;
-  e->prev_samples = report.samples;
-  e->prev_lost = report.lost;
+      report.samples >= prev_samples ? report.samples - prev_samples : 0;
+  const std::uint64_t delta_lost = report.lost >= prev_lost ? report.lost - prev_lost : 0;
+  entry->report = report;
 
   const std::uint64_t interval_total = delta_samples + delta_lost;
   const double interval_loss =
       interval_total > 0 ? static_cast<double>(delta_lost) / static_cast<double>(interval_total)
                          : 0.0;
-  const bool confirmed_loss = interval_total >= options_.min_interval_packets &&
-                              interval_loss >= options_.loss_quarantine;
+  const bool confirmed_loss =
+      interval_total >= kMinIntervalPackets && interval_loss >= kLossQuarantine;
   const bool alive = delta_samples > 0;
 
-  if (alive) e->last_evidence = now;
+  if (alive) h.last_evidence = now;
 
   if (confirmed_loss) {
     // Packets are dying in bulk even though some get through: treat like a
     // dead path.  (Already-quarantined paths just stay put.)
-    if (e->state == PathHealth::probing) enter(*e, PathHealth::quarantined);
-    quarantine(*e);
+    if (h.state == PathHealth::probing) enter(h, PathHealth::quarantined);
+    quarantine(h);
     return;
   }
 
   if (!alive) return;  // a frozen report carries no new information
 
-  switch (e->state) {
+  switch (h.state) {
     case PathHealth::quarantined:
     case PathHealth::probing:
-      if (++e->good_streak >= options_.good_reports_to_recover) {
-        enter(*e, PathHealth::recovered);
-        e->good_streak = 0;
+      if (++h.good_streak >= kGoodReportsToRecover) {
+        enter(h, PathHealth::recovered);
+        h.good_streak = 0;
       }
       break;
     case PathHealth::recovered:
     case PathHealth::suspect:
-      enter(*e, PathHealth::healthy);
+      enter(h, PathHealth::healthy);
       break;
     case PathHealth::healthy:
       break;
@@ -122,24 +110,23 @@ void PathHealthMonitor::on_report(PathId id, const PathReport& report, sim::Time
 }
 
 void PathHealthMonitor::tick(sim::Time now) {
-  for (Entry& e : entries_) {
-    const sim::Time age = now - e.last_evidence;
-    switch (e.state) {
+  for (auto& [id, entry] : registry_->entries()) {
+    PathHealthState& h = entry.health;
+    const sim::Time age = now - h.last_evidence;
+    switch (h.state) {
       case PathHealth::healthy:
       case PathHealth::suspect:
       case PathHealth::recovered:
-        if (age >= options_.quarantine_after) {
-          quarantine(e);
-        } else if (age >= options_.suspect_after && e.state == PathHealth::healthy) {
-          enter(e, PathHealth::suspect);
+        if (age >= kQuarantineAfter) {
+          quarantine(h);
+        } else if (age >= kSuspectAfter && h.state == PathHealth::healthy) {
+          enter(h, PathHealth::suspect);
         }
         break;
       case PathHealth::probing:
         // The recovery probe went unanswered for a full probe interval:
         // back to quarantined so should_probe can schedule the next one.
-        if (now - e.last_probe >= options_.probe_interval) {
-          enter(e, PathHealth::quarantined);
-        }
+        if (now - h.last_probe >= kProbeInterval) enter(h, PathHealth::quarantined);
         break;
       case PathHealth::quarantined:
         break;
@@ -148,22 +135,22 @@ void PathHealthMonitor::tick(sim::Time now) {
 }
 
 PathHealth PathHealthMonitor::state(PathId id) const {
-  const Entry* e = find(id);
-  return e != nullptr ? e->state : PathHealth::healthy;
+  const PathRegistry::Entry* e = std::as_const(*registry_).entry(id);
+  return e != nullptr ? e->health.state : PathHealth::healthy;
 }
 
 bool PathHealthMonitor::should_probe(PathId id, sim::Time now) {
-  Entry* e = find(id);
-  if (e == nullptr) return true;  // untracked paths keep the old behaviour
-  switch (e->state) {
+  PathHealthState* h = find(id);
+  if (h == nullptr) return true;  // unregistered ids keep the old behaviour
+  switch (h->state) {
     case PathHealth::healthy:
     case PathHealth::suspect:
     case PathHealth::recovered:
       return true;
     case PathHealth::quarantined:
-      if (now - e->last_probe >= options_.probe_interval) {
-        e->last_probe = now;
-        enter(*e, PathHealth::probing);
+      if (now - h->last_probe >= kProbeInterval) {
+        h->last_probe = now;
+        enter(*h, PathHealth::probing);
         return true;
       }
       return false;

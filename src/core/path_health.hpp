@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/path.hpp"
 #include "telemetry/metrics.hpp"
@@ -31,7 +30,7 @@ namespace tango::core {
 
 enum class PathHealth : std::uint8_t {
   healthy,      ///< evidence of recent delivery, acceptable loss
-  suspect,      ///< no new samples for suspect_after; still usable
+  suspect,      ///< no new samples for kSuspectAfter; still usable
   quarantined,  ///< declared dead: excluded from policy, probed at low rate
   probing,      ///< a recovery probe is in flight, awaiting evidence
   recovered,    ///< came back; usable, promoted to healthy on the next good report
@@ -39,37 +38,49 @@ enum class PathHealth : std::uint8_t {
 
 [[nodiscard]] const char* to_string(PathHealth h) noexcept;
 
-struct PathHealthOptions {
-  /// No new receiver samples for this long: healthy -> suspect.
-  sim::Time suspect_after = 300 * sim::kMillisecond;
-  /// No new receiver samples for this long: -> quarantined.  Bounds the
-  /// failover time: the switch abandons a dead path within
-  /// quarantine_after + one policy period + one feedback round trip.
-  sim::Time quarantine_after = sim::kSecond;
-  /// Interval loss share (between consecutive reports) that quarantines a
-  /// path even while some packets still arrive.
-  double loss_quarantine = 0.5;
-  /// Minimum packets in an interval before its loss share is trusted.
-  std::uint64_t min_interval_packets = 8;
-  /// How often a quarantined path is re-probed for recovery.  Low rate by
-  /// design: dead paths should not consume the 10 ms probe cadence.
-  sim::Time probe_interval = 500 * sim::kMillisecond;
-  /// Consecutive good reports needed to leave quarantine.
-  int good_reports_to_recover = 2;
+/// One path's health-machine state, kept in its registry entry (whose last
+/// accepted report is the evidence rule's delta base).
+struct PathHealthState {
+  PathHealth state = PathHealth::healthy;
+  /// Last time a report proved packets were flowing (sample count grew).
+  sim::Time last_evidence = 0;
+  sim::Time last_probe = 0;
+  int good_streak = 0;
 };
 
-/// Tracks the health state of every path of one sender.  Deterministic: all
-/// transitions are driven by caller-supplied times and report contents.
+class PathRegistry;
+
+/// Runs the state machine over the paths of one sender's registry; holds only
+/// the rules and counters.  Deterministic: all transitions are driven by
+/// caller-supplied times and report contents.
 class PathHealthMonitor {
  public:
-  explicit PathHealthMonitor(PathHealthOptions options = {}) : options_{options} {}
+  /// No new receiver samples for this long: healthy -> suspect.
+  static constexpr sim::Time kSuspectAfter = 300 * sim::kMillisecond;
+  /// No new receiver samples for this long: -> quarantined.  Bounds the
+  /// failover time: the switch abandons a dead path within
+  /// kQuarantineAfter + one policy period + one feedback round trip.
+  static constexpr sim::Time kQuarantineAfter = sim::kSecond;
+  /// Interval loss share (between consecutive reports) that quarantines a
+  /// path even while some packets still arrive.
+  static constexpr double kLossQuarantine = 0.5;
+  /// Minimum packets in an interval before its loss share is trusted.
+  static constexpr std::uint64_t kMinIntervalPackets = 8;
+  /// How often a quarantined path is re-probed for recovery.  Low rate by
+  /// design: dead paths should not consume the 10 ms probe cadence.
+  static constexpr sim::Time kProbeInterval = 500 * sim::kMillisecond;
+  /// Consecutive good reports needed to leave quarantine.
+  static constexpr int kGoodReportsToRecover = 2;
 
-  /// Registers a path (idempotent).  A freshly tracked path gets a full
-  /// staleness grace period starting at `now`.
+  explicit PathHealthMonitor(PathRegistry& registry) : registry_{&registry} {}
+
+  /// Starts (or, on re-discovery, refreshes) the staleness grace period of
+  /// `id` at `now`; a quarantined path stays quarantined.
   void track(PathId id, sim::Time now);
 
-  /// Feeds one report from the cooperating receiver.  `now` is the sender's
-  /// clock at delivery.
+  /// Applies one accepted report from the cooperating receiver: judges it
+  /// against the entry's previous report, then records it as the entry's
+  /// report.  `now` is the sender's clock at delivery.
   void on_report(PathId id, const PathReport& report, sim::Time now);
 
   /// Advances staleness transitions to `now` (call from the policy tick).
@@ -78,9 +89,10 @@ class PathHealthMonitor {
   /// Forces `id` into quarantine regardless of its report evidence — the
   /// compliance monitor's hook for a peer caught lying about a path (§6):
   /// its reports can no longer be believed, so the reports must not be able
-  /// to keep the path usable.  Tracks the path first if unknown.
-  void force_quarantine(PathId id, sim::Time now);
+  /// to keep the path usable.  Every mutator ignores unregistered ids.
+  void force_quarantine(PathId id);
 
+  /// Healthy for an unregistered id.
   [[nodiscard]] PathHealth state(PathId id) const;
 
   /// Usable = may be offered to the routing policy.
@@ -92,10 +104,8 @@ class PathHealthMonitor {
   /// Gate for the probe loop: healthy-side paths probe every round;
   /// quarantined paths only when their low-rate probe is due.  Returns true
   /// when the caller should send a probe now and records the send (a
-  /// quarantined path moves to probing).
+  /// quarantined path moves to probing).  True for an unregistered id.
   [[nodiscard]] bool should_probe(PathId id, sim::Time now);
-
-  [[nodiscard]] const PathHealthOptions& options() const noexcept { return options_; }
 
   // --- Statistics -----------------------------------------------------------
 
@@ -111,42 +121,21 @@ class PathHealthMonitor {
     return transitions_[static_cast<std::size_t>(to)].value();
   }
 
-  /// Estimated resident bytes of tracked-path state (mesh-scale accounting).
-  [[nodiscard]] std::size_t state_bytes() const noexcept {
-    return sizeof(PathHealthMonitor) + entries_.capacity() * sizeof(Entry);
-  }
-
   /// Exposes the per-target-state transition counters as
   /// `tango_health_transitions_total{node=..., to=<state>}`.
   void wire_metrics(telemetry::MetricsRegistry& registry, const std::string& node_label) const;
 
  private:
-  struct Entry {
-    PathId id = 0;
-    PathHealth state = PathHealth::healthy;
-    /// Last time a report proved packets were flowing (sample count grew).
-    sim::Time last_evidence = 0;
-    sim::Time last_probe = 0;
-    /// Receiver cumulative counters at the previous report (delta base).
-    std::uint64_t prev_samples = 0;
-    std::uint64_t prev_lost = 0;
-    int good_streak = 0;
-  };
-
-  [[nodiscard]] Entry* find(PathId id);
-  [[nodiscard]] const Entry* find(PathId id) const;
-  void quarantine(Entry& e);
+  [[nodiscard]] PathHealthState* find(PathId id);
+  void quarantine(PathHealthState& h);
   /// The single place a path changes state: updates the entry and bumps the
   /// per-target-state transition counter.
-  void enter(Entry& e, PathHealth to) noexcept {
-    e.state = to;
+  void enter(PathHealthState& h, PathHealth to) noexcept {
+    h.state = to;
     transitions_[static_cast<std::size_t>(to)].inc();
   }
 
-  PathHealthOptions options_;
-  /// Flat and ordered by insertion (= discovery order): a pairing has a
-  /// handful of paths, and deterministic iteration keeps runs reproducible.
-  std::vector<Entry> entries_;
+  PathRegistry* registry_;
   std::uint64_t quarantines_ = 0;
   /// Indexed by the target PathHealth of a transition.
   std::array<telemetry::Counter, 5> transitions_{};

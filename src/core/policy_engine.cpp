@@ -18,14 +18,7 @@ namespace {
 
 }  // namespace
 
-PolicyEngine::PolicyEngine() : PolicyEngine(Options{}) {}
-
-PolicyEngine::PolicyEngine(Options options) : options_{options} {
-  std::size_t slots = 1;
-  while (slots < options_.flowlet_slots) slots <<= 1;
-  flowlets_.assign(slots, FlowletSlot{});
-  flowlet_mask_ = slots - 1;
-}
+PolicyEngine::PolicyEngine() : flowlets_(kFlowletSlots) {}
 
 void PolicyEngine::set_class(std::uint8_t klass, std::uint16_t dport_lo,
                              std::uint16_t dport_hi) {
@@ -71,7 +64,7 @@ void PolicyEngine::refresh(bgp::RouterId peer, const PathViews& views, sim::Time
   double second_score = 0.0;
   double max_score = 0.0;
   for (const auto& [id, report] : views) {
-    if (!report.fresh(now, options_.max_report_age)) continue;
+    if (!report.fresh(now, kMaxReportAge)) continue;
     const double clean = std::max(0.0, 1.0 - report.loss_rate);
     const double owd = std::max(0.1, report.owd_ewma_ms);
     const double score = clean * clean / owd;
@@ -93,7 +86,7 @@ void PolicyEngine::refresh(bgp::RouterId peer, const PathViews& views, sim::Time
   // Re-walk to fill integer weights (1..1000 relative to the best path).
   std::size_t i = 0;
   for (const auto& [id, report] : views) {
-    if (!report.fresh(now, options_.max_report_age)) continue;
+    if (!report.fresh(now, kMaxReportAge)) continue;
     const double clean = std::max(0.0, 1.0 - report.loss_rate);
     const double owd = std::max(0.1, report.owd_ewma_ms);
     const double score = clean * clean / owd;
@@ -183,8 +176,8 @@ PolicyEngine::Decision PolicyEngine::decide(const net::Packet& inner, bgp::Route
   // across weight changes); only a flow idle past the gap may be re-routed.
   ++weighted_decisions_;
   const std::uint64_t key = mix64(flow_hash ^ peer) | 1;  // 0 marks an empty slot
-  FlowletSlot& slot = flowlets_[key & flowlet_mask_];
-  const bool live = slot.key == key && now - slot.last_seen <= options_.flowlet_gap;
+  FlowletSlot& slot = flowlets_[key & (kFlowletSlots - 1)];
+  const bool live = slot.key == key && now - slot.last_seen <= kFlowletGap;
   if (live && weight_of(peer, slot.path) > 0) {
     slot.last_seen = now;
     return Decision{.primary = slot.path};

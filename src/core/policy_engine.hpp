@@ -38,17 +38,15 @@ enum class PolicyMode : std::uint8_t {
 
 class PolicyEngine {
  public:
-  struct Options {
-    /// Idle gap that ends a flowlet: a flow silent for longer may be
-    /// re-routed; a flow inside the gap stays pinned to its path, so
-    /// per-flow ordering survives weight changes (no intra-flowlet reorder).
-    sim::Time flowlet_gap = 500 * sim::kMicrosecond;
-    /// Flowlet table slots (rounded up to a power of two).  A hash collision
-    /// simply starts a new flowlet — bounded state, like a real switch.
-    std::size_t flowlet_slots = 4096;
-    /// Reports older than this carry zero weight.
-    sim::Time max_report_age = 5 * sim::kSecond;
-  };
+  /// Idle gap that ends a flowlet: a flow silent for longer may be
+  /// re-routed; a flow inside the gap stays pinned to its path, so per-flow
+  /// ordering survives weight changes (no intra-flowlet reorder).
+  static constexpr sim::Time kFlowletGap = 500 * sim::kMicrosecond;
+  /// Flowlet table slots (a power of two).  A hash collision simply starts a
+  /// new flowlet — bounded state, like a real switch.
+  static constexpr std::size_t kFlowletSlots = 4096;
+  /// Reports older than this carry zero weight.
+  static constexpr sim::Time kMaxReportAge = 5 * sim::kSecond;
 
   /// The per-packet verdict.  primary == 0 means "no opinion" (the switch
   /// uses its active path); duplicate != 0 asks the switch to send a second
@@ -61,8 +59,7 @@ class PolicyEngine {
   /// Matches any traffic class in a rule.
   static constexpr std::uint8_t kAnyClass = 0xFF;
 
-  PolicyEngine();  // default Options (nested NSDMIs bar a `= {}` default arg)
-  explicit PolicyEngine(Options options);
+  PolicyEngine();
 
   // --- Policy tables (control plane) --------------------------------------
 
@@ -110,8 +107,6 @@ class PolicyEngine {
   /// Best / second-best ranked paths toward `peer` (0 when absent).
   [[nodiscard]] std::pair<PathId, PathId> ranked(bgp::RouterId peer) const noexcept;
 
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
-
  private:
   struct PathWeight {
     PathId id = 0;
@@ -150,13 +145,11 @@ class PolicyEngine {
   [[nodiscard]] PathId weighted_pick(const PeerState& state, std::uint64_t flow_hash,
                                      std::uint16_t nonce) const noexcept;
 
-  Options options_;
   PolicyMode default_mode_ = PolicyMode::failover;
   std::vector<ClassEntry> classes_;
   std::vector<Rule> rules_;
   std::vector<PeerState> peers_;  ///< flat; a node has a handful of peers
   std::vector<FlowletSlot> flowlets_;
-  std::uint64_t flowlet_mask_ = 0;
   std::uint64_t flowlets_started_ = 0;
   std::uint64_t flowlet_switches_ = 0;
   std::uint64_t hedged_decisions_ = 0;

@@ -1,5 +1,8 @@
 // Path registry: the sender-side record of the wide-area paths available to
-// reach the peer, their tunnels, and their latest performance reports.
+// reach the peer.  One entry per path holds everything the sender keeps about
+// it — the discovered route, the last accepted performance report, the
+// health-machine state and the report-ingest state — so "which paths does
+// this sender have" is decided here, and retiring a path is one erase.
 #pragma once
 
 #include <map>
@@ -7,41 +10,55 @@
 #include <vector>
 
 #include "core/path.hpp"
+#include "core/path_health.hpp"
 #include "dataplane/tunnel_table.hpp"
 
 namespace tango::core {
 
 class PathRegistry {
  public:
+  struct Entry {
+    DiscoveredPath path;
+    /// The last accepted report (the delta base of the next one, and what
+    /// the routing policy reads); nullopt until one arrives.
+    std::optional<PathReport> report;
+    PathHealthState health;
+    /// Caught lying by the compliance monitor (sticky): later reports are
+    /// rejected unexamined.
+    bool lying = false;
+    /// One past the last accepted wire-report sequence; 0 = none accepted
+    /// yet, so sequence 0 itself stays acceptable.
+    std::uint64_t report_rx_next = 0;
+  };
+
   /// Registers a discovered path and returns the tunnel to install for it.
-  /// `local_endpoint` is an address this site owns (outer IPv6 source);
-  /// the remote endpoint is synthesized inside the discovered prefix.
+  /// Re-registering a known id replaces its route and keeps the rest of its
+  /// entry.  `local_endpoint` is an address this site owns (outer IPv6
+  /// source); the remote endpoint is synthesized inside the discovered prefix.
   dataplane::Tunnel register_path(const DiscoveredPath& path,
                                   const net::Ipv6Address& local_endpoint);
 
-  /// Removes a path (withdrawn by the peer).
+  /// Retires a path with everything the sender kept about it.
   bool remove(PathId id);
 
   [[nodiscard]] const DiscoveredPath* find(PathId id) const;
+  [[nodiscard]] Entry* entry(PathId id);
+  [[nodiscard]] const Entry* entry(PathId id) const;
+  /// Every entry, ascending by id.
+  [[nodiscard]] std::map<PathId, Entry>& entries() noexcept { return entries_; }
   [[nodiscard]] std::vector<PathId> ids() const;
-  [[nodiscard]] std::size_t size() const noexcept { return paths_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Updates the live performance view for `id` (feedback from the peer).
-  void update_report(PathId id, const PathReport& report);
-
+  /// The last accepted report on `id`, nullptr before the first.
   [[nodiscard]] const PathReport* report(PathId id) const;
-  [[nodiscard]] const std::map<PathId, PathReport>& reports() const noexcept {
-    return reports_;
-  }
 
-  /// Estimated resident bytes of registered paths and their live reports
-  /// (tree nodes plus per-path heap: label, communities, AS path).  Trend
-  /// accounting for mesh-scale growth, not exact heap usage.
+  /// Estimated resident bytes of the entries (tree nodes plus per-path
+  /// heap: label, communities, AS path).  Trend accounting for mesh-scale
+  /// growth, not exact heap usage.
   [[nodiscard]] std::size_t state_bytes() const;
 
  private:
-  std::map<PathId, DiscoveredPath> paths_;
-  std::map<PathId, PathReport> reports_;
+  std::map<PathId, Entry> entries_;
 };
 
 /// Host suffix used for synthesized tunnel endpoints (::1 inside the /48).

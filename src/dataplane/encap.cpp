@@ -20,15 +20,14 @@ std::uint64_t telemetry_auth_tag(const net::SipHashKey& key, const net::TangoHea
 }
 
 bool TunnelSender::wrap_inplace(net::Packet& packet, PathId path, sim::Time now) {
-  const Tunnel* tunnel = table_->find(path);
-  if (tunnel == nullptr) return false;
-
-  if (seq_.size() <= path) seq_.resize(static_cast<std::size_t>(path) + 1, 0);
+  TunnelTable::Slot* slot = table_->installed(path);
+  if (slot == nullptr) return false;
+  const Tunnel& tunnel = *slot->tunnel;
 
   net::TangoHeader header;
   header.path_id = path;
   header.tx_time_ns = clock_->now(now);
-  header.sequence = seq_[path]++;
+  header.sequence = slot->next_sequence++;
   if (auth_key_) {
     header.flags |= net::TangoHeader::kFlagAuthenticated;
     header.auth_tag = telemetry_auth_tag(*auth_key_, header, packet.bytes());
@@ -43,8 +42,8 @@ bool TunnelSender::wrap_inplace(net::Packet& packet, PathId path, sim::Time now)
                      .stage = telemetry::TraceStage::encap,
                      .cause = telemetry::TraceCause::none});
   }
-  net::encapsulate_tango_inplace(packet, tunnel->local_endpoint, tunnel->remote_endpoint,
-                                 tunnel->udp_src_port, header);
+  net::encapsulate_tango_inplace(packet, tunnel.local_endpoint, tunnel.remote_endpoint,
+                                 tunnel.udp_src_port, header);
   return true;
 }
 
@@ -56,10 +55,6 @@ void TunnelSender::wire_telemetry(const telemetry::Observability& obs,
   }
   tracer_ = obs.tracer;
   trace_node_ = node;
-}
-
-std::uint64_t TunnelSender::next_sequence(PathId path) const {
-  return path < seq_.size() ? seq_[path] : 0;
 }
 
 UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time now) {
@@ -97,18 +92,18 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
   }
 
   const PathId path = view->tango.path_id;
-  if (trackers_.size() <= path) trackers_.resize(static_cast<std::size_t>(path) + 1);
-  auto& slot = trackers_[path];
-  if (!slot) {
-    slot = std::make_unique<PathTracker>(keep_series_,
-                                         auth_key_ ? kReplayWindow : LossTracker::kHorizon);
+  if (slots_.size() <= path) slots_.resize(static_cast<std::size_t>(path) + 1);
+  if (!slots_[path]) {
+    slots_[path] = std::make_unique<Slot>(keep_series_,
+                                          auth_key_ ? kReplayWindow : LossTracker::kHorizon);
   }
+  Slot& slot = *slots_[path];
   // Anti-replay: a verbatim capture re-injected later carries a *valid*
   // tag, so only sequence memory can reject it — and it must do so here,
   // before the stale tx_time reaches the trackers.  Meaningful only once
   // the tag proves the sequence is the sender's own (an unauthenticated
   // deployment could be desynchronized by spoofed far-future sequences).
-  if (auth_key_ && !slot->window().fresh(view->tango.sequence)) {
+  if (auth_key_ && !slot.tracker.window().fresh(view->tango.sequence)) {
     replay_dropped_.inc();
     if (telemetry_.tracer != nullptr && telemetry_.tracer->armed()) {
       telemetry_.tracer->record({.at = now,
@@ -130,20 +125,19 @@ UnwrapResult TunnelReceiver::unwrap_classified(net::Packet& packet, sim::Time no
   info.owd_ms = static_cast<double>(static_cast<std::int64_t>(rx - view->tango.tx_time_ns)) /
                 static_cast<double>(sim::kMillisecond);
 
-  slot->record(now, info.owd_ms, info.sequence);
+  slot.tracker.record(now, info.owd_ms, info.sequence);
   received_.inc();
   if (telemetry_.registry != nullptr) {
     // Lazy per-path histogram registration rides the same first-packet path
     // as the tracker; after that, one pre-resolved pointer per packet.
-    if (owd_hist_.size() <= info.path) owd_hist_.resize(static_cast<std::size_t>(info.path) + 1);
-    if (owd_hist_[info.path] == nullptr) {
-      owd_hist_[info.path] = &telemetry_.registry->histogram(
+    if (slot.owd_hist == nullptr) {
+      slot.owd_hist = &telemetry_.registry->histogram(
           "tango_path_owd_us",
           {{"node", telemetry_.node_label}, {"path", std::to_string(info.path)}},
           "One-way delay per path, microseconds (clock offset included)");
     }
     const double us = info.owd_ms * 1000.0;
-    owd_hist_[info.path]->record(us > 0.0 ? static_cast<std::uint64_t>(us) : 0);
+    slot.owd_hist->record(us > 0.0 ? static_cast<std::uint64_t>(us) : 0);
   }
   if (telemetry_.tracer != nullptr && telemetry_.tracer->armed()) {
     telemetry_.tracer->record({.at = now,
@@ -172,27 +166,25 @@ void TunnelReceiver::wire_telemetry(Telemetry wiring) {
 }
 
 const PathTracker* TunnelReceiver::tracker(PathId path) const {
-  return path < trackers_.size() ? trackers_[path].get() : nullptr;
+  return path < slots_.size() && slots_[path] ? &slots_[path]->tracker : nullptr;
 }
 
 PathTracker* TunnelReceiver::tracker(PathId path) {
-  return path < trackers_.size() ? trackers_[path].get() : nullptr;
+  return path < slots_.size() && slots_[path] ? &slots_[path]->tracker : nullptr;
 }
 
 std::vector<PathId> TunnelReceiver::paths() const {
   std::vector<PathId> out;
-  for (std::size_t i = 0; i < trackers_.size(); ++i) {
-    if (trackers_[i]) out.push_back(static_cast<PathId>(i));
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i]) out.push_back(static_cast<PathId>(i));
   }
   return out;
 }
 
 std::size_t TunnelReceiver::state_bytes() const {
-  std::size_t bytes = sizeof(TunnelReceiver) +
-                      trackers_.capacity() * sizeof(trackers_[0]) +
-                      owd_hist_.capacity() * sizeof(owd_hist_[0]);
-  for (const auto& tracker : trackers_) {
-    if (tracker) bytes += tracker->state_bytes();
+  std::size_t bytes = sizeof(TunnelReceiver) + slots_.capacity() * sizeof(slots_[0]);
+  for (const auto& slot : slots_) {
+    if (slot) bytes += sizeof(Slot) - sizeof(PathTracker) + slot->tracker.state_bytes();
   }
   return bytes;
 }

@@ -5,8 +5,8 @@
 //
 // Both stages work in place (wrap_inplace / unwrap_classified), rewriting
 // the packet buffer through its headroom — zero per-packet allocations in
-// the steady state — and per-path state lives in dense PathId-indexed
-// vectors instead of trees.
+// the steady state — and per-path state lives in one dense PathId-indexed
+// slot array per role (the tunnel table's, the receiver's) instead of trees.
 #pragma once
 
 #include <memory>
@@ -38,13 +38,14 @@ namespace tango::dataplane {
   return telemetry_auth_tag(key, header, inner.bytes());
 }
 
-/// Sender side: per-tunnel sequence counters + timestamping + encapsulation.
+/// Sender side: sequencing + timestamping + encapsulation.  The per-path
+/// sequence counters live in the tunnel table's slots.
 class TunnelSender {
  public:
-  /// `clock` provides the (possibly offset) local wall clock; it must
-  /// outlive the sender.  With `auth_key` set, every packet carries an
+  /// `table` and `clock` (the possibly offset local wall clock) must outlive
+  /// the sender.  With `auth_key` set, every packet carries an
   /// authentication tag.
-  TunnelSender(const TunnelTable& table, const sim::NodeClock& clock,
+  TunnelSender(TunnelTable& table, const sim::NodeClock& clock,
                std::optional<net::SipHashKey> auth_key = std::nullopt)
       : table_{&table}, clock_{&clock}, auth_key_{auth_key} {}
 
@@ -52,14 +53,10 @@ class TunnelSender {
   /// false (packet untouched) when the tunnel is unknown.
   bool wrap_inplace(net::Packet& packet, PathId path, sim::Time now);
 
-  [[nodiscard]] std::uint64_t next_sequence(PathId path) const;
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_.value(); }
-
-  /// Estimated resident bytes of per-path sender state (the dense sequence
-  /// array, sized by the highest PathId sent on).
-  [[nodiscard]] std::size_t state_bytes() const noexcept {
-    return sizeof(TunnelSender) + seq_.capacity() * sizeof(std::uint64_t);
+  [[nodiscard]] std::uint64_t next_sequence(PathId path) const {
+    return table_->next_sequence(path);
   }
+  [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_.value(); }
 
   /// Exposes the encap counter under `labels` and arms the lifecycle
   /// tracer.  `node` labels trace events with the router where
@@ -68,12 +65,9 @@ class TunnelSender {
                       std::uint32_t node);
 
  private:
-  const TunnelTable* table_;
+  TunnelTable* table_;
   const sim::NodeClock* clock_;
   std::optional<net::SipHashKey> auth_key_;
-  /// Dense per-path sequence counters indexed by PathId (path ids are small
-  /// per-pairing integers; the vector grows to the highest id used).
-  std::vector<std::uint64_t> seq_;
   telemetry::Counter sent_;
   telemetry::PacketTracer* tracer_ = nullptr;
   std::uint32_t trace_node_ = 0;
@@ -131,8 +125,14 @@ class TunnelReceiver {
   /// Path ids with at least one received packet, ascending.
   [[nodiscard]] std::vector<PathId> paths() const;
 
+  /// The next wire-report sequence about `path` (0, 1, 2, ... for the life
+  /// of the node).  Requires a received packet on `path`.
+  [[nodiscard]] std::uint64_t take_report_sequence(PathId path) {
+    return slots_[path]->next_report_seq++;
+  }
+
   /// Estimated resident bytes of receiver measurement state: the dense
-  /// tracker-slot array plus each live tracker (and its retained time
+  /// slot array plus each live slot (and its tracker's retained time
   /// series when keep_series is on).  Trend accounting, not exact.
   [[nodiscard]] std::size_t state_bytes() const;
   [[nodiscard]] std::uint64_t packets_received() const noexcept { return received_.value(); }
@@ -163,16 +163,24 @@ class TunnelReceiver {
   const sim::NodeClock* clock_;
   bool keep_series_;
   std::optional<net::SipHashKey> auth_key_;
-  /// Dense PathId-indexed slots; unique_ptr keeps tracker addresses stable
-  /// across growth (callers hold PathTracker* across packets).
-  std::vector<std::unique_ptr<PathTracker>> trackers_;
+  /// One path id's receiver-side state.
+  struct Slot {
+    Slot(bool keep_series, std::uint64_t window) : tracker{keep_series, window} {}
+    PathTracker tracker;
+    /// One-way-delay histogram (microseconds), resolved with the slot;
+    /// nullptr while uninstrumented.
+    telemetry::Histogram* owd_hist = nullptr;
+    /// Sequence of the next wire report built about this path.
+    std::uint64_t next_report_seq = 0;
+  };
+  /// Dense, PathId-indexed; a path's first packet creates its slot, and
+  /// unique_ptr keeps tracker addresses stable across growth (callers hold
+  /// PathTracker* across packets).
+  std::vector<std::unique_ptr<Slot>> slots_;
   telemetry::Counter received_;
   telemetry::Counter auth_failures_;
   telemetry::Counter replay_dropped_;
   Telemetry telemetry_;
-  /// Dense per-path one-way-delay histograms (microseconds), resolved when
-  /// the path's tracker is created; nullptr while uninstrumented.
-  std::vector<telemetry::Histogram*> owd_hist_;
 };
 
 }  // namespace tango::dataplane

@@ -213,12 +213,12 @@ class TangoSwitch {
     return deduper_.suppressed();
   }
 
-  /// Estimated resident bytes of per-path data-plane state: tunnel table,
-  /// sender sequence array, receiver trackers and the per-peer active-path
-  /// map.  Used by TangoMesh::pairing_state_bytes() to make N-site growth
-  /// measurable; an estimate, not exact heap usage.
+  /// Estimated resident bytes of per-path data-plane state: tunnel table
+  /// (with the sender's sequence counters), receiver slots and the per-peer
+  /// active-path map.  Used by TangoMesh::pairing_state_bytes() to make
+  /// N-site growth measurable; an estimate, not exact heap usage.
   [[nodiscard]] std::size_t state_bytes() const {
-    return tunnels_.state_bytes() + sender_.state_bytes() + receiver_.state_bytes() +
+    return tunnels_.state_bytes() + receiver_.state_bytes() +
            active_by_peer_.capacity() * sizeof(active_by_peer_[0]) + deduper_.state_bytes();
   }
 

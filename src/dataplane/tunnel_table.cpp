@@ -5,13 +5,13 @@ namespace tango::dataplane {
 void TunnelTable::install(Tunnel tunnel) {
   const PathId id = tunnel.id;
   if (id >= slots_.size()) slots_.resize(static_cast<std::size_t>(id) + 1);
-  if (!slots_[id]) ++count_;
-  slots_[id] = std::move(tunnel);
+  if (!slots_[id].tunnel) ++count_;
+  slots_[id].tunnel = std::move(tunnel);
 }
 
 bool TunnelTable::remove(PathId id) {
-  if (id >= slots_.size() || !slots_[id]) return false;
-  slots_[id].reset();
+  if (id >= slots_.size() || !slots_[id].tunnel) return false;
+  slots_[id].tunnel.reset();
   --count_;
   return true;
 }
@@ -20,15 +20,15 @@ std::vector<PathId> TunnelTable::ids() const {
   std::vector<PathId> out;
   out.reserve(count_);
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i]) out.push_back(static_cast<PathId>(i));
+    if (slots_[i].tunnel) out.push_back(static_cast<PathId>(i));
   }
   return out;
 }
 
 std::size_t TunnelTable::state_bytes() const {
-  std::size_t bytes = sizeof(TunnelTable) + slots_.capacity() * sizeof(slots_[0]);
-  for (const auto& slot : slots_) {
-    if (slot) bytes += slot->label.capacity();
+  std::size_t bytes = sizeof(TunnelTable) + slots_.capacity() * sizeof(Slot);
+  for (const Slot& slot : slots_) {
+    if (slot.tunnel) bytes += slot.tunnel->label.capacity();
   }
   return bytes;
 }

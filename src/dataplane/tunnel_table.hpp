@@ -3,8 +3,9 @@
 // path; statically configured because both endpoints cooperate.
 //
 // Storage is a dense PathId-indexed vector (path ids are small per-pairing
-// integers), so the per-packet find() on the send fast path is a bounds
-// check + array index instead of a tree walk.
+// integers), so the per-packet lookup on the send fast path is a bounds
+// check + array index instead of a tree walk.  Each slot also carries the
+// sender's sequence counter for its path id.
 #pragma once
 
 #include <optional>
@@ -38,15 +39,36 @@ struct Tunnel {
 
 class TunnelTable {
  public:
+  /// One path id's sender-side state.
+  struct Slot {
+    std::optional<Tunnel> tunnel;
+    /// Sequence of the next packet sent on this path id.  It outlives the
+    /// tunnel: a path id names one sequence stream for the life of the node
+    /// (DESIGN §8a).
+    std::uint64_t next_sequence = 0;
+  };
+
   /// Adds or replaces the tunnel with `tunnel.id`.
   void install(Tunnel tunnel);
 
-  /// Removes a tunnel (path withdrawn).  Returns true when present.
+  /// Removes a tunnel (path retired); its sequence counter stays.  Returns
+  /// true when present.
   bool remove(PathId id);
 
   [[nodiscard]] const Tunnel* find(PathId id) const {
-    if (id >= slots_.size() || !slots_[id]) return nullptr;
-    return &*slots_[id];
+    if (id >= slots_.size() || !slots_[id].tunnel) return nullptr;
+    return &*slots_[id].tunnel;
+  }
+
+  /// The slot of an installed tunnel, nullptr when `id` has none.
+  [[nodiscard]] Slot* installed(PathId id) {
+    if (id >= slots_.size() || !slots_[id].tunnel) return nullptr;
+    return &slots_[id];
+  }
+
+  /// Sequence the next packet on `id` will carry (0 before the first).
+  [[nodiscard]] std::uint64_t next_sequence(PathId id) const {
+    return id < slots_.size() ? slots_[id].next_sequence : 0;
   }
 
   /// Installed path ids, ascending.
@@ -60,7 +82,7 @@ class TunnelTable {
   [[nodiscard]] std::size_t state_bytes() const;
 
  private:
-  std::vector<std::optional<Tunnel>> slots_;
+  std::vector<Slot> slots_;
   std::size_t count_ = 0;
 };
 

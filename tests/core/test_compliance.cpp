@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pairing.hpp"
+#include "core/registry.hpp"
 #include "net/report.hpp"
 #include "topo/vultr_scenario.hpp"
 
@@ -30,10 +31,23 @@ PathReport make_report(std::uint64_t samples, std::uint64_t lost) {
 
 // --- ComplianceMonitor unit ---------------------------------------------------
 
+/// A registry holding paths 1..3: the monitor reads each path's previous
+/// report and writes its "lying" flag in the path's entry.
+PathRegistry registry_with_paths() {
+  PathRegistry registry;
+  for (PathId id = 1; id <= 3; ++id) {
+    (void)registry.register_path(DiscoveredPath{.id = id}, net::Ipv6Address{});
+  }
+  return registry;
+}
+
 TEST(ComplianceMonitor, HonestReportsPass) {
-  ComplianceMonitor m;
+  PathRegistry registry = registry_with_paths();
+  ComplianceMonitor m{registry};
   EXPECT_EQ(m.check(1, make_report(10, 0), 12), ComplianceVerdict::ok);
+  registry.entry(1)->report = make_report(10, 0);  // the ingest applies an ok report
   EXPECT_EQ(m.check(1, make_report(25, 3), 30), ComplianceVerdict::ok);
+  registry.entry(1)->report = make_report(25, 3);
   // Trailing far behind `sent` is normal (in-flight packets): never flagged.
   EXPECT_EQ(m.check(1, make_report(25, 3), 1000), ComplianceVerdict::ok);
   EXPECT_EQ(m.violations(), 0u);
@@ -41,7 +55,8 @@ TEST(ComplianceMonitor, HonestReportsPass) {
 }
 
 TEST(ComplianceMonitor, OverclaimFlagsThePath) {
-  ComplianceMonitor m;
+  PathRegistry registry = registry_with_paths();
+  ComplianceMonitor m{registry};
   // 90 measured + 20 lost = 110 packets claimed, but only 100 ever sent.
   EXPECT_EQ(m.check(2, make_report(90, 20), 100), ComplianceVerdict::overclaim);
   EXPECT_TRUE(m.flagged(2));
@@ -52,20 +67,25 @@ TEST(ComplianceMonitor, OverclaimFlagsThePath) {
 }
 
 TEST(ComplianceMonitor, RegressingCumulativesFlagThePath) {
-  ComplianceMonitor m;
+  PathRegistry registry = registry_with_paths();
+  ComplianceMonitor m{registry};
   EXPECT_EQ(m.check(3, make_report(100, 5), 200), ComplianceVerdict::ok);
+  registry.entry(3)->report = make_report(100, 5);  // the ingest applies an ok report
   EXPECT_EQ(m.check(3, make_report(80, 5), 200), ComplianceVerdict::regression)
       << "cumulative counters only grow";
   EXPECT_TRUE(m.flagged(3));
 
-  ComplianceMonitor m2;
+  PathRegistry registry2 = registry_with_paths();
+  ComplianceMonitor m2{registry2};
   EXPECT_EQ(m2.check(3, make_report(100, 5), 200), ComplianceVerdict::ok);
+  registry2.entry(3)->report = make_report(100, 5);
   EXPECT_EQ(m2.check(3, make_report(120, 2), 200), ComplianceVerdict::regression)
       << "lost counter rewound";
 }
 
 TEST(ComplianceMonitor, PathsAreIndependent) {
-  ComplianceMonitor m;
+  PathRegistry registry = registry_with_paths();
+  ComplianceMonitor m{registry};
   EXPECT_EQ(m.check(1, make_report(500, 0), 100), ComplianceVerdict::overclaim);
   EXPECT_EQ(m.check(2, make_report(50, 0), 100), ComplianceVerdict::ok)
       << "one lying path must not poison its siblings";
@@ -209,6 +229,39 @@ TEST_F(ReportIngestTest, LyingPeerIsQuarantinedAndDisbelieved) {
   EXPECT_EQ(la_.health().state(1), PathHealth::quarantined)
       << "a path whose reports cannot be believed is unusable";
   EXPECT_EQ(la_.report_forged(), 0u) << "the envelope itself was authentic";
+}
+
+// An authentic report about a path the sender does not have (never
+// discovered, or retired while the report was in flight) is stale: it must
+// neither count as a lie nor create per-path state, whatever it claims.
+TEST_F(ReportIngestTest, ReportAboutAnUnknownPathDropsAsStale) {
+  const auto envelope_for_99 = [](std::uint64_t seq, std::uint64_t samples) {
+    net::ReportEnvelope e;
+    e.path_id = 99;
+    e.report_seq = seq;
+    e.owd_ewma_ms = 1.0;
+    e.samples = samples;
+    e.updated_at = sim::kSecond;
+    e.flags |= net::ReportEnvelope::kFlagAuthenticated;
+    e.auth_tag = net::report_auth_tag(kKey, e);
+    net::ByteWriter w;
+    e.serialize(w);
+    return std::move(w).take();
+  };
+  const std::vector<PathId> ids = la_.registry().ids();
+
+  EXPECT_FALSE(la_.ingest_report_wire(envelope_for_99(0, 0))) << "zero counters";
+  EXPECT_EQ(la_.report_stale(), 1u);
+  EXPECT_FALSE(la_.ingest_report_wire(envelope_for_99(1, 5))) << "claims packets never sent";
+  EXPECT_EQ(la_.report_stale(), 2u);
+
+  EXPECT_EQ(la_.compliance().violations(), 0u);
+  EXPECT_FALSE(la_.compliance().flagged(99));
+  EXPECT_EQ(la_.registry().ids(), ids);
+  EXPECT_EQ(la_.registry().report(99), nullptr);
+  EXPECT_EQ(la_.health().state(99), PathHealth::healthy) << "no health entry was created";
+  EXPECT_EQ(la_.report_forged(), 0u);
+  EXPECT_EQ(la_.report_replayed(), 0u);
 }
 
 TEST_F(ReportIngestTest, PairingFeedbackRunsCleanOverTheWire) {

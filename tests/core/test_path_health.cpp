@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pairing.hpp"
+#include "core/registry.hpp"
 #include "sim/events.hpp"
 #include "topo/vultr_scenario.hpp"
 
@@ -25,8 +26,17 @@ PathReport report_with(std::uint64_t samples, std::uint64_t lost, sim::Time at) 
                     .updated_at = at};
 }
 
+/// A registry holding path 1: the monitor's per-path state lives in its
+/// entries, and the monitor runs over it.
+PathRegistry registry_with_path_1() {
+  PathRegistry registry;
+  (void)registry.register_path(DiscoveredPath{.id = 1}, net::Ipv6Address{});
+  return registry;
+}
+
 TEST(PathHealthMonitor, FreshPathAgesHealthySuspectQuarantined) {
-  PathHealthMonitor m;  // defaults: suspect 300ms, quarantine 1s
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};  // suspect 300ms, quarantine 1s
   m.track(1, 0);
   EXPECT_EQ(m.state(1), PathHealth::healthy);
 
@@ -44,7 +54,8 @@ TEST(PathHealthMonitor, FreshPathAgesHealthySuspectQuarantined) {
 }
 
 TEST(PathHealthMonitor, AdvancingSamplesAreEvidenceOfLife) {
-  PathHealthMonitor m;
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};
   m.track(1, 0);
   std::uint64_t samples = 0;
   for (sim::Time t = 100 * kMillisecond; t <= 10 * kSecond; t += 100 * kMillisecond) {
@@ -59,7 +70,8 @@ TEST(PathHealthMonitor, FrozenReportsAreNotEvidence) {
   // The receiver keeps publishing, but its cumulative counters stop moving —
   // the exact signature of a blackholed path.  updated_at looks fresh and
   // must not fool the monitor.
-  PathHealthMonitor m;
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};
   m.track(1, 0);
   m.on_report(1, report_with(50, 0, 100 * kMillisecond), 100 * kMillisecond);
   for (sim::Time t = 200 * kMillisecond; t <= 2 * kSecond; t += 100 * kMillisecond) {
@@ -70,7 +82,8 @@ TEST(PathHealthMonitor, FrozenReportsAreNotEvidence) {
 }
 
 TEST(PathHealthMonitor, ConfirmedIntervalLossQuarantinesImmediately) {
-  PathHealthMonitor m;  // defaults: >=8 packets in the interval, >=50% lost
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};  // >=8 packets in the interval, >=50% lost
   m.track(1, 0);
   m.on_report(1, report_with(100, 0, 100 * kMillisecond), 100 * kMillisecond);
   // Next interval: 4 delivered, 12 lost -> 75% of 16 packets.
@@ -80,16 +93,18 @@ TEST(PathHealthMonitor, ConfirmedIntervalLossQuarantinesImmediately) {
 }
 
 TEST(PathHealthMonitor, TinyIntervalsAreNotTrustedForLoss) {
-  PathHealthMonitor m;
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};
   m.track(1, 0);
   m.on_report(1, report_with(100, 0, 100 * kMillisecond), 100 * kMillisecond);
-  // 3 of 6 lost: 50%, but below min_interval_packets -> no verdict.
+  // 3 of 6 lost: 50%, but below kMinIntervalPackets -> no verdict.
   m.on_report(1, report_with(103, 3, 200 * kMillisecond), 200 * kMillisecond);
   EXPECT_EQ(m.state(1), PathHealth::healthy);
 }
 
 TEST(PathHealthMonitor, QuarantinedPathProbesAtLowRateAndRecovers) {
-  PathHealthMonitor m;
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};
   m.track(1, 0);
   m.tick(2 * kSecond);
   ASSERT_EQ(m.state(1), PathHealth::quarantined);
@@ -119,7 +134,8 @@ TEST(PathHealthMonitor, QuarantinedPathProbesAtLowRateAndRecovers) {
 }
 
 TEST(PathHealthMonitor, UnansweredProbeFallsBackToQuarantine) {
-  PathHealthMonitor m;
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};
   m.track(1, 0);
   m.tick(2 * kSecond);
   ASSERT_TRUE(m.should_probe(1, 3 * kSecond));
@@ -133,7 +149,8 @@ TEST(PathHealthMonitor, UnansweredProbeFallsBackToQuarantine) {
 }
 
 TEST(PathHealthMonitor, HealthySidePathsAlwaysProbe) {
-  PathHealthMonitor m;
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};
   m.track(1, 0);
   for (sim::Time t = 0; t < 100 * kMillisecond; t += 10 * kMillisecond) {
     EXPECT_TRUE(m.should_probe(1, t)) << "healthy paths keep the 10ms cadence";
@@ -144,7 +161,8 @@ TEST(PathHealthMonitor, HealthySidePathsAlwaysProbe) {
 }
 
 TEST(PathHealthMonitor, ReTrackRefreshesGraceButKeepsQuarantine) {
-  PathHealthMonitor m;
+  PathRegistry registry = registry_with_path_1();
+  PathHealthMonitor m{registry};
   m.track(1, 0);
   m.tick(2 * kSecond);
   ASSERT_EQ(m.state(1), PathHealth::quarantined);
@@ -188,7 +206,7 @@ TEST(PathHealthIntegration, BlackholeFailoverIsBoundedAndRecoverable) {
                                        .at = 3 * kSecond,
                                        .duration = 10 * kSecond});
 
-  // Bounded failover: quarantine_after (1s) + a feedback round trip + a
+  // Bounded failover: kQuarantineAfter (1s) + a feedback round trip + a
   // policy period.  By t=5s the switch must have left the dead path.
   wan.events().run_until(5 * kSecond);
   EXPECT_NE(ny.dp().active_path(kServerLa), PathId{3})
@@ -213,7 +231,7 @@ TEST(PathHealthIntegration, BlackholeFailoverIsBoundedAndRecoverable) {
 
 TEST(PathHealthIntegration, QuarantineSuppressesProbeTraffic) {
   // A dead path must not keep consuming the 10ms probe cadence: once
-  // quarantined it costs at most one probe per probe_interval.
+  // quarantined it costs at most one probe per kProbeInterval.
   topo::VultrScenario s = topo::make_vultr_scenario();
   sim::Wan wan{s.topo, sim::Rng{56}};
   TangoNode la{s.topo, wan, node_config(s, kServerLa)};

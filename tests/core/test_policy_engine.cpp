@@ -57,7 +57,7 @@ TEST(PolicyEngineRefresh, WeightsTrackScoreAndRankBestTwo) {
 TEST(PolicyEngineRefresh, StalePathsWeighNothingAndAllStaleDeclines) {
   PolicyEngine eng;
   eng.set_default_mode(PolicyMode::weighted);
-  const sim::Time now = 20 * sim::kSecond;  // default max_report_age = 5 s
+  const sim::Time now = 20 * sim::kSecond;  // kMaxReportAge = 5 s
   PathViews views{{1, report(30.0, 0.0, sim::kSecond)}, {2, report(20.0, 0.0, sim::kSecond)}};
   eng.refresh(kPeer, views, now);
 
@@ -165,7 +165,7 @@ TEST(PolicyEngineFlowlets, LiveFlowletStaysPinnedAcrossWeightChanges) {
 
   const std::uint64_t flow = 0xABCDEF0102030405ull;
   const net::Packet p = udp(7000);
-  const sim::Time gap = eng.options().flowlet_gap;
+  const sim::Time gap = PolicyEngine::kFlowletGap;
 
   sim::Time now = kNow;
   const PathId pinned = eng.decide(p, kPeer, flow, now).primary;
@@ -200,7 +200,7 @@ TEST(PolicyEngineFlowlets, IdleGapAllowsRerouteAndDeadPathForcesOne) {
 
   // The pinned path loses all weight (stale report): even a live flowlet
   // must abandon it — pinning never overrides path death.
-  now += eng.options().flowlet_gap / 4;
+  now += PolicyEngine::kFlowletGap / 4;
   const PathId other = first == PathId{1} ? PathId{2} : PathId{1};
   PathViews dead{{other, report(30.0, 0.0, now)}};
   eng.refresh(kPeer, dead, now);
