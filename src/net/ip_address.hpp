@@ -60,8 +60,27 @@ class Ipv6Address {
   /// Embedded-IPv4 tails ("::ffff:1.2.3.4") are supported.
   static std::optional<Ipv6Address> parse(std::string_view text);
 
+  /// Builds an address from its two 64-bit words (see word()).
+  static constexpr Ipv6Address from_words(std::uint64_t w0, std::uint64_t w1) noexcept {
+    Bytes b{};
+    for (std::size_t i = 0; i < 8; ++i) {
+      b[i] = static_cast<std::uint8_t>(w0 >> (56 - 8 * i));
+      b[8 + i] = static_cast<std::uint8_t>(w1 >> (56 - 8 * i));
+    }
+    return Ipv6Address{b};
+  }
+
   [[nodiscard]] constexpr const Bytes& bytes() const noexcept { return bytes_; }
   [[nodiscard]] std::uint16_t group(std::size_t i) const;
+
+  /// Word `i` of the address as a host-order integer: word 0 holds bits
+  /// 0-63 (bytes 0-7), word 1 bits 64-127.  Prefix masks and the FIB trie
+  /// compare addresses a word at a time.
+  [[nodiscard]] constexpr std::uint64_t word(std::size_t i) const noexcept {
+    std::uint64_t w = 0;
+    for (std::size_t b = 0; b < 8; ++b) w = (w << 8) | bytes_[8 * i + b];
+    return w;
+  }
 
   /// Canonical RFC 5952 text: lowercase hex, longest zero run compressed.
   [[nodiscard]] std::string to_string() const;

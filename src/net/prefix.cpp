@@ -6,18 +6,6 @@ namespace tango::net {
 
 namespace {
 
-/// Zeroes every bit of `b` at or below position `len` (0-based from MSB).
-Ipv6Address::Bytes mask_v6(const Ipv6Address::Bytes& b, std::uint8_t len) {
-  Ipv6Address::Bytes out{};
-  const std::size_t full = len / 8;
-  for (std::size_t i = 0; i < full; ++i) out[i] = b[i];
-  if (full < 16 && len % 8 != 0) {
-    const auto mask = static_cast<std::uint8_t>(0xFF << (8 - len % 8));
-    out[full] = static_cast<std::uint8_t>(b[full] & mask);
-  }
-  return out;
-}
-
 std::optional<std::uint8_t> parse_len(std::string_view text, std::uint8_t max) {
   std::uint32_t len = 0;
   auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), len, 10);
@@ -28,7 +16,9 @@ std::optional<std::uint8_t> parse_len(std::string_view text, std::uint8_t max) {
 }  // namespace
 
 Ipv6Prefix::Ipv6Prefix(Ipv6Address addr, std::uint8_t length)
-    : addr_{Ipv6Address{mask_v6(addr.bytes(), length)}}, len_{length} {
+    : addr_{Ipv6Address::from_words(addr.word(0) & mask_word(length, 0),
+                                    addr.word(1) & mask_word(length, 1))},
+      len_{length} {
   if (length > 128) throw std::invalid_argument{"Ipv6Prefix: length > 128"};
 }
 
@@ -39,14 +29,6 @@ std::optional<Ipv6Prefix> Ipv6Prefix::parse(std::string_view text) {
   auto len = parse_len(text.substr(slash + 1), 128);
   if (!addr || !len) return std::nullopt;
   return Ipv6Prefix{*addr, *len};
-}
-
-bool Ipv6Prefix::contains(const Ipv6Address& a) const noexcept {
-  return Ipv6Address{mask_v6(a.bytes(), len_)} == addr_;
-}
-
-bool Ipv6Prefix::contains(const Ipv6Prefix& other) const noexcept {
-  return other.len_ >= len_ && contains(other.addr_);
 }
 
 bool Ipv6Prefix::overlaps(const Ipv6Prefix& other) const noexcept {

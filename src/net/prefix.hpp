@@ -19,6 +19,14 @@
 
 namespace tango::net {
 
+/// Word `i` (as in Ipv6Address::word) of the network mask of a /len.
+[[nodiscard]] constexpr std::uint64_t mask_word(unsigned len, std::size_t i) noexcept {
+  const unsigned start = 64 * static_cast<unsigned>(i);
+  if (len <= start) return 0;
+  const unsigned bits = len - start;
+  return bits >= 64 ? ~std::uint64_t{0} : ~std::uint64_t{0} << (64 - bits);
+}
+
 /// An IPv6 CIDR block, canonicalized (host bits zeroed).
 class Ipv6Prefix {
  public:
@@ -33,8 +41,15 @@ class Ipv6Prefix {
   [[nodiscard]] const Ipv6Address& address() const noexcept { return addr_; }
   [[nodiscard]] std::uint8_t length() const noexcept { return len_; }
 
-  [[nodiscard]] bool contains(const Ipv6Address& a) const noexcept;
-  [[nodiscard]] bool contains(const Ipv6Prefix& other) const noexcept;
+  /// Two masked 64-bit compares (the flow-cache invalidation scan calls
+  /// this once per cached way per FIB delta).
+  [[nodiscard]] bool contains(const Ipv6Address& a) const noexcept {
+    return ((a.word(0) ^ addr_.word(0)) & mask_word(len_, 0)) == 0 &&
+           ((a.word(1) ^ addr_.word(1)) & mask_word(len_, 1)) == 0;
+  }
+  [[nodiscard]] bool contains(const Ipv6Prefix& other) const noexcept {
+    return other.len_ >= len_ && contains(other.addr_);
+  }
   [[nodiscard]] bool overlaps(const Ipv6Prefix& other) const noexcept;
 
   /// The i-th (0-based) subnet of this prefix when extended to `new_len`

@@ -88,13 +88,22 @@ Wan::LinkState* Wan::find_link(const topo::LinkKey& key) noexcept {
                    [](const LinkState& e) -> const topo::LinkKey& { return e.key; });
 }
 
+void Wan::set_next_hop(RouterState& state, const net::Ipv6Prefix& key,
+                       bgp::RouterId next_hop) {
+  const std::uint32_t* found = index_.find(key);
+  const auto slot = found != nullptr ? *found : static_cast<std::uint32_t>(index_.size());
+  if (found == nullptr) index_.insert(key, slot);
+  if (slot >= state.fib.size()) state.fib.resize(index_.size(), kNoRoute);
+  state.fib[slot] = next_hop;
+}
+
 void Wan::rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp) {
-  state.fib.clear();
-  // Storage order, no sort: trie contents (and so fib_digest()) do not
-  // depend on insertion order.
+  std::fill(state.fib.begin(), state.fib.end(), kNoRoute);
+  // Storage order, no sort: column contents (and so fib_digest()) do not
+  // depend on write order.
   sp.loc_rib().for_each([&](const bgp::Route& route) {
     const bgp::RouterId next_hop = route.locally_originated() ? state.id : route.learned_from;
-    state.fib.insert(net::trie_key(route.prefix), next_hop);
+    set_next_hop(state, net::trie_key(route.prefix), next_hop);
   });
   // Bumping the router's generation invalidates its whole flow cache without
   // touching the (cold) cache arrays.
@@ -109,9 +118,10 @@ void Wan::apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp,
   const bgp::Route* best = sp.loc_rib().find(prefix);
   if (best != nullptr) {
     const bgp::RouterId next_hop = best->locally_originated() ? state.id : best->learned_from;
-    state.fib.insert(key, next_hop);
-  } else {
-    state.fib.erase(key);
+    set_next_hop(state, key, next_hop);
+  } else if (const std::uint32_t* slot = index_.find(key);
+             slot != nullptr && *slot < state.fib.size()) {
+    state.fib[*slot] = kNoRoute;
   }
   // Surgical invalidation: an LPM result can only have gone stale when some
   // changed prefix covers the cached destination, so zeroing exactly those
@@ -164,9 +174,10 @@ void Wan::sync_fibs() {
 }
 
 std::uint64_t Wan::fib_digest() const {
-  // FNV-1a over (router id, prefix bytes, prefix length, next hop) in table /
-  // lexicographic trie order: deterministic, and identical FIB contents give
-  // identical digests regardless of how the tries were built.
+  // FNV-1a over (router id, prefix bytes, prefix length, next hop) in router
+  // order, then the index's lexicographic prefix order: deterministic, and
+  // identical FIB contents give identical digests regardless of how the
+  // columns were built or which slots the prefixes drew.
   std::uint64_t h = 14695981039346656037ull;
   const auto mix_byte = [&h](std::uint8_t b) {
     h ^= b;
@@ -175,12 +186,14 @@ std::uint64_t Wan::fib_digest() const {
   const auto mix_u64 = [&mix_byte](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (i * 8)));
   };
+  const std::vector<std::pair<net::Ipv6Prefix, std::uint32_t>> prefixes = index_.entries();
   for (const RouterState& state : routers_) {
     mix_u64(state.id);
-    for (const auto& [prefix, next_hop] : state.fib.entries()) {
+    for (const auto& [prefix, slot] : prefixes) {
+      if (slot >= state.fib.size() || state.fib[slot] == kNoRoute) continue;
       for (std::uint8_t b : prefix.address().bytes()) mix_byte(b);
       mix_byte(prefix.length());
-      mix_u64(next_hop);
+      mix_u64(state.fib[slot]);
     }
   }
   return h;
@@ -305,12 +318,17 @@ bool Wan::lookup_next_hop(RouterState& state, const net::Packet::FlowKey& flow,
     next_hop = set.way[0].next_hop;
     return true;
   }
-  const bgp::RouterId* next = state.fib.lookup(flow.dst);
-  if (next == nullptr) return false;
+  // The deepest indexed prefix this router holds: exact LPM over the
+  // router's own routes even where other routers hold longer ones.
+  const std::vector<bgp::RouterId>& fib = state.fib;
+  const std::uint32_t* slot = index_.lookup_if(
+      flow.dst, [&fib](std::uint32_t s) { return s < fib.size() && fib[s] != kNoRoute; });
+  if (slot == nullptr) return false;
+  const bgp::RouterId next = fib[*slot];
   // Positive results only: unroutable packets are rare and drop anyway.
   set.way[1] = set.way[0];
-  set.way[0] = FlowCacheWay{flow.dst, *next, state.generation};
-  next_hop = *next;
+  set.way[0] = FlowCacheWay{flow.dst, next, state.generation};
+  next_hop = next;
   return true;
 }
 
@@ -320,7 +338,7 @@ void Wan::forward(bgp::RouterId at, net::Packet packet) {
   // different IP version", paper §3).  The lookup key and the ECMP hash come
   // from the packet's cached flow key: parsed at the first hop, reused at
   // every subsequent one.  The per-router flow cache short-circuits the
-  // trie walk for packets of recently seen flows.
+  // index walk for packets of recently seen flows.
   RouterState* state = find_router(at);
   const net::Packet::FlowKey* flow = packet.flow_key();
   if (flow == nullptr) {

@@ -13,12 +13,16 @@
 // scheduled hops use the event queue's inline-storage callables, and the
 // buffers of delivered or dropped packets are recycled through a free list
 // that traffic sources can draw from.  On top of that:
+//   * the FIBs share one prefix index: a path-compressed PrefixTrie maps
+//     every prefix any router has held to a slot, and each router keeps
+//     only a next-hop column indexed by slot, so a FIB change is one column
+//     write and a lookup is one trie walk that skips prefixes the router
+//     lacks;
 //   * each router carries a small set-associative *flow cache* in front of
-//     its PrefixTrie FIB, so consecutive packets of a flow skip the
-//     longest-prefix-match walk; sync_fibs() invalidates surgically — only
-//     cached destinations covered by a changed prefix on the affected
-//     router — falling back to a per-router generation bump on bulk
-//     changes;
+//     its FIB, so consecutive packets of a flow skip the longest-prefix-
+//     match walk; sync_fibs() invalidates surgically — only cached
+//     destinations covered by a changed prefix on the affected router —
+//     falling back to a per-router generation bump on rebuilds;
 //   * edge delivery can be attached as a raw function pointer + context
 //     (attach_raw), replacing the std::function indirection on the hot
 //     path with a devirtualized callsite;
@@ -43,16 +47,17 @@
 
 namespace tango::sim {
 
-/// How sync_fibs() turns Loc-RIB state into FIB tries.
+/// How sync_fibs() turns Loc-RIB state into FIBs.
 ///
 /// `incremental` (default) applies only the (router, prefix) deltas the BGP
 /// layer recorded since the last sync — cost proportional to the change —
 /// falling back to a per-router rebuild when a router's delta list
 /// overflowed (bulk events: session teardown, initial convergence).
-/// `full_rebuild` is the oracle backend: clear and rebuild every router's
-/// trie from its Loc-RIB, invalidate every flow cache.  Both modes produce
-/// bitwise-identical FIBs and forwarding decisions (the chaos soak and
-/// tests/sim/test_fib_sync.cpp gate on digest equality).
+/// `full_rebuild` is the oracle backend: clear and rewrite every router's
+/// next-hop column from its Loc-RIB, invalidate every flow cache.  Both
+/// modes produce bitwise-identical FIBs and forwarding decisions (the chaos
+/// soak and tests/sim/test_fib_sync.cpp gate on digest equality; that test
+/// also checks forwarding against the BGP layer's own forwarding_path).
 enum class FibSync : std::uint8_t { incremental, full_rebuild };
 
 /// Construction-time configuration of the WAN engine: the event scheduler
@@ -106,8 +111,8 @@ class Wan {
   /// Call after any control-plane change (new origination, community change,
   /// session flap).  Under FibSync::incremental the cost is proportional to
   /// the number of changed (router, prefix) pairs; under full_rebuild (or on
-  /// a router whose delta list overflowed) the router's trie is rebuilt from
-  /// scratch and its whole flow cache invalidated by a generation bump.
+  /// a router whose delta list overflowed) the router's column is rewritten
+  /// from scratch and its whole flow cache invalidated by a generation bump.
   /// Consumes the speakers' dirty-prefix lists: at most one incremental-mode
   /// Wan may ride a given Topology (further full-mode Wans are fine).
   void sync_fibs();
@@ -127,8 +132,9 @@ class Wan {
   [[nodiscard]] FibSync fib_sync_mode() const noexcept { return fib_sync_mode_; }
 
   /// Deterministic digest over every router's FIB contents (router id,
-  /// prefix, next hop, in table/trie order).  The incremental-vs-full
-  /// equality oracle used by tests and bench_mesh_scale.
+  /// prefix, next hop, in router order, then the index's prefix order).
+  /// The incremental-vs-full equality oracle used by tests and
+  /// bench_mesh_scale.
   [[nodiscard]] std::uint64_t fib_digest() const;
 
   /// Attaches the edge delivery handler for router `id`.
@@ -223,11 +229,17 @@ class Wan {
   };
   static constexpr std::size_t kFlowCacheSets = 64;
 
+  /// A column entry for a prefix the router has no route to.  Router id 0
+  /// is reserved (bgp::kLocalRouter), so it is never a next hop.
+  static constexpr bgp::RouterId kNoRoute = bgp::kLocalRouter;
+
   /// One router's forwarding state.
   struct RouterState {
     bgp::RouterId id = 0;
-    /// Longest-prefix-match to the next-hop router; self id = local delivery.
-    net::PrefixTrie<bgp::RouterId> fib;
+    /// Next hop per slot of the shared prefix index (`index_`); kNoRoute
+    /// where the router has no route, self id = local delivery.  Grown on
+    /// write, so slots past its size read as kNoRoute.
+    std::vector<bgp::RouterId> fib;
     DeliveryHandler handler;
     RawDeliveryFn raw_handler = nullptr;
     void* raw_ctx = nullptr;
@@ -252,11 +264,14 @@ class Wan {
   [[nodiscard]] RouterState* find_router(bgp::RouterId id) noexcept;
   [[nodiscard]] LinkState* find_link(const topo::LinkKey& key) noexcept;
 
-  /// Clears `state`'s trie and rebuilds it from the speaker's Loc-RIB, then
-  /// invalidates the whole flow cache (generation bump).
+  /// Writes `next_hop` into `state`'s column at `key`'s slot, giving `key`
+  /// the next free slot on first sight.
+  void set_next_hop(RouterState& state, const net::Ipv6Prefix& key, bgp::RouterId next_hop);
+  /// Clears `state`'s column and rewrites it from the speaker's Loc-RIB,
+  /// then invalidates the whole flow cache (generation bump).
   void rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp);
-  /// Applies one (router, prefix) delta: inserts/erases the trie entry to
-  /// match the Loc-RIB and zeroes only cache ways the prefix covers.
+  /// Applies one (router, prefix) delta: writes the column entry to match
+  /// the Loc-RIB and zeroes only cache ways the prefix covers.
   /// Idempotent (reads current state, not an op log).
   void apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp,
                        const net::Prefix& prefix);
@@ -266,6 +281,12 @@ class Wan {
   /// on every hop — binary search over contiguous memory, no tree nodes.
   std::vector<RouterState> routers_;
   std::vector<LinkState> links_;
+  /// The shared prefix index: every prefix any router has held, mapped to
+  /// its slot in the routers' columns.  Slots are never freed — a withdrawn
+  /// prefix keeps its slot and a re-originated one reuses it — so the index
+  /// and each column are bounded by the distinct prefixes this Wan has ever
+  /// routed, not by the ones routed now.
+  net::PrefixTrie<std::uint32_t> index_;
   EventQueue events_;
   net::BufferPool pool_;
   std::vector<std::vector<net::Packet>> burst_pool_;

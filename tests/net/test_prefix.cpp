@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 namespace tango::net {
 namespace {
 
@@ -54,6 +56,50 @@ TEST(Ipv6Prefix, ZeroLengthContainsEverything) {
   Ipv6Prefix any{Ipv6Address{}, 0};
   EXPECT_TRUE(any.contains(*Ipv6Address::parse("ffff::1")));
   EXPECT_TRUE(any.contains(*Ipv6Prefix::parse("1::/16")));
+}
+
+/// The byte-at-a-time mask rule: keep the first `len` bits of `b`.
+Ipv6Address::Bytes byte_mask(const Ipv6Address::Bytes& b, unsigned len) {
+  Ipv6Address::Bytes out{};
+  for (std::size_t i = 0; i < len / 8; ++i) out[i] = b[i];
+  if (len < 128 && len % 8 != 0) {
+    out[len / 8] = static_cast<std::uint8_t>(b[len / 8] & (0xFF << (8 - len % 8)));
+  }
+  return out;
+}
+
+// The word-masked containment and canonicalization agree with the byte
+// rule at every length, for random addresses that share a random number of
+// leading bits (so both outcomes occur at every length).
+TEST(Ipv6Prefix, WordMaskMatchesByteMaskAtEveryLength) {
+  std::mt19937_64 rng{7};
+  auto random_bytes = [&rng]() {
+    Ipv6Address::Bytes b{};
+    for (auto& byte : b) byte = static_cast<std::uint8_t>(rng());
+    return b;
+  };
+  Ipv6Address::Bytes ones{};
+  ones.fill(0xFF);
+  for (unsigned len = 0; len <= 128; ++len) {
+    for (int trial = 0; trial < 64; ++trial) {
+      const Ipv6Address::Bytes base = random_bytes();
+      // A second address that agrees with `base` on its first `shared` bits.
+      const auto shared = static_cast<unsigned>(rng() % 129);
+      const Ipv6Address::Bytes keep = byte_mask(ones, shared);
+      const Ipv6Address::Bytes noise = random_bytes();
+      Ipv6Address::Bytes other{};
+      for (std::size_t i = 0; i < 16; ++i) {
+        other[i] = static_cast<std::uint8_t>((base[i] & keep[i]) | (noise[i] & ~keep[i]));
+      }
+      const Ipv6Prefix p{Ipv6Address{base}, static_cast<std::uint8_t>(len)};
+      ASSERT_EQ(p.address().bytes(), byte_mask(base, len)) << "len " << len;
+      const bool expected = byte_mask(other, len) == byte_mask(base, len);
+      ASSERT_EQ(p.contains(Ipv6Address{other}), expected) << "len " << len;
+      const auto other_len = static_cast<std::uint8_t>(rng() % 129);
+      const Ipv6Prefix q{Ipv6Address{other}, other_len};
+      ASSERT_EQ(p.contains(q), other_len >= len && expected) << "len " << len;
+    }
+  }
 }
 
 TEST(Ipv6Prefix, SubnetCarving) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <random>
+
+#include "prefix_trie_reference.hpp"
 
 namespace tango::net {
 namespace {
@@ -124,8 +127,17 @@ TEST(PrefixTrie, V4MappedHelpers) {
   EXPECT_EQ(*trie.lookup(trie_key(*IpAddress::parse("2001:db8::9"))), 6);
 }
 
+/// An address that agrees with `p` on its prefix bits and is random below.
+template <typename Rng>
+Ipv6Address inside(const Ipv6Prefix& p, Rng& rng) {
+  Ipv6Address a = p.address();
+  for (std::size_t i = p.length(); i < 128; ++i) a = a.with_bit(i, (rng() & 1u) != 0);
+  return a;
+}
+
 /// Property test: trie longest-prefix-match agrees with a brute-force linear
-/// scan over random prefix sets and random lookup addresses.
+/// scan over random prefix sets (every length 0-128) and random lookup
+/// addresses, half of them drawn inside an inserted prefix.
 class TrieVsLinear : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(TrieVsLinear, AgreesWithBruteForce) {
@@ -143,7 +155,7 @@ TEST_P(TrieVsLinear, AgreesWithBruteForce) {
   PrefixTrie<int> trie;
   std::vector<std::pair<Ipv6Prefix, int>> linear;
   for (int i = 0; i < 200; ++i) {
-    const auto len = static_cast<std::uint8_t>(rng() % 65);
+    const auto len = static_cast<std::uint8_t>(rng() % 129);
     Ipv6Prefix p{random_addr(), len};
     trie.insert(p, i);
     // Mirror overwrite semantics in the linear copy.
@@ -159,7 +171,8 @@ TEST_P(TrieVsLinear, AgreesWithBruteForce) {
   }
 
   for (int q = 0; q < 500; ++q) {
-    const Ipv6Address a = random_addr();
+    const Ipv6Address a =
+        q % 2 == 0 ? random_addr() : inside(linear[rng() % linear.size()].first, rng);
     // Brute force: the longest containing prefix wins; ties impossible
     // (same prefix+length collapses to one entry).
     const std::pair<Ipv6Prefix, int>* best = nullptr;
@@ -178,6 +191,82 @@ TEST_P(TrieVsLinear, AgreesWithBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieVsLinear, ::testing::Values(1u, 2u, 3u, 42u, 1337u));
+
+std::optional<int> value_of(const int* v) {
+  return v != nullptr ? std::optional<int>{*v} : std::nullopt;
+}
+
+/// Property test: the path-compressed trie answers every query exactly like
+/// the uncompressed reference trie under interleaved inserts, overwrites and
+/// erases of IPv6 prefixes at every length 0-128 and v4-mapped /8-/32s.
+/// lookup_if, which the reference lacks, is checked against a scan of the
+/// reference's entries().
+class TrieVsReference : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(TrieVsReference, AgreesWithSeedTrie) {
+  std::mt19937_64 rng{GetParam()};
+  auto random_prefix = [&rng]() {
+    if (rng() % 2 == 0) {
+      // v4-mapped, clustered in 10.0.0.0/14 so /8-/32s nest and collide.
+      const Ipv4Address v4{0x0A000000u | static_cast<std::uint32_t>(rng() % (1u << 18))};
+      return v4_mapped(Ipv4Prefix{v4, static_cast<std::uint8_t>(8 + rng() % 25)});
+    }
+    Ipv6Address::Bytes b{};
+    b[0] = 0x20;
+    b[1] = static_cast<std::uint8_t>(rng() % 2);
+    for (std::size_t i = 2; i < 16; ++i) {
+      b[i] = static_cast<std::uint8_t>(i < 8 ? rng() % 4 : rng());
+    }
+    return Ipv6Prefix{Ipv6Address{b}, static_cast<std::uint8_t>(rng() % 129)};
+  };
+
+  PrefixTrie<int> trie;
+  reference::PrefixTrie<int> ref;
+  std::vector<Ipv6Prefix> seen;  // every prefix ever inserted
+  for (int step = 0; step < 1500; ++step) {
+    if (seen.empty() || rng() % 3 != 0) {
+      // Insert a fresh prefix or overwrite a known one.
+      const Ipv6Prefix p = rng() % 4 == 0 && !seen.empty() ? seen[rng() % seen.size()]
+                                                           : random_prefix();
+      const int value = static_cast<int>(rng() % 1000);
+      ASSERT_EQ(trie.insert(p, value), ref.insert(p, value)) << p.to_string();
+      seen.push_back(p);
+    } else {
+      // Erase a known prefix (often already erased) or a random one.
+      const Ipv6Prefix p = rng() % 4 != 0 ? seen[rng() % seen.size()] : random_prefix();
+      ASSERT_EQ(trie.erase(p), ref.erase(p)) << p.to_string();
+    }
+    ASSERT_EQ(trie.size(), ref.size());
+    if (step % 25 != 0) continue;
+
+    ASSERT_EQ(trie.entries(), ref.entries()) << "step " << step;
+    const auto entries = ref.entries();
+    for (int q = 0; q < 40; ++q) {
+      const Ipv6Prefix key = q % 2 == 0 ? seen[rng() % seen.size()] : random_prefix();
+      ASSERT_EQ(value_of(trie.find(key)), value_of(ref.find(key))) << key.to_string();
+
+      const Ipv6Address a = inside(key, rng);
+      ASSERT_EQ(value_of(trie.lookup(a)), value_of(ref.lookup(a))) << a.to_string();
+      ASSERT_EQ(trie.lookup_entry(a), ref.lookup_entry(a)) << a.to_string();
+
+      // A random predicate: the deepest covering entry whose value it keeps.
+      const int modulus = 1 + static_cast<int>(rng() % 4);
+      const int residue = static_cast<int>(rng() % static_cast<std::uint64_t>(modulus));
+      auto pred = [modulus, residue](int v) { return v % modulus == residue; };
+      const std::pair<Ipv6Prefix, int>* best = nullptr;
+      for (const auto& entry : entries) {
+        if (!entry.first.contains(a) || !pred(entry.second)) continue;
+        if (best == nullptr || entry.first.length() > best->first.length()) best = &entry;
+      }
+      const std::optional<int> want =
+          best != nullptr ? std::optional<int>{best->second} : std::nullopt;
+      ASSERT_EQ(value_of(trie.lookup_if(a, pred)), want) << a.to_string();
+    }
+  }
+  ASSERT_EQ(trie.entries(), ref.entries());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TrieVsReference, ::testing::Values(1u, 2u, 3u, 42u, 1337u));
 
 }  // namespace
 }  // namespace tango::net

@@ -1,7 +1,9 @@
 // Incremental control→data-plane convergence: the delta path of sync_fibs()
 // must be indistinguishable from the full-rebuild oracle — identical FIB
 // digests under randomized churn, identical forwarding decisions, and no
-// stale flow-cache entry ever served after a per-prefix invalidation.
+// stale flow-cache entry ever served after a per-prefix invalidation.  Both
+// modes share the WAN's prefix index, so forwarding is also checked against
+// the BGP layer's own best-route chains (BgpNetwork::forwarding_path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -143,6 +145,150 @@ TEST(FibSync, ForwardingMatchesOracleAfterChurn) {
     ASSERT_EQ(inc.delivered(), full.delivered());
     ASSERT_EQ(inc.total_dropped(), full.total_dropped());
   }
+}
+
+/// Sends one UDP packet from `from_router` and returns the routers it
+/// visited, from `from_router` to the delivering router — or an empty list
+/// when it was not delivered, as BgpNetwork::forwarding_path reports an
+/// unreachable prefix.
+std::vector<bgp::RouterId> delivered_path(Wan& wan, bgp::RouterId from_router,
+                                          net::Ipv4Address src, net::Ipv4Address dst,
+                                          std::uint16_t sport) {
+  const std::vector<std::uint8_t> payload{0xCD};
+  std::vector<bgp::RouterId> path{from_router};
+  wan.set_hop_observer([&path](bgp::RouterId, bgp::RouterId to, const net::Packet&) {
+    path.push_back(to);
+  });
+  const std::uint64_t delivered_before = wan.delivered();
+  wan.send_from(from_router, net::make_udp4_packet(src, dst, sport, 7, payload));
+  wan.run_all();
+  wan.set_hop_observer({});
+  if (wan.delivered() == delivered_before) path.clear();
+  return path;
+}
+
+// An oracle outside the Wan: after each round of random churn (withdrawals,
+// re-originations and session cuts), every probed packet must follow the
+// chain of best routes BgpNetwork::forwarding_path derives from the
+// Loc-RIBs, on the incremental Wan and on the full-rebuild one.
+TEST(FibSync, ForwardingMatchesBgpForwardingPath) {
+  topo::Topology topo;
+  const topo::Mesh mesh = topo::generate_mesh(topo, small_mesh());
+  topo.bgp().set_message_limit(50'000'000);
+  topo.bgp().run_to_convergence();
+
+  Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
+  Wan full{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}};
+  for (bgp::RouterId stub : mesh.stubs) {
+    inc.attach(stub, [](net::Packet&) {});
+    full.attach(stub, [](net::Packet&) {});
+  }
+
+  Churn rng{0x5EEDu};
+  const auto total = static_cast<std::uint32_t>(mesh.originations.size());
+  const std::vector<topo::LinkKey> links = topo.links();
+  std::uint16_t sport = 30000;
+  std::size_t unreachable = 0;
+  for (int round = 0; round < 16; ++round) {
+    if (round % 4 == 3) {
+      const topo::LinkKey& cut = links[rng.below(links.size())];
+      topo.bgp().remove_session(cut.from, cut.to);
+    } else {
+      const auto& [origin, prefix] = mesh.originations[rng.below(total)];
+      if (topo.bgp().router(origin).originates(prefix)) {
+        topo.bgp().withdraw(origin, prefix);
+      } else {
+        topo.bgp().originate(origin, prefix);
+      }
+    }
+    full.sync_fibs();
+    inc.sync_fibs();
+
+    for (int probe = 0; probe < 8; ++probe) {
+      const auto from = static_cast<std::uint32_t>(rng.below(mesh.stubs.size()));
+      const auto to_index = static_cast<std::uint32_t>(rng.below(total));
+      const std::vector<bgp::RouterId> expected =
+          topo.bgp().forwarding_path(mesh.stubs[from], net::Prefix{stub_prefix(to_index)});
+      if (expected.empty()) ++unreachable;
+      ++sport;
+      for (Wan* wan : {&inc, &full}) {
+        ASSERT_EQ(delivered_path(*wan, mesh.stubs[from], host_in(from * 3, 1),
+                                 host_in(to_index, 9), sport),
+                  expected)
+            << "round " << round << " probe " << probe
+            << (wan == &inc ? " (incremental)" : " (full rebuild)");
+      }
+    }
+  }
+  EXPECT_GT(unreachable, 0u) << "withdrawals must leave some probes unroutable";
+}
+
+// Nested prefixes, which the generated mesh never has: A originates the
+// covering 10.1.0.0/16 and O, a customer of B, the 10.1.2.0/24 inside it.
+// A learns the /24 over its peering with B and, under Gao-Rexford export,
+// does not pass it up to its provider P.  While O is also P's customer,
+// every router holds the /24; cutting that session leaves P and P's
+// customer S with only the /16, so S's packets for the /24 must go by the
+// /16 to A and on by the /24 to O.  Forwarding must follow each router's
+// own longest match even though the WAN's shared index holds the /24 for
+// every router.
+TEST(FibSync, NestedPrefixForwardsByCoveringRouteWhereLongerIsMissing) {
+  constexpr bgp::RouterId kP = 1, kA = 2, kB = 3, kO = 4, kS = 5;
+  topo::Topology topo;
+  topo.add_router(kP, 100, "P");
+  topo.add_router(kA, 200, "A");
+  topo.add_router(kB, 300, "B");
+  topo.add_router(kO, 400, "O");
+  topo.add_router(kS, 500, "S");
+  const topo::LinkProfile wire{.base_delay_ms = 1.0};
+  topo.add_transit(kP, kA, wire, wire);
+  topo.add_transit(kP, kS, wire, wire);
+  topo.add_transit(kP, kO, wire, wire);
+  topo.add_transit(kB, kO, wire, wire);
+  topo.add_peering(kA, kB, wire, wire);
+  const net::Prefix covering{*net::Ipv4Prefix::parse("10.1.0.0/16")};
+  const net::Prefix nested{*net::Ipv4Prefix::parse("10.1.2.0/24")};
+  topo.bgp().router(kA).originate(covering);
+  topo.bgp().router(kO).originate(nested);
+  topo.bgp().run_to_convergence();
+
+  Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
+  Wan full{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}};
+  for (Wan* wan : {&inc, &full}) {
+    wan->attach(kA, [](net::Packet&) {});
+    wan->attach(kO, [](net::Packet&) {});
+  }
+  const net::Ipv4Address src{10, 9, 0, 1};
+  const net::Ipv4Address in_nested{10, 1, 2, 9};
+  const net::Ipv4Address in_covering_only{10, 1, 7, 9};
+  using Path = std::vector<bgp::RouterId>;
+
+  // Both prefixes everywhere: S reaches O through P directly.
+  ASSERT_NE(topo.bgp().best_route(kS, nested), nullptr);
+  for (Wan* wan : {&inc, &full}) {
+    EXPECT_EQ(delivered_path(*wan, kS, src, in_nested, 4000), (Path{kS, kP, kO}));
+    EXPECT_EQ(delivered_path(*wan, kS, src, in_covering_only, 4001), (Path{kS, kP, kA}));
+  }
+
+  topo.bgp().remove_session(kP, kO);
+  ASSERT_EQ(topo.bgp().best_route(kP, nested), nullptr) << "P must lack the /24";
+  ASSERT_EQ(topo.bgp().best_route(kS, nested), nullptr) << "S must lack the /24";
+  ASSERT_NE(topo.bgp().best_route(kA, nested), nullptr) << "A must keep the /24";
+  full.sync_fibs();
+  inc.sync_fibs();
+  EXPECT_EQ(inc.fib_digest(), full.fib_digest());
+
+  // The same flows again (the cached next hops for the /24 must be gone):
+  // S and P forward by the /16, A and B by the /24.
+  for (Wan* wan : {&inc, &full}) {
+    EXPECT_EQ(delivered_path(*wan, kS, src, in_nested, 4000), (Path{kS, kP, kA, kB, kO}));
+    EXPECT_EQ(delivered_path(*wan, kS, src, in_covering_only, 4001), (Path{kS, kP, kA}));
+    EXPECT_EQ(delivered_path(*wan, kP, src, in_nested, 4002), (Path{kP, kA, kB, kO}));
+  }
+  // The per-hop chain matches the BGP layer's: P by the /16 to A, then A by
+  // the /24 to O.
+  EXPECT_EQ(topo.bgp().forwarding_path(kP, covering), (Path{kP, kA}));
+  EXPECT_EQ(topo.bgp().forwarding_path(kA, nested), (Path{kA, kB, kO}));
 }
 
 // A bulk change (session teardown dirtying >kFibDirtyLimit prefixes) must
