@@ -1,4 +1,5 @@
-// Fuzz harness: bgp::wire::parse_message on arbitrary bytes.
+// Fuzz harness: bgp::wire::parse_message on arbitrary bytes, and every
+// decoded UPDATE through a 3-router BgpNetwork.
 //
 // Contract under test:
 //  * every malformed input raises WireError — no other exception type may
@@ -9,13 +10,18 @@
 //    fixpoint of encode∘parse.  (Byte equality with the input is not
 //    required: parsing canonicalizes, e.g. unknown optional attributes are
 //    dropped and prefix host bits are masked.)
+//  * a decoded UPDATE, received, originated and withdrawn again, never
+//    leaves the network's prefix table holding an id that no router holds,
+//    and once every router's FIB-dirty window is closed the table is empty.
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "bgp/network.hpp"
 #include "bgp/wire.hpp"
 #include "fuzz_util.hpp"
 
+namespace bgp = tango::bgp;
 namespace wire = tango::bgp::wire;
 
 namespace {
@@ -43,6 +49,54 @@ std::vector<std::uint8_t> canonical_encode(const wire::ParsedMessage& m) {
   return {};
 }
 
+/// Ids some router of `net` holds a record for.
+std::size_t held_ids(const bgp::BgpNetwork& net) {
+  std::size_t held = 0;
+  for (bgp::PrefixId id = 0; id < net.prefix_table().high_water(); ++id) {
+    for (bgp::RouterId r : net.routers()) {
+      if (net.router(r).holds(id)) {
+        ++held;
+        break;
+      }
+    }
+  }
+  return held;
+}
+
+/// Router 1 provides transit to 2 and 3.  1 hears `decoded` from 2, then 3
+/// originates the same prefix with the same communities, then both go away.
+void drive_speakers(const bgp::Update& decoded) {
+  bgp::BgpNetwork net;
+  net.add_router(1, 65001);
+  net.add_router(2, 65002);
+  net.add_router(3, 65003);
+  net.add_transit(1, 2);
+  net.add_transit(1, 3);
+  const auto check = [&net] {
+    FUZZ_CHECK(net.prefix_table().size() <= held_ids(net),
+               "the prefix table holds only prefixes some router holds");
+  };
+
+  bgp::Update update = decoded;
+  update.from = 2;
+  net.router(1).receive(update);
+  net.run_to_convergence();
+  check();
+  net.originate(3, update.prefix,
+                update.route ? update.route->communities : bgp::CommunitySet{});
+  check();
+
+  bgp::Update withdraw = bgp::Update::withdraw(update.prefix);
+  withdraw.from = 2;
+  net.router(1).receive(withdraw);
+  net.run_to_convergence();
+  net.withdraw(3, update.prefix);
+  check();
+  for (bgp::RouterId r : net.routers()) net.router(r).clear_fib_dirty();
+  FUZZ_CHECK(net.prefix_table().size() == 0 && held_ids(net) == 0,
+             "every record retires once withdrawn and its window is closed");
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
@@ -67,5 +121,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
   const auto second = canonical_encode(reparsed);
   FUZZ_CHECK(first == second, "encode(parse(.)) must be a fixpoint");
+  if (parsed.update) drive_speakers(*parsed.update);
   return 0;
 }

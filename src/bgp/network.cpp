@@ -1,26 +1,52 @@
 #include "bgp/network.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "bgp/wire.hpp"
 
 namespace tango::bgp {
 
+namespace {
+
+[[noreturn]] void throw_message_limit() {
+  throw ConvergenceError{"BgpNetwork: message limit exceeded (policy dispute?)"};
+}
+
+/// First router in the id-sorted `routers` whose id is not below `id`.
+template <typename Routers>
+[[nodiscard]] auto position(Routers& routers, RouterId id) {
+  return std::lower_bound(routers.begin(), routers.end(), id,
+                          [](const auto& r, RouterId i) { return r.first < i; });
+}
+
+}  // namespace
+
 BgpSpeaker& BgpNetwork::add_router(RouterId id, Asn asn, SpeakerOptions options) {
   if (id == kLocalRouter) throw std::invalid_argument{"BgpNetwork: router id 0 is reserved"};
-  auto [it, inserted] = routers_.emplace(id, std::make_unique<BgpSpeaker>(id, asn, options));
-  if (!inserted) throw std::invalid_argument{"BgpNetwork: duplicate router id"};
-  return *it->second;
+  const auto pos = position(routers_, id);
+  if (pos != routers_.end() && pos->first == id) {
+    throw std::invalid_argument{"BgpNetwork: duplicate router id"};
+  }
+  auto speaker = std::make_unique<BgpSpeaker>(id, asn, options, *prefixes_);
+  return *routers_.emplace(pos, id, std::move(speaker))->second;
+}
+
+std::size_t BgpNetwork::slot_of(RouterId id) const noexcept {
+  const auto pos = position(routers_, id);
+  return pos != routers_.end() && pos->first == id
+             ? static_cast<std::size_t>(pos - routers_.begin())
+             : routers_.size();
 }
 
 BgpSpeaker& BgpNetwork::router(RouterId id) {
-  auto it = routers_.find(id);
-  if (it == routers_.end()) throw std::out_of_range{"BgpNetwork: unknown router"};
-  return *it->second;
+  return const_cast<BgpSpeaker&>(std::as_const(*this).router(id));
 }
 
 const BgpSpeaker& BgpNetwork::router(RouterId id) const {
-  auto it = routers_.find(id);
-  if (it == routers_.end()) throw std::out_of_range{"BgpNetwork: unknown router"};
-  return *it->second;
+  const std::size_t slot = slot_of(id);
+  if (slot == routers_.size()) throw std::out_of_range{"BgpNetwork: unknown router"};
+  return *routers_[slot].second;
 }
 
 std::vector<RouterId> BgpNetwork::routers() const {
@@ -127,56 +153,61 @@ void BgpNetwork::deliver(BgpSpeaker& target, const Update& update) {
 std::uint64_t BgpNetwork::run_to_convergence() {
   ++convergence_runs_;
   std::uint64_t delivered = 0;
+  const auto count_delivery = [&] {
+    ++delivered;
+    ++total_messages_;
+    return delivered > message_limit_;
+  };
   // Deterministic schedule: repeatedly sweep routers in id order, delivering
   // each router's queued output before moving on.  BGP with valley-free
   // policies converges regardless of schedule; determinism makes tests
   // reproducible.
   bool progressed = true;
-  std::map<RouterId, std::vector<Update>> pending;  // batched sweeps only
+  // Batched sweeps only: the drained outboxes, and per receiver slot the
+  // updates addressed to it.
+  std::vector<std::vector<std::pair<RouterId, Update>>> frontier;
+  std::vector<std::vector<const Update*>> groups(batched_delivery_ ? routers_.size() : 0);
   while (progressed) {
     progressed = false;
     if (!batched_delivery_) {
       for (auto& [id, sp] : routers_) {
         for (auto& [target, update] : sp->drain_outbox()) {
-          auto it = routers_.find(target);
-          if (it == routers_.end()) continue;  // target withdrawn from sim
-          deliver(*it->second, update);
-          ++delivered;
-          ++total_messages_;
-          if (delivered > message_limit_) {
-            throw ConvergenceError{"BgpNetwork: message limit exceeded (policy dispute?)"};
-          }
+          const std::size_t slot = slot_of(target);
+          if (slot == routers_.size()) continue;  // target withdrawn from sim
+          deliver(*routers_[slot].second, update);
+          if (count_delivery()) throw_message_limit();
           progressed = true;
         }
       }
       continue;
     }
-    // Batched sweep: gather the whole frontier first, then deliver each
-    // receiver's group under one begin/commit pair (one decision pass per
-    // distinct prefix per receiver).  Grouping by receiver in id order keeps
-    // the schedule deterministic.
+    // Batched sweep: gather the whole frontier first, grouped by receiver
+    // (each group in sender id order, then outbox order), then deliver the
+    // groups in receiver id order, each under one begin/commit pair (one
+    // decision pass per distinct prefix per receiver).
+    frontier.clear();
     for (auto& [id, sp] : routers_) {
-      for (auto& [target, update] : sp->drain_outbox()) {
-        if (routers_.find(target) == routers_.end()) continue;
-        pending[target].push_back(std::move(update));
+      if (sp->outbox_empty()) continue;
+      frontier.push_back(sp->drain_outbox());
+      for (const auto& [target, update] : frontier.back()) {
+        const std::size_t slot = slot_of(target);
+        if (slot < groups.size()) groups[slot].push_back(&update);  // else withdrawn from sim
       }
     }
-    for (auto& [target, updates] : pending) {
-      if (updates.empty()) continue;
-      BgpSpeaker& sp = *routers_.at(target);
+    for (std::size_t slot = 0; slot < groups.size(); ++slot) {
+      if (groups[slot].empty()) continue;
+      BgpSpeaker& sp = *routers_[slot].second;
       sp.begin_batch();
-      for (const Update& update : updates) {
-        deliver(sp, update);
-        ++delivered;
-        ++total_messages_;
-        if (delivered > message_limit_) {
+      for (const Update* update : groups[slot]) {
+        deliver(sp, *update);
+        if (count_delivery()) {
           sp.commit_batch();
-          throw ConvergenceError{"BgpNetwork: message limit exceeded (policy dispute?)"};
+          throw_message_limit();
         }
-        progressed = true;
       }
       sp.commit_batch();
-      updates.clear();  // keep the per-target buffer's capacity across sweeps
+      groups[slot].clear();
+      progressed = true;
     }
   }
   return delivered;

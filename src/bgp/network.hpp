@@ -6,7 +6,6 @@
 // real Internet.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -30,8 +29,11 @@ class BgpNetwork {
 
   [[nodiscard]] BgpSpeaker& router(RouterId id);
   [[nodiscard]] const BgpSpeaker& router(RouterId id) const;
-  [[nodiscard]] bool has_router(RouterId id) const { return routers_.count(id) > 0; }
+  [[nodiscard]] bool has_router(RouterId id) const { return slot_of(id) < routers_.size(); }
   [[nodiscard]] std::vector<RouterId> routers() const;
+
+  /// The prefix table every router of this network draws its ids from.
+  [[nodiscard]] const PrefixTable& prefix_table() const noexcept { return *prefixes_; }
 
   /// Provider-customer link: `provider` sells transit to `customer`.
   /// `customer_preference` sets the customer's weight-style tiebreak for
@@ -111,10 +113,17 @@ class BgpNetwork {
   }
 
  private:
+  /// Position of router `id` in routers_; routers_.size() when absent.
+  [[nodiscard]] std::size_t slot_of(RouterId id) const noexcept;
+
   /// Delivers one update to `target` (through the wire codec when enabled).
   void deliver(BgpSpeaker& target, const Update& update);
 
-  std::map<RouterId, std::unique_ptr<BgpSpeaker>> routers_;
+  /// Shared by every router, so declared before (destroyed after) them.
+  std::unique_ptr<PrefixTable> prefixes_ = std::make_unique<PrefixTable>();
+  /// Sorted by id: sweeps walk it in order, and a router's position is its
+  /// group in a batched sweep.
+  std::vector<std::pair<RouterId, std::unique_ptr<BgpSpeaker>>> routers_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t convergence_runs_ = 0;
   std::uint64_t message_limit_ = 10'000'000;

@@ -26,7 +26,27 @@ Relationship reverse(Relationship r) {
   return Relationship::peer;
 }
 
+namespace {
+
+/// Action communities are instructions from a customer to its provider: the
+/// provider that learned the route over a customer session acts on them,
+/// then strips them before propagating.  The originator also applies them to
+/// its own sessions (its BIRD export filter knows its neighbors) but leaves
+/// them on the wire so its provider can still see them.
+[[nodiscard]] bool acts_on_communities(const ExportContext& ctx) noexcept {
+  return ctx.honors_action_communities &&
+         (ctx.learned_rel == Relationship::customer || ctx.from_local_origination);
+}
+
+}  // namespace
+
 std::optional<Route> ExportPolicy::apply(const Route& route, const ExportContext& ctx) {
+  const std::optional<int> prepends = extra_prepends(route, ctx);
+  if (!prepends) return std::nullopt;
+  return exported(route, ctx, *prepends);
+}
+
+std::optional<int> ExportPolicy::extra_prepends(const Route& route, const ExportContext& ctx) {
   // Gao–Rexford: only customer-learned (or self-originated) routes flow to
   // peers and providers; everything flows to customers.
   const bool valley_free_ok =
@@ -39,30 +59,23 @@ std::optional<Route> ExportPolicy::apply(const Route& route, const ExportContext
     return std::nullopt;
   }
 
-  // Action communities are instructions from a customer to its provider:
-  // the provider that learned the route over a customer session acts on
-  // them, then strips them before propagating.  The originator also applies
-  // them to its own sessions (its BIRD export filter knows its neighbors)
-  // but leaves them on the wire so its provider can still see them.
-  const bool acts_on_communities =
-      ctx.honors_action_communities &&
-      (ctx.learned_rel == Relationship::customer || ctx.from_local_origination);
-  int extra_prepends = 0;
-  if (acts_on_communities) {
-    if (route.communities.forbids_export_to(ctx.to_neighbor)) return std::nullopt;
-    // 64609:0 = do not announce to any transit/peer (customers still get it).
-    if (route.communities.contains(action::no_transit()) &&
-        ctx.to_rel != Relationship::customer) {
-      return std::nullopt;
-    }
-    extra_prepends = route.communities.prepends_for(ctx.to_neighbor);
+  if (!acts_on_communities(ctx)) return 0;
+  if (route.communities.forbids_export_to(ctx.to_neighbor)) return std::nullopt;
+  // 64609:0 = do not announce to any transit/peer (customers still get it).
+  if (route.communities.contains(action::no_transit()) &&
+      ctx.to_rel != Relationship::customer) {
+    return std::nullopt;
   }
+  return route.communities.prepends_for(ctx.to_neighbor);
+}
 
+Route ExportPolicy::exported(const Route& route, const ExportContext& ctx, int extra_prepends) {
   Route exported = route;
-  if (acts_on_communities && !ctx.from_local_origination) {
+  if (acts_on_communities(ctx) && !ctx.from_local_origination) {
     exported.communities = exported.communities.without_actions();
   }
-  exported.as_path = exported.as_path.prepended(ctx.exporter, 1 + extra_prepends);
+  exported.as_path =
+      exported.as_path.prepended(ctx.exporter, 1 + static_cast<std::size_t>(extra_prepends));
   if (ctx.strips_private_asns) {
     exported.as_path = exported.as_path.without_private_asns();
   }

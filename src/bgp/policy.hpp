@@ -65,6 +65,17 @@ class ExportPolicy {
   ///  * LOCAL_PREF and learned_from are reset (receiver will assign its own).
   [[nodiscard]] static std::optional<Route> apply(const Route& route, const ExportContext& ctx);
 
+  /// apply()'s per-session half: nullopt when `route` must not go to
+  /// ctx.to_neighbor, else the extra prepends requested for that neighbor.
+  [[nodiscard]] static std::optional<int> extra_prepends(const Route& route,
+                                                         const ExportContext& ctx);
+
+  /// apply()'s other half: `route` as exported with `extra_prepends`.  It
+  /// does not read ctx.to_neighbor or ctx.to_rel, so one result serves every
+  /// session asking for the same prepend count.
+  [[nodiscard]] static Route exported(const Route& route, const ExportContext& ctx,
+                                      int extra_prepends);
+
   /// Loop prevention + poisoning: reject when our ASN is already on the path.
   [[nodiscard]] static bool import_accepts(Asn self, const Route& route);
 };

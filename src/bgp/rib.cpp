@@ -1,80 +1,31 @@
 #include "bgp/rib.hpp"
 
-#include <algorithm>
-
 namespace tango::bgp {
 
-namespace {
-
-/// Position of the route learned from `neighbor` in a neighbor-sorted array.
-template <typename Routes>
-[[nodiscard]] auto neighbor_pos(Routes& routes, RouterId neighbor) {
-  return std::lower_bound(
-      routes.begin(), routes.end(), neighbor,
-      [](const Route& r, RouterId n) { return r.learned_from < n; });
+PrefixId PrefixTable::find(const net::Prefix& prefix) const {
+  const auto it = ids_.find(prefix);
+  return it == ids_.end() ? kNoPrefix : it->second;
 }
 
-}  // namespace
-
-void AdjRibIn::put(const Route& route) {
-  std::vector<Route>& routes = entries_[route.prefix];
-  auto it = neighbor_pos(routes, route.learned_from);
-  if (it != routes.end() && it->learned_from == route.learned_from) {
-    *it = route;
-    return;
+PrefixId PrefixTable::intern(const net::Prefix& prefix) {
+  const auto [it, inserted] = ids_.try_emplace(prefix, kNoPrefix);
+  if (!inserted) return it->second;
+  if (free_.empty()) {
+    it->second = static_cast<PrefixId>(slots_.size());
+    slots_.push_back(Slot{.prefix = prefix});
+  } else {
+    it->second = free_.back();
+    free_.pop_back();
+    slots_[it->second].prefix = prefix;
   }
-  routes.insert(it, route);
-  ++size_;
+  return it->second;
 }
 
-bool AdjRibIn::erase(const net::Prefix& prefix, RouterId neighbor) {
-  auto entry = entries_.find(prefix);
-  if (entry == entries_.end()) return false;
-  std::vector<Route>& routes = entry->second;
-  auto it = neighbor_pos(routes, neighbor);
-  if (it == routes.end() || it->learned_from != neighbor) return false;
-  routes.erase(it);
-  --size_;
-  if (routes.empty()) entries_.erase(entry);
-  return true;
-}
-
-std::vector<net::Prefix> AdjRibIn::erase_neighbor(RouterId neighbor) {
-  std::vector<net::Prefix> affected;
-  for (auto entry = entries_.begin(); entry != entries_.end();) {
-    std::vector<Route>& routes = entry->second;
-    auto it = neighbor_pos(routes, neighbor);
-    if (it == routes.end() || it->learned_from != neighbor) {
-      ++entry;
-      continue;
-    }
-    routes.erase(it);
-    --size_;
-    affected.push_back(entry->first);
-    entry = routes.empty() ? entries_.erase(entry) : std::next(entry);
-  }
-  std::sort(affected.begin(), affected.end());
-  return affected;
-}
-
-std::span<const Route> AdjRibIn::candidates(const net::Prefix& prefix) const {
-  auto entry = entries_.find(prefix);
-  if (entry == entries_.end()) return {};
-  return entry->second;
-}
-
-const Route* AdjRibIn::find(const net::Prefix& prefix, RouterId neighbor) const {
-  const std::span<const Route> routes = candidates(prefix);
-  auto it = neighbor_pos(routes, neighbor);
-  return (it != routes.end() && it->learned_from == neighbor) ? &*it : nullptr;
-}
-
-std::vector<net::Prefix> AdjRibIn::prefixes() const {
-  std::vector<net::Prefix> out;
-  out.reserve(entries_.size());
-  for (const auto& [prefix, routes] : entries_) out.push_back(prefix);
-  std::sort(out.begin(), out.end());
-  return out;
+void PrefixTable::release(PrefixId id) {
+  Slot& slot = slots_[id];
+  if (--slot.holders > 0) return;
+  ids_.erase(slot.prefix);
+  free_.push_back(id);
 }
 
 std::string to_string(DecisionStep s) {
@@ -145,37 +96,6 @@ std::optional<Route> Decision::select(std::span<const Route> candidates) {
   const Route* best = best_of(candidates, nullptr);
   if (best == nullptr) return std::nullopt;
   return *best;
-}
-
-bool LocRib::set(const Route& route) {
-  auto [it, inserted] = best_.try_emplace(route.prefix, route);
-  if (inserted) return true;
-  if (it->second == route) return false;
-  it->second = route;
-  return true;
-}
-
-bool LocRib::erase(const net::Prefix& prefix) { return best_.erase(prefix) > 0; }
-
-const Route* LocRib::find(const net::Prefix& prefix) const {
-  auto it = best_.find(prefix);
-  return it == best_.end() ? nullptr : &it->second;
-}
-
-std::vector<const Route*> LocRib::sorted() const {
-  std::vector<const Route*> out;
-  out.reserve(best_.size());
-  for (const auto& [prefix, route] : best_) out.push_back(&route);
-  std::sort(out.begin(), out.end(),
-            [](const Route* a, const Route* b) { return a->prefix < b->prefix; });
-  return out;
-}
-
-std::vector<Route> LocRib::routes() const {
-  std::vector<Route> out;
-  out.reserve(best_.size());
-  for_each_in_prefix_order([&](const Route& route) { out.push_back(route); });
-  return out;
 }
 
 }  // namespace tango::bgp

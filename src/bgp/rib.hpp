@@ -1,6 +1,10 @@
-// Routing Information Bases and the BGP decision process.
+// Routing information bases: the network's prefix table, the per-speaker
+// prefix record and the BGP decision process.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -10,41 +14,70 @@
 
 namespace tango::bgp {
 
-/// Adj-RIB-In: per-neighbor candidate routes, keyed by prefix.
-///
-/// Storage is a hash index from prefix to that prefix's candidate array
-/// (sorted by learned_from), so the decision process reads candidates as a
-/// contiguous span with a stable iteration order instead of materializing a
-/// fresh vector per decision, and inserting a new prefix moves no other
-/// entry.  Walks whose order decides message order (prefixes(),
-/// erase_neighbor()) return prefixes sorted.
-class AdjRibIn {
+/// Dense id of a prefix in one PrefixTable.
+using PrefixId = std::uint32_t;
+
+inline constexpr PrefixId kNoPrefix = std::numeric_limits<PrefixId>::max();
+
+/// The prefix -> id map shared by every speaker of one network, so a
+/// received UPDATE costs one hash lookup and every later stage indexes a
+/// dense per-speaker array.  Each id counts the speakers holding a record
+/// for it; when the last one lets go the id is recycled (LIFO), so the table
+/// is bounded by the live prefixes.
+class PrefixTable {
  public:
-  /// Stores (replacing any previous route for the same prefix/neighbor).
-  void put(const Route& route);
+  /// Id of `prefix`, or kNoPrefix when no speaker holds it.
+  [[nodiscard]] PrefixId find(const net::Prefix& prefix) const;
 
-  /// Removes the route for `prefix` learned from `neighbor`.
-  /// Returns true when something was removed.
-  bool erase(const net::Prefix& prefix, RouterId neighbor);
+  /// Id of `prefix`, assigning one (with no holders) when it is new.
+  [[nodiscard]] PrefixId intern(const net::Prefix& prefix);
 
-  /// Removes everything learned from `neighbor` (session teardown).
-  /// Returns the affected prefixes in prefix order.
-  std::vector<net::Prefix> erase_neighbor(RouterId neighbor);
+  [[nodiscard]] const net::Prefix& prefix(PrefixId id) const noexcept {
+    return slots_[id].prefix;
+  }
 
-  /// All candidate routes for `prefix` in deterministic (neighbor) order — a
-  /// view into the flat storage, valid until the next mutation.
-  [[nodiscard]] std::span<const Route> candidates(const net::Prefix& prefix) const;
+  void hold(PrefixId id) noexcept { ++slots_[id].holders; }
+  /// Drops one holder; the last one frees the id.
+  void release(PrefixId id);
 
-  [[nodiscard]] const Route* find(const net::Prefix& prefix, RouterId neighbor) const;
-
-  /// Every prefix with at least one candidate, in prefix order.
-  [[nodiscard]] std::vector<net::Prefix> prefixes() const;
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Prefixes with an id.
+  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
+  /// One past the highest id ever assigned: the length every per-speaker
+  /// record array grows to.
+  [[nodiscard]] std::size_t high_water() const noexcept { return slots_.size(); }
 
  private:
-  /// prefix -> candidates sorted by learned_from; never holds an empty array.
-  std::unordered_map<net::Prefix, std::vector<Route>> entries_;
-  std::size_t size_ = 0;  ///< total routes across all entries
+  struct Slot {
+    net::Prefix prefix;
+    std::uint32_t holders = 0;
+  };
+  std::unordered_map<net::Prefix, PrefixId> ids_;
+  std::vector<Slot> slots_;
+  std::vector<PrefixId> free_;
+};
+
+/// One Adj-RIB-Out entry: the route neighbor `to` last heard from us.
+struct Advertised {
+  RouterId to = kLocalRouter;
+  Route route;
+};
+
+/// Everything one speaker keeps about one prefix, indexed by its PrefixId.
+/// The speaker holds the id from the first candidate or origination until
+/// the record is empty again (no best route, not queued in a batch, not
+/// FIB-dirty in the current window).
+struct PrefixRecord {
+  std::vector<Route> candidates;       ///< Adj-RIB-In, sorted by learned_from
+  std::unique_ptr<Route> originated;   ///< local origination (few prefixes have one)
+  std::optional<Route> best;           ///< Loc-RIB entry
+  std::vector<Advertised> advertised;  ///< Adj-RIB-Out, sorted by neighbor
+  std::uint32_t fib_mark = 0;          ///< FIB-dirty while equal to the speaker's generation
+  bool held = false;                   ///< this speaker holds the id
+  bool queued = false;                 ///< in the open batch's re-decide list
+
+  [[nodiscard]] bool unused() const noexcept {
+    return !best && !originated && candidates.empty() && advertised.empty() && !queued;
+  }
 };
 
 /// Result of comparing two routes in the decision process, with the step
@@ -89,40 +122,6 @@ struct Decision {
   /// arguments; nullptr when both are empty.
   [[nodiscard]] static const Route* best_of(std::span<const Route> candidates,
                                             const Route* extra) noexcept;
-};
-
-/// Loc-RIB: the selected best route per prefix, in a hash index.
-class LocRib {
- public:
-  /// Replaces the entry for `route.prefix`.  Returns true if changed.
-  bool set(const Route& route);
-
-  /// Removes the entry.  Returns true if present.
-  bool erase(const net::Prefix& prefix);
-
-  [[nodiscard]] const Route* find(const net::Prefix& prefix) const;
-  /// Copies of every best route, in prefix order.
-  [[nodiscard]] std::vector<Route> routes() const;
-  [[nodiscard]] std::size_t size() const noexcept { return best_.size(); }
-
-  /// Visits every best route in storage order, which is unspecified: for
-  /// consumers whose result does not depend on order (a FIB rebuild).
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const auto& [prefix, route] : best_) f(route);
-  }
-
-  /// Visits every best route in prefix order without copying routes: for
-  /// walks whose order decides message order.
-  template <typename F>
-  void for_each_in_prefix_order(F&& f) const {
-    for (const Route* route : sorted()) f(*route);
-  }
-
- private:
-  [[nodiscard]] std::vector<const Route*> sorted() const;
-
-  std::unordered_map<net::Prefix, Route> best_;
 };
 
 }  // namespace tango::bgp

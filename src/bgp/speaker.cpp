@@ -11,14 +11,65 @@ namespace {
 /// always prefers its own origination.
 constexpr std::uint32_t kSelfLocalPref = 1000;
 
-/// Position of `neighbor`'s record in a neighbor-sorted Adj-RIB-Out array.
-template <typename Advertised>
-[[nodiscard]] auto advertised_pos(std::vector<Advertised>& out, RouterId neighbor) {
-  return std::lower_bound(out.begin(), out.end(), neighbor,
-                          [](const Advertised& a, RouterId n) { return a.to < n; });
+[[nodiscard]] RouterId neighbor_of(const Route& candidate) { return candidate.learned_from; }
+[[nodiscard]] RouterId neighbor_of(const Advertised& entry) { return entry.to; }
+
+/// Position of `neighbor`'s entry in a neighbor-sorted array.
+template <typename Entry>
+[[nodiscard]] auto neighbor_pos(std::vector<Entry>& entries, RouterId neighbor) {
+  return std::lower_bound(entries.begin(), entries.end(), neighbor,
+                          [](const Entry& e, RouterId n) { return neighbor_of(e) < n; });
+}
+
+/// Removes `neighbor`'s entry; true when there was one.
+template <typename Entry>
+bool erase_neighbor(std::vector<Entry>& entries, RouterId neighbor) {
+  const auto pos = neighbor_pos(entries, neighbor);
+  if (pos == entries.end() || neighbor_of(*pos) != neighbor) return false;
+  entries.erase(pos);
+  return true;
 }
 
 }  // namespace
+
+BgpSpeaker::~BgpSpeaker() {
+  for (PrefixId id = 0; id < records_.size(); ++id) {
+    if (records_[id].held) prefixes_->release(id);
+  }
+}
+
+PrefixId BgpSpeaker::acquire(const net::Prefix& prefix) {
+  const PrefixId id = prefixes_->intern(prefix);
+  if (id >= records_.size()) records_.resize(prefixes_->high_water());
+  PrefixRecord& record = records_[id];
+  if (!record.held) {
+    record.held = true;
+    prefixes_->hold(id);
+  }
+  return id;
+}
+
+void BgpSpeaker::retire_if_unused(PrefixId id) {
+  PrefixRecord& record = records_[id];
+  if (!record.held || !record.unused() || record.fib_mark == fib_generation_) return;
+  // A fresh record: a later holder of this id starts unmarked.
+  record = PrefixRecord{};
+  prefixes_->release(id);
+}
+
+void BgpSpeaker::sort_by_prefix(std::vector<PrefixId>& ids) const {
+  std::sort(ids.begin(), ids.end(),
+            [this](PrefixId a, PrefixId b) { return prefix(a) < prefix(b); });
+}
+
+std::vector<PrefixId> BgpSpeaker::best_ids() const {
+  std::vector<PrefixId> ids;
+  for (PrefixId id = 0; id < records_.size(); ++id) {
+    if (records_[id].best) ids.push_back(id);
+  }
+  sort_by_prefix(ids);
+  return ids;
+}
 
 void BgpSpeaker::add_session(RouterId neighbor, Asn neighbor_asn, SessionConfig config) {
   if (neighbor == id_) throw std::invalid_argument{"BgpSpeaker: session with self"};
@@ -28,23 +79,20 @@ void BgpSpeaker::add_session(RouterId neighbor, Asn neighbor_asn, SessionConfig 
   it->second.asn = neighbor_asn;
   it->second.config = config;
   // Export current best routes over the session, in prefix order (it decides
-  // message order).  sync_exports only reads the Loc-RIB, so the copy-free
-  // walk is safe.
-  loc_rib_.for_each_in_prefix_order(
-      [&](const Route& best) { sync_exports(best.prefix, &best, it, std::next(it)); });
+  // message order).
+  for (PrefixId id : best_ids()) sync_exports(id, it, std::next(it));
 }
 
 void BgpSpeaker::remove_session(RouterId neighbor) {
   if (sessions_.erase(neighbor) == 0) return;
-  for (auto entry = adj_rib_out_.begin(); entry != adj_rib_out_.end();) {
-    std::vector<Advertised>& out = entry->second;
-    auto pos = advertised_pos(out, neighbor);
-    if (pos != out.end() && pos->to == neighbor) out.erase(pos);
-    entry = out.empty() ? adj_rib_out_.erase(entry) : std::next(entry);
+  std::vector<PrefixId> affected;
+  for (PrefixId id = 0; id < records_.size(); ++id) {
+    erase_neighbor(records_[id].advertised, neighbor);
+    if (erase_neighbor(records_[id].candidates, neighbor)) affected.push_back(id);
   }
-  for (const net::Prefix& prefix : adj_rib_in_.erase_neighbor(neighbor)) {
-    reprocess(prefix);
-  }
+  // Reprocess in prefix order (it decides message order).
+  sort_by_prefix(affected);
+  for (PrefixId id : affected) reprocess(id);
 }
 
 std::optional<SessionConfig> BgpSpeaker::session(RouterId neighbor) const {
@@ -73,21 +121,23 @@ void BgpSpeaker::originate(const net::Prefix& prefix, CommunitySet communities, 
   // since our own ASN is prepended on export, planting just the poisoned
   // ASNs suffices for their loop detection to fire.
   for (Asn p : poisoned) path = path.prepended(p);
-  Route route{.prefix = prefix,
-              .as_path = path,
-              .origin = origin,
-              .communities = std::move(communities),
-              .med = 0,
-              .local_pref = kSelfLocalPref,
-              .learned_from = kLocalRouter,
-              .learned_from_asn = 0};
-  originated_[prefix] = route;
-  reprocess(prefix);
+  const PrefixId id = acquire(prefix);
+  records_[id].originated = std::make_unique<Route>(Route{.prefix = prefix,
+                                                          .as_path = path,
+                                                          .origin = origin,
+                                                          .communities = std::move(communities),
+                                                          .med = 0,
+                                                          .local_pref = kSelfLocalPref,
+                                                          .learned_from = kLocalRouter,
+                                                          .learned_from_asn = 0});
+  reprocess(id);
 }
 
 void BgpSpeaker::withdraw_origin(const net::Prefix& prefix) {
-  if (originated_.erase(prefix) == 0) return;
-  reprocess(prefix);
+  const PrefixId id = held_id(prefix);
+  if (id == kNoPrefix || records_[id].originated == nullptr) return;
+  records_[id].originated.reset();
+  reprocess(id);
 }
 
 void BgpSpeaker::receive(const Update& update) {
@@ -96,27 +146,32 @@ void BgpSpeaker::receive(const Update& update) {
   if (it == sessions_.end()) return;  // stale message from a torn-down session
   const SessionState& sess = it->second;
 
-  if (update.kind == Update::Kind::withdraw) {
-    if (adj_rib_in_.erase(update.prefix, update.from)) reprocess(update.prefix);
+  if (update.kind == Update::Kind::announce && !update.route) return;
+  // Loop / poisoned announcements are rejected, and — like RFC 7606's
+  // treat-as-withdraw — they remove whatever this neighbor previously
+  // announced for the prefix.
+  const bool accepted =
+      update.kind == Update::Kind::announce &&
+      (options_.allow_own_asn_in || ExportPolicy::import_accepts(asn_, *update.route));
+  if (!accepted) {
+    const PrefixId id = held_id(update.prefix);
+    if (id != kNoPrefix && erase_neighbor(records_[id].candidates, update.from)) reprocess(id);
     return;
   }
 
-  if (!update.route) return;
-  Route route = *update.route;
-  if (!options_.allow_own_asn_in && !ExportPolicy::import_accepts(asn_, route)) {
-    // Loop / poisoned: the announcement is rejected, and — like RFC 7606's
-    // treat-as-withdraw — it implicitly replaces (removes) whatever this
-    // neighbor previously announced for the prefix.
-    if (adj_rib_in_.erase(update.prefix, update.from)) reprocess(update.prefix);
-    return;
+  const PrefixId id = acquire(update.prefix);
+  std::vector<Route>& candidates = records_[id].candidates;
+  auto pos = neighbor_pos(candidates, update.from);
+  if (pos == candidates.end() || pos->learned_from != update.from) {
+    pos = candidates.insert(pos, *update.route);
+  } else {
+    *pos = *update.route;
   }
-
-  route.learned_from = update.from;
-  route.learned_from_asn = sess.asn;
-  route.local_pref = sess.config.local_pref_in.value_or(default_local_pref(sess.config.rel));
-  route.session_preference = sess.config.preference;
-  adj_rib_in_.put(route);
-  reprocess(update.prefix);
+  pos->learned_from = update.from;
+  pos->learned_from_asn = sess.asn;
+  pos->local_pref = sess.config.local_pref_in.value_or(default_local_pref(sess.config.rel));
+  pos->session_preference = sess.config.preference;
+  reprocess(id);
 }
 
 std::vector<std::pair<RouterId, Update>> BgpSpeaker::drain_outbox() {
@@ -125,60 +180,78 @@ std::vector<std::pair<RouterId, Update>> BgpSpeaker::drain_outbox() {
   return out;
 }
 
-void BgpSpeaker::note_fib_dirty(const net::Prefix& prefix) {
-  if (fib_dirty_overflow_ || fib_dirty_marks_.contains(prefix)) return;
+std::vector<Route> BgpSpeaker::loc_rib() const {
+  std::vector<Route> out;
+  for (PrefixId id : best_ids()) out.push_back(*records_[id].best);
+  return out;
+}
+
+void BgpSpeaker::note_fib_dirty(PrefixId id) {
+  PrefixRecord& record = records_[id];
+  if (fib_dirty_overflow_ || record.fib_mark == fib_generation_) return;
   if (fib_dirty_.size() >= kFibDirtyLimit) {
-    fib_dirty_.clear();
-    fib_dirty_marks_.clear();
     fib_dirty_overflow_ = true;
     return;
   }
-  fib_dirty_marks_.insert(prefix);
-  fib_dirty_.push_back(prefix);
+  record.fib_mark = fib_generation_;
+  fib_dirty_.push_back(id);
 }
 
-void BgpSpeaker::reprocess(const net::Prefix& prefix) {
-  if (batching_) {
-    batch_dirty_.push_back(prefix);
+void BgpSpeaker::clear_fib_dirty() {
+  ++fib_generation_;
+  for (PrefixId id : fib_dirty_) retire_if_unused(id);
+  fib_dirty_.clear();
+  fib_dirty_overflow_ = false;
+}
+
+void BgpSpeaker::reprocess(PrefixId id) {
+  if (!batching_) {
+    reprocess_now(id);
     return;
   }
-  reprocess_now(prefix);
+  PrefixRecord& record = records_[id];
+  if (record.queued) return;
+  record.queued = true;
+  batch_.push_back(id);
 }
 
-void BgpSpeaker::reprocess_now(const net::Prefix& prefix) {
-  // Zero-copy decision pass: candidates are read in place (a span over the
-  // Adj-RIB-In's flat storage plus the origination, if any).
-  const Route* originated = nullptr;
-  if (auto it = originated_.find(prefix); it != originated_.end()) originated = &it->second;
-  const Route* best = Decision::best_of(adj_rib_in_.candidates(prefix), originated);
-
-  bool changed = false;
-  if (best != nullptr) {
-    changed = loc_rib_.set(*best);
-  } else {
-    changed = loc_rib_.erase(prefix);
+void BgpSpeaker::reprocess_now(PrefixId id) {
+  PrefixRecord& record = records_[id];
+  // Zero-copy decision pass: the candidates and the origination are read in
+  // place.
+  const Route* best = Decision::best_of(record.candidates, record.originated.get());
+  const bool changed =
+      best != nullptr ? !record.best || *record.best != *best : record.best.has_value();
+  if (changed) {
+    if (best != nullptr) {
+      record.best = *best;
+    } else {
+      record.best.reset();
+    }
+    note_fib_dirty(id);
+    sync_exports(id, sessions_.begin(), sessions_.end());
   }
-  if (!changed) return;
-
-  note_fib_dirty(prefix);
-  // `best` now equals the Loc-RIB entry, and the export walk does not touch
-  // the Adj-RIB-In or the originations it points into.
-  sync_exports(prefix, best, sessions_.begin(), sessions_.end());
+  retire_if_unused(id);
 }
 
 void BgpSpeaker::commit_batch() {
   batching_ = false;
-  if (batch_dirty_.empty()) return;
+  if (batch_.empty()) return;
   // One decision pass per distinct prefix, in deterministic prefix order.
-  std::sort(batch_dirty_.begin(), batch_dirty_.end());
-  batch_dirty_.erase(std::unique(batch_dirty_.begin(), batch_dirty_.end()),
-                     batch_dirty_.end());
-  for (const net::Prefix& prefix : batch_dirty_) reprocess_now(prefix);
-  batch_dirty_.clear();
+  // Reprocessing interns nothing, so the queued ids stay valid even as
+  // records retire.
+  sort_by_prefix(batch_);
+  for (PrefixId id : batch_) {
+    records_[id].queued = false;
+    reprocess_now(id);
+  }
+  batch_.clear();
 }
 
-void BgpSpeaker::sync_exports(const net::Prefix& prefix, const Route* best,
-                              Sessions::const_iterator first, Sessions::const_iterator last) {
+void BgpSpeaker::sync_exports(PrefixId id, Sessions::const_iterator first,
+                              Sessions::const_iterator last) {
+  PrefixRecord& record = records_[id];
+  const Route* best = record.best ? &*record.best : nullptr;
   ExportContext ctx{.exporter = asn_,
                     .to_neighbor = 0,
                     .to_rel = Relationship::peer,
@@ -191,39 +264,48 @@ void BgpSpeaker::sync_exports(const net::Prefix& prefix, const Route* best,
     if (!ctx.from_local_origination) ctx.learned_rel = sessions_.at(best->learned_from).config.rel;
   }
 
-  const auto entry = adj_rib_out_.try_emplace(prefix).first;
-  std::vector<Advertised>& out = entry->second;
+  std::vector<Advertised>& out = record.advertised;
   for (auto it = first; it != last; ++it) {
     const auto& [neighbor, sess] = *it;
-    std::optional<Route> exported;
+    const Route* exported = nullptr;
     // Never reflect a route back to the router we learned it from.
     if (best != nullptr && best->learned_from != neighbor) {
       ctx.to_neighbor = sess.asn;
       ctx.to_rel = sess.config.rel;
-      exported = ExportPolicy::apply(*best, ctx);
+      if (const std::optional<int> prepends = ExportPolicy::extra_prepends(*best, ctx)) {
+        // The exported route differs between sessions only by its prepend
+        // count: build each distinct one once per pass.
+        auto cached = std::find_if(exports_.begin(), exports_.end(),
+                                   [&](const auto& e) { return e.first == *prepends; });
+        if (cached == exports_.end()) {
+          cached = exports_.emplace(exports_.end(), *prepends,
+                                    ExportPolicy::exported(*best, ctx, *prepends));
+        }
+        exported = &cached->second;
+      }
     }
 
-    auto pos = advertised_pos(out, neighbor);
+    auto pos = neighbor_pos(out, neighbor);
     const bool heard = pos != out.end() && pos->to == neighbor;
-    if (exported) {
+    if (exported != nullptr) {
       if (heard) {
         if (pos->route == *exported) continue;  // no change
         pos->route = *exported;
       } else {
         out.insert(pos, Advertised{.to = neighbor, .route = *exported});
       }
-      Update u = Update::announce(std::move(*exported));
+      Update u = Update::announce(*exported);
       u.from = id_;
       outbox_.emplace_back(neighbor, std::move(u));
     } else {
       if (!heard) continue;  // neighbor never heard it
       out.erase(pos);
-      Update u = Update::withdraw(prefix);
+      Update u = Update::withdraw(prefix(id));
       u.from = id_;
       outbox_.emplace_back(neighbor, std::move(u));
     }
   }
-  if (out.empty()) adj_rib_out_.erase(entry);
+  exports_.clear();
 }
 
 }  // namespace tango::bgp

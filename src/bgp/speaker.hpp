@@ -1,13 +1,17 @@
 // A BGP speaker: one eBGP router.  Several routers may share an ASN (e.g.
 // Vultr's per-city PoPs, which have no private WAN between them, paper §4).
+//
+// Storage: one PrefixRecord per prefix (Adj-RIB-In candidates, origination,
+// Loc-RIB best route, Adj-RIB-Out, FIB-dirty and batch marks) in a dense
+// array indexed by the network's PrefixTable ids, so an UPDATE costs one
+// prefix lookup and every later stage indexes the array.
 #pragma once
 
-#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/policy.hpp"
@@ -41,8 +45,21 @@ struct SessionConfig {
 
 class BgpSpeaker {
  public:
+  /// A standalone speaker with a prefix table of its own.
   BgpSpeaker(RouterId id, Asn asn, SpeakerOptions options = {})
-      : id_{id}, asn_{asn}, options_{options} {}
+      : id_{id},
+        asn_{asn},
+        options_{options},
+        own_prefixes_{std::make_unique<PrefixTable>()},
+        prefixes_{own_prefixes_.get()} {}
+  /// A speaker drawing prefix ids from `prefixes`, the table it shares with
+  /// the other speakers of its network; the table must outlive it.
+  BgpSpeaker(RouterId id, Asn asn, SpeakerOptions options, PrefixTable& prefixes)
+      : id_{id}, asn_{asn}, options_{options}, prefixes_{&prefixes} {}
+  /// Releases every prefix id the speaker holds.
+  ~BgpSpeaker();
+  BgpSpeaker(const BgpSpeaker&) = delete;
+  BgpSpeaker& operator=(const BgpSpeaker&) = delete;
 
   [[nodiscard]] RouterId id() const noexcept { return id_; }
   [[nodiscard]] Asn asn() const noexcept { return asn_; }
@@ -76,7 +93,8 @@ class BgpSpeaker {
   void withdraw_origin(const net::Prefix& prefix);
 
   [[nodiscard]] bool originates(const net::Prefix& prefix) const {
-    return originated_.count(prefix) > 0;
+    const PrefixRecord* record = find(prefix);
+    return record != nullptr && record->originated != nullptr;
   }
 
   // --- Message processing --------------------------------------------------
@@ -110,19 +128,49 @@ class BgpSpeaker {
 
   // --- Inspection ----------------------------------------------------------
 
-  [[nodiscard]] const LocRib& loc_rib() const noexcept { return loc_rib_; }
-  [[nodiscard]] const AdjRibIn& adj_rib_in() const noexcept { return adj_rib_in_; }
+  /// Loc-RIB entry for `prefix` (nullptr when unreachable).
   [[nodiscard]] const Route* best_route(const net::Prefix& prefix) const {
-    return loc_rib_.find(prefix);
+    const PrefixRecord* record = find(prefix);
+    return record != nullptr && record->best ? &*record->best : nullptr;
   }
+  [[nodiscard]] const Route* best_route(PrefixId id) const {
+    return id < records_.size() && records_[id].best ? &*records_[id].best : nullptr;
+  }
+  /// The prefix behind an id this speaker holds.
+  [[nodiscard]] const net::Prefix& prefix(PrefixId id) const noexcept {
+    return prefixes_->prefix(id);
+  }
+  /// Adj-RIB-In candidates for `prefix`, sorted by neighbor; a view valid
+  /// until the next mutation.
+  [[nodiscard]] std::span<const Route> candidates(const net::Prefix& prefix) const {
+    const PrefixRecord* record = find(prefix);
+    return record != nullptr ? std::span<const Route>{record->candidates}
+                             : std::span<const Route>{};
+  }
+  /// Copies of every Loc-RIB entry, in prefix order.
+  [[nodiscard]] std::vector<Route> loc_rib() const;
+  /// Visits every Loc-RIB entry in id order, which is unspecified: for
+  /// consumers whose result does not depend on order (a FIB rebuild).
+  template <typename F>
+  void for_each_best(F&& f) const {
+    for (const PrefixRecord& record : records_) {
+      if (record.best) f(*record.best);
+    }
+  }
+  /// True when the speaker holds a record for `id`.
+  [[nodiscard]] bool holds(PrefixId id) const noexcept {
+    return id < records_.size() && records_[id].held;
+  }
+  /// The table this speaker draws its prefix ids from.
+  [[nodiscard]] const PrefixTable& prefix_table() const noexcept { return *prefixes_; }
 
   /// Count of UPDATE messages processed (for convergence statistics).
   [[nodiscard]] std::uint64_t updates_processed() const noexcept { return updates_processed_; }
 
   // --- FIB dirty-prefix delta ----------------------------------------------
   // Every Loc-RIB change (best route replaced or removed) records its prefix
-  // here, so a data-plane consumer (sim::Wan) can resync FIBs incrementally:
-  // cost proportional to what changed, not to the RIB.  Each prefix appears
+  // id here, so a data-plane consumer (sim::Wan) can resync FIBs
+  // incrementally: cost proportional to what changed, not to the RIB.  Each prefix appears
   // at most once per window (between clears), and the list is bounded: past
   // kFibDirtyLimit distinct prefixes it collapses into an overflow flag, the
   // signal to fall back to a full per-router rebuild (bulk events such as
@@ -130,26 +178,41 @@ class BgpSpeaker {
 
   static constexpr std::size_t kFibDirtyLimit = 1024;
 
-  /// Distinct prefixes whose best route changed since the last
-  /// clear_fib_dirty(), in first-change order.  Meaningless while
-  /// fib_dirty_overflowed().
-  [[nodiscard]] const std::vector<net::Prefix>& fib_dirty() const noexcept {
-    return fib_dirty_;
-  }
+  /// Ids of the distinct prefixes whose best route changed since the last
+  /// clear_fib_dirty(), in first-change order; resolve them with prefix()
+  /// and best_route().  Meaningless while fib_dirty_overflowed().
+  [[nodiscard]] const std::vector<PrefixId>& fib_dirty() const noexcept { return fib_dirty_; }
   [[nodiscard]] bool fib_dirty_overflowed() const noexcept { return fib_dirty_overflow_; }
-  void clear_fib_dirty() noexcept {
-    fib_dirty_.clear();
-    fib_dirty_marks_.clear();
-    fib_dirty_overflow_ = false;
-  }
+  /// Opens a new window.  A record stays held while it is FIB-dirty, so the
+  /// ids in fib_dirty() resolve until this call, which retires the records
+  /// that emptied in the meantime.
+  void clear_fib_dirty();
 
  private:
-  /// Re-runs the decision process for `prefix`; on change, records the
-  /// prefix as FIB-dirty and refreshes exports to every neighbor.  Inside a
-  /// batch the pass is deferred (the prefix is queued for commit_batch).
-  void reprocess(const net::Prefix& prefix);
-  void reprocess_now(const net::Prefix& prefix);
-  void note_fib_dirty(const net::Prefix& prefix);
+  /// Id of the record this speaker holds for `prefix`, or kNoPrefix.
+  [[nodiscard]] PrefixId held_id(const net::Prefix& prefix) const {
+    const PrefixId id = prefixes_->find(prefix);
+    return holds(id) ? id : kNoPrefix;
+  }
+  [[nodiscard]] const PrefixRecord* find(const net::Prefix& prefix) const {
+    const PrefixId id = held_id(prefix);
+    return id == kNoPrefix ? nullptr : &records_[id];
+  }
+  /// Id of `prefix` with this speaker holding a record for it.
+  PrefixId acquire(const net::Prefix& prefix);
+  /// Releases the id when its record is empty and not FIB-dirty.
+  void retire_if_unused(PrefixId id);
+  /// Sorts `ids` by prefix: the order of every walk that decides message order.
+  void sort_by_prefix(std::vector<PrefixId>& ids) const;
+  /// Ids with a Loc-RIB entry, in prefix order.
+  [[nodiscard]] std::vector<PrefixId> best_ids() const;
+
+  /// Re-runs the decision process for `id`; on change, records the prefix
+  /// as FIB-dirty and refreshes exports to every neighbor.  Inside a batch
+  /// the pass is deferred (the record is queued for commit_batch).
+  void reprocess(PrefixId id);
+  void reprocess_now(PrefixId id);
+  void note_fib_dirty(PrefixId id);
 
   struct SessionState {
     Asn asn = 0;
@@ -158,36 +221,28 @@ class BgpSpeaker {
   /// Ordered: the export fan-out walks sessions in router-id order.
   using Sessions = std::map<RouterId, SessionState>;
 
-  /// One Adj-RIB-Out record: the route neighbor `to` last heard from us.
-  struct Advertised {
-    RouterId to = kLocalRouter;
-    Route route;
-  };
-
-  /// Computes the desired export of `best` (the Loc-RIB entry for `prefix`,
-  /// or nullptr) to each session in [first, last) and emits an
-  /// announce/withdraw wherever it differs from what that neighbor last heard.
-  void sync_exports(const net::Prefix& prefix, const Route* best,
-                    Sessions::const_iterator first, Sessions::const_iterator last);
+  /// Computes the desired export of `id`'s best route (or its absence) to
+  /// each session in [first, last) and emits an announce/withdraw wherever
+  /// it differs from what that neighbor last heard.
+  void sync_exports(PrefixId id, Sessions::const_iterator first, Sessions::const_iterator last);
 
   RouterId id_;
   Asn asn_;
   SpeakerOptions options_;
+  std::unique_ptr<PrefixTable> own_prefixes_;  ///< standalone speakers only
+  PrefixTable* prefixes_;
   Sessions sessions_;
-  std::unordered_map<net::Prefix, Route> originated_;
-  AdjRibIn adj_rib_in_;
-  LocRib loc_rib_;
-  /// Adj-RIB-Out, prefix-major: prefix -> what each neighbor currently
-  /// believes we announced, sorted by neighbor.  One lookup serves a decision
-  /// pass's whole export fan-out.
-  std::unordered_map<net::Prefix, std::vector<Advertised>> adj_rib_out_;
+  /// Indexed by PrefixId; grows to the table's high-water mark.
+  std::vector<PrefixRecord> records_;
   std::vector<std::pair<RouterId, Update>> outbox_;
   std::uint64_t updates_processed_ = 0;
-  std::vector<net::Prefix> fib_dirty_;
-  std::unordered_set<net::Prefix> fib_dirty_marks_;  ///< the prefixes in fib_dirty_
+  std::vector<PrefixId> fib_dirty_;
+  std::uint32_t fib_generation_ = 1;  ///< records marked with it are in fib_dirty_
   bool fib_dirty_overflow_ = false;
   bool batching_ = false;
-  std::vector<net::Prefix> batch_dirty_;  ///< prefixes touched inside the batch
+  std::vector<PrefixId> batch_;  ///< queued records, re-decided by commit_batch
+  /// sync_exports' per-pass results, one per distinct prepend count.
+  std::vector<std::pair<int, Route>> exports_;
 };
 
 }  // namespace tango::bgp

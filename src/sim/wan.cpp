@@ -101,7 +101,7 @@ void Wan::rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp) {
   std::fill(state.fib.begin(), state.fib.end(), kNoRoute);
   // Storage order, no sort: column contents (and so fib_digest()) do not
   // depend on write order.
-  sp.loc_rib().for_each([&](const bgp::Route& route) {
+  sp.for_each_best([&](const bgp::Route& route) {
     const bgp::RouterId next_hop = route.locally_originated() ? state.id : route.learned_from;
     set_next_hop(state, net::trie_key(route.prefix), next_hop);
   });
@@ -111,11 +111,10 @@ void Wan::rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp) {
   ++fib_stats_.generation_invalidations;
 }
 
-void Wan::apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp,
-                          const net::Prefix& prefix) {
+void Wan::apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp, bgp::PrefixId id) {
   ++fib_stats_.delta_applies;
-  const net::Ipv6Prefix key = net::trie_key(prefix);
-  const bgp::Route* best = sp.loc_rib().find(prefix);
+  const net::Ipv6Prefix key = net::trie_key(sp.prefix(id));
+  const bgp::Route* best = sp.best_route(id);
   if (best != nullptr) {
     const bgp::RouterId next_hop = best->locally_originated() ? state.id : best->learned_from;
     set_next_hop(state, key, next_hop);
@@ -159,11 +158,11 @@ void Wan::sync_fibs() {
       sp.clear_fib_dirty();
       continue;
     }
-    const std::vector<net::Prefix>& dirty = sp.fib_dirty();
+    const std::vector<bgp::PrefixId>& dirty = sp.fib_dirty();
     if (dirty.empty()) continue;
     // The speaker lists each changed prefix once; deltas are idempotent and
     // commute, so the list's order does not matter.
-    for (const net::Prefix& prefix : dirty) apply_fib_delta(state, sp, prefix);
+    for (bgp::PrefixId id : dirty) apply_fib_delta(state, sp, id);
     sp.clear_fib_dirty();
   }
   fib_synced_once_ = true;

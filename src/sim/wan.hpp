@@ -273,8 +273,7 @@ class Wan {
   /// Applies one (router, prefix) delta: writes the column entry to match
   /// the Loc-RIB and zeroes only cache ways the prefix covers.
   /// Idempotent (reads current state, not an op log).
-  void apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp,
-                       const net::Prefix& prefix);
+  void apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp, bgp::PrefixId id);
 
   topo::Topology& topo_;
   /// Flat tables sorted by id/key: a handful of routers and links, looked up

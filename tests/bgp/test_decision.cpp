@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "bgp/rib.hpp"
+#include "bgp/speaker.hpp"
 
 namespace tango::bgp {
 namespace {
@@ -122,38 +123,81 @@ TEST(Decision, SelectIsPermutationInvariant) {
   }
 }
 
-TEST(AdjRibIn, PutReplacesPerNeighbor) {
-  AdjRibIn rib;
-  rib.put(make_route(100, {1, 2}, 7, 100));
-  rib.put(make_route(100, {1, 9}, 7, 100));  // same neighbor: replace
-  rib.put(make_route(100, {2, 2}, 8, 100));
-  EXPECT_EQ(rib.candidates(pfx("2001:db8::/32")).size(), 2u);
-  EXPECT_EQ(rib.size(), 2u);
-  const Route* r = rib.find(pfx("2001:db8::/32"), 7);
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->as_path, (AsPath{1, 9}));
+/// Gives `sp` customer sessions to routers 7, 8 and 9.
+void add_customers(BgpSpeaker& sp) {
+  for (RouterId n : {7u, 8u, 9u}) {
+    sp.add_session(n, 1000 + n, SessionConfig{.rel = Relationship::customer});
+  }
 }
 
-TEST(AdjRibIn, EraseAndEraseNeighbor) {
-  AdjRibIn rib;
-  rib.put(make_route(100, {1}, 7, 100));
-  rib.put(make_route(100, {2}, 8, 100));
-  EXPECT_TRUE(rib.erase(pfx("2001:db8::/32"), 7));
-  EXPECT_FALSE(rib.erase(pfx("2001:db8::/32"), 7));
-  auto affected = rib.erase_neighbor(8);
-  EXPECT_EQ(affected.size(), 1u);
-  EXPECT_TRUE(rib.prefixes().empty());
+void announce(BgpSpeaker& sp, RouterId from, std::initializer_list<Asn> path) {
+  Update u = Update::announce(Route{.prefix = pfx("2001:db8::/32"), .as_path = AsPath{path}});
+  u.from = from;
+  sp.receive(u);
 }
 
-TEST(LocRib, SetReportsChange) {
-  LocRib rib;
-  Route r = make_route(100, {1, 2});
-  EXPECT_TRUE(rib.set(r));
-  EXPECT_FALSE(rib.set(r));  // unchanged
-  r.local_pref = 200;
-  EXPECT_TRUE(rib.set(r));
-  EXPECT_TRUE(rib.erase(r.prefix));
-  EXPECT_FALSE(rib.erase(r.prefix));
+void withdraw(BgpSpeaker& sp, RouterId from) {
+  Update u = Update::withdraw(pfx("2001:db8::/32"));
+  u.from = from;
+  sp.receive(u);
+}
+
+TEST(SpeakerRib, PutReplacesPerNeighbor) {
+  BgpSpeaker sp{1, 100};
+  add_customers(sp);
+  announce(sp, 7, {1, 2});
+  announce(sp, 7, {1, 9});  // same neighbor: replace
+  announce(sp, 8, {2, 2});
+  const std::span<const Route> candidates = sp.candidates(pfx("2001:db8::/32"));
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0].learned_from, 7u) << "candidates are sorted by neighbor";
+  EXPECT_EQ(candidates[0].as_path, (AsPath{1, 9}));
+  EXPECT_EQ(candidates[1].learned_from, 8u);
+}
+
+TEST(SpeakerRib, EraseAndEraseNeighbor) {
+  BgpSpeaker sp{1, 100};
+  add_customers(sp);
+  announce(sp, 7, {1});
+  announce(sp, 8, {2});
+  withdraw(sp, 7);
+  EXPECT_EQ(sp.candidates(pfx("2001:db8::/32")).size(), 1u);
+  withdraw(sp, 7);  // nothing left from 7: a no-op
+  EXPECT_EQ(sp.candidates(pfx("2001:db8::/32")).size(), 1u);
+  sp.remove_session(8);
+  EXPECT_TRUE(sp.candidates(pfx("2001:db8::/32")).empty());
+  EXPECT_EQ(sp.best_route(pfx("2001:db8::/32")), nullptr);
+  sp.clear_fib_dirty();
+  EXPECT_EQ(sp.prefix_table().size(), 0u) << "the emptied record gave its id back";
+}
+
+TEST(SpeakerRib, SetReportsChange) {
+  BgpSpeaker sp{1, 100};
+  add_customers(sp);
+  // A best-route change shows as a FIB-dirty id and exports to 8 and 9.
+  announce(sp, 7, {1, 2});
+  EXPECT_EQ(sp.fib_dirty().size(), 1u);
+  EXPECT_EQ(sp.loc_rib().size(), 1u);
+  EXPECT_EQ(sp.drain_outbox().size(), 2u) << "one announce each to 8 and 9";
+  sp.clear_fib_dirty();
+
+  announce(sp, 7, {1, 2});  // unchanged
+  EXPECT_TRUE(sp.fib_dirty().empty());
+  EXPECT_TRUE(sp.outbox_empty());
+
+  announce(sp, 7, {1, 3});  // changed
+  EXPECT_EQ(sp.fib_dirty().size(), 1u);
+  EXPECT_EQ(sp.drain_outbox().size(), 2u);
+  sp.clear_fib_dirty();
+
+  withdraw(sp, 7);  // removed
+  EXPECT_EQ(sp.fib_dirty().size(), 1u);
+  EXPECT_EQ(sp.loc_rib().size(), 0u);
+  EXPECT_EQ(sp.drain_outbox().size(), 2u) << "one withdraw each to 8 and 9";
+  sp.clear_fib_dirty();
+  withdraw(sp, 7);  // already gone
+  EXPECT_TRUE(sp.fib_dirty().empty());
+  EXPECT_TRUE(sp.outbox_empty());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// RIB storage: interned path attributes, hash-indexed RIBs and the FIB-dirty
-// window.  The pinned message counts were recorded from the ordered-RIB
-// implementation this storage replaced; they prove that message order, and
-// so every count, did not move.
+// RIB storage: interned path attributes, per-speaker prefix records and the
+// FIB-dirty window.  The pinned message counts were recorded from the
+// ordered-RIB implementation two storage layouts ago; they prove that
+// message order, and so every count, did not move.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,7 +23,7 @@ net::Prefix nth_v4(std::uint32_t i) {
 std::uint64_t loc_rib_digest(const BgpNetwork& net) {
   std::uint64_t h = 14695981039346656037ull;
   for (RouterId id : net.routers()) {
-    for (const Route& r : net.router(id).loc_rib().routes()) {
+    for (const Route& r : net.router(id).loc_rib()) {
       for (char c : r.to_string()) {
         h ^= static_cast<unsigned char>(c);
         h *= 1099511628211ull;
@@ -135,7 +135,7 @@ TEST(FibDirty, OnePrefixTouchedManyTimesIsRecordedOnce) {
   }
   EXPECT_FALSE(sp.fib_dirty_overflowed());
   ASSERT_EQ(sp.fib_dirty().size(), 1u);
-  EXPECT_EQ(sp.fib_dirty().front(), nth_v4(0));
+  EXPECT_EQ(sp.prefix(sp.fib_dirty().front()), nth_v4(0));
 
   // Withdrawn and re-originated inside one window: still one record.
   sp.withdraw_origin(nth_v4(0));
