@@ -11,15 +11,19 @@ sides.  A timing compared with another host's, or with a recorded history,
 measures the hosts as much as the code, so both sides always run here, back
 to back.
 
-For each (workload, metric) it prints both medians, the head's gain (positive
-is better) and the base's spread, (Q3 - Q1) / median, with one verdict:
+For each (workload, metric) it prints both medians, the head's gain and the
+pair spread, with one verdict.  A pair's gain is its head run's relative
+difference from its base run (positive is better); the head gain is the
+median of the pair gains and the pair spread their Q3 - Q1.  Both sides of a
+pair run the same seed, so a metric whose level moves with the seed (as
+pkts_per_s does on the mesh workloads) still compares cleanly pair by pair.
 
   improved    every head run beats every base run, or the head wins at least
-              9 pairs in 10 and its median gain exceeds the spread;
-  regressed   the median is worse by more than the bound and the spread
-              resolves it: the spread is within the bound, or every head run
-              is worse than every base run;
-  unresolved  the spread is wider than the bound, so the runs cannot tell;
+              9 pairs in 10 and its gain exceeds the pair spread;
+  regressed   the gain is worse than the bound and the runs resolve it: the
+              pair spread or the base's own spread, (Q3 - Q1) / median, is
+              within the bound, or every pair is worse;
+  unresolved  both spreads are wider than the bound, so the runs cannot tell;
   unchanged   otherwise.
 
 Exit codes: 0 pass; 1 a metric regressed, a head run is not correct, or the
@@ -64,26 +68,26 @@ def collect(base, head, command, workload):
 def verdict(base, head, better, bound):
     """Classifies one positive metric from its runs (equal-length lists, pair order).
 
-    Returns (verdict, base median, head median, head gain, base spread).
+    Returns (verdict, base median, head median, head gain, pair spread).
     """
     sign = 1 if better == "higher" else -1
-    med_b, med_h = statistics.median(base), statistics.median(head)
-    q1, _, q3 = statistics.quantiles(base, n=4)
-    spread = (q3 - q1) / med_b
-    gain = sign * (med_h - med_b) / med_b
-    gains = [sign * (h - b) for h in head for b in base]
-    wins = sum(sign * (h - b) > 0 for h, b in zip(head, base))
-    if min(gains) > 0:
+    pair_gains = [sign * (h - b) / b for h, b in zip(head, base)]
+    q1, gain, q3 = statistics.quantiles(pair_gains, n=4)
+    spread = q3 - q1
+    base_q1, base_median, base_q3 = statistics.quantiles(base, n=4)
+    resolved = spread <= bound or (base_q3 - base_q1) / base_median <= bound
+    wins = sum(g > 0 for g in pair_gains)
+    if min(sign * (h - b) for h in head for b in base) > 0:
         v = "improved"
-    elif -gain > bound and (spread <= bound or max(gains) < 0):
+    elif -gain > bound and (resolved or max(pair_gains) < 0):
         v = "regressed"
-    elif spread > bound:
+    elif not resolved:
         v = "unresolved"
     elif wins >= 0.9 * len(base) and gain > spread:
         v = "improved"
     else:
         v = "unchanged"
-    return v, med_b, med_h, gain, spread
+    return v, base_median, statistics.median(head), gain, spread
 
 
 def failed_share(results):
@@ -101,7 +105,7 @@ def main(argv=None):
     failures = []
     print(f"{PAIRS} pairs per workload at --seconds {SECONDS}, base {args.base}, "
           f"head {args.head}\n")
-    print("| workload | metric | base median | head median | head gain | base spread "
+    print("| workload | metric | base median | head median | head gain | pair spread "
           "| bound | verdict |")
     print("|---|---|---|---|---|---|---|---|")
     for workload in (w["name"] for w in spec["workloads"]):
@@ -114,7 +118,7 @@ def main(argv=None):
                   f"| {spread:.3f} | {m['bound']} | {v} |")
             if v == "regressed":
                 failures.append(f"{workload} {m['name']} worse by {-gain:.3f} "
-                                f"(bound {m['bound']}, base spread {spread:.3f})")
+                                f"(bound {m['bound']}, pair spread {spread:.3f})")
         if not all(r["correct"] for r in head):
             failures.append(f"{workload}: a head run reports correct: false")
         if failed_share(head) > failed_share(base):

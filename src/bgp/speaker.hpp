@@ -149,12 +149,13 @@ class BgpSpeaker {
   }
   /// Copies of every Loc-RIB entry, in prefix order.
   [[nodiscard]] std::vector<Route> loc_rib() const;
-  /// Visits every Loc-RIB entry in id order, which is unspecified: for
-  /// consumers whose result does not depend on order (a FIB rebuild).
+  /// Visits every Loc-RIB entry as f(id, route) in id order, which is
+  /// unspecified: for consumers whose result does not depend on order (a
+  /// FIB rebuild).
   template <typename F>
   void for_each_best(F&& f) const {
-    for (const PrefixRecord& record : records_) {
-      if (record.best) f(*record.best);
+    for (PrefixId id = 0; id < records_.size(); ++id) {
+      if (records_[id].best) f(id, *records_[id].best);
     }
   }
   /// True when the speaker holds a record for `id`.

@@ -5,8 +5,13 @@ namespace tango::dataplane {
 void TunnelTable::install(Tunnel tunnel) {
   const PathId id = tunnel.id;
   if (id >= slots_.size()) slots_.resize(static_cast<std::size_t>(id) + 1);
-  if (!slots_[id].tunnel) ++count_;
-  slots_[id].tunnel = std::move(tunnel);
+  std::unique_ptr<Tunnel>& slot = slots_[id].tunnel;
+  if (slot) {
+    *slot = std::move(tunnel);
+  } else {
+    slot = std::make_unique<Tunnel>(std::move(tunnel));
+    ++count_;
+  }
 }
 
 bool TunnelTable::remove(PathId id) {
@@ -28,7 +33,7 @@ std::vector<PathId> TunnelTable::ids() const {
 std::size_t TunnelTable::state_bytes() const {
   std::size_t bytes = sizeof(TunnelTable) + slots_.capacity() * sizeof(Slot);
   for (const Slot& slot : slots_) {
-    if (slot.tunnel) bytes += slot.tunnel->label.capacity();
+    if (slot.tunnel) bytes += sizeof(Tunnel) + slot.tunnel->label.capacity();
   }
   return bytes;
 }

@@ -5,10 +5,11 @@
 // Storage is a dense PathId-indexed vector (path ids are small per-pairing
 // integers), so the per-packet lookup on the send fast path is a bounds
 // check + array index instead of a tree walk.  Each slot also carries the
-// sender's sequence counter for its path id.
+// sender's sequence counter for its path id, and keeps its tunnel out of
+// line, so an id with no tunnel costs a counter and a null pointer.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,7 @@ class TunnelTable {
  public:
   /// One path id's sender-side state.
   struct Slot {
-    std::optional<Tunnel> tunnel;
+    std::unique_ptr<Tunnel> tunnel;
     /// Sequence of the next packet sent on this path id.  It outlives the
     /// tunnel: a path id names one sequence stream for the life of the node
     /// (DESIGN §8a).
@@ -56,8 +57,7 @@ class TunnelTable {
   bool remove(PathId id);
 
   [[nodiscard]] const Tunnel* find(PathId id) const {
-    if (id >= slots_.size() || !slots_[id].tunnel) return nullptr;
-    return &*slots_[id].tunnel;
+    return id < slots_.size() ? slots_[id].tunnel.get() : nullptr;
   }
 
   /// The slot of an installed tunnel, nullptr when `id` has none.
@@ -78,7 +78,8 @@ class TunnelTable {
 
   /// Estimated resident bytes: the dense slot array (sized by the highest
   /// installed PathId — the cost of O(1) lookup under a mesh-wide compact
-  /// id space) plus per-tunnel label heap.  Trend accounting, not exact.
+  /// id space) plus each installed tunnel's heap record and label.  Trend
+  /// accounting, not exact.
   [[nodiscard]] std::size_t state_bytes() const;
 
  private:

@@ -59,7 +59,10 @@ Wan::Wan(topo::Topology& topo, Rng rng, EventQueue::Backend backend)
     : Wan{topo, rng, WanOptions{.backend = backend}} {}
 
 Wan::Wan(topo::Topology& topo, Rng rng, const WanOptions& options)
-    : topo_{topo}, events_{options.backend}, fib_sync_mode_{options.fib_sync} {
+    : topo_{topo},
+      prefixes_{topo.bgp().prefix_table()},
+      events_{options.backend},
+      fib_sync_mode_{options.fib_sync} {
   // Fork per-link RNG streams in topology order (keeps the streams identical
   // to what the tree-map implementation produced), then sort for lookup.
   const std::vector<topo::LinkKey> keys = topo.links();
@@ -88,22 +91,29 @@ Wan::LinkState* Wan::find_link(const topo::LinkKey& key) noexcept {
                    [](const LinkState& e) -> const topo::LinkKey& { return e.key; });
 }
 
-void Wan::set_next_hop(RouterState& state, const net::Ipv6Prefix& key,
+void Wan::set_next_hop(RouterState& state, bgp::PrefixId id, const net::Ipv6Prefix& key,
                        bgp::RouterId next_hop) {
-  const std::uint32_t* found = index_.find(key);
-  const auto slot = found != nullptr ? *found : static_cast<std::uint32_t>(index_.size());
-  if (found == nullptr) index_.insert(key, slot);
-  if (slot >= state.fib.size()) state.fib.resize(index_.size(), kNoRoute);
-  state.fib[slot] = next_hop;
+  if (id >= keys_.size()) keys_.resize(prefixes_.high_water());
+  std::optional<net::Ipv6Prefix>& mapped = keys_[id];
+  if (mapped != key) {
+    // The table recycled `id` from another prefix, or gave `key` a new id:
+    // drop the old key and take `key` over from any id it still names.
+    if (mapped) index_.erase(*mapped);
+    if (const bgp::PrefixId* prev = index_.find(key)) keys_[*prev].reset();
+    index_.insert(key, id);
+    mapped = key;
+  }
+  if (id >= state.fib.size()) state.fib.resize(prefixes_.high_water(), kNoRoute);
+  state.fib[id] = next_hop;
 }
 
 void Wan::rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp) {
-  std::fill(state.fib.begin(), state.fib.end(), kNoRoute);
-  // Storage order, no sort: column contents (and so fib_digest()) do not
-  // depend on write order.
-  sp.for_each_best([&](const bgp::Route& route) {
+  state.fib.assign(prefixes_.high_water(), kNoRoute);
+  // Id order, no sort: column contents (and so fib_digest()) do not depend
+  // on write order.
+  sp.for_each_best([&](bgp::PrefixId id, const bgp::Route& route) {
     const bgp::RouterId next_hop = route.locally_originated() ? state.id : route.learned_from;
-    set_next_hop(state, net::trie_key(route.prefix), next_hop);
+    set_next_hop(state, id, net::trie_key(route.prefix), next_hop);
   });
   // Bumping the router's generation invalidates its whole flow cache without
   // touching the (cold) cache arrays.
@@ -117,10 +127,9 @@ void Wan::apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp, bgp::Pr
   const bgp::Route* best = sp.best_route(id);
   if (best != nullptr) {
     const bgp::RouterId next_hop = best->locally_originated() ? state.id : best->learned_from;
-    set_next_hop(state, key, next_hop);
-  } else if (const std::uint32_t* slot = index_.find(key);
-             slot != nullptr && *slot < state.fib.size()) {
-    state.fib[*slot] = kNoRoute;
+    set_next_hop(state, id, key, next_hop);
+  } else if (id < state.fib.size()) {
+    state.fib[id] = kNoRoute;
   }
   // Surgical invalidation: an LPM result can only have gone stale when some
   // changed prefix covers the cached destination, so zeroing exactly those
@@ -176,7 +185,7 @@ std::uint64_t Wan::fib_digest() const {
   // FNV-1a over (router id, prefix bytes, prefix length, next hop) in router
   // order, then the index's lexicographic prefix order: deterministic, and
   // identical FIB contents give identical digests regardless of how the
-  // columns were built or which slots the prefixes drew.
+  // columns were built or which ids the prefixes drew.
   std::uint64_t h = 14695981039346656037ull;
   const auto mix_byte = [&h](std::uint8_t b) {
     h ^= b;
@@ -185,14 +194,14 @@ std::uint64_t Wan::fib_digest() const {
   const auto mix_u64 = [&mix_byte](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (i * 8)));
   };
-  const std::vector<std::pair<net::Ipv6Prefix, std::uint32_t>> prefixes = index_.entries();
+  const std::vector<std::pair<net::Ipv6Prefix, bgp::PrefixId>> prefixes = index_.entries();
   for (const RouterState& state : routers_) {
     mix_u64(state.id);
-    for (const auto& [prefix, slot] : prefixes) {
-      if (slot >= state.fib.size() || state.fib[slot] == kNoRoute) continue;
+    for (const auto& [prefix, id] : prefixes) {
+      if (id >= state.fib.size() || state.fib[id] == kNoRoute) continue;
       for (std::uint8_t b : prefix.address().bytes()) mix_byte(b);
       mix_byte(prefix.length());
-      mix_u64(state.fib[slot]);
+      mix_u64(state.fib[id]);
     }
   }
   return h;
@@ -320,10 +329,10 @@ bool Wan::lookup_next_hop(RouterState& state, const net::Packet::FlowKey& flow,
   // The deepest indexed prefix this router holds: exact LPM over the
   // router's own routes even where other routers hold longer ones.
   const std::vector<bgp::RouterId>& fib = state.fib;
-  const std::uint32_t* slot = index_.lookup_if(
-      flow.dst, [&fib](std::uint32_t s) { return s < fib.size() && fib[s] != kNoRoute; });
-  if (slot == nullptr) return false;
-  const bgp::RouterId next = fib[*slot];
+  const bgp::PrefixId* id = index_.lookup_if(
+      flow.dst, [&fib](bgp::PrefixId i) { return i < fib.size() && fib[i] != kNoRoute; });
+  if (id == nullptr) return false;
+  const bgp::RouterId next = fib[*id];
   // Positive results only: unroutable packets are rare and drop anyway.
   set.way[1] = set.way[0];
   set.way[0] = FlowCacheWay{flow.dst, next, state.generation};

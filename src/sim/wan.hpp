@@ -13,11 +13,11 @@
 // scheduled hops use the event queue's inline-storage callables, and the
 // buffers of delivered or dropped packets are recycled through a free list
 // that traffic sources can draw from.  On top of that:
-//   * the FIBs share one prefix index: a path-compressed PrefixTrie maps
-//     every prefix any router has held to a slot, and each router keeps
-//     only a next-hop column indexed by slot, so a FIB change is one column
-//     write and a lookup is one trie walk that skips prefixes the router
-//     lacks;
+//   * the FIBs share one prefix index: each router keeps only a next-hop
+//     column indexed by the PrefixId the BGP network's prefix table gives
+//     the prefix, and one path-compressed PrefixTrie maps each routed
+//     prefix to its id, so a FIB change (already an id) is one column write
+//     and a lookup is one trie walk that skips prefixes the router lacks;
 //   * each router carries a small set-associative *flow cache* in front of
 //     its FIB, so consecutive packets of a flow skip the longest-prefix-
 //     match walk; sync_fibs() invalidates surgically — only cached
@@ -36,6 +36,7 @@
 
 #include <array>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -236,9 +237,9 @@ class Wan {
   /// One router's forwarding state.
   struct RouterState {
     bgp::RouterId id = 0;
-    /// Next hop per slot of the shared prefix index (`index_`); kNoRoute
-    /// where the router has no route, self id = local delivery.  Grown on
-    /// write, so slots past its size read as kNoRoute.
+    /// Next hop per PrefixId of the network's prefix table; kNoRoute where
+    /// the router has no route, self id = local delivery.  Grown on write to
+    /// the table's high-water mark, so ids past its size read as kNoRoute.
     std::vector<bgp::RouterId> fib;
     DeliveryHandler handler;
     RawDeliveryFn raw_handler = nullptr;
@@ -264,9 +265,11 @@ class Wan {
   [[nodiscard]] RouterState* find_router(bgp::RouterId id) noexcept;
   [[nodiscard]] LinkState* find_link(const topo::LinkKey& key) noexcept;
 
-  /// Writes `next_hop` into `state`'s column at `key`'s slot, giving `key`
-  /// the next free slot on first sight.
-  void set_next_hop(RouterState& state, const net::Ipv6Prefix& key, bgp::RouterId next_hop);
+  /// Writes `next_hop` into `state`'s column at `id`, whose prefix in the
+  /// network's table has trie key `key`, first pointing the index at `id`
+  /// if the table recycled the id from another prefix.
+  void set_next_hop(RouterState& state, bgp::PrefixId id, const net::Ipv6Prefix& key,
+                    bgp::RouterId next_hop);
   /// Clears `state`'s column and rewrites it from the speaker's Loc-RIB,
   /// then invalidates the whole flow cache (generation bump).
   void rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp);
@@ -280,12 +283,17 @@ class Wan {
   /// on every hop — binary search over contiguous memory, no tree nodes.
   std::vector<RouterState> routers_;
   std::vector<LinkState> links_;
-  /// The shared prefix index: every prefix any router has held, mapped to
-  /// its slot in the routers' columns.  Slots are never freed — a withdrawn
-  /// prefix keeps its slot and a re-originated one reuses it — so the index
-  /// and each column are bounded by the distinct prefixes this Wan has ever
-  /// routed, not by the ones routed now.
-  net::PrefixTrie<std::uint32_t> index_;
+  /// The network's prefix table, whose ids index the routers' columns.
+  const bgp::PrefixTable& prefixes_;
+  /// The shared prefix index: each prefix a router has routed, mapped to the
+  /// id that names it.  The table recycles ids, so the columns (and `keys_`)
+  /// are bounded by its high-water mark, which tracks the live prefixes.  A
+  /// withdrawn prefix's entry stays until its id or the prefix is written
+  /// again: every column reads kNoRoute there, so lookups skip it.
+  net::PrefixTrie<bgp::PrefixId> index_;
+  /// Per id, the key `index_` maps to it (unset: none); kept the exact
+  /// inverse of `index_`.
+  std::vector<std::optional<net::Ipv6Prefix>> keys_;
   EventQueue events_;
   net::BufferPool pool_;
   std::vector<std::vector<net::Packet>> burst_pool_;

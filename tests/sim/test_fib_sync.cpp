@@ -333,6 +333,163 @@ TEST(FibSync, DirtyOverflowFallsBackToRouterRebuild) {
   EXPECT_GT(inc.fib_sync_stats().delta_applies, deltas_before);
 }
 
+/// Checks a Wan after the prefix table moved an id from the withdrawn
+/// stub_prefix(`gone`) to the new stub_prefix(`fresh`): the incremental FIBs
+/// equal a fresh full rebuild, every router drops addresses inside `gone` as
+/// no_route, and packets for `fresh` follow BgpNetwork::forwarding_path.
+void expect_id_moved(Wan& inc, topo::Topology& topo, std::uint32_t gone, std::uint32_t fresh) {
+  EXPECT_EQ(inc.fib_digest(),
+            (Wan{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}}.fib_digest()));
+  const net::Ipv4Address src{10, 255, 0, 1};
+  std::uint16_t sport = 6000;
+  for (bgp::RouterId router : topo.bgp().routers()) {
+    const std::uint64_t no_route = inc.dropped(DropReason::no_route);
+    EXPECT_TRUE(delivered_path(inc, router, src, host_in(gone, 9), ++sport).empty())
+        << "router " << router << " still forwards the withdrawn prefix";
+    EXPECT_EQ(inc.dropped(DropReason::no_route), no_route + 1) << "router " << router;
+    const std::vector<bgp::RouterId> expected =
+        topo.bgp().forwarding_path(router, net::Prefix{stub_prefix(fresh)});
+    ASSERT_FALSE(expected.empty()) << "router " << router;
+    EXPECT_EQ(delivered_path(inc, router, src, host_in(fresh, 9), ++sport), expected)
+        << "router " << router;
+  }
+}
+
+// A prefix withdrawn everywhere gives its id back at the sync that closes
+// its window, and the next new prefix draws that id (the table recycles
+// LIFO).  The Wan must point its index at the new prefix and drop the old
+// one: a lookup inside the old prefix finds no route anywhere.
+TEST(FibSync, RecycledIdRepointsTheIndex) {
+  topo::Topology topo;
+  topo.add_router(1, 100, "A");
+  topo.add_router(2, 200, "B");
+  topo.add_router(3, 300, "C");
+  const topo::LinkProfile wire{.base_delay_ms = 1.0};
+  topo.add_transit(/*provider=*/2, /*customer=*/1, wire, wire);
+  topo.add_transit(/*provider=*/2, /*customer=*/3, wire, wire);
+  constexpr std::uint32_t kKeep = 1, kGone = 2, kFresh = 3;
+  topo.bgp().router(3).originate(net::Prefix{stub_prefix(kKeep)});
+  topo.bgp().router(3).originate(net::Prefix{stub_prefix(kGone)});
+  topo.bgp().run_to_convergence();
+
+  Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
+  for (bgp::RouterId router : topo.bgp().routers()) inc.attach(router, [](net::Packet&) {});
+  // Warm every router's flow cache with the prefix about to go.
+  for (bgp::RouterId router : topo.bgp().routers()) {
+    ASSERT_FALSE(delivered_path(inc, router, {10, 255, 0, 1}, host_in(kGone, 9), 5000).empty());
+  }
+
+  const bgp::PrefixTable& table = topo.bgp().prefix_table();
+  const bgp::PrefixId id = table.find(net::Prefix{stub_prefix(kGone)});
+  topo.bgp().withdraw(3, net::Prefix{stub_prefix(kGone)});
+  inc.sync_fibs();
+  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kGone)}), bgp::kNoPrefix) << "the id is free";
+
+  topo.bgp().originate(1, net::Prefix{stub_prefix(kFresh)});
+  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kFresh)}), id) << "the new prefix draws it";
+  inc.sync_fibs();
+  expect_id_moved(inc, topo, kGone, kFresh);
+}
+
+// Every holder of a prefix overflows kFibDirtyLimit, so nothing pins the
+// prefix's record: its id is freed and drawn by a new prefix inside one
+// window, before any sync.  The per-router rebuilds that close the window
+// must re-point the index all the same.
+TEST(FibSync, IdRecycledInsideAnOverflowedWindow) {
+  constexpr std::uint32_t kBulk = bgp::BgpSpeaker::kFibDirtyLimit + 76;  // 1100
+  constexpr std::uint32_t kGone = kBulk, kFresh = kBulk + 1;
+  topo::Topology topo;
+  topo.add_router(1, 100, "A");
+  topo.add_router(2, 200, "B");
+  const topo::LinkProfile wire{.base_delay_ms = 1.0};
+  topo.add_transit(/*provider=*/1, /*customer=*/2, wire, wire);
+  for (std::uint32_t i = 0; i <= kGone; ++i) {
+    topo.bgp().router(1).originate(net::Prefix{stub_prefix(i)});
+  }
+  topo.bgp().set_message_limit(50'000'000);
+  topo.bgp().run_to_convergence();
+
+  Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
+  for (bgp::RouterId router : topo.bgp().routers()) inc.attach(router, [](net::Packet&) {});
+  for (bgp::RouterId router : topo.bgp().routers()) {
+    ASSERT_FALSE(delivered_path(inc, router, {10, 255, 0, 1}, host_in(kGone, 9), 5000).empty());
+  }
+
+  // The bulk withdrawals overflow both routers' dirty lists before the last
+  // prefix goes, so neither keeps a record of it.
+  const bgp::PrefixTable& table = topo.bgp().prefix_table();
+  const bgp::PrefixId id = table.find(net::Prefix{stub_prefix(kGone)});
+  for (std::uint32_t i = 0; i <= kGone; ++i) {
+    topo.bgp().router(1).withdraw_origin(net::Prefix{stub_prefix(i)});
+  }
+  topo.bgp().run_to_convergence();
+  ASSERT_TRUE(topo.bgp().router(1).fib_dirty_overflowed());
+  ASSERT_TRUE(topo.bgp().router(2).fib_dirty_overflowed());
+  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kGone)}), bgp::kNoPrefix) << "freed unsynced";
+
+  topo.bgp().originate(2, net::Prefix{stub_prefix(kFresh)});
+  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kFresh)}), id) << "the new prefix draws it";
+  const std::uint64_t rebuilds = inc.fib_sync_stats().router_rebuilds;
+  inc.sync_fibs();
+  EXPECT_EQ(inc.fib_sync_stats().router_rebuilds, rebuilds + 2);
+  expect_id_moved(inc, topo, kGone, kFresh);
+}
+
+// Two prefixes trade ids through the LIFO free list: P leaves its first id X
+// for a second id Z, gives Z to Q and takes X back.  Each move must carry the
+// index along, so that P ends up indexed at X and Q at Z, as a fresh build
+// indexes them.
+TEST(FibSync, PrefixesTradingRecycledIdsStayIndexed) {
+  topo::Topology topo;
+  topo.add_router(1, 100, "A");
+  topo.add_router(2, 200, "B");
+  topo.add_router(3, 300, "C");
+  const topo::LinkProfile wire{.base_delay_ms = 1.0};
+  topo.add_transit(/*provider=*/2, /*customer=*/1, wire, wire);
+  topo.add_transit(/*provider=*/2, /*customer=*/3, wire, wire);
+  constexpr std::uint32_t kP = 1, kQ = 2;
+  const net::Prefix p{stub_prefix(kP)};
+  const net::Prefix q{stub_prefix(kQ)};
+  topo.bgp().router(3).originate(p);
+  topo.bgp().router(3).originate(q);
+  topo.bgp().run_to_convergence();
+
+  Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
+  for (bgp::RouterId router : topo.bgp().routers()) inc.attach(router, [](net::Packet&) {});
+  const bgp::PrefixTable& table = topo.bgp().prefix_table();
+  const bgp::PrefixId x = table.find(p);
+  const bgp::PrefixId z = table.find(q);
+  const auto step = [&](auto&& change) {
+    change();
+    inc.sync_fibs();
+  };
+  step([&] { topo.bgp().withdraw(3, p); });
+  step([&] { topo.bgp().withdraw(3, q); });
+  step([&] { topo.bgp().originate(3, p); });
+  ASSERT_EQ(table.find(p), z) << "P draws Q's id";
+  step([&] { topo.bgp().withdraw(3, p); });
+  step([&] {
+    topo.bgp().originate(3, q);
+    topo.bgp().originate(3, p);
+  });
+  ASSERT_EQ(table.find(q), z) << "Q takes its id back";
+  ASSERT_EQ(table.find(p), x) << "P takes its first id back";
+
+  EXPECT_EQ(inc.fib_digest(),
+            (Wan{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}}.fib_digest()));
+  const net::Ipv4Address src{10, 255, 0, 1};
+  std::uint16_t sport = 7000;
+  for (bgp::RouterId router : topo.bgp().routers()) {
+    for (std::uint32_t index : {kP, kQ}) {
+      const std::vector<bgp::RouterId> expected =
+          topo.bgp().forwarding_path(router, net::Prefix{stub_prefix(index)});
+      ASSERT_FALSE(expected.empty()) << "router " << router;
+      EXPECT_EQ(delivered_path(inc, router, src, host_in(index, 9), ++sport), expected)
+          << "router " << router << " prefix " << index;
+    }
+  }
+}
+
 // Per-prefix flow-cache invalidation on a 3-router chain: churning one
 // prefix must zero exactly the cached ways that prefix covers (one per
 // router on the warmed path), leave the unrelated flow's entries hot, and
