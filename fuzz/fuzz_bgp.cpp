@@ -10,9 +10,11 @@
 //    fixpoint of encode∘parse.  (Byte equality with the input is not
 //    required: parsing canonicalizes, e.g. unknown optional attributes are
 //    dropped and prefix host bits are masked.)
-//  * a decoded UPDATE, received, originated and withdrawn again, never
-//    leaves the network's prefix table holding an id that no router holds,
-//    and once every router's FIB-dirty window is closed the table is empty.
+//  * a decoded UPDATE, received, originated and withdrawn again, leaves the
+//    network's prefix table naming its prefix exactly once, and once every
+//    router's FIB-dirty window is closed every router's record for the
+//    prefix is empty: no candidate, origination, best route or Adj-RIB-Out
+//    entry, and not queued.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,18 +51,10 @@ std::vector<std::uint8_t> canonical_encode(const wire::ParsedMessage& m) {
   return {};
 }
 
-/// Ids some router of `net` holds a record for.
-std::size_t held_ids(const bgp::BgpNetwork& net) {
-  std::size_t held = 0;
-  for (bgp::PrefixId id = 0; id < net.prefix_table().high_water(); ++id) {
-    for (bgp::RouterId r : net.routers()) {
-      if (net.router(r).holds(id)) {
-        ++held;
-        break;
-      }
-    }
-  }
-  return held;
+/// True when `record` is absent or holds nothing.
+bool empty_record(const bgp::PrefixRecord* record) {
+  return record == nullptr || (record->candidates.empty() && record->originated == nullptr &&
+                               !record->best && record->advertised.empty() && !record->queued);
 }
 
 /// Router 1 provides transit to 2 and 3.  1 hears `decoded` from 2, then 3
@@ -72,9 +66,13 @@ void drive_speakers(const bgp::Update& decoded) {
   net.add_router(3, 65003);
   net.add_transit(1, 2);
   net.add_transit(1, 3);
+  // The harness routes one prefix, so the table names at most that one.
   const auto check = [&net] {
-    FUZZ_CHECK(net.prefix_table().size() <= held_ids(net),
-               "the prefix table holds only prefixes some router holds");
+    const bgp::PrefixTable& table = net.prefix_table();
+    FUZZ_CHECK(table.size() <= 1, "the prefix table names only the routed prefix");
+    for (bgp::PrefixId id = 0; id < table.size(); ++id) {
+      FUZZ_CHECK(table.find(table.prefix(id)) == id, "the table names each prefix once");
+    }
   };
 
   bgp::Update update = decoded;
@@ -93,8 +91,11 @@ void drive_speakers(const bgp::Update& decoded) {
   net.withdraw(3, update.prefix);
   check();
   for (bgp::RouterId r : net.routers()) net.router(r).clear_fib_dirty();
-  FUZZ_CHECK(net.prefix_table().size() == 0 && held_ids(net) == 0,
-             "every record retires once withdrawn and its window is closed");
+  FUZZ_CHECK(net.prefix_table().size() == 1, "the prefix keeps its id once withdrawn");
+  for (bgp::RouterId r : net.routers()) {
+    FUZZ_CHECK(empty_record(net.router(r).record(update.prefix)),
+               "every record empties once withdrawn and its window is closed");
+  }
 }
 
 }  // namespace

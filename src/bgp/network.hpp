@@ -119,7 +119,7 @@ class BgpNetwork {
   /// Delivers one update to `target` (through the wire codec when enabled).
   void deliver(BgpSpeaker& target, const Update& update);
 
-  /// Shared by every router, so declared before (destroyed after) them.
+  /// Shared by every router.
   std::unique_ptr<PrefixTable> prefixes_ = std::make_unique<PrefixTable>();
   /// Sorted by id: sweeps walk it in order, and a router's position is its
   /// group in a batched sweep.

@@ -8,24 +8,9 @@ PrefixId PrefixTable::find(const net::Prefix& prefix) const {
 }
 
 PrefixId PrefixTable::intern(const net::Prefix& prefix) {
-  const auto [it, inserted] = ids_.try_emplace(prefix, kNoPrefix);
-  if (!inserted) return it->second;
-  if (free_.empty()) {
-    it->second = static_cast<PrefixId>(slots_.size());
-    slots_.push_back(Slot{.prefix = prefix});
-  } else {
-    it->second = free_.back();
-    free_.pop_back();
-    slots_[it->second].prefix = prefix;
-  }
+  const auto [it, inserted] = ids_.try_emplace(prefix, static_cast<PrefixId>(prefixes_.size()));
+  if (inserted) prefixes_.push_back(prefix);
   return it->second;
-}
-
-void PrefixTable::release(PrefixId id) {
-  Slot& slot = slots_[id];
-  if (--slot.holders > 0) return;
-  ids_.erase(slot.prefix);
-  free_.push_back(id);
 }
 
 std::string to_string(DecisionStep s) {

@@ -21,39 +21,26 @@ inline constexpr PrefixId kNoPrefix = std::numeric_limits<PrefixId>::max();
 
 /// The prefix -> id map shared by every speaker of one network, so a
 /// received UPDATE costs one hash lookup and every later stage indexes a
-/// dense per-speaker array.  Each id counts the speakers holding a record
-/// for it; when the last one lets go the id is recycled (LIFO), so the table
-/// is bounded by the live prefixes.
+/// dense per-speaker array.  Ids are permanent: once interned, a prefix keeps
+/// its id until the table is destroyed, so ids are dense, never move, and the
+/// table grows only with the distinct prefixes the network ever carried.
 class PrefixTable {
  public:
-  /// Id of `prefix`, or kNoPrefix when no speaker holds it.
+  /// Id of `prefix`, or kNoPrefix when it was never interned.
   [[nodiscard]] PrefixId find(const net::Prefix& prefix) const;
 
-  /// Id of `prefix`, assigning one (with no holders) when it is new.
+  /// Id of `prefix`, assigning the next one when it is new.
   [[nodiscard]] PrefixId intern(const net::Prefix& prefix);
 
-  [[nodiscard]] const net::Prefix& prefix(PrefixId id) const noexcept {
-    return slots_[id].prefix;
-  }
+  [[nodiscard]] const net::Prefix& prefix(PrefixId id) const noexcept { return prefixes_[id]; }
 
-  void hold(PrefixId id) noexcept { ++slots_[id].holders; }
-  /// Drops one holder; the last one frees the id.
-  void release(PrefixId id);
-
-  /// Prefixes with an id.
-  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
-  /// One past the highest id ever assigned: the length every per-speaker
-  /// record array grows to.
-  [[nodiscard]] std::size_t high_water() const noexcept { return slots_.size(); }
+  /// Interned prefixes: one past the highest id, the length every
+  /// per-speaker record array and FIB column grows to.
+  [[nodiscard]] std::size_t size() const noexcept { return prefixes_.size(); }
 
  private:
-  struct Slot {
-    net::Prefix prefix;
-    std::uint32_t holders = 0;
-  };
   std::unordered_map<net::Prefix, PrefixId> ids_;
-  std::vector<Slot> slots_;
-  std::vector<PrefixId> free_;
+  std::vector<net::Prefix> prefixes_;  ///< indexed by id
 };
 
 /// One Adj-RIB-Out entry: the route neighbor `to` last heard from us.
@@ -63,21 +50,15 @@ struct Advertised {
 };
 
 /// Everything one speaker keeps about one prefix, indexed by its PrefixId.
-/// The speaker holds the id from the first candidate or origination until
-/// the record is empty again (no best route, not queued in a batch, not
-/// FIB-dirty in the current window).
+/// A record exists for every id below the speaker's array length; one that
+/// empties (no candidate, origination or best route) simply stays.
 struct PrefixRecord {
   std::vector<Route> candidates;       ///< Adj-RIB-In, sorted by learned_from
   std::unique_ptr<Route> originated;   ///< local origination (few prefixes have one)
   std::optional<Route> best;           ///< Loc-RIB entry
   std::vector<Advertised> advertised;  ///< Adj-RIB-Out, sorted by neighbor
   std::uint32_t fib_mark = 0;          ///< FIB-dirty while equal to the speaker's generation
-  bool held = false;                   ///< this speaker holds the id
   bool queued = false;                 ///< in the open batch's re-decide list
-
-  [[nodiscard]] bool unused() const noexcept {
-    return !best && !originated && candidates.empty() && advertised.empty() && !queued;
-  }
 };
 
 /// Result of comparing two routes in the decision process, with the step

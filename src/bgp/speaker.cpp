@@ -32,29 +32,16 @@ bool erase_neighbor(std::vector<Entry>& entries, RouterId neighbor) {
 
 }  // namespace
 
-BgpSpeaker::~BgpSpeaker() {
-  for (PrefixId id = 0; id < records_.size(); ++id) {
-    if (records_[id].held) prefixes_->release(id);
-  }
-}
-
 PrefixId BgpSpeaker::acquire(const net::Prefix& prefix) {
   const PrefixId id = prefixes_->intern(prefix);
-  if (id >= records_.size()) records_.resize(prefixes_->high_water());
-  PrefixRecord& record = records_[id];
-  if (!record.held) {
-    record.held = true;
-    prefixes_->hold(id);
-  }
+  if (id >= records_.size()) records_.resize(prefixes_->size());
   return id;
 }
 
-void BgpSpeaker::retire_if_unused(PrefixId id) {
-  PrefixRecord& record = records_[id];
-  if (!record.held || !record.unused() || record.fib_mark == fib_generation_) return;
-  // A fresh record: a later holder of this id starts unmarked.
-  record = PrefixRecord{};
-  prefixes_->release(id);
+std::size_t BgpSpeaker::session_pos(RouterId neighbor) const noexcept {
+  const auto by_neighbor = [](const Session& s, RouterId n) { return s.neighbor < n; };
+  const auto it = std::lower_bound(sessions_.begin(), sessions_.end(), neighbor, by_neighbor);
+  return static_cast<std::size_t>(it - sessions_.begin());
 }
 
 void BgpSpeaker::sort_by_prefix(std::vector<PrefixId>& ids) const {
@@ -75,16 +62,22 @@ void BgpSpeaker::add_session(RouterId neighbor, Asn neighbor_asn, SessionConfig 
   if (neighbor == id_) throw std::invalid_argument{"BgpSpeaker: session with self"};
   // Re-adding a live session keeps its Adj-RIB-Out, so unchanged routes
   // are not announced again.
-  const auto it = sessions_.try_emplace(neighbor).first;
-  it->second.asn = neighbor_asn;
-  it->second.config = config;
+  const std::size_t pos = session_pos(neighbor);
+  if (pos == sessions_.size() || sessions_[pos].neighbor != neighbor) {
+    sessions_.insert(sessions_.begin() + static_cast<std::ptrdiff_t>(pos),
+                     Session{.neighbor = neighbor});
+  }
+  sessions_[pos].asn = neighbor_asn;
+  sessions_[pos].config = config;
   // Export current best routes over the session, in prefix order (it decides
   // message order).
-  for (PrefixId id : best_ids()) sync_exports(id, it, std::next(it));
+  for (PrefixId id : best_ids()) sync_exports(id, pos, pos + 1);
 }
 
 void BgpSpeaker::remove_session(RouterId neighbor) {
-  if (sessions_.erase(neighbor) == 0) return;
+  const std::size_t pos = session_pos(neighbor);
+  if (pos == sessions_.size() || sessions_[pos].neighbor != neighbor) return;
+  sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(pos));
   std::vector<PrefixId> affected;
   for (PrefixId id = 0; id < records_.size(); ++id) {
     erase_neighbor(records_[id].advertised, neighbor);
@@ -96,21 +89,21 @@ void BgpSpeaker::remove_session(RouterId neighbor) {
 }
 
 std::optional<SessionConfig> BgpSpeaker::session(RouterId neighbor) const {
-  auto it = sessions_.find(neighbor);
-  if (it == sessions_.end()) return std::nullopt;
-  return it->second.config;
+  const Session* sess = find_session(neighbor);
+  if (sess == nullptr) return std::nullopt;
+  return sess->config;
 }
 
 std::optional<Asn> BgpSpeaker::neighbor_asn(RouterId neighbor) const {
-  auto it = sessions_.find(neighbor);
-  if (it == sessions_.end()) return std::nullopt;
-  return it->second.asn;
+  const Session* sess = find_session(neighbor);
+  if (sess == nullptr) return std::nullopt;
+  return sess->asn;
 }
 
 std::vector<RouterId> BgpSpeaker::neighbors() const {
   std::vector<RouterId> out;
   out.reserve(sessions_.size());
-  for (const auto& [router, state] : sessions_) out.push_back(router);
+  for (const Session& sess : sessions_) out.push_back(sess.neighbor);
   return out;
 }
 
@@ -134,7 +127,7 @@ void BgpSpeaker::originate(const net::Prefix& prefix, CommunitySet communities, 
 }
 
 void BgpSpeaker::withdraw_origin(const net::Prefix& prefix) {
-  const PrefixId id = held_id(prefix);
+  const PrefixId id = record_id(prefix);
   if (id == kNoPrefix || records_[id].originated == nullptr) return;
   records_[id].originated.reset();
   reprocess(id);
@@ -142,9 +135,8 @@ void BgpSpeaker::withdraw_origin(const net::Prefix& prefix) {
 
 void BgpSpeaker::receive(const Update& update) {
   ++updates_processed_;
-  auto it = sessions_.find(update.from);
-  if (it == sessions_.end()) return;  // stale message from a torn-down session
-  const SessionState& sess = it->second;
+  const Session* sess = find_session(update.from);
+  if (sess == nullptr) return;  // stale message from a torn-down session
 
   if (update.kind == Update::Kind::announce && !update.route) return;
   // Loop / poisoned announcements are rejected, and — like RFC 7606's
@@ -154,7 +146,7 @@ void BgpSpeaker::receive(const Update& update) {
       update.kind == Update::Kind::announce &&
       (options_.allow_own_asn_in || ExportPolicy::import_accepts(asn_, *update.route));
   if (!accepted) {
-    const PrefixId id = held_id(update.prefix);
+    const PrefixId id = record_id(update.prefix);
     if (id != kNoPrefix && erase_neighbor(records_[id].candidates, update.from)) reprocess(id);
     return;
   }
@@ -168,9 +160,9 @@ void BgpSpeaker::receive(const Update& update) {
     *pos = *update.route;
   }
   pos->learned_from = update.from;
-  pos->learned_from_asn = sess.asn;
-  pos->local_pref = sess.config.local_pref_in.value_or(default_local_pref(sess.config.rel));
-  pos->session_preference = sess.config.preference;
+  pos->learned_from_asn = sess->asn;
+  pos->local_pref = sess->config.local_pref_in.value_or(default_local_pref(sess->config.rel));
+  pos->session_preference = sess->config.preference;
   reprocess(id);
 }
 
@@ -199,7 +191,6 @@ void BgpSpeaker::note_fib_dirty(PrefixId id) {
 
 void BgpSpeaker::clear_fib_dirty() {
   ++fib_generation_;
-  for (PrefixId id : fib_dirty_) retire_if_unused(id);
   fib_dirty_.clear();
   fib_dirty_overflow_ = false;
 }
@@ -229,17 +220,14 @@ void BgpSpeaker::reprocess_now(PrefixId id) {
       record.best.reset();
     }
     note_fib_dirty(id);
-    sync_exports(id, sessions_.begin(), sessions_.end());
+    sync_exports(id, 0, sessions_.size());
   }
-  retire_if_unused(id);
 }
 
 void BgpSpeaker::commit_batch() {
   batching_ = false;
   if (batch_.empty()) return;
   // One decision pass per distinct prefix, in deterministic prefix order.
-  // Reprocessing interns nothing, so the queued ids stay valid even as
-  // records retire.
   sort_by_prefix(batch_);
   for (PrefixId id : batch_) {
     records_[id].queued = false;
@@ -248,8 +236,7 @@ void BgpSpeaker::commit_batch() {
   batch_.clear();
 }
 
-void BgpSpeaker::sync_exports(PrefixId id, Sessions::const_iterator first,
-                              Sessions::const_iterator last) {
+void BgpSpeaker::sync_exports(PrefixId id, std::size_t first, std::size_t last) {
   PrefixRecord& record = records_[id];
   const Route* best = record.best ? &*record.best : nullptr;
   ExportContext ctx{.exporter = asn_,
@@ -261,12 +248,17 @@ void BgpSpeaker::sync_exports(PrefixId id, Sessions::const_iterator first,
   if (best != nullptr) {
     // Self-originated routes export like customer routes.
     ctx.from_local_origination = best->locally_originated();
-    if (!ctx.from_local_origination) ctx.learned_rel = sessions_.at(best->learned_from).config.rel;
+    if (!ctx.from_local_origination) {
+      const Session* learned = find_session(best->learned_from);
+      if (learned == nullptr) throw std::out_of_range{"BgpSpeaker: best route from no session"};
+      ctx.learned_rel = learned->config.rel;
+    }
   }
 
   std::vector<Advertised>& out = record.advertised;
-  for (auto it = first; it != last; ++it) {
-    const auto& [neighbor, sess] = *it;
+  for (std::size_t s = first; s < last; ++s) {
+    const Session& sess = sessions_[s];
+    const RouterId neighbor = sess.neighbor;
     const Route* exported = nullptr;
     // Never reflect a route back to the router we learned it from.
     if (best != nullptr && best->learned_from != neighbor) {

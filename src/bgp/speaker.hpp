@@ -4,10 +4,11 @@
 // Storage: one PrefixRecord per prefix (Adj-RIB-In candidates, origination,
 // Loc-RIB best route, Adj-RIB-Out, FIB-dirty and batch marks) in a dense
 // array indexed by the network's PrefixTable ids, so an UPDATE costs one
-// prefix lookup and every later stage indexes the array.
+// prefix lookup and every later stage indexes the array.  Ids are permanent,
+// so the speaker holds none: its array covers every id below its length, and
+// a record that empties stays.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -56,8 +57,6 @@ class BgpSpeaker {
   /// the other speakers of its network; the table must outlive it.
   BgpSpeaker(RouterId id, Asn asn, SpeakerOptions options, PrefixTable& prefixes)
       : id_{id}, asn_{asn}, options_{options}, prefixes_{&prefixes} {}
-  /// Releases every prefix id the speaker holds.
-  ~BgpSpeaker();
   BgpSpeaker(const BgpSpeaker&) = delete;
   BgpSpeaker& operator=(const BgpSpeaker&) = delete;
 
@@ -75,7 +74,7 @@ class BgpSpeaker {
   void remove_session(RouterId neighbor);
 
   [[nodiscard]] bool has_session(RouterId neighbor) const {
-    return sessions_.count(neighbor) > 0;
+    return find_session(neighbor) != nullptr;
   }
   [[nodiscard]] std::optional<SessionConfig> session(RouterId neighbor) const;
   [[nodiscard]] std::optional<Asn> neighbor_asn(RouterId neighbor) const;
@@ -93,8 +92,8 @@ class BgpSpeaker {
   void withdraw_origin(const net::Prefix& prefix);
 
   [[nodiscard]] bool originates(const net::Prefix& prefix) const {
-    const PrefixRecord* record = find(prefix);
-    return record != nullptr && record->originated != nullptr;
+    const PrefixRecord* rec = record(prefix);
+    return rec != nullptr && rec->originated != nullptr;
   }
 
   // --- Message processing --------------------------------------------------
@@ -130,22 +129,21 @@ class BgpSpeaker {
 
   /// Loc-RIB entry for `prefix` (nullptr when unreachable).
   [[nodiscard]] const Route* best_route(const net::Prefix& prefix) const {
-    const PrefixRecord* record = find(prefix);
-    return record != nullptr && record->best ? &*record->best : nullptr;
+    const PrefixRecord* rec = record(prefix);
+    return rec != nullptr && rec->best ? &*rec->best : nullptr;
   }
   [[nodiscard]] const Route* best_route(PrefixId id) const {
     return id < records_.size() && records_[id].best ? &*records_[id].best : nullptr;
   }
-  /// The prefix behind an id this speaker holds.
+  /// The prefix behind an interned id.
   [[nodiscard]] const net::Prefix& prefix(PrefixId id) const noexcept {
     return prefixes_->prefix(id);
   }
   /// Adj-RIB-In candidates for `prefix`, sorted by neighbor; a view valid
   /// until the next mutation.
   [[nodiscard]] std::span<const Route> candidates(const net::Prefix& prefix) const {
-    const PrefixRecord* record = find(prefix);
-    return record != nullptr ? std::span<const Route>{record->candidates}
-                             : std::span<const Route>{};
+    const PrefixRecord* rec = record(prefix);
+    return rec != nullptr ? std::span<const Route>{rec->candidates} : std::span<const Route>{};
   }
   /// Copies of every Loc-RIB entry, in prefix order.
   [[nodiscard]] std::vector<Route> loc_rib() const;
@@ -158,9 +156,12 @@ class BgpSpeaker {
       if (records_[id].best) f(id, *records_[id].best);
     }
   }
-  /// True when the speaker holds a record for `id`.
-  [[nodiscard]] bool holds(PrefixId id) const noexcept {
-    return id < records_.size() && records_[id].held;
+  /// The record for `prefix`, or nullptr when the prefix has no id or its id
+  /// is past this speaker's array.  Records are never dropped, so a prefix
+  /// the speaker no longer routes reads as an empty record.
+  [[nodiscard]] const PrefixRecord* record(const net::Prefix& prefix) const {
+    const PrefixId id = record_id(prefix);
+    return id == kNoPrefix ? nullptr : &records_[id];
   }
   /// The table this speaker draws its prefix ids from.
   [[nodiscard]] const PrefixTable& prefix_table() const noexcept { return *prefixes_; }
@@ -184,25 +185,17 @@ class BgpSpeaker {
   /// and best_route().  Meaningless while fib_dirty_overflowed().
   [[nodiscard]] const std::vector<PrefixId>& fib_dirty() const noexcept { return fib_dirty_; }
   [[nodiscard]] bool fib_dirty_overflowed() const noexcept { return fib_dirty_overflow_; }
-  /// Opens a new window.  A record stays held while it is FIB-dirty, so the
-  /// ids in fib_dirty() resolve until this call, which retires the records
-  /// that emptied in the meantime.
+  /// Opens a new window.
   void clear_fib_dirty();
 
  private:
-  /// Id of the record this speaker holds for `prefix`, or kNoPrefix.
-  [[nodiscard]] PrefixId held_id(const net::Prefix& prefix) const {
+  /// Id of `prefix` when the speaker has a record for it, else kNoPrefix.
+  [[nodiscard]] PrefixId record_id(const net::Prefix& prefix) const {
     const PrefixId id = prefixes_->find(prefix);
-    return holds(id) ? id : kNoPrefix;
+    return id < records_.size() ? id : kNoPrefix;
   }
-  [[nodiscard]] const PrefixRecord* find(const net::Prefix& prefix) const {
-    const PrefixId id = held_id(prefix);
-    return id == kNoPrefix ? nullptr : &records_[id];
-  }
-  /// Id of `prefix` with this speaker holding a record for it.
+  /// Id of `prefix`, interned, with the record array grown to cover it.
   PrefixId acquire(const net::Prefix& prefix);
-  /// Releases the id when its record is empty and not FIB-dirty.
-  void retire_if_unused(PrefixId id);
   /// Sorts `ids` by prefix: the order of every walk that decides message order.
   void sort_by_prefix(std::vector<PrefixId>& ids) const;
   /// Ids with a Loc-RIB entry, in prefix order.
@@ -215,25 +208,33 @@ class BgpSpeaker {
   void reprocess_now(PrefixId id);
   void note_fib_dirty(PrefixId id);
 
-  struct SessionState {
+  struct Session {
+    RouterId neighbor = 0;
     Asn asn = 0;
     SessionConfig config;
   };
-  /// Ordered: the export fan-out walks sessions in router-id order.
-  using Sessions = std::map<RouterId, SessionState>;
+  /// Position of `neighbor`'s session in sessions_, or of its insertion.
+  [[nodiscard]] std::size_t session_pos(RouterId neighbor) const noexcept;
+  /// The session with `neighbor`, or nullptr.
+  [[nodiscard]] const Session* find_session(RouterId neighbor) const noexcept {
+    const std::size_t pos = session_pos(neighbor);
+    if (pos == sessions_.size() || sessions_[pos].neighbor != neighbor) return nullptr;
+    return &sessions_[pos];
+  }
 
   /// Computes the desired export of `id`'s best route (or its absence) to
-  /// each session in [first, last) and emits an announce/withdraw wherever
-  /// it differs from what that neighbor last heard.
-  void sync_exports(PrefixId id, Sessions::const_iterator first, Sessions::const_iterator last);
+  /// each session in sessions_[first, last) and emits an announce/withdraw
+  /// wherever it differs from what that neighbor last heard.
+  void sync_exports(PrefixId id, std::size_t first, std::size_t last);
 
   RouterId id_;
   Asn asn_;
   SpeakerOptions options_;
   std::unique_ptr<PrefixTable> own_prefixes_;  ///< standalone speakers only
   PrefixTable* prefixes_;
-  Sessions sessions_;
-  /// Indexed by PrefixId; grows to the table's high-water mark.
+  /// Sorted by neighbor: the export fan-out walks sessions in router-id order.
+  std::vector<Session> sessions_;
+  /// Indexed by PrefixId; grows to the table's size.
   std::vector<PrefixRecord> records_;
   std::vector<std::pair<RouterId, Update>> outbox_;
   std::uint64_t updates_processed_ = 0;

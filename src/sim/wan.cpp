@@ -91,29 +91,12 @@ Wan::LinkState* Wan::find_link(const topo::LinkKey& key) noexcept {
                    [](const LinkState& e) -> const topo::LinkKey& { return e.key; });
 }
 
-void Wan::set_next_hop(RouterState& state, bgp::PrefixId id, const net::Ipv6Prefix& key,
-                       bgp::RouterId next_hop) {
-  if (id >= keys_.size()) keys_.resize(prefixes_.high_water());
-  std::optional<net::Ipv6Prefix>& mapped = keys_[id];
-  if (mapped != key) {
-    // The table recycled `id` from another prefix, or gave `key` a new id:
-    // drop the old key and take `key` over from any id it still names.
-    if (mapped) index_.erase(*mapped);
-    if (const bgp::PrefixId* prev = index_.find(key)) keys_[*prev].reset();
-    index_.insert(key, id);
-    mapped = key;
-  }
-  if (id >= state.fib.size()) state.fib.resize(prefixes_.high_water(), kNoRoute);
-  state.fib[id] = next_hop;
-}
-
 void Wan::rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp) {
-  state.fib.assign(prefixes_.high_water(), kNoRoute);
+  state.fib.assign(prefixes_.size(), kNoRoute);
   // Id order, no sort: column contents (and so fib_digest()) do not depend
   // on write order.
-  sp.for_each_best([&](bgp::PrefixId id, const bgp::Route& route) {
-    const bgp::RouterId next_hop = route.locally_originated() ? state.id : route.learned_from;
-    set_next_hop(state, id, net::trie_key(route.prefix), next_hop);
+  sp.for_each_best([&state](bgp::PrefixId id, const bgp::Route& route) {
+    state.fib[id] = route.locally_originated() ? state.id : route.learned_from;
   });
   // Bumping the router's generation invalidates its whole flow cache without
   // touching the (cold) cache arrays.
@@ -125,11 +108,10 @@ void Wan::apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp, bgp::Pr
   ++fib_stats_.delta_applies;
   const net::Ipv6Prefix key = net::trie_key(sp.prefix(id));
   const bgp::Route* best = sp.best_route(id);
-  if (best != nullptr) {
-    const bgp::RouterId next_hop = best->locally_originated() ? state.id : best->learned_from;
-    set_next_hop(state, id, key, next_hop);
-  } else if (id < state.fib.size()) {
+  if (best == nullptr) {
     state.fib[id] = kNoRoute;
+  } else {
+    state.fib[id] = best->locally_originated() ? state.id : best->learned_from;
   }
   // Surgical invalidation: an LPM result can only have gone stale when some
   // changed prefix covers the cached destination, so zeroing exactly those
@@ -151,6 +133,13 @@ void Wan::sync_fibs() {
   const bool full_mode = fib_sync_mode_ == FibSync::full_rebuild;
   const bool full = full_mode || !fib_synced_once_;
   if (full) ++fib_stats_.full_rebuilds;
+  // Index the prefixes the table interned since the last sync and grow every
+  // column to cover them: ids are dense and permanent, so the index and the
+  // columns only ever extend.
+  for (; indexed_ < prefixes_.size(); ++indexed_) {
+    index_.insert(net::trie_key(prefixes_.prefix(indexed_)), indexed_);
+  }
+  for (RouterState& state : routers_) state.fib.resize(indexed_, kNoRoute);
   for (RouterState& state : routers_) {
     bgp::BgpSpeaker& sp = topo_.bgp().router(state.id);
     if (full) {
@@ -198,7 +187,7 @@ std::uint64_t Wan::fib_digest() const {
   for (const RouterState& state : routers_) {
     mix_u64(state.id);
     for (const auto& [prefix, id] : prefixes) {
-      if (id >= state.fib.size() || state.fib[id] == kNoRoute) continue;
+      if (state.fib[id] == kNoRoute) continue;
       for (std::uint8_t b : prefix.address().bytes()) mix_byte(b);
       mix_byte(prefix.length());
       mix_u64(state.fib[id]);
@@ -329,8 +318,8 @@ bool Wan::lookup_next_hop(RouterState& state, const net::Packet::FlowKey& flow,
   // The deepest indexed prefix this router holds: exact LPM over the
   // router's own routes even where other routers hold longer ones.
   const std::vector<bgp::RouterId>& fib = state.fib;
-  const bgp::PrefixId* id = index_.lookup_if(
-      flow.dst, [&fib](bgp::PrefixId i) { return i < fib.size() && fib[i] != kNoRoute; });
+  const auto routed = [&fib](bgp::PrefixId i) { return fib[i] != kNoRoute; };
+  const bgp::PrefixId* id = index_.lookup_if(flow.dst, routed);
   if (id == nullptr) return false;
   const bgp::RouterId next = fib[*id];
   // Positive results only: unroutable packets are rare and drop anyway.

@@ -15,9 +15,10 @@
 // that traffic sources can draw from.  On top of that:
 //   * the FIBs share one prefix index: each router keeps only a next-hop
 //     column indexed by the PrefixId the BGP network's prefix table gives
-//     the prefix, and one path-compressed PrefixTrie maps each routed
-//     prefix to its id, so a FIB change (already an id) is one column write
-//     and a lookup is one trie walk that skips prefixes the router lacks;
+//     the prefix, and one path-compressed PrefixTrie maps each interned
+//     prefix to its (permanent) id, so a FIB change (already an id) is one
+//     column write and a lookup is one trie walk that skips prefixes the
+//     router lacks;
 //   * each router carries a small set-associative *flow cache* in front of
 //     its FIB, so consecutive packets of a flow skip the longest-prefix-
 //     match walk; sync_fibs() invalidates surgically — only cached
@@ -36,7 +37,6 @@
 
 #include <array>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -238,8 +238,8 @@ class Wan {
   struct RouterState {
     bgp::RouterId id = 0;
     /// Next hop per PrefixId of the network's prefix table; kNoRoute where
-    /// the router has no route, self id = local delivery.  Grown on write to
-    /// the table's high-water mark, so ids past its size read as kNoRoute.
+    /// the router has no route, self id = local delivery.  Every sync grows
+    /// it to the table's size, so each indexed id has an entry.
     std::vector<bgp::RouterId> fib;
     DeliveryHandler handler;
     RawDeliveryFn raw_handler = nullptr;
@@ -265,11 +265,6 @@ class Wan {
   [[nodiscard]] RouterState* find_router(bgp::RouterId id) noexcept;
   [[nodiscard]] LinkState* find_link(const topo::LinkKey& key) noexcept;
 
-  /// Writes `next_hop` into `state`'s column at `id`, whose prefix in the
-  /// network's table has trie key `key`, first pointing the index at `id`
-  /// if the table recycled the id from another prefix.
-  void set_next_hop(RouterState& state, bgp::PrefixId id, const net::Ipv6Prefix& key,
-                    bgp::RouterId next_hop);
   /// Clears `state`'s column and rewrites it from the speaker's Loc-RIB,
   /// then invalidates the whole flow cache (generation bump).
   void rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp);
@@ -285,15 +280,13 @@ class Wan {
   std::vector<LinkState> links_;
   /// The network's prefix table, whose ids index the routers' columns.
   const bgp::PrefixTable& prefixes_;
-  /// The shared prefix index: each prefix a router has routed, mapped to the
-  /// id that names it.  The table recycles ids, so the columns (and `keys_`)
-  /// are bounded by its high-water mark, which tracks the live prefixes.  A
-  /// withdrawn prefix's entry stays until its id or the prefix is written
-  /// again: every column reads kNoRoute there, so lookups skip it.
+  /// The shared prefix index: every prefix the table has interned, mapped to
+  /// the id that names it.  Ids are permanent, so an entry never moves; a
+  /// withdrawn prefix's entry stays, and every column reads kNoRoute there,
+  /// so lookups skip it.
   net::PrefixTrie<bgp::PrefixId> index_;
-  /// Per id, the key `index_` maps to it (unset: none); kept the exact
-  /// inverse of `index_`.
-  std::vector<std::optional<net::Ipv6Prefix>> keys_;
+  /// Ids below this are in `index_` (and covered by every column).
+  bgp::PrefixId indexed_ = 0;
   EventQueue events_;
   net::BufferPool pool_;
   std::vector<std::vector<net::Packet>> burst_pool_;

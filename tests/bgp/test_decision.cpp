@@ -168,7 +168,8 @@ TEST(SpeakerRib, EraseAndEraseNeighbor) {
   EXPECT_TRUE(sp.candidates(pfx("2001:db8::/32")).empty());
   EXPECT_EQ(sp.best_route(pfx("2001:db8::/32")), nullptr);
   sp.clear_fib_dirty();
-  EXPECT_EQ(sp.prefix_table().size(), 0u) << "the emptied record gave its id back";
+  EXPECT_EQ(sp.prefix_table().size(), 1u) << "the emptied record keeps its id";
+  EXPECT_EQ(sp.prefix_table().find(pfx("2001:db8::/32")), 0u);
 }
 
 TEST(SpeakerRib, SetReportsChange) {

@@ -1,14 +1,15 @@
 // Prefix records: each speaker keeps one record per prefix, indexed by its
-// network's PrefixTable id.  A record retires, and gives its id back, once it
-// is empty and its last change has been seen by the FIB consumer
-// (clear_fib_dirty).  Under random originate / withdraw / re-originate /
-// session down-up steps on small meshes, an incremental Wan must match a
-// full rebuild, every Loc-RIB must match the Gao–Rexford stable routing, and
-// the table must hold exactly the prefixes some speaker still holds.
+// network's PrefixTable id.  Ids are permanent: a prefix keeps the id it was
+// first interned with, withdrawn or not, and an emptied record stays.  Under
+// random originate / withdraw / re-originate / session down-up steps on small
+// meshes, an incremental Wan must match a full rebuild, every Loc-RIB must
+// match the Gao–Rexford stable routing, every prefix must keep its first id,
+// and the table must name exactly the distinct prefixes ever carried.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -23,20 +24,6 @@ net::Prefix pfx(const char* text) { return *net::Prefix::parse(text); }
 
 net::Prefix extra_prefix(std::uint32_t i) {
   return net::Prefix{net::Ipv4Prefix{net::Ipv4Address{0xC0000000u | (i << 8)}, 24}};
-}
-
-/// Ids that some router of `net` holds a record for.
-std::size_t held_ids(const BgpNetwork& net) {
-  std::size_t held = 0;
-  for (PrefixId id = 0; id < net.prefix_table().high_water(); ++id) {
-    for (RouterId r : net.routers()) {
-      if (net.router(r).holds(id)) {
-        ++held;
-        break;
-      }
-    }
-  }
-  return held;
 }
 
 /// xorshift64: the churn schedule, independent of the Wan's own draws.
@@ -62,6 +49,9 @@ struct Fixture {
     net().set_batched_delivery(batched);
     net().run_to_convergence();
     live.assign(mesh.originations.size(), true);
+    for (const auto& [origin, prefix] : mesh.originations) {
+      first_id.try_emplace(prefix, net().prefix_table().find(prefix));
+    }
     inc = std::make_unique<sim::Wan>(topo, sim::Rng{1},
                                      sim::WanOptions{.fib_sync = sim::FibSync::incremental});
     full = std::make_unique<sim::Wan>(topo, sim::Rng{1},
@@ -94,23 +84,36 @@ struct Fixture {
     net().run_to_convergence();
   }
 
+  /// Every prefix keeps the id it first drew, withdrawn or not, and the
+  /// table names exactly the distinct prefixes originated so far.
+  void expect_ids_permanent() {
+    const PrefixTable& table = net().prefix_table();
+    for (const auto& [origin, prefix] : live_originations()) {
+      first_id.try_emplace(prefix, table.find(prefix));
+    }
+    for (const auto& [prefix, id] : first_id) {
+      ASSERT_NE(id, kNoPrefix);
+      EXPECT_EQ(table.find(prefix), id);
+      EXPECT_EQ(table.prefix(id), prefix);
+    }
+    EXPECT_EQ(table.size(), first_id.size());
+  }
+
   /// Syncs both Wans (oracle first: it must leave the dirty lists alone) and
-  /// checks FIBs, Loc-RIBs and the table's size.
+  /// checks FIBs, Loc-RIBs and the ids.
   void sync_and_check() {
     full->sync_fibs();
     inc->sync_fibs();
     EXPECT_EQ(inc->fib_digest(), full->fib_digest());
     oracle::expect_loc_ribs_match(net(), live_originations());
-    // Every window is closed, so only prefixes still originated somewhere
-    // hold an id.
-    EXPECT_EQ(net().prefix_table().size(), live_originations().size());
-    EXPECT_EQ(net().prefix_table().size(), held_ids(net()));
+    expect_ids_permanent();
   }
 
   topo::Topology topo;
   topo::Mesh mesh;
   std::vector<bool> live;  ///< per mesh origination
   std::vector<std::pair<RouterId, net::Prefix>> extra;
+  std::map<net::Prefix, PrefixId> first_id;  ///< every prefix originated so far
   std::unique_ptr<sim::Wan> inc;
   std::unique_ptr<sim::Wan> full;
 };
@@ -155,8 +158,9 @@ void run_random_churn(std::uint64_t seed, bool batched) {
     } else {
       f.sync_and_check();
     }
-    // Never an id that no speaker holds, synced or not.
-    ASSERT_EQ(f.net().prefix_table().size(), held_ids(f.net())) << "step " << step;
+    // Ids never move, synced or not.
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    f.expect_ids_permanent();
   }
   f.sync_and_check();
 }
@@ -172,11 +176,15 @@ TEST(PrefixRecords, WithdrawnAndReaddedWithinOneWindow) {
   f.net().withdraw(origin, prefix);
   EXPECT_EQ(f.net().best_route(origin, prefix), nullptr);
   f.net().originate(origin, prefix);
-  EXPECT_EQ(f.net().prefix_table().find(prefix), id)
-      << "a FIB-dirty record stays held, so the prefix keeps its id";
+  EXPECT_EQ(f.net().prefix_table().find(prefix), id) << "the prefix keeps its id";
   f.sync_and_check();
 }
 
+// No id is ever recycled: a withdrawn prefix keeps its id and its emptied
+// records, and a new prefix draws the next id.  The emptied records keep
+// their FIB mark from a closed window, so when the prefix comes back every
+// router that learns it again must list it as FIB-dirty, as it must the new
+// prefix, or the incremental Wan would miss them.
 TEST(PrefixRecords, RecycledIdStartsUnmarked) {
   Fixture f{5, true};
   const auto& [origin, prefix] = f.mesh.originations.back();
@@ -184,17 +192,23 @@ TEST(PrefixRecords, RecycledIdStartsUnmarked) {
   f.net().withdraw(origin, prefix);
   f.live.back() = false;
   f.sync_and_check();
-  EXPECT_EQ(f.net().prefix_table().find(prefix), kNoPrefix);
+  EXPECT_EQ(f.net().prefix_table().find(prefix), id) << "a withdrawn prefix keeps its id";
 
-  // The next new prefix draws the freed id; every router that learns it
-  // must list it as FIB-dirty, or the incremental Wan would miss it.
+  const PrefixId next = static_cast<PrefixId>(f.net().prefix_table().size());
   f.originate_extra(origin, 1);
-  ASSERT_EQ(f.net().prefix_table().find(extra_prefix(0)), id);
+  ASSERT_EQ(f.net().prefix_table().find(extra_prefix(0)), next)
+      << "a new prefix draws a new id";
+  f.net().originate(origin, prefix);
+  f.live.back() = true;
   for (RouterId r : f.net().routers()) {
     const BgpSpeaker& sp = f.net().router(r);
-    if (sp.best_route(extra_prefix(0)) == nullptr || sp.fib_dirty_overflowed()) continue;
-    EXPECT_NE(std::find(sp.fib_dirty().begin(), sp.fib_dirty().end(), id), sp.fib_dirty().end())
-        << "r" << r;
+    if (sp.fib_dirty_overflowed()) continue;
+    for (const auto& [p, p_id] : {std::pair{extra_prefix(0), next}, std::pair{prefix, id}}) {
+      if (sp.best_route(p) == nullptr) continue;
+      EXPECT_NE(std::find(sp.fib_dirty().begin(), sp.fib_dirty().end(), p_id),
+                sp.fib_dirty().end())
+          << "r" << r << " id " << p_id;
+    }
   }
   f.sync_and_check();
 }
@@ -208,18 +222,21 @@ TEST(PrefixRecords, WindowOverflowingTheDirtyLimit) {
   f.sync_and_check();
   EXPECT_GE(f.inc->fib_sync_stats().router_rebuilds, 1u);
 
-  // Withdraw them all in one window: every record retires at the sync.
+  // Withdraw them all in one window: every record empties, and stays.
   f.withdraw_extra();
   EXPECT_TRUE(f.net().router(stub).fib_dirty_overflowed());
   f.sync_and_check();
 
-  // And back, drawing the recycled ids.
-  const std::size_t high_water = f.net().prefix_table().high_water();
+  // And back, under the ids they first drew.
+  const std::size_t size = f.net().prefix_table().size();
   f.originate_extra(stub, kExtra, /*stride=*/2);
   f.sync_and_check();
-  EXPECT_EQ(f.net().prefix_table().high_water(), high_water) << "ids are reused, not added";
+  EXPECT_EQ(f.net().prefix_table().size(), size)
+      << "the prefixes keep their ids, none is added";
 }
 
+// A prefix announced and withdrawn inside one batch never reaches the
+// decision process; its record empties at commit and keeps its id.
 TEST(PrefixRecords, RecordRetiredWhileQueuedInBatch) {
   BgpSpeaker sp{1, 100};
   sp.add_session(7, 700, SessionConfig{.rel = Relationship::customer});
@@ -233,16 +250,21 @@ TEST(PrefixRecords, RecordRetiredWhileQueuedInBatch) {
   sp.begin_batch();
   deliver(Update::announce(route));
   deliver(Update::withdraw(route.prefix));
-  EXPECT_EQ(sp.prefix_table().size(), 1u) << "a queued record stays held";
+  const PrefixId id = sp.prefix_table().find(route.prefix);
+  EXPECT_EQ(sp.prefix_table().size(), 1u) << "the prefix is interned";
   Route other = route;
   other.prefix = pfx("2001:db8:2::/48");
   deliver(Update::announce(other));
   const PrefixId other_id = sp.prefix_table().find(other.prefix);
-  EXPECT_NE(other_id, sp.prefix_table().find(route.prefix));
+  EXPECT_NE(other_id, id);
   sp.commit_batch();
 
-  EXPECT_EQ(sp.prefix_table().size(), 1u) << "the emptied record retired at commit";
-  EXPECT_EQ(sp.prefix_table().find(route.prefix), kNoPrefix);
+  EXPECT_EQ(sp.prefix_table().size(), 2u) << "the emptied record keeps its id";
+  EXPECT_EQ(sp.prefix_table().find(route.prefix), id);
+  const PrefixRecord* emptied = sp.record(route.prefix);
+  ASSERT_NE(emptied, nullptr);
+  EXPECT_TRUE(emptied->candidates.empty());
+  EXPECT_FALSE(emptied->queued);
   EXPECT_EQ(sp.best_route(route.prefix), nullptr);
   ASSERT_NE(sp.best_route(other.prefix), nullptr);
   EXPECT_EQ(sp.fib_dirty(), std::vector<PrefixId>{other_id});
@@ -311,18 +333,19 @@ TEST(PrefixRecords, TwoNetworksKeepIndependentIds) {
 
   a.withdraw(1, p);
   for (RouterId id : a.routers()) a.router(id).clear_fib_dirty();
-  EXPECT_EQ(a.prefix_table().size(), 1u);
-  EXPECT_EQ(b.prefix_table().size(), 2u) << "a's withdrawal leaves b's table alone";
+  EXPECT_EQ(a.prefix_table().size(), 2u) << "p keeps its id in a";
+  EXPECT_EQ(b.prefix_table().size(), 2u);
   a.originate(1, r);
   b.originate(1, r);
-  EXPECT_EQ(a.prefix_table().find(r), 0u) << "a recycles p's id";
+  EXPECT_EQ(a.prefix_table().find(p), 0u);
+  EXPECT_EQ(a.prefix_table().find(r), 2u) << "a never recycles p's id";
   EXPECT_EQ(b.prefix_table().find(r), 2u);
   EXPECT_EQ(b.best_route(2, p)->learned_from, 1u);
 
   BgpSpeaker standalone{9, 900};
   standalone.originate(r);
   EXPECT_EQ(standalone.prefix_table().find(r), 0u) << "a standalone speaker has its own table";
-  EXPECT_EQ(a.prefix_table().size(), 2u);
+  EXPECT_EQ(a.prefix_table().size(), 3u);
 }
 
 }  // namespace

@@ -333,11 +333,12 @@ TEST(FibSync, DirtyOverflowFallsBackToRouterRebuild) {
   EXPECT_GT(inc.fib_sync_stats().delta_applies, deltas_before);
 }
 
-/// Checks a Wan after the prefix table moved an id from the withdrawn
-/// stub_prefix(`gone`) to the new stub_prefix(`fresh`): the incremental FIBs
-/// equal a fresh full rebuild, every router drops addresses inside `gone` as
-/// no_route, and packets for `fresh` follow BgpNetwork::forwarding_path.
-void expect_id_moved(Wan& inc, topo::Topology& topo, std::uint32_t gone, std::uint32_t fresh) {
+/// Checks a Wan after stub_prefix(`gone`) was withdrawn and the new
+/// stub_prefix(`fresh`) originated: the incremental FIBs equal a fresh full
+/// rebuild, every router drops addresses inside `gone` as no_route, and
+/// packets for `fresh` follow BgpNetwork::forwarding_path.
+void expect_gone_and_fresh(Wan& inc, topo::Topology& topo, std::uint32_t gone,
+                           std::uint32_t fresh) {
   EXPECT_EQ(inc.fib_digest(),
             (Wan{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}}.fib_digest()));
   const net::Ipv4Address src{10, 255, 0, 1};
@@ -355,11 +356,11 @@ void expect_id_moved(Wan& inc, topo::Topology& topo, std::uint32_t gone, std::ui
   }
 }
 
-// A prefix withdrawn everywhere gives its id back at the sync that closes
-// its window, and the next new prefix draws that id (the table recycles
-// LIFO).  The Wan must point its index at the new prefix and drop the old
-// one: a lookup inside the old prefix finds no route anywhere.
-TEST(FibSync, RecycledIdRepointsTheIndex) {
+// Ids are permanent: a prefix withdrawn everywhere keeps its id (and its
+// index entry) after the sync that closes its window, and the next new
+// prefix draws a new id.  A lookup inside the old prefix finds no route
+// anywhere, and the new prefix forwards as BGP says.
+TEST(FibSync, WithdrawnPrefixKeepsItsId) {
   topo::Topology topo;
   topo.add_router(1, 100, "A");
   topo.add_router(2, 200, "B");
@@ -383,19 +384,21 @@ TEST(FibSync, RecycledIdRepointsTheIndex) {
   const bgp::PrefixId id = table.find(net::Prefix{stub_prefix(kGone)});
   topo.bgp().withdraw(3, net::Prefix{stub_prefix(kGone)});
   inc.sync_fibs();
-  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kGone)}), bgp::kNoPrefix) << "the id is free";
+  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kGone)}), id) << "the id stays with its prefix";
 
   topo.bgp().originate(1, net::Prefix{stub_prefix(kFresh)});
-  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kFresh)}), id) << "the new prefix draws it";
+  EXPECT_EQ(table.find(net::Prefix{stub_prefix(kFresh)}), 2u)
+      << "the new prefix draws a new id";
+  EXPECT_EQ(table.size(), 3u);
   inc.sync_fibs();
-  expect_id_moved(inc, topo, kGone, kFresh);
+  expect_gone_and_fresh(inc, topo, kGone, kFresh);
 }
 
-// Every holder of a prefix overflows kFibDirtyLimit, so nothing pins the
-// prefix's record: its id is freed and drawn by a new prefix inside one
-// window, before any sync.  The per-router rebuilds that close the window
-// must re-point the index all the same.
-TEST(FibSync, IdRecycledInsideAnOverflowedWindow) {
+// Every holder of a prefix overflows kFibDirtyLimit, so no dirty list names
+// the prefix when it goes, and a new prefix arrives in the same window,
+// before any sync.  The ids stay put, and the per-router rebuilds that close
+// the window drop the old prefix and index the new one.
+TEST(FibSync, IdsSurviveAnOverflowedWindow) {
   constexpr std::uint32_t kBulk = bgp::BgpSpeaker::kFibDirtyLimit + 76;  // 1100
   constexpr std::uint32_t kGone = kBulk, kFresh = kBulk + 1;
   topo::Topology topo;
@@ -416,7 +419,7 @@ TEST(FibSync, IdRecycledInsideAnOverflowedWindow) {
   }
 
   // The bulk withdrawals overflow both routers' dirty lists before the last
-  // prefix goes, so neither keeps a record of it.
+  // prefix goes.
   const bgp::PrefixTable& table = topo.bgp().prefix_table();
   const bgp::PrefixId id = table.find(net::Prefix{stub_prefix(kGone)});
   for (std::uint32_t i = 0; i <= kGone; ++i) {
@@ -425,21 +428,21 @@ TEST(FibSync, IdRecycledInsideAnOverflowedWindow) {
   topo.bgp().run_to_convergence();
   ASSERT_TRUE(topo.bgp().router(1).fib_dirty_overflowed());
   ASSERT_TRUE(topo.bgp().router(2).fib_dirty_overflowed());
-  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kGone)}), bgp::kNoPrefix) << "freed unsynced";
+  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kGone)}), id) << "kept, unsynced";
 
   topo.bgp().originate(2, net::Prefix{stub_prefix(kFresh)});
-  ASSERT_EQ(table.find(net::Prefix{stub_prefix(kFresh)}), id) << "the new prefix draws it";
+  EXPECT_EQ(table.find(net::Prefix{stub_prefix(kFresh)}), kBulk + 1) << "a new id";
+  EXPECT_EQ(table.size(), kBulk + 2);
   const std::uint64_t rebuilds = inc.fib_sync_stats().router_rebuilds;
   inc.sync_fibs();
   EXPECT_EQ(inc.fib_sync_stats().router_rebuilds, rebuilds + 2);
-  expect_id_moved(inc, topo, kGone, kFresh);
+  expect_gone_and_fresh(inc, topo, kGone, kFresh);
 }
 
-// Two prefixes trade ids through the LIFO free list: P leaves its first id X
-// for a second id Z, gives Z to Q and takes X back.  Each move must carry the
-// index along, so that P ends up indexed at X and Q at Z, as a fresh build
-// indexes them.
-TEST(FibSync, PrefixesTradingRecycledIdsStayIndexed) {
+// Two prefixes withdrawn and re-originated in turn, alone and together,
+// keep the ids they first drew at every step: P at X and Q at Z, as a fresh
+// build indexes them, and both forward as BGP says.
+TEST(FibSync, ReoriginatedPrefixesKeepTheirIds) {
   topo::Topology topo;
   topo.add_router(1, 100, "A");
   topo.add_router(2, 200, "B");
@@ -462,18 +465,18 @@ TEST(FibSync, PrefixesTradingRecycledIdsStayIndexed) {
   const auto step = [&](auto&& change) {
     change();
     inc.sync_fibs();
+    EXPECT_EQ(table.find(p), x);
+    EXPECT_EQ(table.find(q), z);
+    EXPECT_EQ(table.size(), 2u);
   };
   step([&] { topo.bgp().withdraw(3, p); });
   step([&] { topo.bgp().withdraw(3, q); });
   step([&] { topo.bgp().originate(3, p); });
-  ASSERT_EQ(table.find(p), z) << "P draws Q's id";
   step([&] { topo.bgp().withdraw(3, p); });
   step([&] {
     topo.bgp().originate(3, q);
     topo.bgp().originate(3, p);
   });
-  ASSERT_EQ(table.find(q), z) << "Q takes its id back";
-  ASSERT_EQ(table.find(p), x) << "P takes its first id back";
 
   EXPECT_EQ(inc.fib_digest(),
             (Wan{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}}.fib_digest()));
