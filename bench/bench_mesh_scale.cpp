@@ -14,8 +14,9 @@
 //   * the headline gate: at >= 256 routers the incremental sync must
 //     reconverge the data plane >= 5x faster than the full rebuild;
 //   * a traffic phase forwards stub-to-stub bursts through churn and
-//     reports pkts/sec and flow-cache effectiveness (per-prefix
-//     invalidation keeps unrelated flows' cache entries warm).
+//     reports pkts/sec and the share of hops resolved from the prefix id
+//     the packet carries (every hop but a packet's first, unless a sync
+//     grew the prefix index while it was in flight).
 //
 // A second phase (E15) layers the Tango overlay itself on the generated
 // mesh: 64 cooperating sites on stub routers (8 in quick mode), a 63-prefix
@@ -140,7 +141,7 @@ struct TrafficResult {
   std::uint64_t delivered = 0;
   std::uint64_t dropped = 0;
   double pkts_per_sec = 0;
-  double cache_hit_rate = 0;
+  double carried_id_rate = 0;
 };
 
 /// Stub-to-stub bursts interleaved with churn: every tick sends
@@ -185,7 +186,7 @@ TrafficResult run_traffic(sim::Wan& wan, topo::Topology& topo, const topo::Mesh&
   if (wall_s > 0) r.pkts_per_sec = static_cast<double>(delivered) / wall_s;
   const std::uint64_t lookups = wan.fib_lookups() - lookups_before;
   if (lookups > 0) {
-    r.cache_hit_rate =
+    r.carried_id_rate =
         static_cast<double>(wan.fib_cache_hits() - hits_before) / static_cast<double>(lookups);
   }
   return r;
@@ -470,12 +471,9 @@ int run(std::uint64_t seed) {
   std::printf("  full-rebuild oracle  %.0f us avg (%llu samples)\n", full_sync_avg_us,
               static_cast<unsigned long long>(stats.full_sync_samples));
   std::printf("  sync speedup         %.1fx (incremental vs full rebuild)\n", speedup);
-  std::printf("  delta applies %llu, router rebuilds %llu, prefix invalidations %llu, "
-              "generation invalidations %llu\n",
+  std::printf("  delta applies %llu, router rebuilds %llu\n",
               static_cast<unsigned long long>(fs.delta_applies),
-              static_cast<unsigned long long>(fs.router_rebuilds),
-              static_cast<unsigned long long>(fs.prefix_invalidations),
-              static_cast<unsigned long long>(fs.generation_invalidations));
+              static_cast<unsigned long long>(fs.router_rebuilds));
 
   if (stats.digest_mismatches > 0) ++violations;
   const bool full_scale = !quick_mode() && mesh.routers() >= 256;
@@ -490,11 +488,11 @@ int run(std::uint64_t seed) {
   // --- Traffic under churn -------------------------------------------------
   const TrafficResult traffic = run_traffic(wan_inc, topo, mesh, scale, rng, stats);
   std::printf("\ntraffic under churn: %llu sent, %llu delivered, %llu dropped, "
-              "%.0f pkts/s, cache hit rate %.1f%%\n",
+              "%.0f pkts/s, %.1f%% of hops resolved from the carried prefix id\n",
               static_cast<unsigned long long>(traffic.sent),
               static_cast<unsigned long long>(traffic.delivered),
               static_cast<unsigned long long>(traffic.dropped), traffic.pkts_per_sec,
-              100.0 * traffic.cache_hit_rate);
+              100.0 * traffic.carried_id_rate);
   if (traffic.delivered != traffic.sent) {
     std::fprintf(stderr,
                  "FAIL: traffic loss in a lossless mesh (%llu sent, %llu delivered) — "

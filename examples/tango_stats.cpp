@@ -162,10 +162,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fib.router_rebuilds));
   std::printf("  %-38s %12llu\n", "full_rebuilds",
               static_cast<unsigned long long>(fib.full_rebuilds));
-  std::printf("  %-38s %12llu\n", "cache_invalidations{kind=prefix}",
-              static_cast<unsigned long long>(fib.prefix_invalidations));
-  std::printf("  %-38s %12llu\n", "cache_invalidations{kind=generation}",
-              static_cast<unsigned long long>(fib.generation_invalidations));
   std::printf("  %-38s %9llu us\n", "last_convergence_duration",
               static_cast<unsigned long long>(fib.last_sync_micros));
 

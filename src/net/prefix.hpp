@@ -41,8 +41,7 @@ class Ipv6Prefix {
   [[nodiscard]] const Ipv6Address& address() const noexcept { return addr_; }
   [[nodiscard]] std::uint8_t length() const noexcept { return len_; }
 
-  /// Two masked 64-bit compares (the flow-cache invalidation scan calls
-  /// this once per cached way per FIB delta).
+  /// Two masked 64-bit compares.
   [[nodiscard]] bool contains(const Ipv6Address& a) const noexcept {
     return ((a.word(0) ^ addr_.word(0)) & mask_word(len_, 0)) == 0 &&
            ((a.word(1) ^ addr_.word(1)) & mask_word(len_, 1)) == 0;

@@ -99,6 +99,15 @@ class PrefixTrie {
     return out;
   }
 
+  /// Calls f(value, cover) for every entry in entries() order; `cover` is
+  /// the value of the next-shorter entry covering it, or nullptr.  Covers
+  /// followed from lookup(addr) visit every entry covering `addr`, longest
+  /// first: a holder of some entries finds its longest match in the first.
+  template <typename F>
+  void for_each_with_cover(F&& f) const {
+    if (!nodes_.empty()) walk_covers(kRoot, nullptr, f);
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
@@ -239,6 +248,18 @@ class PrefixTrie {
     if (node.value) out.emplace_back(node.key.prefix(), *node.value);
     for (const std::uint32_t c : node.child) {
       if (c != kNone) walk(c, out);
+    }
+  }
+
+  template <typename F>
+  void walk_covers(std::uint32_t n, const V* cover, F& f) const {
+    const Node& node = nodes_[n];
+    if (node.value) {
+      f(*node.value, cover);
+      cover = &*node.value;
+    }
+    for (const std::uint32_t c : node.child) {
+      if (c != kNone) walk_covers(c, cover, f);
     }
   }
 

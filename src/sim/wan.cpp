@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 
 namespace tango::sim {
@@ -42,7 +43,7 @@ namespace {
 }
 
 /// Binary search over a flat table sorted by `proj(entry)`; nullptr on miss.
-/// The one lookup routine behind find_router/find_link.
+/// The one lookup routine behind find_router and out_link.
 template <typename Table, typename Key, typename Proj>
 [[nodiscard]] auto flat_find(Table& table, const Key& key, Proj proj) noexcept
     -> decltype(&table.front()) {
@@ -78,6 +79,17 @@ Wan::Wan(topo::Topology& topo, Rng rng, const WanOptions& options)
   std::sort(ids.begin(), ids.end());
   routers_.resize(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) routers_[i].id = ids[i];
+  // Hops address routers by index: each link knows its target's, and each
+  // router its out-link range ((from, to) order keeps them together).
+  for (std::uint32_t l = 0; l < links_.size(); ++l) {
+    if (const RouterState* to = find_router(links_[l].key.to)) {
+      links_[l].to = static_cast<std::uint32_t>(to - routers_.data());
+    }
+    if (RouterState* from = find_router(links_[l].key.from)) {
+      if (from->links_begin == from->links_end) from->links_begin = l;
+      from->links_end = l + 1;
+    }
+  }
 
   sync_fibs();
 }
@@ -86,9 +98,16 @@ Wan::RouterState* Wan::find_router(bgp::RouterId id) noexcept {
   return flat_find(routers_, id, [](const RouterState& s) { return s.id; });
 }
 
-Wan::LinkState* Wan::find_link(const topo::LinkKey& key) noexcept {
-  return flat_find(links_, key,
-                   [](const LinkState& e) -> const topo::LinkKey& { return e.key; });
+std::uint32_t Wan::router_index(bgp::RouterId id, const char* caller) {
+  const RouterState* state = find_router(id);
+  if (state == nullptr) throw std::out_of_range{std::string{caller} + ": unknown router"};
+  return static_cast<std::uint32_t>(state - routers_.data());
+}
+
+Wan::LinkState* Wan::out_link(const RouterState& state, bgp::RouterId to) noexcept {
+  const std::span<LinkState> out{links_.data() + state.links_begin,
+                                 links_.data() + state.links_end};
+  return flat_find(out, to, [](const LinkState& e) { return e.key.to; });
 }
 
 void Wan::rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp) {
@@ -98,31 +117,15 @@ void Wan::rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp) {
   sp.for_each_best([&state](bgp::PrefixId id, const bgp::Route& route) {
     state.fib[id] = route.locally_originated() ? state.id : route.learned_from;
   });
-  // Bumping the router's generation invalidates its whole flow cache without
-  // touching the (cold) cache arrays.
-  ++state.generation;
-  ++fib_stats_.generation_invalidations;
 }
 
 void Wan::apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp, bgp::PrefixId id) {
   ++fib_stats_.delta_applies;
-  const net::Ipv6Prefix key = net::trie_key(sp.prefix(id));
   const bgp::Route* best = sp.best_route(id);
   if (best == nullptr) {
     state.fib[id] = kNoRoute;
   } else {
     state.fib[id] = best->locally_originated() ? state.id : best->learned_from;
-  }
-  // Surgical invalidation: an LPM result can only have gone stale when some
-  // changed prefix covers the cached destination, so zeroing exactly those
-  // ways keeps every other flow's entry warm across the sync.
-  for (FlowCacheSet& set : state.flow_cache) {
-    for (FlowCacheWay& way : set.way) {
-      if (way.generation == state.generation && key.contains(way.dst)) {
-        way.generation = 0;
-        ++fib_stats_.prefix_invalidations;
-      }
-    }
   }
 }
 
@@ -135,9 +138,16 @@ void Wan::sync_fibs() {
   if (full) ++fib_stats_.full_rebuilds;
   // Index the prefixes the table interned since the last sync and grow every
   // column to cover them: ids are dense and permanent, so the index and the
-  // columns only ever extend.
-  for (; indexed_ < prefixes_.size(); ++indexed_) {
-    index_.insert(net::trie_key(prefixes_.prefix(indexed_)), indexed_);
+  // columns only ever extend.  A new prefix can nest between indexed ones,
+  // so growth recomputes the covering chain (and re-walks packets in flight).
+  if (indexed_ < prefixes_.size()) {
+    for (; indexed_ < prefixes_.size(); ++indexed_) {
+      index_.insert(net::trie_key(prefixes_.prefix(indexed_)), indexed_);
+    }
+    covering_.assign(indexed_, bgp::kNoPrefix);
+    index_.for_each_with_cover([this](bgp::PrefixId id, const bgp::PrefixId* cover) {
+      covering_[id] = cover != nullptr ? *cover : bgp::kNoPrefix;
+    });
   }
   for (RouterState& state : routers_) state.fib.resize(indexed_, kNoRoute);
   for (RouterState& state : routers_) {
@@ -197,26 +207,22 @@ std::uint64_t Wan::fib_digest() const {
 }
 
 void Wan::attach(bgp::RouterId id, DeliveryHandler handler) {
-  RouterState* state = find_router(id);
-  if (state == nullptr) throw std::out_of_range{"Wan::attach: unknown router"};
-  state->handler = std::move(handler);
+  routers_[router_index(id, "Wan::attach")].handler = std::move(handler);
 }
 
 void Wan::attach_raw(bgp::RouterId id, RawDeliveryFn fn, void* ctx) {
-  RouterState* state = find_router(id);
-  if (state == nullptr) throw std::out_of_range{"Wan::attach_raw: unknown router"};
-  state->raw_handler = fn;
-  state->raw_ctx = ctx;
+  RouterState& state = routers_[router_index(id, "Wan::attach_raw")];
+  state.raw_handler = fn;
+  state.raw_ctx = ctx;
 }
 
 void Wan::send_from(bgp::RouterId id, net::Packet packet) {
-  if (find_router(id) == nullptr) {
-    throw std::out_of_range{"Wan::send_from: unknown router"};
-  }
   // Enter the forwarding fabric on the next event so in-handler sends do not
   // recurse unboundedly.
-  events_.schedule_in(
-      0, [this, id, p = std::move(packet)]() mutable { forward(id, std::move(p)); });
+  events_.schedule_in(0, [this, at = router_index(id, "Wan::send_from"),
+                          p = std::move(packet)]() mutable {
+    forward(at, bgp::kNoPrefix, bgp::kNoPrefix, std::move(p));
+  });
 }
 
 std::vector<net::Packet> Wan::acquire_burst() {
@@ -235,9 +241,7 @@ void Wan::recycle_burst(std::vector<net::Packet>&& burst) {
 }
 
 void Wan::send_burst_from(bgp::RouterId id, std::vector<net::Packet>&& burst) {
-  if (find_router(id) == nullptr) {
-    throw std::out_of_range{"Wan::send_burst_from: unknown router"};
-  }
+  const std::uint32_t at = router_index(id, "Wan::send_burst_from");
   if (burst.empty()) {
     recycle_burst(std::move(burst));
     return;
@@ -245,8 +249,8 @@ void Wan::send_burst_from(bgp::RouterId id, std::vector<net::Packet>&& burst) {
   // One event enters the whole burst into the fabric; the per-packet fates
   // (route, loss, jitter) stay independent and identical to per-packet
   // send_from calls in the same order.
-  events_.schedule_in(0, [this, id, b = std::move(burst)]() mutable {
-    for (net::Packet& p : b) forward(id, std::move(p));
+  events_.schedule_in(0, [this, at, b = std::move(burst)]() mutable {
+    for (net::Packet& p : b) forward(at, bgp::kNoPrefix, bgp::kNoPrefix, std::move(p));
     recycle_burst(std::move(b));
   });
 }
@@ -259,7 +263,7 @@ void Wan::wire_observability(const telemetry::Observability& obs) {
               "Packets delivered to an edge switch");
   reg->expose(hops_, "tango_wan_hops_total", {}, "Router-to-router forwarding hops");
   reg->expose(fib_cache_hits_, "tango_wan_fib_cache_hits_total", {},
-              "FIB lookups served by a router flow cache");
+              "FIB lookups resolved from the prefix id the packet carried (no index walk)");
   reg->expose(fib_lookups_, "tango_wan_fib_lookups_total", {},
               "FIB lookups (one per forwarding hop)");
   for (std::size_t r = 0; r < drops_.size(); ++r) {
@@ -289,7 +293,8 @@ void Wan::drop(DropReason r, RouterState& state, net::Packet&& packet) {
 }
 
 Link& Wan::link(bgp::RouterId from, bgp::RouterId to) {
-  LinkState* ls = find_link(topo::LinkKey{from, to});
+  const RouterState* state = find_router(from);
+  LinkState* ls = state != nullptr ? out_link(*state, to) : nullptr;
   if (ls == nullptr) throw std::out_of_range{"Wan::link: no such link"};
   return ls->link;
 }
@@ -300,75 +305,62 @@ std::uint64_t Wan::total_dropped() const noexcept {
   return n;
 }
 
-bool Wan::lookup_next_hop(RouterState& state, const net::Packet::FlowKey& flow,
-                          bgp::RouterId& next_hop) {
-  fib_lookups_.inc();
-  FlowCacheSet& set = state.flow_cache[flow.hash & (kFlowCacheSets - 1)];
-  if (set.way[0].generation == state.generation && set.way[0].dst == flow.dst) {
-    fib_cache_hits_.inc();
-    next_hop = set.way[0].next_hop;
-    return true;
-  }
-  if (set.way[1].generation == state.generation && set.way[1].dst == flow.dst) {
-    fib_cache_hits_.inc();
-    std::swap(set.way[0], set.way[1]);  // move-to-front LRU
-    next_hop = set.way[0].next_hop;
-    return true;
-  }
-  // The deepest indexed prefix this router holds: exact LPM over the
-  // router's own routes even where other routers hold longer ones.
-  const std::vector<bgp::RouterId>& fib = state.fib;
-  const auto routed = [&fib](bgp::PrefixId i) { return fib[i] != kNoRoute; };
-  const bgp::PrefixId* id = index_.lookup_if(flow.dst, routed);
-  if (id == nullptr) return false;
-  const bgp::RouterId next = fib[*id];
-  // Positive results only: unroutable packets are rare and drop anyway.
-  set.way[1] = set.way[0];
-  set.way[0] = FlowCacheWay{flow.dst, next, state.generation};
-  next_hop = next;
-  return true;
-}
-
-void Wan::forward(bgp::RouterId at, net::Packet packet) {
+void Wan::forward(std::uint32_t at, bgp::PrefixId id, bgp::PrefixId epoch,
+                  net::Packet packet) {
   // Both IP versions forward by longest-prefix match; IPv4 destinations are
   // looked up through the v4-mapped key space (host prefixes "can even be a
   // different IP version", paper §3).  The lookup key and the ECMP hash come
   // from the packet's cached flow key: parsed at the first hop, reused at
-  // every subsequent one.  The per-router flow cache short-circuits the
-  // index walk for packets of recently seen flows.
-  RouterState* state = find_router(at);
+  // every subsequent one.
+  RouterState& state = routers_[at];
   const net::Packet::FlowKey* flow = packet.flow_key();
   if (flow == nullptr) {
-    drop(DropReason::malformed, *state, std::move(packet));
+    drop(DropReason::malformed, state, std::move(packet));
     return;
   }
 
-  bgp::RouterId next;
-  if (!lookup_next_hop(*state, *flow, next)) {
-    drop(DropReason::no_route, *state, std::move(packet));
+  // The index walk runs once per packet (again only if the index grew while
+  // it was in flight): the deepest indexed prefix covering the destination,
+  // whichever router holds it.
+  fib_lookups_.inc();
+  if (epoch == indexed_) {
+    fib_cache_hits_.inc();
+  } else {
+    const bgp::PrefixId* deepest = index_.lookup(flow->dst);
+    id = deepest != nullptr ? *deepest : bgp::kNoPrefix;
+    epoch = indexed_;
+  }
+  // This router's longest match: the carried prefix or, where the router
+  // lacks it, the first prefix covering it that the router holds.
+  const std::vector<bgp::RouterId>& fib = state.fib;
+  bgp::PrefixId route = id;
+  while (route != bgp::kNoPrefix && fib[route] == kNoRoute) route = covering_[route];
+  if (route == bgp::kNoPrefix) {
+    drop(DropReason::no_route, state, std::move(packet));
     return;
   }
+  const bgp::RouterId next = fib[route];
 
-  if (next == at) {
+  if (next == state.id) {
     // Local delivery: the router originates a covering prefix.  The raw
     // (devirtualized) handler wins over the std::function one.
-    if (state->raw_handler == nullptr && !state->handler) {
-      drop(DropReason::no_handler, *state, std::move(packet));
+    if (state.raw_handler == nullptr && !state.handler) {
+      drop(DropReason::no_handler, state, std::move(packet));
       return;
     }
     delivered_.inc();
     if (tracer_ != nullptr && tracer_->armed()) {
       tracer_->record({.at = events_.now(),
                        .key = flow->hash,
-                       .node = at,
+                       .node = state.id,
                        .path = 0,
                        .stage = telemetry::TraceStage::deliver,
                        .cause = telemetry::TraceCause::none});
     }
-    if (state->raw_handler != nullptr) {
-      state->raw_handler(state->raw_ctx, packet);
+    if (state.raw_handler != nullptr) {
+      state.raw_handler(state.raw_ctx, packet);
     } else {
-      state->handler(packet);
+      state.handler(packet);
     }
     recycle(std::move(packet));
     return;
@@ -377,27 +369,28 @@ void Wan::forward(bgp::RouterId at, net::Packet packet) {
   const bool alive =
       packet.version() == 4 ? packet.decrement_ttl_v4() : packet.decrement_hop_limit();
   if (!alive) {
-    drop(DropReason::hop_limit, *state, std::move(packet));
+    drop(DropReason::hop_limit, state, std::move(packet));
     return;
   }
 
-  LinkState* ls = find_link(topo::LinkKey{at, next});
+  LinkState* ls = out_link(state, next);
   if (ls == nullptr) {
     // FIB says next hop but no physical link (inconsistent topology).
-    drop(DropReason::no_route, *state, std::move(packet));
+    drop(DropReason::no_route, state, std::move(packet));
     return;
   }
 
   const Transmission tx = ls->link.transmit(events_.now(), flow->hash);
   if (tx.dropped) {
-    drop(DropReason::link_loss, *state, std::move(packet));
+    drop(DropReason::link_loss, state, std::move(packet));
     return;
   }
 
   hops_.inc();
-  if (hop_observer_) hop_observer_(at, next, packet);
-  events_.schedule_in(
-      tx.delay, [this, next, p = std::move(packet)]() mutable { forward(next, std::move(p)); });
+  if (hop_observer_) hop_observer_(state.id, next, packet);
+  events_.schedule_in(tx.delay, [this, to = ls->to, id, epoch, p = std::move(packet)]() mutable {
+    forward(to, id, epoch, std::move(p));
+  });
 }
 
 }  // namespace tango::sim

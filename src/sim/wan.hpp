@@ -7,23 +7,22 @@
 // route for the packet's destination prefix, experiencing that path's delay,
 // jitter and loss.
 //
-// Forwarding is allocation-lean and dispatch-lean: per-hop router/link
-// lookups are binary searches over flat sorted tables, the packet's
-// destination key and ECMP hash are parsed once and cached on the packet,
-// scheduled hops use the event queue's inline-storage callables, and the
-// buffers of delivered or dropped packets are recycled through a free list
-// that traffic sources can draw from.  On top of that:
+// Forwarding is allocation-lean and dispatch-lean: the packet's destination
+// key and ECMP hash are parsed once and cached on the packet, scheduled hops
+// use the event queue's inline-storage callables, and the buffers of
+// delivered or dropped packets are recycled through a free list that
+// traffic sources can draw from.  On top of that:
 //   * the FIBs share one prefix index: each router keeps only a next-hop
 //     column indexed by the PrefixId the BGP network's prefix table gives
 //     the prefix, and one path-compressed PrefixTrie maps each interned
 //     prefix to its (permanent) id, so a FIB change (already an id) is one
-//     column write and a lookup is one trie walk that skips prefixes the
-//     router lacks;
-//   * each router carries a small set-associative *flow cache* in front of
-//     its FIB, so consecutive packets of a flow skip the longest-prefix-
-//     match walk; sync_fibs() invalidates surgically — only cached
-//     destinations covered by a changed prefix on the affected router —
-//     falling back to a per-router generation bump on rebuilds;
+//     column write;
+//   * a packet resolves its prefix once: its first hop walks the index for
+//     the deepest prefix covering the destination, and each scheduled hop
+//     carries that id and the next router's index, so a transit hop reads
+//     one column entry (a router lacking the prefix falls back along
+//     `covering_` to its own longest match) and searches only its router's
+//     out-links.  A sync that grows the index makes packets walk again;
 //   * edge delivery can be attached as a raw function pointer + context
 //     (attach_raw), replacing the std::function indirection on the hot
 //     path with a devirtualized callsite;
@@ -55,10 +54,10 @@ namespace tango::sim {
 /// falling back to a per-router rebuild when a router's delta list
 /// overflowed (bulk events: session teardown, initial convergence).
 /// `full_rebuild` is the oracle backend: clear and rewrite every router's
-/// next-hop column from its Loc-RIB, invalidate every flow cache.  Both
-/// modes produce bitwise-identical FIBs and forwarding decisions (the chaos
-/// soak and tests/sim/test_fib_sync.cpp gate on digest equality; that test
-/// also checks forwarding against the BGP layer's own forwarding_path).
+/// next-hop column from its Loc-RIB.  Both modes produce bitwise-identical
+/// FIBs and forwarding decisions (the chaos soak and
+/// tests/sim/test_fib_sync.cpp gate on digest equality; that test also
+/// checks forwarding against the BGP layer's own forwarding_path).
 enum class FibSync : std::uint8_t { incremental, full_rebuild };
 
 /// Construction-time configuration of the WAN engine: the event scheduler
@@ -107,13 +106,12 @@ class Wan {
   /// Full-options constructor (see WanOptions).
   Wan(topo::Topology& topo, Rng rng, const WanOptions& options);
 
-  /// Brings every router's FIB in sync with the BGP Loc-RIBs and invalidates
-  /// exactly the flow-cache entries a change could have gone stale under.
-  /// Call after any control-plane change (new origination, community change,
-  /// session flap).  Under FibSync::incremental the cost is proportional to
-  /// the number of changed (router, prefix) pairs; under full_rebuild (or on
-  /// a router whose delta list overflowed) the router's column is rewritten
-  /// from scratch and its whole flow cache invalidated by a generation bump.
+  /// Brings every router's FIB in sync with the BGP Loc-RIBs.  Call after
+  /// any control-plane change (new origination, community change, session
+  /// flap); packets in flight follow the new FIBs from their next hop.
+  /// Under FibSync::incremental the cost is proportional to the number of
+  /// changed (router, prefix) pairs; under full_rebuild (or on a router whose
+  /// delta list overflowed) the router's column is rewritten from scratch.
   /// Consumes the speakers' dirty-prefix lists: at most one incremental-mode
   /// Wan may ride a given Topology (further full-mode Wans are fine).
   void sync_fibs();
@@ -124,9 +122,7 @@ class Wan {
     std::uint64_t delta_applies = 0;    ///< (router, prefix) deltas applied
     std::uint64_t router_rebuilds = 0;  ///< overflow fallbacks to per-router rebuild
     std::uint64_t full_rebuilds = 0;    ///< whole-WAN rebuilds (full mode / first sync)
-    std::uint64_t prefix_invalidations = 0;      ///< cache ways invalidated surgically
-    std::uint64_t generation_invalidations = 0;  ///< per-router whole-cache bumps
-    std::uint64_t last_sync_micros = 0;          ///< wall-clock cost of the last sync
+    std::uint64_t last_sync_micros = 0;  ///< wall-clock cost of the last sync
   };
   [[nodiscard]] const FibSyncStats& fib_sync_stats() const noexcept { return fib_stats_; }
 
@@ -182,7 +178,7 @@ class Wan {
   void set_hop_observer(HopObserver observer) { hop_observer_ = std::move(observer); }
 
   /// Wires the WAN (delivery/drop counters by cause, per-link packet/drop
-  /// counters, FIB-cache effectiveness), the scheduler and the packet tracer
+  /// counters, FIB lookups and carried-id hits), the scheduler and the packet tracer
   /// to `obs`: exposes the counters they already keep, so totals include
   /// traffic from before the wiring.  Idempotent.
   void wire_observability(const telemetry::Observability& obs);
@@ -201,35 +197,15 @@ class Wan {
   }
   [[nodiscard]] std::uint64_t total_dropped() const noexcept;
 
-  /// Flow-cache effectiveness: FIB lookups served by the per-router flow
-  /// cache vs. total FIB lookups (every forwarding hop does one).
+  /// FIB lookups (every forwarding hop does one) and the hops among them
+  /// resolved from the prefix id the packet carried, without an index walk:
+  /// on a steady WAN every hop but a packet's first.
   [[nodiscard]] std::uint64_t fib_cache_hits() const noexcept { return fib_cache_hits_.value(); }
   [[nodiscard]] std::uint64_t fib_lookups() const noexcept { return fib_lookups_.value(); }
   /// Router-to-router forwarding hops (packets that survived their link).
   [[nodiscard]] std::uint64_t hops() const noexcept { return hops_.value(); }
-  [[nodiscard]] double fib_cache_hit_rate() const noexcept {
-    const std::uint64_t lookups = fib_lookups();
-    return lookups > 0 ? static_cast<double>(fib_cache_hits()) / static_cast<double>(lookups)
-                       : 0.0;
-  }
 
  private:
-  /// Per-router flow cache: 2-way set-associative, indexed by the packet's
-  /// cached 5-tuple hash, tagged by destination address (the FIB key) and a
-  /// generation stamp checked against the router's generation — a bulk
-  /// change invalidates the whole cache by bumping the router's counter in
-  /// O(1), while an incremental delta zeroes only the ways whose destination
-  /// the changed prefix covers.
-  struct FlowCacheWay {
-    net::Ipv6Address dst;
-    bgp::RouterId next_hop = 0;
-    std::uint32_t generation = 0;  // 0 = never valid (generations start at 1)
-  };
-  struct FlowCacheSet {
-    FlowCacheWay way[2];  // way[0] is most recently used
-  };
-  static constexpr std::size_t kFlowCacheSets = 64;
-
   /// A column entry for a prefix the router has no route to.  Router id 0
   /// is reserved (bgp::kLocalRouter), so it is never a next hop.
   static constexpr bgp::RouterId kNoRoute = bgp::kLocalRouter;
@@ -244,38 +220,41 @@ class Wan {
     DeliveryHandler handler;
     RawDeliveryFn raw_handler = nullptr;
     void* raw_ctx = nullptr;
-    std::uint32_t generation = 1;  ///< flow-cache validity stamp
-    std::array<FlowCacheSet, kFlowCacheSets> flow_cache{};
+    /// The router's out-links: links_[links_begin, links_end).
+    std::uint32_t links_begin = 0;
+    std::uint32_t links_end = 0;
   };
 
   /// One directed link.
   struct LinkState {
     topo::LinkKey key;
     Link link;
+    std::uint32_t to = 0;  ///< index of key.to in routers_
   };
 
-  void forward(bgp::RouterId at, net::Packet packet);
-  /// FIB lookup through the flow cache; nullptr-equivalent is `false`.
-  [[nodiscard]] bool lookup_next_hop(RouterState& state, const net::Packet::FlowKey& flow,
-                                     bgp::RouterId& next_hop);
+  /// One hop at routers_[at].  `id` is the deepest indexed prefix covering
+  /// the packet's destination as of index size `epoch`; a packet whose
+  /// epoch is not the current index size (kNoPrefix at entry) walks first.
+  void forward(std::uint32_t at, bgp::PrefixId id, bgp::PrefixId epoch, net::Packet packet);
   void drop(DropReason r, RouterState& state, net::Packet&& packet);
   void recycle(net::Packet&& packet) { pool_.release(std::move(packet).release_buffer()); }
   void recycle_burst(std::vector<net::Packet>&& burst);
 
   [[nodiscard]] RouterState* find_router(bgp::RouterId id) noexcept;
-  [[nodiscard]] LinkState* find_link(const topo::LinkKey& key) noexcept;
+  /// routers_ index of router `id`; throws std::out_of_range if none.
+  [[nodiscard]] std::uint32_t router_index(bgp::RouterId id, const char* caller);
+  /// `state`'s link to router `to`, or nullptr.
+  [[nodiscard]] LinkState* out_link(const RouterState& state, bgp::RouterId to) noexcept;
 
-  /// Clears `state`'s column and rewrites it from the speaker's Loc-RIB,
-  /// then invalidates the whole flow cache (generation bump).
+  /// Clears `state`'s column and rewrites it from the speaker's Loc-RIB.
   void rebuild_router_fib(RouterState& state, const bgp::BgpSpeaker& sp);
   /// Applies one (router, prefix) delta: writes the column entry to match
-  /// the Loc-RIB and zeroes only cache ways the prefix covers.
-  /// Idempotent (reads current state, not an op log).
+  /// the Loc-RIB.  Idempotent (reads current state, not an op log).
   void apply_fib_delta(RouterState& state, const bgp::BgpSpeaker& sp, bgp::PrefixId id);
 
   topo::Topology& topo_;
-  /// Flat tables sorted by id/key: a handful of routers and links, looked up
-  /// on every hop — binary search over contiguous memory, no tree nodes.
+  /// Flat tables sorted by id and by (from, to).  Hops address routers by
+  /// index and search only their router's out-links.
   std::vector<RouterState> routers_;
   std::vector<LinkState> links_;
   /// The network's prefix table, whose ids index the routers' columns.
@@ -287,6 +266,9 @@ class Wan {
   net::PrefixTrie<bgp::PrefixId> index_;
   /// Ids below this are in `index_` (and covered by every column).
   bgp::PrefixId indexed_ = 0;
+  /// Per indexed id, the next-shorter indexed prefix covering it (kNoPrefix
+  /// at the top): a router without a route to an id falls back along it.
+  std::vector<bgp::PrefixId> covering_;
   EventQueue events_;
   net::BufferPool pool_;
   std::vector<std::vector<net::Packet>> burst_pool_;

@@ -268,5 +268,90 @@ TEST_P(TrieVsReference, AgreesWithSeedTrie) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieVsReference, ::testing::Values(1u, 2u, 3u, 42u, 1337u));
 
+/// Property test of the walk a WAN hop makes: the deepest entry covering an
+/// address (lookup), then each entry's cover (for_each_with_cover) until one
+/// a holder keeps.  Over random nested prefix sets, each with holders that
+/// keep random subsets, it must land on the entry lookup_if finds with the
+/// holder's predicate and on the one a reference trie of the holder's
+/// entries alone finds.  The covers themselves must be each entry's
+/// next-shorter covering entry, visited in entries() order.
+class CoverChainVsReference : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(CoverChainVsReference, WalkFindsEachHoldersLongestMatch) {
+  std::mt19937_64 rng{GetParam()};
+  auto random_prefix = [&rng]() {
+    if (rng() % 3 != 0) {
+      // v4-mapped, clustered in 10.0.0.0/14 so /8-/32s nest.
+      const Ipv4Address v4{0x0A000000u | static_cast<std::uint32_t>(rng() % (1u << 18))};
+      return v4_mapped(Ipv4Prefix{v4, static_cast<std::uint8_t>(8 + rng() % 25)});
+    }
+    Ipv6Address::Bytes b{};
+    b[0] = 0x20;
+    for (std::size_t i = 1; i < 16; ++i) {
+      b[i] = static_cast<std::uint8_t>(i < 6 ? rng() % 2 : rng());
+    }
+    return Ipv6Prefix{Ipv6Address{b}, static_cast<std::uint8_t>(rng() % 129)};
+  };
+
+  for (int round = 0; round < 20; ++round) {
+    PrefixTrie<int> trie;
+    std::vector<Ipv6Prefix> prefixes;  // value i names prefixes[i]
+    const int target = 1 + static_cast<int>(rng() % 120);
+    while (static_cast<int>(prefixes.size()) < target) {
+      const Ipv6Prefix p = random_prefix();
+      if (trie.find(p) != nullptr) continue;
+      trie.insert(p, static_cast<int>(prefixes.size()));
+      prefixes.push_back(p);
+    }
+    const auto n = prefixes.size();
+
+    std::vector<int> cover(n, -2);  // -2: never visited, -1: no cover
+    std::vector<int> order;
+    trie.for_each_with_cover([&](int v, const int* c) {
+      cover[static_cast<std::size_t>(v)] = c != nullptr ? *c : -1;
+      order.push_back(v);
+    });
+    std::vector<int> want_order;
+    for (const auto& [prefix, v] : trie.entries()) want_order.push_back(v);
+    ASSERT_EQ(order, want_order);
+    for (std::size_t i = 0; i < n; ++i) {
+      int longest = -1;  // brute force: the longest entry strictly above i
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j == i || !prefixes[j].contains(prefixes[i])) continue;
+        if (longest < 0 ||
+            prefixes[j].length() > prefixes[static_cast<std::size_t>(longest)].length()) {
+          longest = static_cast<int>(j);
+        }
+      }
+      ASSERT_EQ(cover[i], longest) << prefixes[i].to_string();
+    }
+
+    for (int holder = 0; holder < 6; ++holder) {
+      const std::uint64_t keep_one_in = 1 + rng() % 4;
+      std::vector<bool> holds(n);
+      reference::PrefixTrie<int> own;
+      for (std::size_t i = 0; i < n; ++i) {
+        holds[i] = rng() % keep_one_in == 0;
+        if (holds[i]) own.insert(prefixes[i], static_cast<int>(i));
+      }
+      const auto held = [&holds](int v) { return holds[static_cast<std::size_t>(v)]; };
+      for (int q = 0; q < 60; ++q) {
+        const Ipv6Address a = q % 4 == 0 ? inside(random_prefix(), rng)
+                                         : inside(prefixes[rng() % n], rng);
+        const int* deepest = trie.lookup(a);
+        int walked = deepest != nullptr ? *deepest : -1;
+        while (walked >= 0 && !held(walked)) walked = cover[static_cast<std::size_t>(walked)];
+        const std::optional<int> got =
+            walked >= 0 ? std::optional<int>{walked} : std::nullopt;
+        ASSERT_EQ(got, value_of(trie.lookup_if(a, held))) << a.to_string();
+        ASSERT_EQ(got, value_of(own.lookup(a))) << a.to_string();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoverChainVsReference,
+                         ::testing::Values(1u, 2u, 3u, 42u, 1337u));
+
 }  // namespace
 }  // namespace tango::net

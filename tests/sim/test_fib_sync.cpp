@@ -1,7 +1,7 @@
 // Incremental control→data-plane convergence: the delta path of sync_fibs()
 // must be indistinguishable from the full-rebuild oracle — identical FIB
-// digests under randomized churn, identical forwarding decisions, and no
-// stale flow-cache entry ever served after a per-prefix invalidation.  Both
+// digests under randomized churn, identical forwarding decisions, and packets
+// in flight across a sync following the new FIBs from their next hop.  Both
 // modes share the WAN's prefix index, so forwarding is also checked against
 // the BGP layer's own best-route chains (BgpNetwork::forwarding_path).
 #include <gtest/gtest.h>
@@ -131,8 +131,7 @@ TEST(FibSync, ForwardingMatchesOracleAfterChurn) {
     full.sync_fibs();
     inc.sync_fibs();
 
-    // Probe a handful of random stub-to-stub flows; fresh sport per probe so
-    // each is a new flow (cold caches exercise the trie, repeats the cache).
+    // Probe a handful of random stub-to-stub flows, a fresh sport per probe.
     for (int probe = 0; probe < 4; ++probe) {
       const auto from = static_cast<std::uint32_t>(rng.below(mesh.stubs.size()));
       const auto to_index = static_cast<std::uint32_t>(rng.below(total));
@@ -278,7 +277,7 @@ TEST(FibSync, NestedPrefixForwardsByCoveringRouteWhereLongerIsMissing) {
   inc.sync_fibs();
   EXPECT_EQ(inc.fib_digest(), full.fib_digest());
 
-  // The same flows again (the cached next hops for the /24 must be gone):
+  // The same flows again (no router may keep the old next hop for the /24):
   // S and P forward by the /16, A and B by the /24.
   for (Wan* wan : {&inc, &full}) {
     EXPECT_EQ(delivered_path(*wan, kS, src, in_nested, 4000), (Path{kS, kP, kA, kB, kO}));
@@ -375,7 +374,7 @@ TEST(FibSync, WithdrawnPrefixKeepsItsId) {
 
   Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
   for (bgp::RouterId router : topo.bgp().routers()) inc.attach(router, [](net::Packet&) {});
-  // Warm every router's flow cache with the prefix about to go.
+  // Every router forwards the prefix about to go.
   for (bgp::RouterId router : topo.bgp().routers()) {
     ASSERT_FALSE(delivered_path(inc, router, {10, 255, 0, 1}, host_in(kGone, 9), 5000).empty());
   }
@@ -493,11 +492,63 @@ TEST(FibSync, ReoriginatedPrefixesKeepTheirIds) {
   }
 }
 
-// Per-prefix flow-cache invalidation on a 3-router chain: churning one
-// prefix must zero exactly the cached ways that prefix covers (one per
-// router on the warmed path), leave the unrelated flow's entries hot, and
-// never serve the stale next hop for the withdrawn prefix.
-TEST(FibSync, PerPrefixInvalidationIsSurgical) {
+/// Sends one UDP packet for `dst` from `from_router` and runs the clock to
+/// `in_flight`, by which the packet must have left its first router but not
+/// reached the second; returns the routers it visited, to be completed by
+/// the caller's run_all().
+std::vector<bgp::RouterId> send_in_flight(Wan& wan, bgp::RouterId from_router,
+                                          net::Ipv4Address dst, Time in_flight) {
+  const std::vector<std::uint8_t> payload{0xEF};
+  std::vector<bgp::RouterId> path{from_router};
+  wan.set_hop_observer([&path](bgp::RouterId, bgp::RouterId to, const net::Packet&) {
+    path.push_back(to);
+  });
+  wan.send_from(from_router,
+                net::make_udp4_packet(net::Ipv4Address{10, 9, 0, 1}, dst, 4000, 7, payload));
+  wan.run_until(in_flight);
+  wan.set_hop_observer({});
+  return path;
+}
+
+// A packet resolves its prefix at its first hop and carries the id.  When a
+// more-specific prefix is interned and synced while the packet is on its
+// first link, the index has grown under it, so its next hop resolves again
+// and follows the new prefix: A -> B by the /16 toward C, then B -> D by the
+// /24 D has just originated.
+TEST(FibSync, InFlightPacketFollowsANewMoreSpecificPrefix) {
+  constexpr bgp::RouterId kA = 1, kB = 2, kC = 3, kD = 4;
+  topo::Topology topo;
+  topo.add_router(kA, 100, "A");
+  topo.add_router(kB, 200, "B");
+  topo.add_router(kC, 300, "C");
+  topo.add_router(kD, 400, "D");
+  const topo::LinkProfile wire{.base_delay_ms = 1.0};
+  for (bgp::RouterId customer : {kA, kC, kD}) topo.add_transit(kB, customer, wire, wire);
+  const net::Prefix covering{*net::Ipv4Prefix::parse("10.1.0.0/16")};
+  const net::Prefix nested{*net::Ipv4Prefix::parse("10.1.2.0/24")};
+  topo.bgp().router(kC).originate(covering);
+  topo.bgp().run_to_convergence();
+
+  Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
+  std::uint64_t at_c = 0;
+  std::uint64_t at_d = 0;
+  inc.attach(kC, [&at_c](net::Packet&) { ++at_c; });
+  inc.attach(kD, [&at_d](net::Packet&) { ++at_d; });
+  ASSERT_EQ(send_in_flight(inc, kA, net::Ipv4Address{10, 1, 2, 9}, from_ms(0.5)),
+            (std::vector<bgp::RouterId>{kA, kB}))
+      << "on the A -> B link";
+
+  topo.bgp().originate(kD, nested);
+  inc.sync_fibs();
+  inc.run_all();
+  EXPECT_EQ(at_d, 1u);
+  EXPECT_EQ(at_c, 0u) << "the packet kept the /16 it resolved before the /24 was indexed";
+  EXPECT_EQ(topo.bgp().forwarding_path(kB, nested), (std::vector<bgp::RouterId>{kB, kD}));
+}
+
+// A packet on its first link when its prefix is withdrawn everywhere drops
+// as no_route at its next hop: the id it carries reads no route there.
+TEST(FibSync, InFlightPacketDropsAtItsNextHopAfterAWithdrawal) {
   topo::Topology topo;
   topo.add_router(1, 100, "A");
   topo.add_router(2, 200, "B");
@@ -505,51 +556,77 @@ TEST(FibSync, PerPrefixInvalidationIsSurgical) {
   const topo::LinkProfile wire{.base_delay_ms = 1.0};
   topo.add_transit(/*provider=*/2, /*customer=*/1, wire, wire);
   topo.add_transit(/*provider=*/2, /*customer=*/3, wire, wire);
-  const net::Prefix keep{stub_prefix(1)};   // stays originated at C
-  const net::Prefix churn{stub_prefix(2)};  // withdrawn mid-test
-  topo.bgp().router(3).originate(keep);
-  topo.bgp().router(3).originate(churn);
+  const net::Prefix gone{stub_prefix(2)};
+  topo.bgp().router(3).originate(gone);
   topo.bgp().run_to_convergence();
 
-  Wan wan{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
-  std::uint64_t delivered = 0;
-  wan.attach(3, [&delivered](net::Packet&) { ++delivered; });
+  Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
+  inc.attach(3, [](net::Packet&) {});
+  ASSERT_EQ(send_in_flight(inc, 1, host_in(2, 9), from_ms(0.5)),
+            (std::vector<bgp::RouterId>{1, 2}));
 
-  const std::vector<std::uint8_t> payload{0x01};
-  auto send = [&](std::uint32_t index, std::uint16_t sport) {
-    wan.send_from(1,
-                  net::make_udp4_packet(host_in(1, 1), host_in(index, 5), sport, 7, payload));
-    wan.run_all();
-  };
+  topo.bgp().withdraw(3, gone);
+  inc.sync_fibs();
+  inc.run_all();
+  EXPECT_EQ(inc.delivered(), 0u);
+  EXPECT_EQ(inc.dropped(DropReason::no_route), 1u);
+  EXPECT_EQ(inc.hops(), 1u) << "the drop must come at B, the packet's next hop";
+}
 
-  // Warm both flows along A -> B -> C (three lookups each, all cold).
-  send(1, 1111);
-  send(2, 2222);
-  ASSERT_EQ(delivered, 2u);
-  ASSERT_EQ(wan.fib_lookups(), 6u);
-  ASSERT_EQ(wan.fib_cache_hits(), 0u);
+// An aggregate and a more-specific prefix inside it that its origin keeps
+// from part of the topology: O originates 10.1.2.0/24 tagged "do not
+// announce to AS 100", so its provider B withholds it from P (and P's
+// customer S), while A's 10.1.0.0/16 reaches everyone.  The index holds the
+// /24 for every router; S and P, which lack it, must forward by the /16
+// they hold (S -> P -> A), and A, which learned the /24 from its peer B, on
+// by the /24 (A -> B -> O).  B's other customer Q holds the /24 and goes
+// straight there.
+TEST(FibSync, RouterLackingTheDeepestPrefixForwardsByTheCoveringOne) {
+  constexpr bgp::RouterId kP = 1, kA = 2, kB = 3, kO = 4, kS = 5, kQ = 6;
+  topo::Topology topo;
+  topo.add_router(kP, 100, "P");
+  topo.add_router(kA, 200, "A");
+  topo.add_router(kB, 300, "B");
+  topo.add_router(kO, 400, "O");
+  topo.add_router(kS, 500, "S");
+  topo.add_router(kQ, 600, "Q");
+  const topo::LinkProfile wire{.base_delay_ms = 1.0};
+  topo.add_transit(kP, kA, wire, wire);
+  topo.add_transit(kP, kS, wire, wire);
+  topo.add_transit(kP, kB, wire, wire);
+  topo.add_transit(kB, kO, wire, wire);
+  topo.add_transit(kB, kQ, wire, wire);
+  topo.add_peering(kA, kB, wire, wire);
+  const net::Prefix covering{*net::Ipv4Prefix::parse("10.1.0.0/16")};
+  const net::Prefix nested{*net::Ipv4Prefix::parse("10.1.2.0/24")};
+  topo.bgp().router(kA).originate(covering);
+  topo.bgp().originate(kO, nested, bgp::CommunitySet{bgp::action::do_not_announce_to(100)});
+  topo.bgp().run_to_convergence();
+  for (bgp::RouterId lacking : {kP, kS}) {
+    ASSERT_EQ(topo.bgp().best_route(lacking, nested), nullptr) << "router " << lacking;
+  }
+  for (bgp::RouterId holding : {kA, kB, kQ}) {
+    ASSERT_NE(topo.bgp().best_route(holding, nested), nullptr) << "router " << holding;
+  }
 
-  const std::uint64_t invalidations_before = wan.fib_sync_stats().prefix_invalidations;
-  topo.bgp().withdraw(3, churn);
-  wan.sync_fibs();
-
-  // One cached way per router covered the churned prefix; nothing else.
-  EXPECT_EQ(wan.fib_sync_stats().prefix_invalidations - invalidations_before, 3u);
-  EXPECT_EQ(wan.fib_sync_stats().generation_invalidations, 3u)
-      << "only the construction-time full sync may bump generations";
-
-  // The untouched flow stays cached: every hop of a repeat is a cache hit.
-  send(1, 1111);
-  EXPECT_EQ(delivered, 3u);
-  EXPECT_EQ(wan.fib_cache_hits(), 3u);
-
-  // The churned flow must take the trie walk (no stale cached next hop) and
-  // discover the prefix is gone.
-  send(2, 2222);
-  EXPECT_EQ(delivered, 3u);
-  EXPECT_EQ(wan.dropped(DropReason::no_route), 1u)
-      << "a stale flow-cache entry served a withdrawn prefix";
-  EXPECT_EQ(wan.fib_cache_hits(), 3u);
+  Wan inc{topo, Rng{1}, WanOptions{.fib_sync = FibSync::incremental}};
+  Wan full{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}};
+  using Path = std::vector<bgp::RouterId>;
+  const net::Ipv4Address src{10, 9, 0, 1};
+  const net::Ipv4Address in_nested{10, 1, 2, 9};
+  for (Wan* wan : {&inc, &full}) {
+    wan->attach(kA, [](net::Packet&) {});
+    wan->attach(kO, [](net::Packet&) {});
+    const std::uint64_t walks = wan->fib_lookups() - wan->fib_cache_hits();
+    EXPECT_EQ(delivered_path(*wan, kS, src, in_nested, 4000), (Path{kS, kP, kA, kB, kO}));
+    EXPECT_EQ(wan->fib_lookups() - wan->fib_cache_hits(), walks + 1)
+        << "P resolves from the carried id, not by a second walk";
+    EXPECT_EQ(delivered_path(*wan, kQ, src, in_nested, 4001), (Path{kQ, kB, kO}));
+    EXPECT_EQ(delivered_path(*wan, kS, src, net::Ipv4Address{10, 1, 7, 9}, 4002),
+              (Path{kS, kP, kA}));
+  }
+  EXPECT_EQ(topo.bgp().forwarding_path(kP, covering), (Path{kP, kA}));
+  EXPECT_EQ(topo.bgp().forwarding_path(kA, nested), (Path{kA, kB, kO}));
 }
 
 // Mode plumbing: the runtime switch and the constructor option agree, and
