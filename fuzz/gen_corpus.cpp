@@ -229,35 +229,33 @@ void emit_bgp(const fs::path& dir) {
   const net::IpAddress v6_nh{*net::Ipv6Address::parse("fe80::1")};
   const net::IpAddress v4_nh{net::Ipv4Address{10, 0, 0, 1}};
 
-  bgp::Route v6_route{.prefix = *net::Prefix::parse("2620:110:9011::/48"),
-                      .as_path = bgp::AsPath{20473, 2914},
+  const net::Prefix v6_prefix = *net::Prefix::parse("2620:110:9011::/48");
+  bgp::Route v6_route{.as_path = bgp::AsPath{20473, 2914},
                       .origin = bgp::Origin::igp,
                       .med = 50,
                       .local_pref = 100};
   v6_route.communities.add(bgp::Community{20473, 6000});
   write_seed(dir, "update_v6_announce",
-             wire::encode_update(bgp::Update::announce(v6_route), v6_nh));
+             wire::encode_update(bgp::Update::announce(v6_prefix, v6_route), v6_nh));
   write_seed(dir, "update_v6_withdraw",
-             wire::encode_update(
-                 bgp::Update::withdraw(*net::Prefix::parse("2620:110:9011::/48")), v6_nh));
+             wire::encode_update(bgp::Update::withdraw(v6_prefix), v6_nh));
 
-  bgp::Route v4_route{.prefix = *net::Prefix::parse("203.0.113.0/24"),
-                      .as_path = bgp::AsPath{64512},
-                      .origin = bgp::Origin::egp,
-                      .med = 7,
-                      .local_pref = 200};
+  const net::Prefix v4_prefix = *net::Prefix::parse("203.0.113.0/24");
+  bgp::Route v4_route{
+      .as_path = bgp::AsPath{64512}, .origin = bgp::Origin::egp, .med = 7, .local_pref = 200};
   write_seed(dir, "update_v4_announce",
-             wire::encode_update(bgp::Update::announce(v4_route), v4_nh));
+             wire::encode_update(bgp::Update::announce(v4_prefix, v4_route), v4_nh));
   write_seed(dir, "update_v4_withdraw",
-             wire::encode_update(
-                 bgp::Update::withdraw(*net::Prefix::parse("203.0.113.0/24")), v4_nh));
+             wire::encode_update(bgp::Update::withdraw(v4_prefix), v4_nh));
 
   // Boundary prefixes: default route and host routes.
-  bgp::Route def{.prefix = *net::Prefix::parse("0.0.0.0/0"), .as_path = bgp::AsPath{64512}};
-  write_seed(dir, "update_v4_default", wire::encode_update(bgp::Update::announce(def), v4_nh));
-  bgp::Route host{.prefix = *net::Prefix::parse("203.0.113.7/32"),
-                  .as_path = bgp::AsPath{64512}};
-  write_seed(dir, "update_v4_host", wire::encode_update(bgp::Update::announce(host), v4_nh));
+  const bgp::Route boundary{.as_path = bgp::AsPath{64512}};
+  write_seed(dir, "update_v4_default",
+             wire::encode_update(
+                 bgp::Update::announce(*net::Prefix::parse("0.0.0.0/0"), boundary), v4_nh));
+  write_seed(dir, "update_v4_host",
+             wire::encode_update(
+                 bgp::Update::announce(*net::Prefix::parse("203.0.113.7/32"), boundary), v4_nh));
 
   // Reproducers for the parse bugs fixed in the hardening pass.  These are
   // hand-assembled because the encoder cannot emit them.

@@ -129,7 +129,8 @@ void BgpNetwork::deliver(BgpSpeaker& target, const Update& update) {
   }
   // Serialize through the RFC 4271 encoder and re-parse, exactly as
   // bytes would cross a TCP session.  The next hop is the sender's
-  // session address (synthesized per router here).
+  // session address (synthesized per router here).  The bytes carry the
+  // prefix, not the sender's id, so the receiver looks the prefix up again.
   const net::IpAddress next_hop =
       update.prefix.is_v6()
           ? net::IpAddress{net::Ipv6Prefix{*net::Ipv6Address::parse("fe80::"), 64}

@@ -1,5 +1,7 @@
 #include "bgp/rib.hpp"
 
+#include <algorithm>
+
 namespace tango::bgp {
 
 PrefixId PrefixTable::find(const net::Prefix& prefix) const {
@@ -9,8 +11,21 @@ PrefixId PrefixTable::find(const net::Prefix& prefix) const {
 
 PrefixId PrefixTable::intern(const net::Prefix& prefix) {
   const auto [it, inserted] = ids_.try_emplace(prefix, static_cast<PrefixId>(prefixes_.size()));
-  if (inserted) prefixes_.push_back(prefix);
-  return it->second;
+  if (!inserted) return it->second;
+  const PrefixId id = it->second;
+  prefixes_.push_back(prefix);
+  // A new prefix is rare (ids are permanent), so shifting the ranks of every
+  // id ordered after it is cheaper than sorting on each prefix-order walk.
+  const auto pos = std::lower_bound(
+      ordered_.begin(), ordered_.end(), prefix,
+      [this](PrefixId other, const net::Prefix& p) { return prefixes_[other] < p; });
+  const auto first = static_cast<std::size_t>(pos - ordered_.begin());
+  ordered_.insert(pos, id);
+  ranks_.push_back(0);
+  for (std::size_t r = first; r < ordered_.size(); ++r) {
+    ranks_[ordered_[r]] = static_cast<std::uint32_t>(r);
+  }
+  return id;
 }
 
 std::string to_string(DecisionStep s) {

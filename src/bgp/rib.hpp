@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -14,16 +13,14 @@
 
 namespace tango::bgp {
 
-/// Dense id of a prefix in one PrefixTable.
-using PrefixId = std::uint32_t;
-
-inline constexpr PrefixId kNoPrefix = std::numeric_limits<PrefixId>::max();
-
-/// The prefix -> id map shared by every speaker of one network, so a
-/// received UPDATE costs one hash lookup and every later stage indexes a
-/// dense per-speaker array.  Ids are permanent: once interned, a prefix keeps
+/// The prefix -> id map shared by every speaker of one network, so a prefix
+/// costs one hash lookup where it enters the network (an origination, a
+/// hand-built or wire-parsed UPDATE) and every later stage indexes a dense
+/// per-speaker array.  Ids are permanent: once interned, a prefix keeps
 /// its id until the table is destroyed, so ids are dense, never move, and the
 /// table grows only with the distinct prefixes the network ever carried.
+/// Ids follow first arrival; the table also keeps them in prefix order, so
+/// a walk that must run in prefix order reads that list or compares ranks.
 class PrefixTable {
  public:
   /// Id of `prefix`, or kNoPrefix when it was never interned.
@@ -38,15 +35,33 @@ class PrefixTable {
   /// per-speaker record array and FIB column grows to.
   [[nodiscard]] std::size_t size() const noexcept { return prefixes_.size(); }
 
+  /// Every id, in prefix order.
+  [[nodiscard]] std::span<const PrefixId> ordered() const noexcept { return ordered_; }
+  /// Position of `id` in ordered(): comparing ranks compares prefixes.
+  [[nodiscard]] std::uint32_t rank(PrefixId id) const noexcept { return ranks_[id]; }
+
  private:
   std::unordered_map<net::Prefix, PrefixId> ids_;
   std::vector<net::Prefix> prefixes_;  ///< indexed by id
+  std::vector<PrefixId> ordered_;      ///< ids sorted by prefix
+  std::vector<std::uint32_t> ranks_;   ///< indexed by id: its position in ordered_
 };
 
-/// One Adj-RIB-Out entry: the route neighbor `to` last heard from us.
+/// One Adj-RIB-Out entry: the route neighbor `to` last heard from us, as the
+/// attributes export can change.  ExportPolicy::exported resets every other
+/// field of a route to a constant, so comparing these compares the routes.
 struct Advertised {
   RouterId to = kLocalRouter;
-  Route route;
+  Origin origin = Origin::igp;
+  AsPath as_path;
+  CommunitySet communities;
+
+  /// True when `exported` (an ExportPolicy::exported result) is what `to`
+  /// last heard.
+  [[nodiscard]] bool same(const Route& exported) const noexcept {
+    return as_path == exported.as_path && communities == exported.communities &&
+           origin == exported.origin;
+  }
 };
 
 /// Everything one speaker keeps about one prefix, indexed by its PrefixId.

@@ -14,7 +14,7 @@ std::string to_string(Origin o) {
   return "?";
 }
 
-std::string Route::to_string() const {
+std::string Route::to_string(const net::Prefix& prefix) const {
   std::string out = prefix.to_string() + " path=[" + as_path.to_string() + "]";
   out += " lp=" + std::to_string(local_pref);
   if (med != 0) out += " med=" + std::to_string(med);
@@ -31,7 +31,7 @@ std::string Update::to_string() const {
   if (kind == Kind::withdraw) {
     return "WITHDRAW " + prefix.to_string() + " from r" + std::to_string(from);
   }
-  return "ANNOUNCE " + (route ? route->to_string() : prefix.to_string()) + " via r" +
+  return "ANNOUNCE " + (route ? route->to_string(prefix) : prefix.to_string()) + " via r" +
          std::to_string(from);
 }
 

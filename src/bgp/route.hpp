@@ -1,8 +1,10 @@
-// BGP route (a prefix plus its path attributes) and UPDATE messages.
+// BGP route (the path attributes a RIB files under a prefix) and UPDATE
+// messages.
 #pragma once
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -25,12 +27,21 @@ enum class Origin : std::uint8_t { igp = 0, egp = 1, incomplete = 2 };
 
 [[nodiscard]] std::string to_string(Origin o);
 
-/// A route as held in a RIB: prefix + mandatory and optional attributes.
+/// Dense id of a prefix in one PrefixTable (bgp/rib.hpp).
+using PrefixId = std::uint32_t;
+
+inline constexpr PrefixId kNoPrefix = std::numeric_limits<PrefixId>::max();
+
+class PrefixTable;
+
+/// A route as held in a RIB: the mandatory and optional attributes.  The
+/// prefix is not a field: a speaker files each route under its prefix's id,
+/// so the id is the prefix.  The two 8-byte handles come first and `origin`
+/// sits in the padding before the 32-bit fields, so the struct is 40 bytes.
 struct Route {
-  net::Prefix prefix;
   AsPath as_path;
-  Origin origin = Origin::igp;
   CommunitySet communities;
+  Origin origin = Origin::igp;
   std::uint32_t med = 0;
   /// LOCAL_PREF is assigned by import policy (not transitive across eBGP).
   std::uint32_t local_pref = 100;
@@ -48,7 +59,8 @@ struct Route {
   [[nodiscard]] bool locally_originated() const noexcept {
     return learned_from == kLocalRouter;
   }
-  [[nodiscard]] std::string to_string() const;
+  /// The route rendered as a RIB line for `prefix`.
+  [[nodiscard]] std::string to_string(const net::Prefix& prefix) const;
 
   bool operator==(const Route&) const = default;
 };
@@ -60,17 +72,21 @@ struct Update {
 
   Kind kind = Kind::announce;
   RouterId from = kLocalRouter;  ///< sending router (filled by the session layer)
+  /// The sender's id for `prefix`, meaningful only in `table`, the table it
+  /// was drawn from.  A receiver sharing that table indexes its records by
+  /// it; any other receiver (and every hand-built or wire-parsed update,
+  /// which leaves both unset) looks the prefix up.
+  PrefixId prefix_id = kNoPrefix;
+  const PrefixTable* table = nullptr;
   net::Prefix prefix;
   /// Present for announcements only.
   std::optional<Route> route;
 
-  [[nodiscard]] static Update announce(Route r) {
-    return Update{
-        .kind = Kind::announce, .from = kLocalRouter, .prefix = r.prefix, .route = std::move(r)};
+  [[nodiscard]] static Update announce(const net::Prefix& prefix, Route r) {
+    return Update{.kind = Kind::announce, .prefix = prefix, .route = std::move(r)};
   }
-  [[nodiscard]] static Update withdraw(net::Prefix p) {
-    return Update{
-        .kind = Kind::withdraw, .from = kLocalRouter, .prefix = p, .route = std::nullopt};
+  [[nodiscard]] static Update withdraw(const net::Prefix& prefix) {
+    return Update{.kind = Kind::withdraw, .prefix = prefix};
   }
 
   [[nodiscard]] std::string to_string() const;

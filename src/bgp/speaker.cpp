@@ -21,6 +21,14 @@ template <typename Entry>
                           [](const Entry& e, RouterId n) { return neighbor_of(e) < n; });
 }
 
+/// The Adj-RIB-Out entry recording that `to` heard `exported`.
+[[nodiscard]] Advertised advertised(RouterId to, const Route& exported) {
+  return Advertised{.to = to,
+                    .origin = exported.origin,
+                    .as_path = exported.as_path,
+                    .communities = exported.communities};
+}
+
 /// Removes `neighbor`'s entry; true when there was one.
 template <typename Entry>
 bool erase_neighbor(std::vector<Entry>& entries, RouterId neighbor) {
@@ -38,6 +46,12 @@ PrefixId BgpSpeaker::acquire(const net::Prefix& prefix) {
   return id;
 }
 
+PrefixId BgpSpeaker::acquire(const Update& update) {
+  if (update.table != prefixes_) return acquire(update.prefix);
+  if (update.prefix_id >= records_.size()) records_.resize(prefixes_->size());
+  return update.prefix_id;
+}
+
 std::size_t BgpSpeaker::session_pos(RouterId neighbor) const noexcept {
   const auto by_neighbor = [](const Session& s, RouterId n) { return s.neighbor < n; };
   const auto it = std::lower_bound(sessions_.begin(), sessions_.end(), neighbor, by_neighbor);
@@ -45,16 +59,18 @@ std::size_t BgpSpeaker::session_pos(RouterId neighbor) const noexcept {
 }
 
 void BgpSpeaker::sort_by_prefix(std::vector<PrefixId>& ids) const {
-  std::sort(ids.begin(), ids.end(),
-            [this](PrefixId a, PrefixId b) { return prefix(a) < prefix(b); });
+  // Ranks are distinct integers in prefix order: sort them, then map back.
+  for (PrefixId& id : ids) id = prefixes_->rank(id);
+  std::sort(ids.begin(), ids.end());
+  const std::span<const PrefixId> ordered = prefixes_->ordered();
+  for (PrefixId& id : ids) id = ordered[id];
 }
 
 std::vector<PrefixId> BgpSpeaker::best_ids() const {
   std::vector<PrefixId> ids;
-  for (PrefixId id = 0; id < records_.size(); ++id) {
-    if (records_[id].best) ids.push_back(id);
+  for (PrefixId id : prefixes_->ordered()) {
+    if (id < records_.size() && records_[id].best) ids.push_back(id);
   }
-  sort_by_prefix(ids);
   return ids;
 }
 
@@ -115,10 +131,9 @@ void BgpSpeaker::originate(const net::Prefix& prefix, CommunitySet communities, 
   // ASNs suffices for their loop detection to fire.
   for (Asn p : poisoned) path = path.prepended(p);
   const PrefixId id = acquire(prefix);
-  records_[id].originated = std::make_unique<Route>(Route{.prefix = prefix,
-                                                          .as_path = path,
-                                                          .origin = origin,
+  records_[id].originated = std::make_unique<Route>(Route{.as_path = path,
                                                           .communities = std::move(communities),
+                                                          .origin = origin,
                                                           .med = 0,
                                                           .local_pref = kSelfLocalPref,
                                                           .learned_from = kLocalRouter,
@@ -146,12 +161,12 @@ void BgpSpeaker::receive(const Update& update) {
       update.kind == Update::Kind::announce &&
       (options_.allow_own_asn_in || ExportPolicy::import_accepts(asn_, *update.route));
   if (!accepted) {
-    const PrefixId id = record_id(update.prefix);
+    const PrefixId id = record_id(update);
     if (id != kNoPrefix && erase_neighbor(records_[id].candidates, update.from)) reprocess(id);
     return;
   }
 
-  const PrefixId id = acquire(update.prefix);
+  const PrefixId id = acquire(update);
   std::vector<Route>& candidates = records_[id].candidates;
   auto pos = neighbor_pos(candidates, update.from);
   if (pos == candidates.end() || pos->learned_from != update.from) {
@@ -172,10 +187,20 @@ std::vector<std::pair<RouterId, Update>> BgpSpeaker::drain_outbox() {
   return out;
 }
 
-std::vector<Route> BgpSpeaker::loc_rib() const {
-  std::vector<Route> out;
-  for (PrefixId id : best_ids()) out.push_back(*records_[id].best);
+std::vector<std::pair<net::Prefix, Route>> BgpSpeaker::loc_rib() const {
+  std::vector<std::pair<net::Prefix, Route>> out;
+  for (PrefixId id : best_ids()) out.emplace_back(prefix(id), *records_[id].best);
   return out;
+}
+
+std::size_t BgpSpeaker::state_bytes() const {
+  std::size_t bytes = records_.capacity() * sizeof(PrefixRecord);
+  for (const PrefixRecord& record : records_) {
+    bytes += record.candidates.capacity() * sizeof(Route) +
+             record.advertised.capacity() * sizeof(Advertised);
+    if (record.originated != nullptr) bytes += sizeof(Route);
+  }
+  return bytes;
 }
 
 void BgpSpeaker::note_fib_dirty(PrefixId id) {
@@ -281,23 +306,31 @@ void BgpSpeaker::sync_exports(PrefixId id, std::size_t first, std::size_t last) 
     const bool heard = pos != out.end() && pos->to == neighbor;
     if (exported != nullptr) {
       if (heard) {
-        if (pos->route == *exported) continue;  // no change
-        pos->route = *exported;
+        if (pos->same(*exported)) continue;  // no change
+        *pos = advertised(neighbor, *exported);
       } else {
-        out.insert(pos, Advertised{.to = neighbor, .route = *exported});
+        out.insert(pos, advertised(neighbor, *exported));
       }
-      Update u = Update::announce(*exported);
-      u.from = id_;
-      outbox_.emplace_back(neighbor, std::move(u));
     } else {
       if (!heard) continue;  // neighbor never heard it
       out.erase(pos);
-      Update u = Update::withdraw(prefix(id));
-      u.from = id_;
-      outbox_.emplace_back(neighbor, std::move(u));
     }
+    send(neighbor, id, exported);
   }
   exports_.clear();
+}
+
+void BgpSpeaker::send(RouterId neighbor, PrefixId id, const Route* route) {
+  Update update{.kind = Update::Kind::withdraw,
+                .from = id_,
+                .prefix_id = id,
+                .table = prefixes_,
+                .prefix = prefix(id)};
+  if (route != nullptr) {
+    update.kind = Update::Kind::announce;
+    update.route = *route;
+  }
+  outbox_.emplace_back(neighbor, std::move(update));
 }
 
 }  // namespace tango::bgp

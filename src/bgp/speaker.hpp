@@ -3,10 +3,12 @@
 //
 // Storage: one PrefixRecord per prefix (Adj-RIB-In candidates, origination,
 // Loc-RIB best route, Adj-RIB-Out, FIB-dirty and batch marks) in a dense
-// array indexed by the network's PrefixTable ids, so an UPDATE costs one
-// prefix lookup and every later stage indexes the array.  Ids are permanent,
-// so the speaker holds none: its array covers every id below its length, and
-// a record that empties stays.
+// array indexed by the network's PrefixTable ids.  An UPDATE from another
+// speaker of the network names its prefix by that shared id, so it costs no
+// prefix lookup; only originations, standalone speakers and hand-built or
+// wire-parsed updates look the prefix up.  Ids are permanent, so the speaker
+// holds none: its array covers every id below its length, and a record that
+// empties stays.
 #pragma once
 
 #include <memory>
@@ -145,8 +147,8 @@ class BgpSpeaker {
     const PrefixRecord* rec = record(prefix);
     return rec != nullptr ? std::span<const Route>{rec->candidates} : std::span<const Route>{};
   }
-  /// Copies of every Loc-RIB entry, in prefix order.
-  [[nodiscard]] std::vector<Route> loc_rib() const;
+  /// Copies of every Loc-RIB entry with its prefix, in prefix order.
+  [[nodiscard]] std::vector<std::pair<net::Prefix, Route>> loc_rib() const;
   /// Visits every Loc-RIB entry as f(id, route) in id order, which is
   /// unspecified: for consumers whose result does not depend on order (a
   /// FIB rebuild).
@@ -165,6 +167,12 @@ class BgpSpeaker {
   }
   /// The table this speaker draws its prefix ids from.
   [[nodiscard]] const PrefixTable& prefix_table() const noexcept { return *prefixes_; }
+
+  /// Bytes of this speaker's prefix records, from sizeof and container
+  /// capacities: the record array, and each record's candidates, Adj-RIB-Out
+  /// entries and origination.  The interned attribute values the routes
+  /// share are not counted.
+  [[nodiscard]] std::size_t state_bytes() const;
 
   /// Count of UPDATE messages processed (for convergence statistics).
   [[nodiscard]] std::uint64_t updates_processed() const noexcept { return updates_processed_; }
@@ -194,8 +202,17 @@ class BgpSpeaker {
     const PrefixId id = prefixes_->find(prefix);
     return id < records_.size() ? id : kNoPrefix;
   }
+  /// Id of the prefix `update` names when the speaker has a record for it,
+  /// else kNoPrefix.  An update drawn from this speaker's table names it by
+  /// the sender's id, with no lookup; any other by its prefix.
+  [[nodiscard]] PrefixId record_id(const Update& update) const {
+    if (update.table != prefixes_) return record_id(update.prefix);
+    return update.prefix_id < records_.size() ? update.prefix_id : kNoPrefix;
+  }
   /// Id of `prefix`, interned, with the record array grown to cover it.
   PrefixId acquire(const net::Prefix& prefix);
+  /// The same for the prefix `update` names (by id, as record_id does).
+  PrefixId acquire(const Update& update);
   /// Sorts `ids` by prefix: the order of every walk that decides message order.
   void sort_by_prefix(std::vector<PrefixId>& ids) const;
   /// Ids with a Loc-RIB entry, in prefix order.
@@ -226,6 +243,9 @@ class BgpSpeaker {
   /// each session in sessions_[first, last) and emits an announce/withdraw
   /// wherever it differs from what that neighbor last heard.
   void sync_exports(PrefixId id, std::size_t first, std::size_t last);
+  /// Queues an UPDATE for `id` to `neighbor`: an announcement of `route`, or
+  /// a withdrawal when it is null.
+  void send(RouterId neighbor, PrefixId id, const Route* route);
 
   RouterId id_;
   Asn asn_;

@@ -420,9 +420,8 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
   }
   if (!saw_announce_v4 && !saw_mp_reach) throw WireError{"update carries no NLRI"};
 
-  route.prefix = prefix;
   route.communities = CommunitySet{std::move(communities)};
-  out.update = Update::announce(std::move(route));
+  out.update = Update::announce(prefix, std::move(route));
   return out;
 }
 

@@ -135,7 +135,7 @@ inline void expect_loc_ribs_match(
       ++reachable[id];
       ASSERT_NE(got, nullptr) << "r" << id << " " << prefix.to_string();
       EXPECT_EQ(got->learned_from, want->second.next_hop)
-          << "r" << id << " " << prefix.to_string() << " got " << got->to_string();
+          << "r" << id << " got " << got->to_string(prefix);
       EXPECT_EQ(got->as_path.asns(), want->second.path)
           << "r" << id << " " << prefix.to_string();
       if (id != origin) {

@@ -11,10 +11,9 @@ net::Prefix pfx(const char* text) { return *net::Prefix::parse(text); }
 Route make_route(std::uint32_t local_pref, std::initializer_list<Asn> path,
                  RouterId learned_from = 1, Asn learned_asn = 100,
                  Origin origin = Origin::igp, std::uint32_t med = 0) {
-  return Route{.prefix = pfx("2001:db8::/32"),
-               .as_path = AsPath{path},
-               .origin = origin,
+  return Route{.as_path = AsPath{path},
                .communities = {},
+               .origin = origin,
                .med = med,
                .local_pref = local_pref,
                .learned_from = learned_from,
@@ -131,7 +130,7 @@ void add_customers(BgpSpeaker& sp) {
 }
 
 void announce(BgpSpeaker& sp, RouterId from, std::initializer_list<Asn> path) {
-  Update u = Update::announce(Route{.prefix = pfx("2001:db8::/32"), .as_path = AsPath{path}});
+  Update u = Update::announce(pfx("2001:db8::/32"), Route{.as_path = AsPath{path}});
   u.from = from;
   sp.receive(u);
 }

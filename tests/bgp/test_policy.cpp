@@ -5,13 +5,10 @@
 namespace tango::bgp {
 namespace {
 
-net::Prefix pfx(const char* text) { return *net::Prefix::parse(text); }
-
 Route learned_route(Relationship, CommunitySet communities = {}) {
-  return Route{.prefix = pfx("2620:110:9011::/48"),
-               .as_path = AsPath{20473},
-               .origin = Origin::igp,
+  return Route{.as_path = AsPath{20473},
                .communities = std::move(communities),
+               .origin = Origin::igp,
                .med = 0,
                .local_pref = 100,
                .learned_from = 3,

@@ -245,33 +245,33 @@ TEST(PrefixRecords, RecordRetiredWhileQueuedInBatch) {
     u.from = 7;
     sp.receive(u);
   };
-  const Route route{.prefix = pfx("2001:db8:1::/48"), .as_path = AsPath{700}};
+  const net::Prefix prefix = pfx("2001:db8:1::/48");
+  const net::Prefix other = pfx("2001:db8:2::/48");
+  const Route route{.as_path = AsPath{700}};
 
   sp.begin_batch();
-  deliver(Update::announce(route));
-  deliver(Update::withdraw(route.prefix));
-  const PrefixId id = sp.prefix_table().find(route.prefix);
+  deliver(Update::announce(prefix, route));
+  deliver(Update::withdraw(prefix));
+  const PrefixId id = sp.prefix_table().find(prefix);
   EXPECT_EQ(sp.prefix_table().size(), 1u) << "the prefix is interned";
-  Route other = route;
-  other.prefix = pfx("2001:db8:2::/48");
-  deliver(Update::announce(other));
-  const PrefixId other_id = sp.prefix_table().find(other.prefix);
+  deliver(Update::announce(other, route));
+  const PrefixId other_id = sp.prefix_table().find(other);
   EXPECT_NE(other_id, id);
   sp.commit_batch();
 
   EXPECT_EQ(sp.prefix_table().size(), 2u) << "the emptied record keeps its id";
-  EXPECT_EQ(sp.prefix_table().find(route.prefix), id);
-  const PrefixRecord* emptied = sp.record(route.prefix);
+  EXPECT_EQ(sp.prefix_table().find(prefix), id);
+  const PrefixRecord* emptied = sp.record(prefix);
   ASSERT_NE(emptied, nullptr);
   EXPECT_TRUE(emptied->candidates.empty());
   EXPECT_FALSE(emptied->queued);
-  EXPECT_EQ(sp.best_route(route.prefix), nullptr);
-  ASSERT_NE(sp.best_route(other.prefix), nullptr);
+  EXPECT_EQ(sp.best_route(prefix), nullptr);
+  ASSERT_NE(sp.best_route(other), nullptr);
   EXPECT_EQ(sp.fib_dirty(), std::vector<PrefixId>{other_id});
   const auto out = sp.drain_outbox();
   ASSERT_EQ(out.size(), 1u) << "one announcement of the survivor, to 8";
   EXPECT_EQ(out.front().first, 8u);
-  EXPECT_EQ(out.front().second.prefix, other.prefix);
+  EXPECT_EQ(out.front().second.prefix, other);
 }
 
 // Ids follow first arrival, not prefix order, so every walk whose order
@@ -302,7 +302,7 @@ TEST(PrefixRecords, MessageOrderIsPrefixOrderNotIdOrder) {
   sent_prefixes(sp);
   for (const net::Prefix& p : descending) sp.withdraw_origin(p);
   for (const net::Prefix& p : descending) {
-    Update u = Update::announce(Route{.prefix = p, .as_path = AsPath{700}});
+    Update u = Update::announce(p, Route{.as_path = AsPath{700}});
     u.from = 7;
     sp.receive(u);
   }
@@ -346,6 +346,95 @@ TEST(PrefixRecords, TwoNetworksKeepIndependentIds) {
   standalone.originate(r);
   EXPECT_EQ(standalone.prefix_table().find(r), 0u) << "a standalone speaker has its own table";
   EXPECT_EQ(a.prefix_table().size(), 3u);
+}
+
+// An UPDATE names its prefix by the sender's id, which only a speaker drawing
+// from the sender's table may honour.  Two networks that interned the same
+// prefixes in different orders give them crossed ids, so a speaker handed the
+// other network's message must look the prefix up; honouring the foreign id
+// would file q's route under p.
+TEST(PrefixRecords, ForeignMessageResolvesByPrefix) {
+  const net::Prefix p = pfx("2001:db8:1::/48");
+  const net::Prefix q = pfx("2001:db8:2::/48");
+  const CommunitySet tagged{Community{100, 7}};
+  BgpNetwork a;
+  BgpNetwork b;
+  for (BgpNetwork* net : {&a, &b}) {
+    net->add_router(1, 100);
+    net->add_router(2, 200);
+    net->add_transit(2, 1);
+  }
+  b.originate(1, q);
+  b.originate(1, p);
+  a.router(1).originate(p);
+  a.router(1).originate(q, tagged);
+  ASSERT_EQ(a.prefix_table().find(q), b.prefix_table().find(p)) << "the ids cross";
+
+  const auto sent = a.router(1).drain_outbox();
+  ASSERT_EQ(sent.size(), 2u);
+  for (const auto& [to, update] : sent) {
+    EXPECT_EQ(update.table, &a.prefix_table());
+    EXPECT_EQ(update.prefix_id, a.prefix_table().find(update.prefix)) << "the sender's id";
+    b.router(to).receive(update);
+  }
+  ASSERT_NE(b.best_route(2, q), nullptr);
+  ASSERT_NE(b.best_route(2, p), nullptr);
+  EXPECT_EQ(b.best_route(2, q)->communities, tagged);
+  EXPECT_TRUE(b.best_route(2, p)->communities.empty());
+
+  // A standalone speaker's table is foreign to every network.
+  BgpSpeaker standalone{2, 200};
+  standalone.add_session(1, 100, SessionConfig{.rel = Relationship::customer});
+  for (const auto& [to, update] : sent) standalone.receive(update);
+  EXPECT_EQ(standalone.prefix_table().find(p), 0u);
+  ASSERT_NE(standalone.best_route(q), nullptr);
+  EXPECT_EQ(standalone.best_route(q)->communities, tagged);
+}
+
+/// A random set of nested prefixes of both families: short roots and longer
+/// prefixes inside them, so ordering must break ties on length and family.
+std::vector<net::Prefix> nested_prefixes(Dice& dice, std::size_t count) {
+  std::vector<net::Prefix> out;
+  while (out.size() < count) {
+    const auto len = static_cast<std::uint8_t>(8 + dice.below(17));  // 8..24
+    // Few distinct high bits, so prefixes nest and collide.
+    const auto bits = static_cast<std::uint32_t>(dice.below(8) << 28 | dice.below(4) << 20 |
+                                                 dice.below(4) << 8);
+    if (dice.below(2) == 0) {
+      out.emplace_back(net::Ipv4Prefix{net::Ipv4Address{0x0A000000u | (bits >> 8)}, len});
+    } else {
+      net::Ipv6Address::Bytes b{0x20, 0x01, 0x0d, 0xb8};
+      b[4] = static_cast<std::uint8_t>(bits >> 24);
+      b[5] = static_cast<std::uint8_t>(bits >> 16);
+      b[6] = static_cast<std::uint8_t>(bits >> 8);
+      out.emplace_back(
+          net::Ipv6Prefix{net::Ipv6Address{b}, static_cast<std::uint8_t>(32 + len)});
+    }
+  }
+  return out;
+}
+
+// The table keeps its ids in prefix order as it grows, so prefix-order walks
+// need no prefix comparison: over random nested v4/v6 sets interned in random
+// order (repeats included), ordered() must equal the ids sorted by prefix,
+// and rank() must invert it, after every intern.
+TEST(PrefixRecords, TableKeepsIdsInPrefixOrder) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Dice dice{seed * 0x9E3779B97F4A7C15ull};
+    PrefixTable table;
+    for (const net::Prefix& prefix : nested_prefixes(dice, 200)) {
+      const PrefixId id = table.intern(prefix);
+      ASSERT_EQ(table.prefix(id), prefix);
+      std::vector<PrefixId> want(table.size());
+      for (PrefixId i = 0; i < want.size(); ++i) want[i] = i;
+      std::sort(want.begin(), want.end(),
+                [&](PrefixId x, PrefixId y) { return table.prefix(x) < table.prefix(y); });
+      const std::span<const PrefixId> got = table.ordered();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "seed " << seed << " after " << prefix.to_string();
+      for (std::uint32_t r = 0; r < got.size(); ++r) ASSERT_EQ(table.rank(got[r]), r);
+    }
+  }
 }
 
 }  // namespace

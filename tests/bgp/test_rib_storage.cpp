@@ -23,8 +23,8 @@ net::Prefix nth_v4(std::uint32_t i) {
 std::uint64_t loc_rib_digest(const BgpNetwork& net) {
   std::uint64_t h = 14695981039346656037ull;
   for (RouterId id : net.routers()) {
-    for (const Route& r : net.router(id).loc_rib()) {
-      for (char c : r.to_string()) {
+    for (const auto& [prefix, r] : net.router(id).loc_rib()) {
+      for (char c : r.to_string(prefix)) {
         h ^= static_cast<unsigned char>(c);
         h *= 1099511628211ull;
       }
@@ -67,6 +67,94 @@ TEST(RibEquivalence, UnbatchedChurnScriptKeepsPinnedMessageCount) {
   EXPECT_EQ(loc_rib_digest(net), 0x8067eec922fd7f57ull);
 }
 
+// Inside one network an UPDATE names its prefix by the sender's id; through
+// the wire transport it carries the prefix, which every receiver looks up
+// again.  Both deliveries must reach the same Loc-RIBs with the same message
+// count after every step of a churn script, including the steps that intern
+// a new prefix (a v6 /48, so the MP_REACH path runs too) mid-run.
+TEST(RibEquivalence, DeliveryByIdMatchesDeliveryByPrefix) {
+  const topo::MeshParams params{
+      .tier1 = 3, .tier2 = 6, .stubs = 16, .prefixes_per_stub = 2, .seed = 5};
+  for (const bool batched : {false, true}) {
+    topo::Topology by_id_topo;
+    topo::Topology by_prefix_topo;
+    const topo::Mesh mesh = topo::generate_mesh(by_id_topo, params);
+    topo::generate_mesh(by_prefix_topo, params);
+    BgpNetwork& by_id = by_id_topo.bgp();
+    BgpNetwork& by_prefix = by_prefix_topo.bgp();
+    by_prefix.set_wire_transport(true);
+    const auto step = [&](const auto& apply) {
+      for (BgpNetwork* net : {&by_id, &by_prefix}) apply(*net);
+    };
+    step([&](BgpNetwork& net) {
+      net.set_batched_delivery(batched);
+      net.run_to_convergence();
+    });
+    for (std::size_t i = 0; i <= 24; ++i) {
+      ASSERT_EQ(by_id.total_messages(), by_prefix.total_messages())
+          << "batched " << batched << " step " << i;
+      ASSERT_EQ(loc_rib_digest(by_id), loc_rib_digest(by_prefix))
+          << "batched " << batched << " step " << i;
+      const RouterId stub = mesh.stubs[(i * 5) % mesh.stubs.size()];
+      if (i % 4 == 1) {
+        step([&](BgpNetwork& net) {
+          const RouterId provider = net.router(stub).neighbors().back();
+          const std::uint32_t pref = net.router(stub).session(provider)->preference;
+          net.remove_session(stub, provider);
+          net.add_transit(provider, stub, pref);
+        });
+      } else if (i % 4 == 3) {
+        const net::Prefix extra{
+            net::Ipv6Prefix{*net::Ipv6Address::parse("2001:db8::"), 32}.subnet(48, i)};
+        step([&](BgpNetwork& net) { net.originate(stub, extra); });
+        if (i % 8 == 7) step([&](BgpNetwork& net) { net.withdraw(stub, extra); });
+      } else {
+        const auto& [origin, prefix] = mesh.originations[(i * 7) % mesh.originations.size()];
+        step([&](BgpNetwork& net) {
+          net.withdraw(origin, prefix);
+          net.originate(origin, prefix,
+                        CommunitySet{Community{1, static_cast<std::uint16_t>(i)}});
+        });
+      }
+    }
+    EXPECT_GT(by_id.prefix_table().size(), mesh.originations.size());
+    EXPECT_GT(by_prefix.wire_bytes(), 0u);
+    EXPECT_EQ(by_prefix.wire_parse_failures(), 0u);
+  }
+}
+
+// BGP memory per (speaker, prefix) record after the E14 seed-1 flood, from
+// sizeof and container capacities (BgpSpeaker::state_bytes), not from RSS.
+// The ceiling is the measured value: a change that stores routes smaller
+// lowers it; one that needs more says so instead of raising it.
+TEST(BgpMemoryBudget, FloodedMeshBytesPerRecord) {
+  EXPECT_LE(sizeof(Route), 40u);
+  EXPECT_LE(sizeof(Advertised), 24u);
+  topo::Topology topo;
+  topo::generate_mesh(topo, topo::MeshParams{.seed = 1});
+  BgpNetwork& net = topo.bgp();
+  net.set_message_limit(200'000'000);
+  net.set_batched_delivery(true);
+  net.run_to_convergence();
+  const PrefixTable& table = net.prefix_table();
+  std::size_t bytes = 0;
+  std::size_t records = 0;
+  for (RouterId id : net.routers()) {
+    const BgpSpeaker& sp = net.router(id);
+    bytes += sp.state_bytes();
+    for (PrefixId p = 0; p < table.size(); ++p) {
+      records += sp.record(table.prefix(p)) != nullptr ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(records, 425'984u) << "256 speakers x 1664 prefixes";
+  // 121 566 016 bytes: record slots 57.3 MB (112 B each), candidates
+  // 36.3 MB (906 664 x 40 B), Adj-RIB-Out 27.9 MB (1 162 560 x 24 B).  With
+  // 144 B records, 72 B routes and 80 B Adj-RIB-Out entries the same flood
+  // read 544.9.
+  const double per_record = static_cast<double>(bytes) / static_cast<double>(records);
+  EXPECT_LE(per_record, 285.4) << bytes << " bytes over " << records << " records";
+}
+
 TEST(InternedAttributes, EqualContentFromEveryConstructorIsOneHandle) {
   const AsPath literal{20473, 2914, 20473};
   const AsPath parsed = *AsPath::parse("20473 2914 20473");
@@ -88,8 +176,8 @@ TEST(InternedAttributes, EqualContentFromEveryConstructorIsOneHandle) {
   EXPECT_EQ(&added.values(), &set.values());
 
   // The wire decoder rebuilds both attributes from bytes.
-  Route route{.prefix = pfx("2001:db8:1::/48"), .as_path = literal, .communities = set};
-  Update update = Update::announce(route);
+  Route route{.as_path = literal, .communities = set};
+  Update update = Update::announce(pfx("2001:db8:1::/48"), route);
   update.from = 7;
   const Update rebuilt = wire::roundtrip_update(
       update, net::IpAddress{*net::Ipv6Address::parse("2001:db8::1")});

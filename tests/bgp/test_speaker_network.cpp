@@ -257,7 +257,7 @@ TEST(BgpNetwork, MessageLimitGuards) {
 
 TEST(BgpSpeaker, UpdateFromUnknownSessionIgnored) {
   BgpSpeaker sp{1, 100};
-  Update u = Update::announce(Route{.prefix = kP, .as_path = AsPath{200}});
+  Update u = Update::announce(kP, Route{.as_path = AsPath{200}});
   u.from = 99;
   sp.receive(u);  // must not crash or store anything
   EXPECT_EQ(sp.loc_rib().size(), 0u);

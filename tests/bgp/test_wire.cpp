@@ -17,13 +17,12 @@ const net::IpAddress kV6NextHop{*net::Ipv6Address::parse("fe80::1")};
 const net::IpAddress kV4NextHop{net::Ipv4Address{10, 0, 0, 1}};
 
 Update sample_announce_v6() {
-  Route route{.prefix = *net::Prefix::parse("2620:110:9011::/48"),
-              .as_path = AsPath{20473, 2914, 20473},
-              .origin = Origin::igp,
+  Route route{.as_path = AsPath{20473, 2914, 20473},
               .communities = CommunitySet{action::do_not_announce_to(2914)},
+              .origin = Origin::igp,
               .med = 50,
               .local_pref = 100};
-  return Update::announce(std::move(route));
+  return Update::announce(*net::Prefix::parse("2620:110:9011::/48"), std::move(route));
 }
 
 TEST(WireKeepalive, GoldenBytes) {
@@ -93,12 +92,8 @@ TEST(WireUpdate, V6WithdrawRoundTrip) {
 }
 
 TEST(WireUpdate, V4AnnounceAndWithdrawRoundTrip) {
-  Route route{.prefix = *net::Prefix::parse("203.0.113.0/24"),
-              .as_path = AsPath{64512},
-              .origin = Origin::egp,
-              .med = 7,
-              .local_pref = 200};
-  const Update announce = Update::announce(route);
+  Route route{.as_path = AsPath{64512}, .origin = Origin::egp, .med = 7, .local_pref = 200};
+  const Update announce = Update::announce(*net::Prefix::parse("203.0.113.0/24"), route);
   const ParsedMessage got_a = parse_message(encode_update(announce, kV4NextHop));
   ASSERT_TRUE(got_a.update.has_value());
   EXPECT_EQ(got_a.update->kind, Update::Kind::announce);
@@ -114,8 +109,10 @@ TEST(WireUpdate, V4AnnounceAndWithdrawRoundTrip) {
 
 TEST(WireUpdate, NextHopFamilyValidated) {
   EXPECT_THROW(encode_update(sample_announce_v6(), kV4NextHop), WireError);
-  Route v4{.prefix = *net::Prefix::parse("203.0.113.0/24"), .as_path = AsPath{1}};
-  EXPECT_THROW(encode_update(Update::announce(v4), kV6NextHop), WireError);
+  Route v4{.as_path = AsPath{1}};
+  EXPECT_THROW(encode_update(Update::announce(*net::Prefix::parse("203.0.113.0/24"), v4),
+                             kV6NextHop),
+               WireError);
 }
 
 TEST(WireParse, RejectsMalformed) {
@@ -288,16 +285,18 @@ TEST(WireParse, MpReachConsumesEveryNlri) {
 // must survive the wire and behave in the trie.
 TEST(WireBoundary, DefaultAndHostPrefixesRoundTrip) {
   for (const char* text : {"0.0.0.0/0", "203.0.113.7/32"}) {
-    Route route{.prefix = *net::Prefix::parse(text), .as_path = AsPath{64512}};
-    const Update rebuilt = roundtrip_update(Update::announce(route), kV4NextHop);
-    EXPECT_EQ(rebuilt.prefix, route.prefix) << text;
-    const Update withdrawn = roundtrip_update(Update::withdraw(route.prefix), kV4NextHop);
-    EXPECT_EQ(withdrawn.prefix, route.prefix) << text;
+    const net::Prefix prefix = *net::Prefix::parse(text);
+    const Route route{.as_path = AsPath{64512}};
+    const Update rebuilt = roundtrip_update(Update::announce(prefix, route), kV4NextHop);
+    EXPECT_EQ(rebuilt.prefix, prefix) << text;
+    const Update withdrawn = roundtrip_update(Update::withdraw(prefix), kV4NextHop);
+    EXPECT_EQ(withdrawn.prefix, prefix) << text;
   }
   for (const char* text : {"::/0", "2620:110:9011::1/128"}) {
-    Route route{.prefix = *net::Prefix::parse(text), .as_path = AsPath{64512}};
-    const Update rebuilt = roundtrip_update(Update::announce(route), kV6NextHop);
-    EXPECT_EQ(rebuilt.prefix, route.prefix) << text;
+    const net::Prefix prefix = *net::Prefix::parse(text);
+    const Route route{.as_path = AsPath{64512}};
+    const Update rebuilt = roundtrip_update(Update::announce(prefix, route), kV6NextHop);
+    EXPECT_EQ(rebuilt.prefix, prefix) << text;
   }
 }
 
@@ -307,11 +306,11 @@ TEST(WireBoundary, BoundaryPrefixesResolveThroughTrie) {
   const auto host = *net::Prefix::parse("203.0.113.7/32");
   // Install exactly what came off the wire.
   trie.insert(net::trie_key(roundtrip_update(
-                  Update::announce(Route{.prefix = def, .as_path = AsPath{1}}), kV4NextHop)
+                  Update::announce(def, Route{.as_path = AsPath{1}}), kV4NextHop)
                   .prefix),
               0);
   trie.insert(net::trie_key(roundtrip_update(
-                  Update::announce(Route{.prefix = host, .as_path = AsPath{2}}), kV4NextHop)
+                  Update::announce(host, Route{.as_path = AsPath{2}}), kV4NextHop)
                   .prefix),
               1);
   const int* exact = trie.lookup(net::trie_key(net::IpAddress{*net::Ipv4Address::parse("203.0.113.7")}));
@@ -332,7 +331,7 @@ TEST_P(WireRoundTrip, RandomizedUpdates) {
     net::Ipv6Address::Bytes b{};
     b[0] = 0x20;
     for (std::size_t j = 1; j < 8; ++j) b[j] = static_cast<std::uint8_t>(rng());
-    route.prefix = net::Prefix{
+    const net::Prefix prefix{
         net::Ipv6Prefix{net::Ipv6Address{b}, static_cast<std::uint8_t>(rng() % 129)}};
     std::vector<Asn> asns;
     for (std::size_t j = 0; j < rng() % 8; ++j) {
@@ -349,7 +348,7 @@ TEST_P(WireRoundTrip, RandomizedUpdates) {
 
     const bool withdraw = rng() % 4 == 0;
     const Update original =
-        withdraw ? Update::withdraw(route.prefix) : Update::announce(route);
+        withdraw ? Update::withdraw(prefix) : Update::announce(prefix, route);
     const Update rebuilt = roundtrip_update(original, kV6NextHop);
     EXPECT_EQ(rebuilt.kind, original.kind);
     EXPECT_EQ(rebuilt.prefix, original.prefix);
