@@ -41,11 +41,11 @@ std::vector<std::uint8_t> canonical_encode(const wire::ParsedMessage& m) {
       // right family when the message carried none.
       const tango::net::IpAddress next_hop =
           m.next_hop ? *m.next_hop
-                     : (m.update->prefix.is_v6()
+                     : (m.prefix.is_v6()
                             ? tango::net::IpAddress{
                                   *tango::net::Ipv6Address::parse("fe80::1")}
                             : tango::net::IpAddress{tango::net::Ipv4Address{10, 0, 0, 1}});
-      return wire::encode_update(*m.update, next_hop);
+      return wire::encode_update(m.prefix, *m.update, next_hop);
     }
   }
   return {};
@@ -57,9 +57,10 @@ bool empty_record(const bgp::PrefixRecord* record) {
                                !record->best && record->advertised.empty() && !record->queued);
 }
 
-/// Router 1 provides transit to 2 and 3.  1 hears `decoded` from 2, then 3
-/// originates the same prefix with the same communities, then both go away.
-void drive_speakers(const bgp::Update& decoded) {
+/// Router 1 provides transit to 2 and 3.  1 hears `decoded` for `prefix`
+/// from 2, through the network's door, then 3 originates the same prefix
+/// with the same communities, then both go away.
+void drive_speakers(const tango::net::Prefix& prefix, const bgp::Update& decoded) {
   bgp::BgpNetwork net;
   net.add_router(1, 65001);
   net.add_router(2, 65002);
@@ -77,23 +78,24 @@ void drive_speakers(const bgp::Update& decoded) {
 
   bgp::Update update = decoded;
   update.from = 2;
-  net.router(1).receive(update);
+  net.receive(1, prefix, update);
+  net.router(1).commit_batch();
   net.run_to_convergence();
   check();
-  net.originate(3, update.prefix,
-                update.route ? update.route->communities : bgp::CommunitySet{});
+  net.originate(3, prefix, update.route ? update.route->communities : bgp::CommunitySet{});
   check();
 
-  bgp::Update withdraw = bgp::Update::withdraw(update.prefix);
+  bgp::Update withdraw = bgp::Update::withdraw(bgp::kNoPrefix);
   withdraw.from = 2;
-  net.router(1).receive(withdraw);
+  net.receive(1, prefix, withdraw);
+  net.router(1).commit_batch();
   net.run_to_convergence();
-  net.withdraw(3, update.prefix);
+  net.withdraw(3, prefix);
   check();
   for (bgp::RouterId r : net.routers()) net.router(r).clear_fib_dirty();
   FUZZ_CHECK(net.prefix_table().size() == 1, "the prefix keeps its id once withdrawn");
   for (bgp::RouterId r : net.routers()) {
-    FUZZ_CHECK(empty_record(net.router(r).record(update.prefix)),
+    FUZZ_CHECK(empty_record(net.router(r).record(prefix)),
                "every record empties once withdrawn and its window is closed");
   }
 }
@@ -122,6 +124,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
   const auto second = canonical_encode(reparsed);
   FUZZ_CHECK(first == second, "encode(parse(.)) must be a fixpoint");
-  if (parsed.update) drive_speakers(*parsed.update);
+  if (parsed.update) drive_speakers(parsed.prefix, *parsed.update);
   return 0;
 }

@@ -236,26 +236,28 @@ void emit_bgp(const fs::path& dir) {
                       .local_pref = 100};
   v6_route.communities.add(bgp::Community{20473, 6000});
   write_seed(dir, "update_v6_announce",
-             wire::encode_update(bgp::Update::announce(v6_prefix, v6_route), v6_nh));
+             wire::encode_update(v6_prefix, bgp::Update::announce(bgp::kNoPrefix, v6_route),
+                                 v6_nh));
   write_seed(dir, "update_v6_withdraw",
-             wire::encode_update(bgp::Update::withdraw(v6_prefix), v6_nh));
+             wire::encode_update(v6_prefix, bgp::Update::withdraw(bgp::kNoPrefix), v6_nh));
 
   const net::Prefix v4_prefix = *net::Prefix::parse("203.0.113.0/24");
   bgp::Route v4_route{
       .as_path = bgp::AsPath{64512}, .origin = bgp::Origin::egp, .med = 7, .local_pref = 200};
   write_seed(dir, "update_v4_announce",
-             wire::encode_update(bgp::Update::announce(v4_prefix, v4_route), v4_nh));
+             wire::encode_update(v4_prefix, bgp::Update::announce(bgp::kNoPrefix, v4_route),
+                                 v4_nh));
   write_seed(dir, "update_v4_withdraw",
-             wire::encode_update(bgp::Update::withdraw(v4_prefix), v4_nh));
+             wire::encode_update(v4_prefix, bgp::Update::withdraw(bgp::kNoPrefix), v4_nh));
 
   // Boundary prefixes: default route and host routes.
   const bgp::Route boundary{.as_path = bgp::AsPath{64512}};
   write_seed(dir, "update_v4_default",
-             wire::encode_update(
-                 bgp::Update::announce(*net::Prefix::parse("0.0.0.0/0"), boundary), v4_nh));
+             wire::encode_update(*net::Prefix::parse("0.0.0.0/0"),
+                                 bgp::Update::announce(bgp::kNoPrefix, boundary), v4_nh));
   write_seed(dir, "update_v4_host",
-             wire::encode_update(
-                 bgp::Update::announce(*net::Prefix::parse("203.0.113.7/32"), boundary), v4_nh));
+             wire::encode_update(*net::Prefix::parse("203.0.113.7/32"),
+                                 bgp::Update::announce(bgp::kNoPrefix, boundary), v4_nh));
 
   // Reproducers for the parse bugs fixed in the hardening pass.  These are
   // hand-assembled because the encoder cannot emit them.

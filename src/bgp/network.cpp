@@ -122,6 +122,12 @@ std::vector<Asn> BgpNetwork::forwarding_as_path(RouterId from, const net::Prefix
   return out;
 }
 
+void BgpNetwork::receive(RouterId target, const net::Prefix& prefix, Update update) {
+  BgpSpeaker& speaker = router(target);
+  update.prefix_id = prefixes_->intern(prefix);
+  speaker.receive(update);
+}
+
 void BgpNetwork::deliver(BgpSpeaker& target, const Update& update) {
   if (!wire_transport_) {
     target.receive(update);
@@ -130,20 +136,20 @@ void BgpNetwork::deliver(BgpSpeaker& target, const Update& update) {
   // Serialize through the RFC 4271 encoder and re-parse, exactly as
   // bytes would cross a TCP session.  The next hop is the sender's
   // session address (synthesized per router here).  The bytes carry the
-  // prefix, not the sender's id, so the receiver looks the prefix up again.
+  // prefix, not the sender's id, so the parsed update enters by its prefix.
+  const net::Prefix& prefix = prefixes_->prefix(update.prefix_id);
   const net::IpAddress next_hop =
-      update.prefix.is_v6()
+      prefix.is_v6()
           ? net::IpAddress{net::Ipv6Prefix{*net::Ipv6Address::parse("fe80::"), 64}
                                .host(update.from)}
           : net::IpAddress{net::Ipv4Address{0x0A000000u | update.from}};
-  const auto bytes = wire::encode_update(update, next_hop);
+  const auto bytes = wire::encode_update(prefix, update, next_hop);
   wire_bytes_ += bytes.size();
   try {
     wire::ParsedMessage parsed = wire::parse_message(bytes);
     if (!parsed.update) throw wire::WireError{"decoded a non-update"};
-    Update rebuilt = std::move(*parsed.update);
-    rebuilt.from = update.from;
-    target.receive(rebuilt);
+    parsed.update->from = update.from;
+    receive(target.id(), parsed.prefix, std::move(*parsed.update));
   } catch (const wire::WireError&) {
     // Fail closed: a session would reset here; the simulation drops
     // the one update and keeps converging on what did decode.
@@ -175,7 +181,9 @@ std::uint64_t BgpNetwork::run_to_convergence() {
         for (auto& [target, update] : sp->drain_outbox()) {
           const std::size_t slot = slot_of(target);
           if (slot == routers_.size()) continue;  // target withdrawn from sim
-          deliver(*routers_[slot].second, update);
+          BgpSpeaker& receiver = *routers_[slot].second;
+          deliver(receiver, update);
+          receiver.commit_batch();
           if (count_delivery()) throw_message_limit();
           progressed = true;
         }
@@ -184,8 +192,8 @@ std::uint64_t BgpNetwork::run_to_convergence() {
     }
     // Batched sweep: gather the whole frontier first, grouped by receiver
     // (each group in sender id order, then outbox order), then deliver the
-    // groups in receiver id order, each under one begin/commit pair (one
-    // decision pass per distinct prefix per receiver).
+    // groups in receiver id order, each before one commit (one decision
+    // pass per distinct prefix per receiver).
     frontier.clear();
     for (auto& [id, sp] : routers_) {
       if (sp->outbox_empty()) continue;
@@ -198,7 +206,6 @@ std::uint64_t BgpNetwork::run_to_convergence() {
     for (std::size_t slot = 0; slot < groups.size(); ++slot) {
       if (groups[slot].empty()) continue;
       BgpSpeaker& sp = *routers_[slot].second;
-      sp.begin_batch();
       for (const Update* update : groups[slot]) {
         deliver(sp, *update);
         if (count_delivery()) {

@@ -70,6 +70,14 @@ class BgpNetwork {
   [[nodiscard]] std::vector<Asn> forwarding_as_path(RouterId from,
                                                     const net::Prefix& prefix) const;
 
+  /// The one way into this network for an UPDATE that names its prefix by
+  /// value (wire-parsed, or sent by another network's speaker): interns
+  /// `prefix` in this network's table and hands `update`, named by that id,
+  /// to router `target`'s receive().  Whatever id `update` carried is
+  /// ignored.  Like receive() it decides nothing; the target's next
+  /// commit_batch() does.  Throws std::out_of_range for an unknown target.
+  void receive(RouterId target, const net::Prefix& prefix, Update update);
+
   // --- Engine ---------------------------------------------------------------
 
   /// Delivers queued updates until every outbox is empty.
@@ -77,11 +85,11 @@ class BgpNetwork {
   std::uint64_t run_to_convergence();
 
   /// Batched delivery: each sweep gathers every queued update, groups by
-  /// receiving router, and delivers each router's group inside a
-  /// begin_batch()/commit_batch() pair — one decision pass per distinct
-  /// prefix per router per sweep instead of one per UPDATE.  The converged
-  /// state is identical to unbatched delivery (same best routes, same
-  /// exports at the fixed point); a storm of updates for the same prefix
+  /// receiving router, and delivers each router's group before one
+  /// commit_batch() — one decision pass per distinct prefix per router per
+  /// sweep, where unbatched delivery commits after every UPDATE.  The
+  /// converged state is identical to unbatched delivery (same best routes,
+  /// same exports at the fixed point); a storm of updates for the same prefix
   /// costs one re-decide instead of many, and transient flap exports are
   /// suppressed, so total_messages() grows more slowly.  Off by default to
   /// keep historical message counts stable for tests.
@@ -100,8 +108,9 @@ class BgpNetwork {
   void set_message_limit(std::uint64_t limit) noexcept { message_limit_ = limit; }
 
   /// When enabled, every delivered UPDATE is serialized to RFC 4271 wire
-  /// bytes and re-parsed at the receiver (see bgp/wire.hpp), so the byte
-  /// format is exercised by the live control plane.
+  /// bytes and re-parsed, then enters the receiver through receive() by its
+  /// parsed prefix (see bgp/wire.hpp), so the byte format is exercised by
+  /// the live control plane.
   void set_wire_transport(bool on) noexcept { wire_transport_ = on; }
   [[nodiscard]] bool wire_transport() const noexcept { return wire_transport_; }
   /// Total wire bytes moved while wire transport was enabled.
@@ -116,7 +125,8 @@ class BgpNetwork {
   /// Position of router `id` in routers_; routers_.size() when absent.
   [[nodiscard]] std::size_t slot_of(RouterId id) const noexcept;
 
-  /// Delivers one update to `target` (through the wire codec when enabled).
+  /// Hands one update to `target` (through the wire codec when enabled);
+  /// the caller commits.
   void deliver(BgpSpeaker& target, const Update& update);
 
   /// Shared by every router.

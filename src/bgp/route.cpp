@@ -27,12 +27,4 @@ std::string Route::to_string(const net::Prefix& prefix) const {
   return out;
 }
 
-std::string Update::to_string() const {
-  if (kind == Kind::withdraw) {
-    return "WITHDRAW " + prefix.to_string() + " from r" + std::to_string(from);
-  }
-  return "ANNOUNCE " + (route ? route->to_string(prefix) : prefix.to_string()) + " via r" +
-         std::to_string(from);
-}
-
 }  // namespace tango::bgp

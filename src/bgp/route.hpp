@@ -32,8 +32,6 @@ using PrefixId = std::uint32_t;
 
 inline constexpr PrefixId kNoPrefix = std::numeric_limits<PrefixId>::max();
 
-class PrefixTable;
-
 /// A route as held in a RIB: the mandatory and optional attributes.  The
 /// prefix is not a field: a speaker files each route under its prefix's id,
 /// so the id is the prefix.  The two 8-byte handles come first and `origin`
@@ -66,30 +64,25 @@ struct Route {
 };
 
 /// An UPDATE message: either an announcement carrying a route, or a
-/// withdrawal of a prefix.
+/// withdrawal of a prefix.  The prefix is named by its id in the receiving
+/// network's PrefixTable; a message that names it by value (wire-parsed, or
+/// from another network) enters through BgpNetwork::receive, which interns
+/// the prefix and fills in the id.
 struct Update {
   enum class Kind : std::uint8_t { announce, withdraw };
 
   Kind kind = Kind::announce;
   RouterId from = kLocalRouter;  ///< sending router (filled by the session layer)
-  /// The sender's id for `prefix`, meaningful only in `table`, the table it
-  /// was drawn from.  A receiver sharing that table indexes its records by
-  /// it; any other receiver (and every hand-built or wire-parsed update,
-  /// which leaves both unset) looks the prefix up.
   PrefixId prefix_id = kNoPrefix;
-  const PrefixTable* table = nullptr;
-  net::Prefix prefix;
   /// Present for announcements only.
   std::optional<Route> route;
 
-  [[nodiscard]] static Update announce(const net::Prefix& prefix, Route r) {
-    return Update{.kind = Kind::announce, .prefix = prefix, .route = std::move(r)};
+  [[nodiscard]] static Update announce(PrefixId id, Route r) {
+    return Update{.kind = Kind::announce, .prefix_id = id, .route = std::move(r)};
   }
-  [[nodiscard]] static Update withdraw(const net::Prefix& prefix) {
-    return Update{.kind = Kind::withdraw, .prefix = prefix};
+  [[nodiscard]] static Update withdraw(PrefixId id) {
+    return Update{.kind = Kind::withdraw, .prefix_id = id};
   }
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 }  // namespace tango::bgp

@@ -40,16 +40,14 @@ bool erase_neighbor(std::vector<Entry>& entries, RouterId neighbor) {
 
 }  // namespace
 
-PrefixId BgpSpeaker::acquire(const net::Prefix& prefix) {
-  const PrefixId id = prefixes_->intern(prefix);
-  if (id >= records_.size()) records_.resize(prefixes_->size());
+PrefixId BgpSpeaker::acquire(PrefixId id) {
+  if (id >= records_.size()) {
+    if (id >= prefixes_->size()) {
+      throw std::out_of_range{"BgpSpeaker: prefix id not in its table"};
+    }
+    records_.resize(prefixes_->size());
+  }
   return id;
-}
-
-PrefixId BgpSpeaker::acquire(const Update& update) {
-  if (update.table != prefixes_) return acquire(update.prefix);
-  if (update.prefix_id >= records_.size()) records_.resize(prefixes_->size());
-  return update.prefix_id;
 }
 
 std::size_t BgpSpeaker::session_pos(RouterId neighbor) const noexcept {
@@ -130,7 +128,7 @@ void BgpSpeaker::originate(const net::Prefix& prefix, CommunitySet communities, 
   // since our own ASN is prepended on export, planting just the poisoned
   // ASNs suffices for their loop detection to fire.
   for (Asn p : poisoned) path = path.prepended(p);
-  const PrefixId id = acquire(prefix);
+  const PrefixId id = acquire(prefixes_->intern(prefix));
   records_[id].originated = std::make_unique<Route>(Route{.as_path = path,
                                                           .communities = std::move(communities),
                                                           .origin = origin,
@@ -160,13 +158,12 @@ void BgpSpeaker::receive(const Update& update) {
   const bool accepted =
       update.kind == Update::Kind::announce &&
       (options_.allow_own_asn_in || ExportPolicy::import_accepts(asn_, *update.route));
+  const PrefixId id = acquire(update.prefix_id);
   if (!accepted) {
-    const PrefixId id = record_id(update);
-    if (id != kNoPrefix && erase_neighbor(records_[id].candidates, update.from)) reprocess(id);
+    if (erase_neighbor(records_[id].candidates, update.from)) queue(id);
     return;
   }
 
-  const PrefixId id = acquire(update);
   std::vector<Route>& candidates = records_[id].candidates;
   auto pos = neighbor_pos(candidates, update.from);
   if (pos == candidates.end() || pos->learned_from != update.from) {
@@ -178,7 +175,7 @@ void BgpSpeaker::receive(const Update& update) {
   pos->learned_from_asn = sess->asn;
   pos->local_pref = sess->config.local_pref_in.value_or(default_local_pref(sess->config.rel));
   pos->session_preference = sess->config.preference;
-  reprocess(id);
+  queue(id);
 }
 
 std::vector<std::pair<RouterId, Update>> BgpSpeaker::drain_outbox() {
@@ -220,18 +217,14 @@ void BgpSpeaker::clear_fib_dirty() {
   fib_dirty_overflow_ = false;
 }
 
-void BgpSpeaker::reprocess(PrefixId id) {
-  if (!batching_) {
-    reprocess_now(id);
-    return;
-  }
+void BgpSpeaker::queue(PrefixId id) {
   PrefixRecord& record = records_[id];
   if (record.queued) return;
   record.queued = true;
   batch_.push_back(id);
 }
 
-void BgpSpeaker::reprocess_now(PrefixId id) {
+void BgpSpeaker::reprocess(PrefixId id) {
   PrefixRecord& record = records_[id];
   // Zero-copy decision pass: the candidates and the origination are read in
   // place.
@@ -250,13 +243,11 @@ void BgpSpeaker::reprocess_now(PrefixId id) {
 }
 
 void BgpSpeaker::commit_batch() {
-  batching_ = false;
-  if (batch_.empty()) return;
   // One decision pass per distinct prefix, in deterministic prefix order.
-  sort_by_prefix(batch_);
+  if (batch_.size() > 1) sort_by_prefix(batch_);
   for (PrefixId id : batch_) {
     records_[id].queued = false;
-    reprocess_now(id);
+    reprocess(id);
   }
   batch_.clear();
 }
@@ -321,11 +312,7 @@ void BgpSpeaker::sync_exports(PrefixId id, std::size_t first, std::size_t last) 
 }
 
 void BgpSpeaker::send(RouterId neighbor, PrefixId id, const Route* route) {
-  Update update{.kind = Update::Kind::withdraw,
-                .from = id_,
-                .prefix_id = id,
-                .table = prefixes_,
-                .prefix = prefix(id)};
+  Update update{.kind = Update::Kind::withdraw, .from = id_, .prefix_id = id};
   if (route != nullptr) {
     update.kind = Update::Kind::announce;
     update.route = *route;

@@ -3,15 +3,18 @@
 //
 // Storage: one PrefixRecord per prefix (Adj-RIB-In candidates, origination,
 // Loc-RIB best route, Adj-RIB-Out, FIB-dirty and batch marks) in a dense
-// array indexed by the network's PrefixTable ids.  An UPDATE from another
-// speaker of the network names its prefix by that shared id, so it costs no
-// prefix lookup; only originations, standalone speakers and hand-built or
-// wire-parsed updates look the prefix up.  Ids are permanent, so the speaker
-// holds none: its array covers every id below its length, and a record that
-// empties stays.
+// array indexed by the ids of the PrefixTable the speaker is given.  Every
+// UPDATE names its prefix by such an id, so receiving one costs no prefix
+// lookup; only originations look a prefix up (a message naming its prefix by
+// value enters through BgpNetwork::receive, which interns it).  Ids are
+// permanent, so the speaker holds none: its array covers every id below its
+// length, and a record that empties stays.
+//
+// One decision path: receive() maintains the Adj-RIB-In and queues the
+// prefix, and commit_batch() runs one decision pass per queued prefix.
+// Originations, withdrawals of them and session teardowns decide at once.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -48,13 +51,6 @@ struct SessionConfig {
 
 class BgpSpeaker {
  public:
-  /// A standalone speaker with a prefix table of its own.
-  BgpSpeaker(RouterId id, Asn asn, SpeakerOptions options = {})
-      : id_{id},
-        asn_{asn},
-        options_{options},
-        own_prefixes_{std::make_unique<PrefixTable>()},
-        prefixes_{own_prefixes_.get()} {}
   /// A speaker drawing prefix ids from `prefixes`, the table it shares with
   /// the other speakers of its network; the table must outlive it.
   BgpSpeaker(RouterId id, Asn asn, SpeakerOptions options, PrefixTable& prefixes)
@@ -100,27 +96,18 @@ class BgpSpeaker {
 
   // --- Message processing --------------------------------------------------
 
-  /// Handles one incoming UPDATE from a neighbor (import policy, RIB
-  /// maintenance, decision process, export generation).  Inside a batch
-  /// (see begin_batch) the decision pass is deferred to commit_batch.
+  /// Handles one incoming UPDATE from a neighbor: import policy and
+  /// Adj-RIB-In maintenance, then queues the prefix for commit_batch.  It
+  /// decides nothing.  `update.prefix_id` must be an id of this speaker's
+  /// table; any other throws std::out_of_range.
   void receive(const Update& update);
 
-  // --- Batched re-decide ----------------------------------------------------
-  // A burst of UPDATEs frequently touches the same prefix many times (storm
-  // replays, session bring-up, path hunting).  Batching coalesces the burst:
-  // receive() performs only RIB maintenance and records the touched prefix;
-  // commit_batch() then runs ONE decision pass per distinct prefix.  The
-  // converged state is identical to unbatched delivery; only the number of
-  // intermediate decision passes and transient exports shrinks.
-
-  /// Starts deferring decision passes.  Idempotent.
-  void begin_batch() noexcept { batching_ = true; }
-
-  /// Runs the deferred decision passes (one per distinct touched prefix, in
-  /// prefix order) and leaves batching mode.
+  /// Runs the queued decision passes, one per distinct prefix, in prefix
+  /// order; each changed best route is marked FIB-dirty and exported.
+  /// Committing after every UPDATE runs the passes an immediate decision
+  /// would; committing once after a burst coalesces repeated touches of a
+  /// prefix into one pass and suppresses the transient exports.
   void commit_batch();
-
-  [[nodiscard]] bool batching() const noexcept { return batching_; }
 
   /// Pending outbound updates as (target router, update) pairs; draining
   /// them transfers ownership to the transport (BgpNetwork).
@@ -202,27 +189,19 @@ class BgpSpeaker {
     const PrefixId id = prefixes_->find(prefix);
     return id < records_.size() ? id : kNoPrefix;
   }
-  /// Id of the prefix `update` names when the speaker has a record for it,
-  /// else kNoPrefix.  An update drawn from this speaker's table names it by
-  /// the sender's id, with no lookup; any other by its prefix.
-  [[nodiscard]] PrefixId record_id(const Update& update) const {
-    if (update.table != prefixes_) return record_id(update.prefix);
-    return update.prefix_id < records_.size() ? update.prefix_id : kNoPrefix;
-  }
-  /// Id of `prefix`, interned, with the record array grown to cover it.
-  PrefixId acquire(const net::Prefix& prefix);
-  /// The same for the prefix `update` names (by id, as record_id does).
-  PrefixId acquire(const Update& update);
+  /// `id`, with the record array grown to the table's size to cover it.
+  /// Throws std::out_of_range for an id the table never issued.
+  PrefixId acquire(PrefixId id);
   /// Sorts `ids` by prefix: the order of every walk that decides message order.
   void sort_by_prefix(std::vector<PrefixId>& ids) const;
   /// Ids with a Loc-RIB entry, in prefix order.
   [[nodiscard]] std::vector<PrefixId> best_ids() const;
 
+  /// Queues `id`'s record for commit_batch (once per batch).
+  void queue(PrefixId id);
   /// Re-runs the decision process for `id`; on change, records the prefix
-  /// as FIB-dirty and refreshes exports to every neighbor.  Inside a batch
-  /// the pass is deferred (the record is queued for commit_batch).
+  /// as FIB-dirty and refreshes exports to every neighbor.
   void reprocess(PrefixId id);
-  void reprocess_now(PrefixId id);
   void note_fib_dirty(PrefixId id);
 
   struct Session {
@@ -250,7 +229,6 @@ class BgpSpeaker {
   RouterId id_;
   Asn asn_;
   SpeakerOptions options_;
-  std::unique_ptr<PrefixTable> own_prefixes_;  ///< standalone speakers only
   PrefixTable* prefixes_;
   /// Sorted by neighbor: the export fan-out walks sessions in router-id order.
   std::vector<Session> sessions_;
@@ -261,7 +239,6 @@ class BgpSpeaker {
   std::vector<PrefixId> fib_dirty_;
   std::uint32_t fib_generation_ = 1;  ///< records marked with it are in fib_dirty_
   bool fib_dirty_overflow_ = false;
-  bool batching_ = false;
   std::vector<PrefixId> batch_;  ///< queued records, re-decided by commit_batch
   /// sync_exports' per-pass results, one per distinct prepend count.
   std::vector<std::pair<int, Route>> exports_;

@@ -152,17 +152,17 @@ std::vector<std::uint8_t> encode_notification(const NotificationMessage& n) {
   return finish(std::move(w));
 }
 
-std::vector<std::uint8_t> encode_update(const Update& update,
+std::vector<std::uint8_t> encode_update(const net::Prefix& prefix, const Update& update,
                                         const net::IpAddress& next_hop) {
   net::ByteWriter w{256};
   write_header(w, MessageType::update);
 
-  const bool v6 = update.prefix.is_v6();
+  const bool v6 = prefix.is_v6();
   const bool announce = update.kind == Update::Kind::announce;
 
   // Withdrawn routes (classic field: IPv4 only).
   net::ByteWriter withdrawn;
-  if (!announce && !v6) write_prefix_v4(withdrawn, update.prefix.v4());
+  if (!announce && !v6) write_prefix_v4(withdrawn, prefix.v4());
   const auto withdrawn_bytes = std::move(withdrawn).take();
   w.u16(static_cast<std::uint16_t>(withdrawn_bytes.size()));
   w.bytes(withdrawn_bytes);
@@ -209,7 +209,7 @@ std::vector<std::uint8_t> encode_update(const Update& update,
       mp.u8(16);  // next hop length
       mp.bytes(next_hop.v6().bytes());
       mp.u8(0);  // reserved
-      write_prefix_v6(mp, update.prefix.v6());
+      write_prefix_v6(mp, prefix.v6());
       write_attribute(attrs, kFlagOptional, AttrType::mp_reach_nlri, mp.view());
     }
   } else if (v6) {
@@ -218,7 +218,7 @@ std::vector<std::uint8_t> encode_update(const Update& update,
     mp.u8(kAfiIpv6Hi);
     mp.u8(kAfiIpv6Lo);
     mp.u8(kSafiUnicast);
-    write_prefix_v6(mp, update.prefix.v6());
+    write_prefix_v6(mp, prefix.v6());
     write_attribute(attrs, kFlagOptional, AttrType::mp_unreach_nlri, mp.view());
   }
   const auto attr_bytes = std::move(attrs).take();
@@ -226,7 +226,7 @@ std::vector<std::uint8_t> encode_update(const Update& update,
   w.bytes(attr_bytes);
 
   // Classic NLRI (IPv4 announcements).
-  if (announce && !v6) write_prefix_v4(w, update.prefix.v4());
+  if (announce && !v6) write_prefix_v4(w, prefix.v4());
 
   return finish(std::move(w));
 }
@@ -303,7 +303,7 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
   }
 
   // --- UPDATE ---------------------------------------------------------------
-  net::Prefix prefix;  // the message's NLRI (the last one wins)
+  net::Prefix& prefix = out.prefix;  // the message's NLRI (the last one wins)
   Route route;
   std::vector<Community> communities;  // every COMMUNITIES attribute, unioned
   bool saw_announce_v4 = false;
@@ -415,13 +415,13 @@ ParsedMessage parse_message_impl(std::span<const std::uint8_t> bytes) {
   if (saw_announce_v4 && saw_mp_reach) throw WireError{"mixed v4 and MP NLRI"};
 
   if (saw_withdraw && !saw_announce_v4 && !saw_mp_reach) {
-    out.update = Update::withdraw(prefix);
+    out.update = Update::withdraw(kNoPrefix);
     return out;
   }
   if (!saw_announce_v4 && !saw_mp_reach) throw WireError{"update carries no NLRI"};
 
   route.communities = CommunitySet{std::move(communities)};
-  out.update = Update::announce(prefix, std::move(route));
+  out.update = Update::announce(kNoPrefix, std::move(route));
   return out;
 }
 
@@ -440,13 +440,12 @@ ParsedMessage parse_message(std::span<const std::uint8_t> bytes) {
   }
 }
 
-Update roundtrip_update(const Update& update, const net::IpAddress& next_hop) {
-  const auto bytes = encode_update(update, next_hop);
-  ParsedMessage parsed = parse_message(bytes);
+ParsedMessage roundtrip_update(const net::Prefix& prefix, const Update& update,
+                               const net::IpAddress& next_hop) {
+  ParsedMessage parsed = parse_message(encode_update(prefix, update, next_hop));
   if (!parsed.update) throw WireError{"roundtrip produced a non-update"};
-  Update out = std::move(*parsed.update);
-  out.from = update.from;  // session identity is transport-level, not in-message
-  return out;
+  parsed.update->from = update.from;  // session identity is transport-level, not in-message
+  return parsed;
 }
 
 }  // namespace tango::bgp::wire

@@ -5,7 +5,9 @@
 // BgpNetwork::set_wire_transport(true) serializes every UPDATE through this
 // encoder and re-parses it at the receiver, so the byte format is exercised
 // by the full control plane (and the paper's setup — a BIRD instance talking
-// standard BGP to Vultr's routers — could interoperate with it).
+// standard BGP to Vultr's routers — could interoperate with it).  An Update
+// names its prefix by a table id, which means nothing on the wire, so the
+// codec takes and returns the prefix beside it.
 //
 // Scope notes, reflecting what the simulation model carries:
 //  * AS_PATH is a single AS_SEQUENCE of 4-octet ASNs (AS4 capability
@@ -87,10 +89,11 @@ class WireError : public std::runtime_error {
 [[nodiscard]] std::vector<std::uint8_t> encode_keepalive();
 [[nodiscard]] std::vector<std::uint8_t> encode_notification(const NotificationMessage& n);
 
-/// Serializes one simulator Update (announce or withdraw).  `next_hop`
-/// supplies the mandatory NEXT_HOP / MP next-hop (the sender's session
-/// address).
-[[nodiscard]] std::vector<std::uint8_t> encode_update(const Update& update,
+/// Serializes one simulator Update (announce or withdraw) of `prefix`; its
+/// prefix_id is not read.  `next_hop` supplies the mandatory NEXT_HOP / MP
+/// next-hop (the sender's session address).
+[[nodiscard]] std::vector<std::uint8_t> encode_update(const net::Prefix& prefix,
+                                                      const Update& update,
                                                       const net::IpAddress& next_hop);
 
 // --- Decoding ---------------------------------------------------------------
@@ -99,7 +102,9 @@ class WireError : public std::runtime_error {
 struct ParsedMessage {
   MessageType type = MessageType::keepalive;
   std::optional<OpenMessage> open;
-  std::optional<Update> update;           ///< for UPDATE messages
+  /// For UPDATE messages: the update, with no prefix id, and its prefix.
+  std::optional<Update> update;
+  net::Prefix prefix;
   std::optional<NotificationMessage> notification;
   /// NEXT_HOP / MP next-hop carried by an UPDATE.
   std::optional<net::IpAddress> next_hop;
@@ -110,8 +115,10 @@ struct ParsedMessage {
 /// attribute layout).
 [[nodiscard]] ParsedMessage parse_message(std::span<const std::uint8_t> bytes);
 
-/// Convenience: encode then parse must reproduce the update; used by the
-/// wire-transport mode of BgpNetwork and by property tests.
-[[nodiscard]] Update roundtrip_update(const Update& update, const net::IpAddress& next_hop);
+/// Encodes `update` of `prefix`, parses the bytes back and restores the
+/// sender (session identity is not in the message): a test convenience.
+/// The result carries no prefix id; its prefix is the parsed one.
+[[nodiscard]] ParsedMessage roundtrip_update(const net::Prefix& prefix, const Update& update,
+                                             const net::IpAddress& next_hop);
 
 }  // namespace tango::bgp::wire

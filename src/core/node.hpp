@@ -61,9 +61,10 @@ class TangoNode {
   /// activates the first (BGP-default) path for that peer.
   ///
   /// `first_id` makes path ids globally unique across a multi-peer
-  /// cooperation set (a TangoMesh assigns disjoint ranges per ordered pair;
-  /// both endpoints cooperate, so coordinated ids live in the static
-  /// config and the wire format stays minimal).  `mechanism` selects
+  /// cooperation set (both endpoints cooperate, so coordinated ids live in
+  /// the static config and the wire format stays minimal).  A TangoMesh does
+  /// not call this: it renumbers each direction's paths from its
+  /// PathIdAllocator and installs them through install_outbound().  `mechanism` selects
   /// community-based steering (the paper's prototype) or AS-path poisoning.
   /// `pool_override` restricts which of the peer's prefixes this direction
   /// may consume (a TangoMesh slices each site's pool across its inbound

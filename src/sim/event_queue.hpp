@@ -25,9 +25,9 @@ namespace tango::sim {
 class EventQueue {
  public:
   /// Small-buffer-optimized callable: sized so a WAN forwarding hop
-  /// ({Wan*, RouterId, Packet with cached flow key}) stays inline and
-  /// scheduling it never heap-allocates.  Larger captures transparently
-  /// fall back to the heap.
+  /// ({Wan*, next router's index, PrefixId, epoch, Packet with cached flow
+  /// key}, 88 bytes) stays inline and scheduling it never heap-allocates.
+  /// Larger captures transparently fall back to the heap.
   using Action = InlineFunction<120>;
 
   enum class Backend : std::uint8_t { timing_wheel, binary_heap };

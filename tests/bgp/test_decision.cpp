@@ -129,20 +129,31 @@ void add_customers(BgpSpeaker& sp) {
   }
 }
 
-void announce(BgpSpeaker& sp, RouterId from, std::initializer_list<Asn> path) {
-  Update u = Update::announce(pfx("2001:db8::/32"), Route{.as_path = AsPath{path}});
-  u.from = from;
-  sp.receive(u);
-}
+/// A lone speaker, router 1 of AS 100, drawing ids from a table of its own.
+/// Its helpers deliver one UPDATE for 2001:db8::/32 as unbatched delivery
+/// does: receive, then commit.
+class SpeakerRib : public testing::Test {
+ protected:
+  void announce(BgpSpeaker& speaker, RouterId from, std::initializer_list<Asn> path) {
+    Update u =
+        Update::announce(table.intern(pfx("2001:db8::/32")), Route{.as_path = AsPath{path}});
+    u.from = from;
+    speaker.receive(u);
+    speaker.commit_batch();
+  }
 
-void withdraw(BgpSpeaker& sp, RouterId from) {
-  Update u = Update::withdraw(pfx("2001:db8::/32"));
-  u.from = from;
-  sp.receive(u);
-}
+  void withdraw(BgpSpeaker& speaker, RouterId from) {
+    Update u = Update::withdraw(table.intern(pfx("2001:db8::/32")));
+    u.from = from;
+    speaker.receive(u);
+    speaker.commit_batch();
+  }
 
-TEST(SpeakerRib, PutReplacesPerNeighbor) {
-  BgpSpeaker sp{1, 100};
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
+};
+
+TEST_F(SpeakerRib, PutReplacesPerNeighbor) {
   add_customers(sp);
   announce(sp, 7, {1, 2});
   announce(sp, 7, {1, 9});  // same neighbor: replace
@@ -154,8 +165,7 @@ TEST(SpeakerRib, PutReplacesPerNeighbor) {
   EXPECT_EQ(candidates[1].learned_from, 8u);
 }
 
-TEST(SpeakerRib, EraseAndEraseNeighbor) {
-  BgpSpeaker sp{1, 100};
+TEST_F(SpeakerRib, EraseAndEraseNeighbor) {
   add_customers(sp);
   announce(sp, 7, {1});
   announce(sp, 8, {2});
@@ -171,8 +181,7 @@ TEST(SpeakerRib, EraseAndEraseNeighbor) {
   EXPECT_EQ(sp.prefix_table().find(pfx("2001:db8::/32")), 0u);
 }
 
-TEST(SpeakerRib, SetReportsChange) {
-  BgpSpeaker sp{1, 100};
+TEST_F(SpeakerRib, SetReportsChange) {
   add_customers(sp);
   // A best-route change shows as a FIB-dirty id and exports to 8 and 9.
   announce(sp, 7, {1, 2});

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "gao_rexford_oracle.hpp"
@@ -238,7 +239,8 @@ TEST(PrefixRecords, WindowOverflowingTheDirtyLimit) {
 // A prefix announced and withdrawn inside one batch never reaches the
 // decision process; its record empties at commit and keeps its id.
 TEST(PrefixRecords, RecordRetiredWhileQueuedInBatch) {
-  BgpSpeaker sp{1, 100};
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
   sp.add_session(7, 700, SessionConfig{.rel = Relationship::customer});
   sp.add_session(8, 800, SessionConfig{.rel = Relationship::customer});
   const auto deliver = [&sp](Update u) {
@@ -249,13 +251,12 @@ TEST(PrefixRecords, RecordRetiredWhileQueuedInBatch) {
   const net::Prefix other = pfx("2001:db8:2::/48");
   const Route route{.as_path = AsPath{700}};
 
-  sp.begin_batch();
-  deliver(Update::announce(prefix, route));
-  deliver(Update::withdraw(prefix));
-  const PrefixId id = sp.prefix_table().find(prefix);
+  const PrefixId id = table.intern(prefix);
+  deliver(Update::announce(id, route));
+  deliver(Update::withdraw(id));
   EXPECT_EQ(sp.prefix_table().size(), 1u) << "the prefix is interned";
-  deliver(Update::announce(other, route));
-  const PrefixId other_id = sp.prefix_table().find(other);
+  const PrefixId other_id = table.intern(other);
+  deliver(Update::announce(other_id, route));
   EXPECT_NE(other_id, id);
   sp.commit_batch();
 
@@ -271,42 +272,42 @@ TEST(PrefixRecords, RecordRetiredWhileQueuedInBatch) {
   const auto out = sp.drain_outbox();
   ASSERT_EQ(out.size(), 1u) << "one announcement of the survivor, to 8";
   EXPECT_EQ(out.front().first, 8u);
-  EXPECT_EQ(out.front().second.prefix, other);
+  EXPECT_EQ(out.front().second.prefix_id, other_id);
 }
 
 // Ids follow first arrival, not prefix order, so every walk whose order
-// decides message order must sort: the export walk of a new session, a
-// batch's commit and the reprocess pass after a teardown.
+// decides message order must sort: the export walk of a new session, the
+// commit of received updates and the reprocess pass after a teardown.
 TEST(PrefixRecords, MessageOrderIsPrefixOrderNotIdOrder) {
   const std::vector<net::Prefix> descending{pfx("2001:db8:3::/48"), pfx("2001:db8:2::/48"),
                                             pfx("2001:db8:1::/48")};
   const std::vector<net::Prefix> ascending(descending.rbegin(), descending.rend());
   const auto sent_prefixes = [](BgpSpeaker& sp) {
     std::vector<net::Prefix> out;
-    for (const auto& [to, update] : sp.drain_outbox()) out.push_back(update.prefix);
+    for (const auto& [to, update] : sp.drain_outbox()) {
+      out.push_back(sp.prefix(update.prefix_id));
+    }
     return out;
   };
 
-  BgpSpeaker sp{1, 100};
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
   for (const net::Prefix& p : descending) sp.originate(p);
   ASSERT_EQ(sp.prefix_table().find(descending.front()), 0u);
   sp.add_session(8, 800, SessionConfig{.rel = Relationship::customer});
   EXPECT_EQ(sent_prefixes(sp), ascending) << "add_session's export walk";
 
-  sp.begin_batch();
-  for (const net::Prefix& p : descending) sp.originate(p, CommunitySet{Community{1, 1}});
-  sp.commit_batch();
-  EXPECT_EQ(sent_prefixes(sp), ascending) << "commit_batch";
-
   sp.add_session(7, 700, SessionConfig{.rel = Relationship::customer});
   sent_prefixes(sp);
   for (const net::Prefix& p : descending) sp.withdraw_origin(p);
+  sent_prefixes(sp);
   for (const net::Prefix& p : descending) {
-    Update u = Update::announce(p, Route{.as_path = AsPath{700}});
+    Update u = Update::announce(table.find(p), Route{.as_path = AsPath{700}});
     u.from = 7;
     sp.receive(u);
   }
-  sent_prefixes(sp);
+  sp.commit_batch();
+  EXPECT_EQ(sent_prefixes(sp), ascending) << "commit_batch";
   sp.remove_session(7);
   EXPECT_EQ(sent_prefixes(sp), ascending) << "the withdrawals after a teardown";
 }
@@ -342,17 +343,29 @@ TEST(PrefixRecords, TwoNetworksKeepIndependentIds) {
   EXPECT_EQ(b.prefix_table().find(r), 2u);
   EXPECT_EQ(b.best_route(2, p)->learned_from, 1u);
 
-  BgpSpeaker standalone{9, 900};
-  standalone.originate(r);
-  EXPECT_EQ(standalone.prefix_table().find(r), 0u) << "a standalone speaker has its own table";
-  EXPECT_EQ(a.prefix_table().size(), 3u);
+  // A message from a enters b through b's door, which names its prefix in
+  // b's table: after b's own t, s draws b's id 4 where a gave it 3.
+  const net::Prefix s = pfx("2001:db8:4::/48");
+  const net::Prefix t = pfx("2001:db8:5::/48");
+  b.originate(1, t);
+  a.router(1).originate(s);
+  for (const auto& [to, update] : a.router(1).drain_outbox()) {
+    b.receive(to, a.prefix_table().prefix(update.prefix_id), update);
+    b.router(to).commit_batch();
+  }
+  EXPECT_EQ(a.prefix_table().find(s), 3u);
+  EXPECT_EQ(b.prefix_table().find(s), 4u);
+  EXPECT_EQ(a.prefix_table().find(t), kNoPrefix) << "b's prefixes stay out of a's table";
+  ASSERT_NE(b.best_route(2, s), nullptr);
+  EXPECT_EQ(b.best_route(2, s)->learned_from, 1u);
+  EXPECT_EQ(b.best_route(2, t)->learned_from, 1u);
 }
 
-// An UPDATE names its prefix by the sender's id, which only a speaker drawing
-// from the sender's table may honour.  Two networks that interned the same
-// prefixes in different orders give them crossed ids, so a speaker handed the
-// other network's message must look the prefix up; honouring the foreign id
-// would file q's route under p.
+// An UPDATE names its prefix by an id of its own network's table.  Two
+// networks that interned the same prefixes in different orders give them
+// crossed ids, so a message passed from one to the other must enter through
+// the receiver's door, which names the prefix in the receiver's table;
+// honouring the sender's id would file q's route under p.
 TEST(PrefixRecords, ForeignMessageResolvesByPrefix) {
   const net::Prefix p = pfx("2001:db8:1::/48");
   const net::Prefix q = pfx("2001:db8:2::/48");
@@ -373,22 +386,64 @@ TEST(PrefixRecords, ForeignMessageResolvesByPrefix) {
   const auto sent = a.router(1).drain_outbox();
   ASSERT_EQ(sent.size(), 2u);
   for (const auto& [to, update] : sent) {
-    EXPECT_EQ(update.table, &a.prefix_table());
-    EXPECT_EQ(update.prefix_id, a.prefix_table().find(update.prefix)) << "the sender's id";
-    b.router(to).receive(update);
+    b.receive(to, a.prefix_table().prefix(update.prefix_id), update);
   }
+  b.router(2).commit_batch();
   ASSERT_NE(b.best_route(2, q), nullptr);
   ASSERT_NE(b.best_route(2, p), nullptr);
   EXPECT_EQ(b.best_route(2, q)->communities, tagged);
   EXPECT_TRUE(b.best_route(2, p)->communities.empty());
+  EXPECT_EQ(b.prefix_table().size(), 2u) << "the door interned nothing new";
+}
 
-  // A standalone speaker's table is foreign to every network.
-  BgpSpeaker standalone{2, 200};
-  standalone.add_session(1, 100, SessionConfig{.rel = Relationship::customer});
-  for (const auto& [to, update] : sent) standalone.receive(update);
-  EXPECT_EQ(standalone.prefix_table().find(p), 0u);
-  ASSERT_NE(standalone.best_route(q), nullptr);
-  EXPECT_EQ(standalone.best_route(q)->communities, tagged);
+// receive() maintains the Adj-RIB-In and queues the prefix; only
+// commit_batch() decides, marks the prefix FIB-dirty and exports.
+TEST(PrefixRecords, ReceiveDecidesNothingBeforeCommit) {
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
+  sp.add_session(7, 700, SessionConfig{.rel = Relationship::customer});
+  sp.add_session(8, 800, SessionConfig{.rel = Relationship::customer});
+  const PrefixId id = table.intern(pfx("2001:db8:1::/48"));
+
+  Update announce = Update::announce(id, Route{.as_path = AsPath{700}});
+  announce.from = 7;
+  sp.receive(announce);
+  EXPECT_EQ(sp.candidates(table.prefix(id)).size(), 1u) << "the Adj-RIB-In is kept at once";
+  EXPECT_EQ(sp.best_route(id), nullptr);
+  EXPECT_TRUE(sp.fib_dirty().empty());
+  EXPECT_TRUE(sp.outbox_empty());
+  sp.commit_batch();
+  ASSERT_NE(sp.best_route(id), nullptr);
+  EXPECT_EQ(sp.best_route(id)->learned_from, 7u);
+  EXPECT_EQ(sp.fib_dirty(), std::vector<PrefixId>{id});
+  EXPECT_EQ(sp.drain_outbox().size(), 1u) << "one announcement, to 8";
+
+  sp.clear_fib_dirty();
+  Update withdraw = Update::withdraw(id);
+  withdraw.from = 7;
+  sp.receive(withdraw);
+  EXPECT_NE(sp.best_route(id), nullptr);
+  EXPECT_TRUE(sp.fib_dirty().empty());
+  sp.commit_batch();
+  EXPECT_EQ(sp.best_route(id), nullptr);
+  EXPECT_EQ(sp.fib_dirty(), std::vector<PrefixId>{id});
+}
+
+// An id the speaker's table never issued is refused, never indexed.
+TEST(PrefixRecords, UnissuedIdThrows) {
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
+  sp.add_session(7, 700, SessionConfig{.rel = Relationship::customer});
+  ASSERT_EQ(table.intern(pfx("2001:db8:1::/48")), 0u);
+  for (const PrefixId id : {PrefixId{1}, kNoPrefix}) {
+    for (Update update : {Update::announce(id, Route{.as_path = AsPath{700}}),
+                          Update::withdraw(id)}) {
+      update.from = 7;
+      EXPECT_THROW(sp.receive(update), std::out_of_range) << id;
+    }
+  }
+  EXPECT_EQ(sp.record(pfx("2001:db8:1::/48")), nullptr) << "nothing was grown";
+  EXPECT_TRUE(sp.outbox_empty());
 }
 
 /// A random set of nested prefixes of both families: short roots and longer

@@ -130,6 +130,9 @@ TEST(RibEquivalence, DeliveryByIdMatchesDeliveryByPrefix) {
 TEST(BgpMemoryBudget, FloodedMeshBytesPerRecord) {
   EXPECT_LE(sizeof(Route), 40u);
   EXPECT_LE(sizeof(Advertised), 24u);
+  // An UPDATE names its prefix by id only.
+  EXPECT_LE(sizeof(Update), 64u);
+  EXPECT_LE((sizeof(std::pair<RouterId, Update>)), 72u);
   topo::Topology topo;
   topo::generate_mesh(topo, topo::MeshParams{.seed = 1});
   BgpNetwork& net = topo.bgp();
@@ -177,10 +180,11 @@ TEST(InternedAttributes, EqualContentFromEveryConstructorIsOneHandle) {
 
   // The wire decoder rebuilds both attributes from bytes.
   Route route{.as_path = literal, .communities = set};
-  Update update = Update::announce(pfx("2001:db8:1::/48"), route);
+  Update update = Update::announce(kNoPrefix, route);
   update.from = 7;
-  const Update rebuilt = wire::roundtrip_update(
-      update, net::IpAddress{*net::Ipv6Address::parse("2001:db8::1")});
+  const net::IpAddress next_hop{*net::Ipv6Address::parse("2001:db8::1")};
+  const Update rebuilt =
+      *wire::roundtrip_update(pfx("2001:db8:1::/48"), update, next_hop).update;
   ASSERT_TRUE(rebuilt.route.has_value());
   EXPECT_EQ(rebuilt.route->as_path, literal);
   EXPECT_EQ(rebuilt.route->communities, set);
@@ -217,7 +221,8 @@ TEST(InternedAttributes, TablesEmptyOnceEveryNetworkAndRouteIsGone) {
 }
 
 TEST(FibDirty, OnePrefixTouchedManyTimesIsRecordedOnce) {
-  BgpSpeaker sp{1, 100};
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
   for (int i = 0; i < 2000; ++i) {
     sp.originate(nth_v4(0), CommunitySet{Community{1, static_cast<std::uint16_t>(i % 2)}});
   }
@@ -236,7 +241,8 @@ TEST(FibDirty, OnePrefixTouchedManyTimesIsRecordedOnce) {
 }
 
 TEST(FibDirty, LimitCountsDistinctPrefixes) {
-  BgpSpeaker sp{1, 100};
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
   for (std::uint32_t i = 0; i < BgpSpeaker::kFibDirtyLimit; ++i) {
     sp.originate(nth_v4(i));
     sp.withdraw_origin(nth_v4(i));

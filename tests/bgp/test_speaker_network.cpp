@@ -256,8 +256,9 @@ TEST(BgpNetwork, MessageLimitGuards) {
 }
 
 TEST(BgpSpeaker, UpdateFromUnknownSessionIgnored) {
-  BgpSpeaker sp{1, 100};
-  Update u = Update::announce(kP, Route{.as_path = AsPath{200}});
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
+  Update u = Update::announce(table.intern(kP), Route{.as_path = AsPath{200}});
   u.from = 99;
   sp.receive(u);  // must not crash or store anything
   EXPECT_EQ(sp.loc_rib().size(), 0u);
@@ -265,7 +266,8 @@ TEST(BgpSpeaker, UpdateFromUnknownSessionIgnored) {
 }
 
 TEST(BgpSpeaker, SessionWithSelfThrows) {
-  BgpSpeaker sp{1, 100};
+  PrefixTable table;
+  BgpSpeaker sp{1, 100, {}, table};
   EXPECT_THROW(sp.add_session(1, 100, SessionConfig{}), std::invalid_argument);
 }
 

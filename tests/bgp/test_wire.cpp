@@ -16,13 +16,15 @@ namespace {
 const net::IpAddress kV6NextHop{*net::Ipv6Address::parse("fe80::1")};
 const net::IpAddress kV4NextHop{net::Ipv4Address{10, 0, 0, 1}};
 
+const net::Prefix kSampleV6 = *net::Prefix::parse("2620:110:9011::/48");
+
 Update sample_announce_v6() {
   Route route{.as_path = AsPath{20473, 2914, 20473},
               .communities = CommunitySet{action::do_not_announce_to(2914)},
               .origin = Origin::igp,
               .med = 50,
               .local_pref = 100};
-  return Update::announce(*net::Prefix::parse("2620:110:9011::/48"), std::move(route));
+  return Update::announce(kNoPrefix, std::move(route));
 }
 
 TEST(WireKeepalive, GoldenBytes) {
@@ -68,13 +70,13 @@ TEST(WireNotification, RoundTrip) {
 
 TEST(WireUpdate, V6AnnounceRoundTrip) {
   const Update original = sample_announce_v6();
-  const auto bytes = encode_update(original, kV6NextHop);
+  const auto bytes = encode_update(kSampleV6, original, kV6NextHop);
   const ParsedMessage parsed = parse_message(bytes);
   ASSERT_EQ(parsed.type, MessageType::update);
   ASSERT_TRUE(parsed.update.has_value());
   const Update& got = *parsed.update;
   EXPECT_EQ(got.kind, Update::Kind::announce);
-  EXPECT_EQ(got.prefix, original.prefix);
+  EXPECT_EQ(parsed.prefix, kSampleV6);
   EXPECT_EQ(got.route->as_path, original.route->as_path);
   EXPECT_EQ(got.route->origin, original.route->origin);
   EXPECT_EQ(got.route->communities, original.route->communities);
@@ -84,39 +86,41 @@ TEST(WireUpdate, V6AnnounceRoundTrip) {
 }
 
 TEST(WireUpdate, V6WithdrawRoundTrip) {
-  const Update original = Update::withdraw(*net::Prefix::parse("2620:110:9013::/48"));
-  const ParsedMessage parsed = parse_message(encode_update(original, kV6NextHop));
+  const net::Prefix prefix = *net::Prefix::parse("2620:110:9013::/48");
+  const ParsedMessage parsed =
+      parse_message(encode_update(prefix, Update::withdraw(kNoPrefix), kV6NextHop));
   ASSERT_TRUE(parsed.update.has_value());
   EXPECT_EQ(parsed.update->kind, Update::Kind::withdraw);
-  EXPECT_EQ(parsed.update->prefix, original.prefix);
+  EXPECT_EQ(parsed.prefix, prefix);
 }
 
 TEST(WireUpdate, V4AnnounceAndWithdrawRoundTrip) {
   Route route{.as_path = AsPath{64512}, .origin = Origin::egp, .med = 7, .local_pref = 200};
-  const Update announce = Update::announce(*net::Prefix::parse("203.0.113.0/24"), route);
-  const ParsedMessage got_a = parse_message(encode_update(announce, kV4NextHop));
+  const net::Prefix prefix = *net::Prefix::parse("203.0.113.0/24");
+  const Update announce = Update::announce(kNoPrefix, route);
+  const ParsedMessage got_a = parse_message(encode_update(prefix, announce, kV4NextHop));
   ASSERT_TRUE(got_a.update.has_value());
   EXPECT_EQ(got_a.update->kind, Update::Kind::announce);
-  EXPECT_EQ(got_a.update->prefix, announce.prefix);
+  EXPECT_EQ(got_a.prefix, prefix);
   EXPECT_EQ(got_a.update->route->origin, Origin::egp);
   EXPECT_EQ(got_a.next_hop, kV4NextHop);
 
-  const Update withdraw = Update::withdraw(*net::Prefix::parse("203.0.113.0/24"));
-  const ParsedMessage got_w = parse_message(encode_update(withdraw, kV4NextHop));
+  const ParsedMessage got_w =
+      parse_message(encode_update(prefix, Update::withdraw(kNoPrefix), kV4NextHop));
   EXPECT_EQ(got_w.update->kind, Update::Kind::withdraw);
-  EXPECT_EQ(got_w.update->prefix, withdraw.prefix);
+  EXPECT_EQ(got_w.prefix, prefix);
 }
 
 TEST(WireUpdate, NextHopFamilyValidated) {
-  EXPECT_THROW(encode_update(sample_announce_v6(), kV4NextHop), WireError);
+  EXPECT_THROW(encode_update(kSampleV6, sample_announce_v6(), kV4NextHop), WireError);
   Route v4{.as_path = AsPath{1}};
-  EXPECT_THROW(encode_update(Update::announce(*net::Prefix::parse("203.0.113.0/24"), v4),
-                             kV6NextHop),
+  EXPECT_THROW(encode_update(*net::Prefix::parse("203.0.113.0/24"),
+                             Update::announce(kNoPrefix, v4), kV6NextHop),
                WireError);
 }
 
 TEST(WireParse, RejectsMalformed) {
-  const auto good = encode_update(sample_announce_v6(), kV6NextHop);
+  const auto good = encode_update(kSampleV6, sample_announce_v6(), kV6NextHop);
 
   // Truncated everywhere: every cut must throw, never crash or mis-parse.
   for (std::size_t keep = 0; keep < good.size(); ++keep) {
@@ -271,7 +275,7 @@ TEST(WireParse, MpReachConsumesEveryNlri) {
   mp.insert(mp.end(), {48, 0x26, 0x20, 0x01, 0x10, 0x90, 0x11});  // 2620:110:9011::/48
   const ParsedMessage parsed = parse_message(craft_update(attr(0x80, AttrType::mp_reach_nlri, mp)));
   ASSERT_TRUE(parsed.update.has_value());
-  EXPECT_EQ(parsed.update->prefix, *net::Prefix::parse("2620:110:9011::/48"));
+  EXPECT_EQ(parsed.prefix, *net::Prefix::parse("2620:110:9011::/48"));
 
   auto truncated = mp;
   truncated.push_back(48);  // a third prefix with no address bytes at all
@@ -287,15 +291,18 @@ TEST(WireBoundary, DefaultAndHostPrefixesRoundTrip) {
   for (const char* text : {"0.0.0.0/0", "203.0.113.7/32"}) {
     const net::Prefix prefix = *net::Prefix::parse(text);
     const Route route{.as_path = AsPath{64512}};
-    const Update rebuilt = roundtrip_update(Update::announce(prefix, route), kV4NextHop);
+    const ParsedMessage rebuilt =
+        roundtrip_update(prefix, Update::announce(kNoPrefix, route), kV4NextHop);
     EXPECT_EQ(rebuilt.prefix, prefix) << text;
-    const Update withdrawn = roundtrip_update(Update::withdraw(prefix), kV4NextHop);
+    const ParsedMessage withdrawn =
+        roundtrip_update(prefix, Update::withdraw(kNoPrefix), kV4NextHop);
     EXPECT_EQ(withdrawn.prefix, prefix) << text;
   }
   for (const char* text : {"::/0", "2620:110:9011::1/128"}) {
     const net::Prefix prefix = *net::Prefix::parse(text);
     const Route route{.as_path = AsPath{64512}};
-    const Update rebuilt = roundtrip_update(Update::announce(prefix, route), kV6NextHop);
+    const ParsedMessage rebuilt =
+        roundtrip_update(prefix, Update::announce(kNoPrefix, route), kV6NextHop);
     EXPECT_EQ(rebuilt.prefix, prefix) << text;
   }
 }
@@ -306,11 +313,11 @@ TEST(WireBoundary, BoundaryPrefixesResolveThroughTrie) {
   const auto host = *net::Prefix::parse("203.0.113.7/32");
   // Install exactly what came off the wire.
   trie.insert(net::trie_key(roundtrip_update(
-                  Update::announce(def, Route{.as_path = AsPath{1}}), kV4NextHop)
+                  def, Update::announce(kNoPrefix, Route{.as_path = AsPath{1}}), kV4NextHop)
                   .prefix),
               0);
   trie.insert(net::trie_key(roundtrip_update(
-                  Update::announce(host, Route{.as_path = AsPath{2}}), kV4NextHop)
+                  host, Update::announce(kNoPrefix, Route{.as_path = AsPath{2}}), kV4NextHop)
                   .prefix),
               1);
   const int* exact = trie.lookup(net::trie_key(net::IpAddress{*net::Ipv4Address::parse("203.0.113.7")}));
@@ -348,10 +355,11 @@ TEST_P(WireRoundTrip, RandomizedUpdates) {
 
     const bool withdraw = rng() % 4 == 0;
     const Update original =
-        withdraw ? Update::withdraw(prefix) : Update::announce(prefix, route);
-    const Update rebuilt = roundtrip_update(original, kV6NextHop);
+        withdraw ? Update::withdraw(kNoPrefix) : Update::announce(kNoPrefix, route);
+    const ParsedMessage parsed = roundtrip_update(prefix, original, kV6NextHop);
+    const Update& rebuilt = *parsed.update;
     EXPECT_EQ(rebuilt.kind, original.kind);
-    EXPECT_EQ(rebuilt.prefix, original.prefix);
+    EXPECT_EQ(parsed.prefix, prefix);
     if (!withdraw) {
       EXPECT_EQ(rebuilt.route->as_path, original.route->as_path);
       EXPECT_EQ(rebuilt.route->communities, original.route->communities);
