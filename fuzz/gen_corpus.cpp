@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -258,6 +259,16 @@ void emit_bgp(const fs::path& dir) {
   write_seed(dir, "update_v4_host",
              wire::encode_update(*net::Prefix::parse("203.0.113.7/32"),
                                  bgp::Update::announce(bgp::kNoPrefix, boundary), v4_nh));
+
+  // A path longer than one AS_SEQUENCE segment holds: 256 ASNs, which the
+  // encoder splits 255 + 1.  It once wrote one segment whose count wrapped
+  // to zero, so re-encoding this input failed to re-parse.
+  std::vector<bgp::Asn> long_path(256);
+  std::iota(long_path.begin(), long_path.end(), bgp::Asn{64512});
+  const bgp::Route long_route{.as_path = bgp::AsPath{long_path}};
+  write_seed(dir, "repro_as_path_256",
+             wire::encode_update(v4_prefix, bgp::Update::announce(bgp::kNoPrefix, long_route),
+                                 v4_nh));
 
   // Reproducers for the parse bugs fixed in the hardening pass.  These are
   // hand-assembled because the encoder cannot emit them.

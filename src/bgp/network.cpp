@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "bgp/wire.hpp"
-
 namespace tango::bgp {
 
 namespace {
@@ -128,35 +126,6 @@ void BgpNetwork::receive(RouterId target, const net::Prefix& prefix, Update upda
   speaker.receive(update);
 }
 
-void BgpNetwork::deliver(BgpSpeaker& target, const Update& update) {
-  if (!wire_transport_) {
-    target.receive(update);
-    return;
-  }
-  // Serialize through the RFC 4271 encoder and re-parse, exactly as
-  // bytes would cross a TCP session.  The next hop is the sender's
-  // session address (synthesized per router here).  The bytes carry the
-  // prefix, not the sender's id, so the parsed update enters by its prefix.
-  const net::Prefix& prefix = prefixes_->prefix(update.prefix_id);
-  const net::IpAddress next_hop =
-      prefix.is_v6()
-          ? net::IpAddress{net::Ipv6Prefix{*net::Ipv6Address::parse("fe80::"), 64}
-                               .host(update.from)}
-          : net::IpAddress{net::Ipv4Address{0x0A000000u | update.from}};
-  const auto bytes = wire::encode_update(prefix, update, next_hop);
-  wire_bytes_ += bytes.size();
-  try {
-    wire::ParsedMessage parsed = wire::parse_message(bytes);
-    if (!parsed.update) throw wire::WireError{"decoded a non-update"};
-    parsed.update->from = update.from;
-    receive(target.id(), parsed.prefix, std::move(*parsed.update));
-  } catch (const wire::WireError&) {
-    // Fail closed: a session would reset here; the simulation drops
-    // the one update and keeps converging on what did decode.
-    ++wire_parse_failures_;
-  }
-}
-
 std::uint64_t BgpNetwork::run_to_convergence() {
   ++convergence_runs_;
   std::uint64_t delivered = 0;
@@ -182,7 +151,7 @@ std::uint64_t BgpNetwork::run_to_convergence() {
           const std::size_t slot = slot_of(target);
           if (slot == routers_.size()) continue;  // target withdrawn from sim
           BgpSpeaker& receiver = *routers_[slot].second;
-          deliver(receiver, update);
+          receiver.receive(update);
           receiver.commit_batch();
           if (count_delivery()) throw_message_limit();
           progressed = true;
@@ -207,7 +176,7 @@ std::uint64_t BgpNetwork::run_to_convergence() {
       if (groups[slot].empty()) continue;
       BgpSpeaker& sp = *routers_[slot].second;
       for (const Update* update : groups[slot]) {
-        deliver(sp, *update);
+        sp.receive(*update);
         if (count_delivery()) {
           sp.commit_batch();
           throw_message_limit();

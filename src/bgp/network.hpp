@@ -71,7 +71,8 @@ class BgpNetwork {
                                                     const net::Prefix& prefix) const;
 
   /// The one way into this network for an UPDATE that names its prefix by
-  /// value (wire-parsed, or sent by another network's speaker): interns
+  /// value (decoded from RFC 4271 bytes by bgp/wire.hpp, or sent by another
+  /// network's speaker): interns
   /// `prefix` in this network's table and hands `update`, named by that id,
   /// to router `target`'s receive().  Whatever id `update` carried is
   /// ignored.  Like receive() it decides nothing; the target's next
@@ -107,27 +108,9 @@ class BgpNetwork {
   /// Divergence guard: maximum messages per run_to_convergence call.
   void set_message_limit(std::uint64_t limit) noexcept { message_limit_ = limit; }
 
-  /// When enabled, every delivered UPDATE is serialized to RFC 4271 wire
-  /// bytes and re-parsed, then enters the receiver through receive() by its
-  /// parsed prefix (see bgp/wire.hpp), so the byte format is exercised by
-  /// the live control plane.
-  void set_wire_transport(bool on) noexcept { wire_transport_ = on; }
-  [[nodiscard]] bool wire_transport() const noexcept { return wire_transport_; }
-  /// Total wire bytes moved while wire transport was enabled.
-  [[nodiscard]] std::uint64_t wire_bytes() const noexcept { return wire_bytes_; }
-  /// UPDATEs whose wire bytes failed to decode at the receiver; each is
-  /// counted and skipped (fail closed) instead of crashing convergence.
-  [[nodiscard]] std::uint64_t wire_parse_failures() const noexcept {
-    return wire_parse_failures_;
-  }
-
  private:
   /// Position of router `id` in routers_; routers_.size() when absent.
   [[nodiscard]] std::size_t slot_of(RouterId id) const noexcept;
-
-  /// Hands one update to `target` (through the wire codec when enabled);
-  /// the caller commits.
-  void deliver(BgpSpeaker& target, const Update& update);
 
   /// Shared by every router.
   std::unique_ptr<PrefixTable> prefixes_ = std::make_unique<PrefixTable>();
@@ -137,10 +120,7 @@ class BgpNetwork {
   std::uint64_t total_messages_ = 0;
   std::uint64_t convergence_runs_ = 0;
   std::uint64_t message_limit_ = 10'000'000;
-  bool wire_transport_ = false;
   bool batched_delivery_ = false;
-  std::uint64_t wire_bytes_ = 0;
-  std::uint64_t wire_parse_failures_ = 0;
 };
 
 }  // namespace tango::bgp

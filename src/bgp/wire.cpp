@@ -16,6 +16,7 @@ constexpr std::uint8_t kFlagTransitive = 0x40;
 constexpr std::uint8_t kFlagExtendedLength = 0x10;
 
 constexpr std::uint8_t kAsSequence = 2;
+constexpr std::size_t kMaxSegmentAsns = 255;
 
 void write_header(net::ByteWriter& w, MessageType type) {
   for (int i = 0; i < 16; ++i) w.u8(0xFF);  // marker
@@ -78,12 +79,16 @@ void write_attribute(net::ByteWriter& w, std::uint8_t flags, AttrType type,
   w.bytes(value);
 }
 
+/// One AS_SEQUENCE segment per 255 ASNs, the most a segment's count octet
+/// holds (RFC 4271 §4.3); the parser joins consecutive segments back up.
 std::vector<std::uint8_t> encode_as_path(const AsPath& path) {
   net::ByteWriter w;
-  if (!path.empty()) {
+  const std::span<const Asn> asns{path.asns()};
+  for (std::size_t first = 0; first < asns.size(); first += kMaxSegmentAsns) {
+    const auto segment = asns.subspan(first, std::min(kMaxSegmentAsns, asns.size() - first));
     w.u8(kAsSequence);
-    w.u8(static_cast<std::uint8_t>(path.length()));
-    for (Asn asn : path.asns()) w.u32(asn);  // 4-octet ASNs (AS4 negotiated)
+    w.u8(static_cast<std::uint8_t>(segment.size()));
+    for (Asn asn : segment) w.u32(asn);  // 4-octet ASNs (AS4 negotiated)
   }
   return std::move(w).take();
 }
@@ -438,14 +443,6 @@ ParsedMessage parse_message(std::span<const std::uint8_t> bytes) {
   } catch (const std::out_of_range&) {
     throw WireError{"truncated message"};
   }
-}
-
-ParsedMessage roundtrip_update(const net::Prefix& prefix, const Update& update,
-                               const net::IpAddress& next_hop) {
-  ParsedMessage parsed = parse_message(encode_update(prefix, update, next_hop));
-  if (!parsed.update) throw WireError{"roundtrip produced a non-update"};
-  parsed.update->from = update.from;  // session identity is transport-level, not in-message
-  return parsed;
 }
 
 }  // namespace tango::bgp::wire

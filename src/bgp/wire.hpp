@@ -1,17 +1,18 @@
 // BGP-4 wire format (RFC 4271) with multiprotocol IPv6 NLRI (RFC 4760) and
 // 4-octet AS numbers (RFC 6793).
 //
-// The simulator normally passes Update structs directly between speakers;
-// BgpNetwork::set_wire_transport(true) serializes every UPDATE through this
-// encoder and re-parses it at the receiver, so the byte format is exercised
-// by the full control plane (and the paper's setup — a BIRD instance talking
-// standard BGP to Vultr's routers — could interoperate with it).  An Update
-// names its prefix by a table id, which means nothing on the wire, so the
-// codec takes and returns the prefix beside it.
+// The simulator passes Update structs directly between speakers; this codec
+// is what the paper's setup (a BIRD instance talking standard BGP to Vultr's
+// routers) would put on the wire, and the tests drive the full control plane
+// through it (tests/bgp/wire_driver.hpp).  An Update names its prefix by a
+// table id, which means nothing on the wire, so the codec takes and returns
+// the prefix beside it; a parsed UPDATE enters a network through
+// BgpNetwork::receive(target, prefix, update).
 //
 // Scope notes, reflecting what the simulation model carries:
-//  * AS_PATH is a single AS_SEQUENCE of 4-octet ASNs (AS4 capability
-//    assumed negotiated; AS_TRANS handling is therefore unnecessary).
+//  * AS_PATH is a sequence of 4-octet ASNs (AS4 capability assumed
+//    negotiated; AS_TRANS handling is therefore unnecessary), encoded as one
+//    AS_SEQUENCE segment per 255 ASNs; AS_SET segments are rejected.
 //  * LOCAL_PREF is emitted for completeness; receivers assign their own.
 //  * IPv6 routes use MP_REACH_NLRI / MP_UNREACH_NLRI; IPv4 routes use the
 //    classic NLRI/withdrawn fields with the top-level NEXT_HOP.
@@ -114,11 +115,5 @@ struct ParsedMessage {
 /// (bad marker, bad length, truncated attributes, unknown mandatory
 /// attribute layout).
 [[nodiscard]] ParsedMessage parse_message(std::span<const std::uint8_t> bytes);
-
-/// Encodes `update` of `prefix`, parses the bytes back and restores the
-/// sender (session identity is not in the message): a test convenience.
-/// The result carries no prefix id; its prefix is the parsed one.
-[[nodiscard]] ParsedMessage roundtrip_update(const net::Prefix& prefix, const Update& update,
-                                             const net::IpAddress& next_hop);
 
 }  // namespace tango::bgp::wire

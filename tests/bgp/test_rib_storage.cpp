@@ -7,8 +7,8 @@
 #include <memory>
 
 #include "bgp/network.hpp"
-#include "bgp/wire.hpp"
 #include "topo/mesh_gen.hpp"
+#include "wire_driver.hpp"
 
 namespace tango::bgp {
 namespace {
@@ -67,11 +67,13 @@ TEST(RibEquivalence, UnbatchedChurnScriptKeepsPinnedMessageCount) {
   EXPECT_EQ(loc_rib_digest(net), 0x8067eec922fd7f57ull);
 }
 
-// Inside one network an UPDATE names its prefix by the sender's id; through
-// the wire transport it carries the prefix, which every receiver looks up
-// again.  Both deliveries must reach the same Loc-RIBs with the same message
-// count after every step of a churn script, including the steps that intern
-// a new prefix (a v6 /48, so the MP_REACH path runs too) mid-run.
+// Inside one network an UPDATE names its prefix by the sender's id; over the
+// wire it carries the prefix, which every receiver looks up again.  The
+// by-prefix leg repeats each of BgpNetwork's auto-converging pass-throughs on
+// the speakers and converges over bytes (wire_driver.hpp).  Both deliveries
+// must reach the same Loc-RIBs with the same message count after every step
+// of a churn script, including the steps that intern a new prefix (a v6 /48,
+// so the MP_REACH path runs too) mid-run.
 TEST(RibEquivalence, DeliveryByIdMatchesDeliveryByPrefix) {
   const topo::MeshParams params{
       .tier1 = 3, .tier2 = 6, .stubs = 16, .prefixes_per_stub = 2, .seed = 5};
@@ -82,44 +84,62 @@ TEST(RibEquivalence, DeliveryByIdMatchesDeliveryByPrefix) {
     topo::generate_mesh(by_prefix_topo, params);
     BgpNetwork& by_id = by_id_topo.bgp();
     BgpNetwork& by_prefix = by_prefix_topo.bgp();
-    by_prefix.set_wire_transport(true);
-    const auto step = [&](const auto& apply) {
-      for (BgpNetwork* net : {&by_id, &by_prefix}) apply(*net);
+    // by_prefix.total_messages() counts what the mesh's construction
+    // delivered in memory; `tally` counts the rest.
+    wire::WireTally tally;
+    const auto over_wire = [&](const auto& apply) {
+      apply();
+      wire::converge_over_wire(by_prefix, tally);
     };
-    step([&](BgpNetwork& net) {
-      net.set_batched_delivery(batched);
-      net.run_to_convergence();
-    });
+    by_id.set_batched_delivery(batched);
+    by_id.run_to_convergence();
+    by_prefix.set_batched_delivery(batched);
+    ASSERT_NO_FATAL_FAILURE(wire::converge_over_wire(by_prefix, tally));
     for (std::size_t i = 0; i <= 24; ++i) {
-      ASSERT_EQ(by_id.total_messages(), by_prefix.total_messages())
+      ASSERT_EQ(by_id.total_messages(), by_prefix.total_messages() + tally.messages)
           << "batched " << batched << " step " << i;
       ASSERT_EQ(loc_rib_digest(by_id), loc_rib_digest(by_prefix))
           << "batched " << batched << " step " << i;
       const RouterId stub = mesh.stubs[(i * 5) % mesh.stubs.size()];
       if (i % 4 == 1) {
-        step([&](BgpNetwork& net) {
-          const RouterId provider = net.router(stub).neighbors().back();
-          const std::uint32_t pref = net.router(stub).session(provider)->preference;
-          net.remove_session(stub, provider);
-          net.add_transit(provider, stub, pref);
-        });
+        const RouterId provider = by_id.router(stub).neighbors().back();
+        const std::uint32_t pref = by_id.router(stub).session(provider)->preference;
+        by_id.remove_session(stub, provider);
+        by_id.add_transit(provider, stub, pref);
+        ASSERT_NO_FATAL_FAILURE(over_wire([&] {
+          by_prefix.router(stub).remove_session(provider);
+          by_prefix.router(provider).remove_session(stub);
+        }));
+        ASSERT_NO_FATAL_FAILURE(over_wire([&] {
+          BgpSpeaker& p = by_prefix.router(provider);
+          BgpSpeaker& c = by_prefix.router(stub);
+          p.add_session(stub, c.asn(), SessionConfig{.rel = Relationship::customer});
+          c.add_session(provider, p.asn(),
+                        SessionConfig{.rel = Relationship::provider, .preference = pref});
+        }));
       } else if (i % 4 == 3) {
         const net::Prefix extra{
             net::Ipv6Prefix{*net::Ipv6Address::parse("2001:db8::"), 32}.subnet(48, i)};
-        step([&](BgpNetwork& net) { net.originate(stub, extra); });
-        if (i % 8 == 7) step([&](BgpNetwork& net) { net.withdraw(stub, extra); });
+        by_id.originate(stub, extra);
+        ASSERT_NO_FATAL_FAILURE(over_wire([&] { by_prefix.router(stub).originate(extra); }));
+        if (i % 8 == 7) {
+          by_id.withdraw(stub, extra);
+          ASSERT_NO_FATAL_FAILURE(
+              over_wire([&] { by_prefix.router(stub).withdraw_origin(extra); }));
+        }
       } else {
         const auto& [origin, prefix] = mesh.originations[(i * 7) % mesh.originations.size()];
-        step([&](BgpNetwork& net) {
-          net.withdraw(origin, prefix);
-          net.originate(origin, prefix,
-                        CommunitySet{Community{1, static_cast<std::uint16_t>(i)}});
-        });
+        const CommunitySet communities{Community{1, static_cast<std::uint16_t>(i)}};
+        by_id.withdraw(origin, prefix);
+        by_id.originate(origin, prefix, communities);
+        ASSERT_NO_FATAL_FAILURE(
+            over_wire([&] { by_prefix.router(origin).withdraw_origin(prefix); }));
+        ASSERT_NO_FATAL_FAILURE(
+            over_wire([&] { by_prefix.router(origin).originate(prefix, communities); }));
       }
     }
     EXPECT_GT(by_id.prefix_table().size(), mesh.originations.size());
-    EXPECT_GT(by_prefix.wire_bytes(), 0u);
-    EXPECT_EQ(by_prefix.wire_parse_failures(), 0u);
+    EXPECT_GT(tally.bytes, 0u);
   }
 }
 
@@ -207,9 +227,13 @@ TEST(InternedAttributes, TablesEmptyOnceEveryNetworkAndRouteIsGone) {
     net->add_transit(1, 2);
     net->add_transit(1, 3);
     net->add_peering(3, 4);
-    net->set_wire_transport(true);
-    net->originate(2, pfx("2001:db8::/32"), CommunitySet{action::prepend_to(100, 2)});
-    net->originate(4, pfx("2001:db8:4::/48"), {}, {64999});
+    // The originations converge over bytes, so the decoder's paths and
+    // community sets are interned too.
+    wire::WireTally tally;
+    net->router(2).originate(pfx("2001:db8::/32"), CommunitySet{action::prepend_to(100, 2)});
+    ASSERT_NO_FATAL_FAILURE(wire::converge_over_wire(*net, tally));
+    net->router(4).originate(pfx("2001:db8:4::/48"), {}, Origin::igp, {64999});
+    ASSERT_NO_FATAL_FAILURE(wire::converge_over_wire(*net, tally));
     Route copy = *net->best_route(1, pfx("2001:db8::/32"));
     EXPECT_GT(AsPath::interned_count(), 0u);
     EXPECT_GT(CommunitySet::interned_count(), 0u);

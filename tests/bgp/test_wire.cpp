@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
 
 #include "net/prefix_trie.hpp"
 #include "topo/vultr_scenario.hpp"
+#include "wire_driver.hpp"
 
 namespace tango::bgp::wire {
 namespace {
@@ -328,6 +330,26 @@ TEST(WireBoundary, BoundaryPrefixesResolveThroughTrie) {
   EXPECT_EQ(*fallback, 0) << "/0 catches everything else";
 }
 
+// An AS_SEQUENCE segment counts its ASNs in one octet, so a path longer than
+// 255 ASNs round-trips only as several segments (RFC 4271 §4.3).
+TEST(WireAsPath, PathsOver255AsnsRoundTrip) {
+  for (const std::size_t length : {0u, 1u, 255u, 256u, 300u, 511u, 512u, 1000u}) {
+    std::vector<Asn> asns(length);
+    std::iota(asns.begin(), asns.end(), Asn{4200000000u});
+    const Update update = Update::announce(kNoPrefix, Route{.as_path = AsPath{asns}});
+    for (const auto& [text, next_hop] : {std::pair{"203.0.113.0/24", kV4NextHop},
+                                          std::pair{"2620:110:9011::/48", kV6NextHop}}) {
+      const net::Prefix prefix = *net::Prefix::parse(text);
+      ParsedMessage parsed;
+      ASSERT_NO_THROW(parsed = roundtrip_update(prefix, update, next_hop))
+          << length << " ASNs, " << text;
+      EXPECT_EQ(parsed.prefix, prefix);
+      EXPECT_EQ(parsed.update->route->as_path, update.route->as_path)
+          << length << " ASNs, " << text;
+    }
+  }
+}
+
 /// Property: round-trip over randomized updates.
 class WireRoundTrip : public ::testing::TestWithParam<std::uint32_t> {};
 
@@ -340,10 +362,9 @@ TEST_P(WireRoundTrip, RandomizedUpdates) {
     for (std::size_t j = 1; j < 8; ++j) b[j] = static_cast<std::uint8_t>(rng());
     const net::Prefix prefix{
         net::Ipv6Prefix{net::Ipv6Address{b}, static_cast<std::uint8_t>(rng() % 129)}};
-    std::vector<Asn> asns;
-    for (std::size_t j = 0; j < rng() % 8; ++j) {
-      asns.push_back(static_cast<Asn>(rng() % 4200000000ull));
-    }
+    // Mostly short paths, and one in four up to three AS_SEQUENCE segments.
+    std::vector<Asn> asns(rng() % 4 == 0 ? rng() % 768 : rng() % 8);
+    for (Asn& asn : asns) asn = static_cast<Asn>(rng() % 4200000000ull);
     route.as_path = AsPath{std::move(asns)};
     route.origin = static_cast<Origin>(rng() % 3);
     route.med = static_cast<std::uint32_t>(rng());
@@ -378,13 +399,14 @@ TEST(WireTransport, FullControlPlaneOverBytes) {
   topo::VultrScenario in_memory = topo::make_vultr_scenario();
 
   topo::VultrScenario on_wire = topo::make_vultr_scenario();
-  on_wire.topo.bgp().set_wire_transport(true);
+  WireTally tally;
 
   const net::Prefix ny{on_wire.plan.ny_hosts};
   CommunitySet set;
   for (Asn target : {topo::vultr::kAsnNtt, topo::vultr::kAsnTelia, topo::vultr::kAsnGtt}) {
     in_memory.topo.bgp().originate(topo::vultr::kServerNy, ny, set);
-    on_wire.topo.bgp().originate(topo::vultr::kServerNy, ny, set);
+    on_wire.topo.bgp().router(topo::vultr::kServerNy).originate(ny, set);
+    ASSERT_NO_FATAL_FAILURE(converge_over_wire(on_wire.topo.bgp(), tally));
 
     const Route* a = in_memory.topo.bgp().best_route(topo::vultr::kServerLa, ny);
     const Route* b = on_wire.topo.bgp().best_route(topo::vultr::kServerLa, ny);
@@ -393,7 +415,7 @@ TEST(WireTransport, FullControlPlaneOverBytes) {
     EXPECT_EQ(a->as_path, b->as_path) << "wire transport changed the outcome";
     set.add(action::do_not_announce_to(target));
   }
-  EXPECT_GT(on_wire.topo.bgp().wire_bytes(), 0u);
+  EXPECT_GT(tally.bytes, 0u);
 }
 
 }  // namespace
