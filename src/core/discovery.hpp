@@ -112,7 +112,8 @@ struct BatchDiscoveryStats {
 /// per originate/withdraw; only the number of convergence runs changes
 /// (O(max steps) instead of O(total steps)).  Path ids are assigned per
 /// direction starting at 1 — callers coordinating a shared id space
-/// renumber afterwards (TangoMesh uses a PathIdAllocator).
+/// reassign them afterwards (TangoMesh gives each path its (direction, pool
+/// slot)'s permanent id).
 std::vector<DiscoveryResult> discover_paths_batch(
     topo::Topology& topo, const std::vector<DiscoveryRequest>& requests,
     BatchDiscoveryStats* stats = nullptr);

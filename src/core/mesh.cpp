@@ -41,7 +41,7 @@ std::vector<DiscoveryResult> TangoMesh::establish(SteeringMechanism mechanism,
   if (n < 2) throw std::logic_error{"TangoMesh: need at least two sites"};
 
   // Build one request per ordered pair, source-major — the canonical
-  // direction order every later stage (renumbering, installation, results)
+  // direction order every later stage (id assignment, installation, results)
   // follows.
   struct Direction {
     std::size_t src;
@@ -75,29 +75,30 @@ std::vector<DiscoveryResult> TangoMesh::establish(SteeringMechanism mechanism,
   stats_.bgp_messages = topo.bgp().total_messages() - msgs_before;
   stats_.convergence_runs = topo.bgp().convergence_runs() - runs_before;
 
-  // Renumber from the mesh allocator: compact ids in source-major direction
-  // order, sized by what each direction actually discovered.  The allocator
-  // throws PathIdExhausted when the 16-bit space truly runs out; the seen-
-  // set turns any allocator bug into a loud failure instead of two pairs
-  // silently sharing tunnel state.
-  id_alloc_ = PathIdAllocator{};
-  std::size_t total_paths = 0;
-  for (const DiscoveryResult& result : results) total_paths += result.paths.size();
-  std::vector<bool> seen(total_paths + 1, false);
-  for (DiscoveryResult& result : results) {
-    if (result.paths.empty()) continue;
-    const PathId first = id_alloc_.reserve(result.paths.size());
-    for (std::size_t i = 0; i < result.paths.size(); ++i) {
-      const PathId id = static_cast<PathId>(first + i);
-      if (id < seen.size() && seen[id]) {
+  // Each (direction, pool slot) keeps one id for the life of the mesh
+  // (discovery puts path i on slice prefix i; directions are fixed once
+  // add_site closes).  A slot seen for the first time draws the next id, so
+  // a first establish reads compact, source-major ids.  The seen-set turns
+  // any table bug into a loud failure, not two pairs sharing tunnel state.
+  slot_ids_.resize(results.size());
+  std::vector<bool> seen;
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    std::vector<PathId>& slots = slot_ids_[k];
+    std::vector<DiscoveredPath>& paths = results[k].paths;
+    if (slots.size() < paths.size()) slots.resize(paths.size(), 0);
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      if (slots[i] == 0) slots[i] = id_alloc_.next();
+      const PathId id = slots[i];
+      if (id >= seen.size()) seen.resize(id_alloc_.allocated() + 1, false);
+      if (seen[id]) {
         throw std::logic_error{"TangoMesh: path id collision on id " + std::to_string(id)};
       }
-      if (id < seen.size()) seen[id] = true;
-      result.paths[i].id = id;
+      seen[id] = true;
+      paths[i].id = id;
     }
+    stats_.paths += paths.size();
   }
   stats_.directions = results.size();
-  stats_.paths = total_paths;
 
   // Install every direction (tunnels, steering, health, initial active
   // path) with FIB syncs deferred, then refresh the data plane once.
@@ -184,6 +185,7 @@ void TangoMesh::stop_probing() {
 std::size_t TangoMesh::pairing_state_bytes() const {
   std::size_t bytes = 0;
   for (const TangoNode* site : sites_) bytes += site->state_bytes();
+  for (const auto& ids : slot_ids_) bytes += sizeof(ids) + ids.capacity() * sizeof(PathId);
   return bytes;
 }
 

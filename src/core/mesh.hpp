@@ -8,10 +8,10 @@
 // mesh coordinating the two resources that must not collide:
 //
 //  * path ids: the wire format stays the paper's 16-bit path id, so the
-//    mesh hands out ids from a collision-checked bump allocator sized by
-//    the paths each direction actually discovered (no fixed per-pair
-//    stride; a 500-site mesh with one path per pair fits easily where a
-//    16-id stride would wrap the id space at 65 sites);
+//    mesh hands out ids from a collision-checked bump allocator, one per
+//    discovered path (no fixed per-pair stride, which wraps the id space at
+//    65 sites), and binds each to one (source, destination, pool slot) for
+//    the life of the mesh: an id never moves to another receiver;
 //  * prefix pools: a site's announcements toward different sources need
 //    different suppression sets, so the mesh slices each site's pool across
 //    its inbound pairs — every pool prefix lands in exactly one slice
@@ -84,10 +84,9 @@ class TangoMesh {
   void add_site(TangoNode& node);
 
   /// Runs discovery for every ordered pair (N*(N-1) directions) with
-  /// per-pair prefix-pool slices, renumbers every discovered path from the
-  /// mesh's collision-checked id allocator (compact, source-major direction
-  /// order), installs tunnels and steering, and refreshes the WAN FIBs once
-  /// at the end.
+  /// per-pair prefix-pool slices, gives every path its (direction, pool
+  /// slot)'s permanent id (the first establish() reads compact, source-major
+  /// ids), installs tunnels and steering, and refreshes the WAN FIBs once.
   /// Returns one result per ordered pair, in (source-major) order.
   std::vector<DiscoveryResult> establish(
       SteeringMechanism mechanism = SteeringMechanism::communities,
@@ -95,8 +94,8 @@ class TangoMesh {
 
   [[nodiscard]] const MeshEstablishStats& establish_stats() const noexcept { return stats_; }
 
-  /// The mesh's path-id allocator (post-establish: allocated() == total
-  /// paths; remaining() is the head-room left in the 16-bit id space).
+  /// The mesh's path-id allocator (allocated(): ids ever given to a pool
+  /// slot; remaining(): head-room left in the 16-bit id space).
   [[nodiscard]] const PathIdAllocator& ids() const noexcept { return id_alloc_; }
 
   /// Slice `rank` (0-based) of `pool` divided across `slices` consumers.
@@ -135,7 +134,7 @@ class TangoMesh {
 
   /// Estimated resident bytes of pairing state across every site: registry
   /// entries + reports, tunnel tables, sender/receiver per-path state,
-  /// health entries, per-peer path lists.  Trend accounting for N-site
+  /// health entries, per-peer path lists; plus the mesh's id table.  Trend accounting for N-site
   /// growth (BENCH_mesh pairing-memory metric), not exact heap usage.
   [[nodiscard]] std::size_t pairing_state_bytes() const;
 
@@ -150,6 +149,9 @@ class TangoMesh {
   /// Receiver lookup for the feedback tick (router id -> site).
   std::map<bgp::RouterId, TangoNode*> by_router_;
   PathIdAllocator id_alloc_;
+  /// Per direction (source-major, as establish() orders them), the id of
+  /// each pool slot; 0 = never discovered yet.
+  std::vector<std::vector<PathId>> slot_ids_;
   MeshEstablishStats stats_;
   bool running_ = false;
   /// Bumped by start(); a tick scheduled under an older epoch returns

@@ -116,17 +116,15 @@ void TangoNode::install_outbound(TangoNode& peer, const DiscoveryResult& result,
     return;
   }
 
-  // Re-discovery: retire each old id no peer's list holds any more (a mesh
-  // re-establish may have renumbered it into another direction), one erase
-  // per layer.  The tunnel slot keeps the id's sequence counter (§8a).
+  // Re-discovery: retire each old id the new result does not hold, one
+  // erase per layer; no other direction can be given it (a mesh id names one
+  // pair for the mesh's life).  The tunnel slot keeps the id's sequence
+  // counter and report floor (§8a).
   const std::vector<PathId> old_ids = std::exchange(existing->second, std::move(ids));
+  const std::vector<PathId>& new_ids = existing->second;
   bool retired = false;
   for (PathId id : old_ids) {
-    if (std::any_of(peer_paths_.begin(), peer_paths_.end(), [id](const auto& p) {
-          return std::find(p.second.begin(), p.second.end(), id) != p.second.end();
-        })) {
-      continue;
-    }
+    if (std::find(new_ids.begin(), new_ids.end(), id) != new_ids.end()) continue;
     registry_.remove(id);
     switch_.tunnels().remove(id);
     retired = true;
@@ -308,15 +306,15 @@ bool TangoNode::ingest_report_wire(std::span<const std::uint8_t> wire) {
   }
 
   const PathId id = envelope->path_id;
-  PathRegistry::Entry* entry = registry_.entry(id);
-  if (entry == nullptr) {
+  dataplane::TunnelTable::Slot* slot = switch_.tunnels().installed(id);
+  if (slot == nullptr) {
     // Authentic, but about no path of ours: never discovered, or retired
     // while the report was in flight.  Nothing to judge it against.
     report_stale_.inc();
     drop(telemetry::TraceCause::report_stale, id, envelope->report_seq);
     return false;
   }
-  const std::uint64_t next = entry->report_rx_next;  // one past the last accepted; 0 = none
+  const std::uint64_t next = slot->report_rx_next;  // one past the last accepted; 0 = none
   if (next != 0 && envelope->report_seq < next) {
     // An authenticated envelope from the past: the peer never reuses a
     // sequence, so this is a capture re-delivered (replayed = the newest
@@ -335,7 +333,7 @@ bool TangoNode::ingest_report_wire(std::span<const std::uint8_t> wire) {
     // here — each one is a missing report, the §6 suppression signal.
     report_gaps_.inc(envelope->report_seq - next);
   }
-  entry->report_rx_next = envelope->report_seq + 1;
+  slot->report_rx_next = envelope->report_seq + 1;
 
   PathReport report;
   report.owd_ewma_ms = envelope->owd_ewma_ms;

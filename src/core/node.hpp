@@ -63,9 +63,11 @@ class TangoNode {
   /// `first_id` makes path ids globally unique across a multi-peer
   /// cooperation set (both endpoints cooperate, so coordinated ids live in
   /// the static config and the wire format stays minimal).  A TangoMesh does
-  /// not call this: it renumbers each direction's paths from its
-  /// PathIdAllocator and installs them through install_outbound().  `mechanism` selects
-  /// community-based steering (the paper's prototype) or AS-path poisoning.
+  /// not call this: it gives each path its (direction, pool slot)'s permanent
+  /// id and installs them through install_outbound().  On a mesh site, pick
+  /// ids above all the mesh will give: a mesh id is bound to its own slot.
+  /// `mechanism` selects community-based steering (the paper's prototype)
+  /// or AS-path poisoning.
   /// `pool_override` restricts which of the peer's prefixes this direction
   /// may consume (a TangoMesh slices each site's pool across its inbound
   /// pairs so the per-pair suppression sets never collide on one prefix).
@@ -84,12 +86,12 @@ class TangoNode {
 
   /// Installs an already-discovered result toward `peer`: tunnels, registry
   /// entries, health tracking, host-prefix steering and the initial active
-  /// path.  Path ids in `result` must already be final (a TangoMesh
-  /// renumbers them from its allocator first).  Re-discovery keeps the
-  /// entries of ids the result still contains and retires the direction's
-  /// others (DESIGN §7g).  With `sync_fibs` false the WAN FIB refresh is
-  /// the caller's responsibility — a mesh installing thousands of
-  /// directions syncs once at the end instead of per pair.
+  /// path.  Path ids in `result` must already be final and held by no other
+  /// direction of this node (a TangoMesh assigns them first).  Re-discovery
+  /// keeps the entries of ids the result still contains and retires the
+  /// direction's others (DESIGN §7g).  With `sync_fibs` false the WAN FIB
+  /// refresh is the caller's responsibility — a mesh installing thousands
+  /// of directions syncs once at the end instead of per pair.
   void install_outbound(TangoNode& peer, const DiscoveryResult& result, bool sync_fibs = true);
 
   /// Router ids of peers with discovered outbound paths.

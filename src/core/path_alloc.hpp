@@ -7,10 +7,11 @@
 // >= 65 sites — colliding id ranges across pairs and corrupting every
 // consumer keyed on PathId (tunnel tables, trackers, health state).
 //
-// This allocator replaces the static scheme: blocks are sized by the actual
-// discovered-path count of each direction and handed out contiguously, so
-// the space exhausts only when the mesh genuinely holds ~65k paths — and
-// then it fails loudly instead of wrapping.
+// This allocator replaces the static scheme: ids are handed out one per
+// path, contiguously, so the space exhausts only when the mesh genuinely
+// holds ~65k paths — and then it fails loudly instead of wrapping.  It is
+// never reset: TangoMesh draws an id the first time a (direction, pool
+// slot) is discovered and keeps it for the life of the mesh.
 #pragma once
 
 #include <cstdint>
@@ -24,16 +25,16 @@ namespace tango::core {
 
 using dataplane::PathId;
 
-/// Thrown when a reservation does not fit the remaining 16-bit id space.
+/// Thrown when no id is left in the 16-bit id space.
 class PathIdExhausted : public std::length_error {
  public:
   using std::length_error::length_error;
 };
 
-/// Bump allocator over [1, max_id].  Allocation is strictly monotonic, so
-/// two reserved blocks can never overlap by construction; the failure mode
-/// of the old fixed-stride scheme (silent 16-bit wraparound) is replaced by
-/// a thrown PathIdExhausted.  Not thread-safe (mesh establish is
+/// Bump allocator over [1, max_id].  Allocation is strictly monotonic, so no
+/// id is handed out twice by construction; the failure mode of the old
+/// fixed-stride scheme (silent 16-bit wraparound) is replaced by a thrown
+/// PathIdExhausted.  Not thread-safe (mesh establish is
 /// single-threaded control-plane code).
 class PathIdAllocator {
  public:
@@ -42,25 +43,16 @@ class PathIdAllocator {
   explicit PathIdAllocator(PathId max_id = std::numeric_limits<PathId>::max()) noexcept
       : max_{max_id} {}
 
-  /// Reserves `count` consecutive ids and returns the first.  Throws
-  /// PathIdExhausted when the block does not fit in the remaining space —
-  /// the loud replacement for the old wraparound.  count == 0 is a caller
-  /// bug and throws std::logic_error.
-  PathId reserve(std::size_t count) {
-    if (count == 0) throw std::logic_error{"PathIdAllocator: empty reservation"};
-    const std::size_t first = next_;
-    if (count > static_cast<std::size_t>(max_) - first + 1) {
-      throw PathIdExhausted{
-          "PathIdAllocator: 16-bit path-id space exhausted (next id " +
-          std::to_string(first) + ", requested " + std::to_string(count) + ", max " +
-          std::to_string(max_) + ") — the wire format cannot address more paths"};
+  /// The next free id.  Throws PathIdExhausted when the space is used up —
+  /// the loud replacement for the old wraparound.
+  PathId next() {
+    if (next_ > max_) {
+      throw PathIdExhausted{"PathIdAllocator: 16-bit path-id space exhausted (max " +
+                            std::to_string(max_) +
+                            ") — the wire format cannot address more paths"};
     }
-    next_ = first + count;
-    return static_cast<PathId>(first);
+    return static_cast<PathId>(next_++);
   }
-
-  /// Shorthand for a single id.
-  PathId next() { return reserve(1); }
 
   /// Ids handed out so far.
   [[nodiscard]] std::size_t allocated() const noexcept {
@@ -72,10 +64,8 @@ class PathIdAllocator {
     return static_cast<std::size_t>(max_) - next_ + 1;
   }
 
-  [[nodiscard]] PathId max_id() const noexcept { return max_; }
-
  private:
-  std::size_t next_ = 1;  ///< next free id; wider than PathId so the +count test is exact
+  std::size_t next_ = 1;  ///< next free id; wider than PathId so it can pass max_
   PathId max_;
 };
 

@@ -1,8 +1,10 @@
 // Path registry: the sender-side record of the wide-area paths available to
 // reach the peer.  One entry per path holds everything the sender keeps about
-// it — the discovered route, the last accepted performance report, the
-// health-machine state and the report-ingest state — so "which paths does
-// this sender have" is decided here, and retiring a path is one erase.
+// the route — the discovered path, the last accepted performance report, the
+// health-machine state and the compliance verdict — so "which paths does
+// this sender have" is decided here, and retiring a path is one erase.  What
+// belongs to the path id rather than the route (its sequence counter and
+// report floor) lives in the tunnel table's slot and outlives the entry.
 #pragma once
 
 #include <map>
@@ -26,9 +28,6 @@ class PathRegistry {
     /// Caught lying by the compliance monitor (sticky): later reports are
     /// rejected unexamined.
     bool lying = false;
-    /// One past the last accepted wire-report sequence; 0 = none accepted
-    /// yet, so sequence 0 itself stays acceptable.
-    std::uint64_t report_rx_next = 0;
   };
 
   /// Registers a discovered path and returns the tunnel to install for it.

@@ -5,8 +5,8 @@
 // Storage is a dense PathId-indexed vector (path ids are small per-pairing
 // integers), so the per-packet lookup on the send fast path is a bounds
 // check + array index instead of a tree walk.  Each slot also carries the
-// sender's sequence counter for its path id, and keeps its tunnel out of
-// line, so an id with no tunnel costs a counter and a null pointer.
+// sender's per-id sequence counter and report floor, and keeps its tunnel
+// out of line, so an id with no tunnel costs two counters and a pointer.
 #pragma once
 
 #include <memory>
@@ -47,13 +47,16 @@ class TunnelTable {
     /// tunnel: a path id names one sequence stream for the life of the node
     /// (DESIGN §8a).
     std::uint64_t next_sequence = 0;
+    /// One past the last accepted report sequence about this id (0 = none
+    /// yet).  It outlives the tunnel too: a pre-retirement capture stays stale.
+    std::uint64_t report_rx_next = 0;
   };
 
   /// Adds or replaces the tunnel with `tunnel.id`.
   void install(Tunnel tunnel);
 
-  /// Removes a tunnel (path retired); its sequence counter stays.  Returns
-  /// true when present.
+  /// Removes a tunnel (path retired); its sequence counter and report floor
+  /// stay.  Returns true when present.
   bool remove(PathId id);
 
   [[nodiscard]] const Tunnel* find(PathId id) const {

@@ -449,6 +449,57 @@ void session_up(sim::Wan& wan, const std::vector<SavedDirection>& saved) {
   wan.sync_fibs();
 }
 
+// A path id names one route from one sender to one receiver for the life of
+// the mesh.  Three GTT–NY down/up cycles, each followed by a re-establish,
+// with every site probing and running its policy: no id may move to another
+// pair, so no receiver may count packets sent to another receiver as lost
+// and no honest path may be quarantined.
+TEST_F(MeshTest, ReEstablishKeepsEveryIdOnItsPair) {
+  std::map<PathId, std::pair<std::size_t, std::size_t>> pair_of;  // id -> (src, dst)
+  const auto establish = [&] {
+    const std::vector<DiscoveryResult> results = mesh_.establish();
+    std::size_t k = 0;
+    for (std::size_t src = 0; src < 3; ++src) {
+      for (std::size_t dst = 0; dst < 3; ++dst) {
+        if (src == dst) continue;
+        for (const DiscoveredPath& path : results[k].paths) {
+          const auto [it, fresh] = pair_of.emplace(path.id, std::pair{src, dst});
+          EXPECT_EQ(it->second, (std::pair{src, dst})) << "id " << path.id << " moved";
+        }
+        ++k;
+      }
+    }
+  };
+
+  establish();
+  for (TangoNode* node : {&la_, &ny_, &ch_}) {
+    node->set_policy(std::make_unique<HysteresisPolicy>(1.0));
+  }
+  mesh_.start();
+  mesh_.start_probing(10 * sim::kMillisecond);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    const std::vector<SavedDirection> gtt = session_down(wan_, kGtt, kVultrNy);
+    establish();
+    wan_.events().run_until(wan_.now() + 2 * sim::kSecond);
+    session_up(wan_, gtt);
+    establish();
+    wan_.events().run_until(wan_.now() + 2 * sim::kSecond);
+  }
+  mesh_.stop();
+  mesh_.stop_probing();
+  wan_.events().run_all();
+
+  std::uint64_t lost = 0;
+  for (TangoNode* node : {&la_, &ny_, &ch_}) {
+    EXPECT_EQ(node->health().quarantines(), 0u) << "site " << node->config().router;
+    for (PathId id : node->dp().receiver().paths()) {
+      lost += node->dp().receiver().tracker(id)->loss().lost();
+    }
+  }
+  EXPECT_GT(pair_of.size(), 0u);
+  EXPECT_LE(lost, wan_.total_dropped()) << "receivers counted losses the WAN never caused";
+}
+
 
 NodeConfig keyed_vultr_config(const topo::VultrScenario& s, bgp::RouterId router) {
   const bool is_la = router == kServerLa;
@@ -519,6 +570,52 @@ TEST(PathIdReuse, ReusedIdsContinueTheirSequenceStream) {
   ny.dp().inject_wan(*capture);
   EXPECT_EQ(ny.dp().replay_drops(), 1u) << "a pre-re-discovery capture stays a replay";
 
+  la.stop_probing();
+  wan.events().run_all();
+}
+
+// The report stream of a reused id continues too: the sender's acceptance
+// floor outlives the retirement, so an authentic report captured before id 4
+// retired is stale when id 4 comes back, not a fresh first report.
+TEST(PathIdReuse, ReusedIdHoldsItsReportFloor) {
+  topo::VultrScenario s = topo::make_vultr_scenario();
+  sim::Wan wan{s.topo, sim::Rng{77}};
+  TangoNode la{s.topo, wan, keyed_vultr_config(s, kServerLa)};
+  TangoNode ny{s.topo, wan, keyed_vultr_config(s, kServerNy)};
+  // Only LA probes, so every report on the channel is NY's about LA's paths.
+  struct Ctx {
+    std::optional<std::vector<std::uint8_t>> first_id4;
+  } ctx;
+  PairingOptions options;
+  options.suppress_report = [](void* c, PathId id, std::span<const std::uint8_t> wire) {
+    auto& first = static_cast<Ctx*>(c)->first_id4;
+    if (id == 4 && !first) first.emplace(wire.begin(), wire.end());
+    return false;  // observe, never swallow
+  };
+  options.suppress_ctx = &ctx;
+  TangoPairing pairing{wan, la, ny, options};
+  pairing.establish();
+  ASSERT_EQ(la.paths_to(kServerNy), (std::vector<PathId>{1, 2, 3, 4}));
+  pairing.start();
+  la.start_probing(10 * sim::kMillisecond);
+  wan.events().run_until(sim::kSecond);
+  ASSERT_TRUE(ctx.first_id4.has_value());
+  ASSERT_NE(la.registry().report(4), nullptr) << "id 4's later reports were accepted";
+
+  const std::vector<SavedDirection> gtt = session_down(wan, kGtt, kVultrNy);
+  pairing.establish();
+  ASSERT_EQ(la.paths_to(kServerNy), (std::vector<PathId>{1, 2, 3}));
+  wan.events().run_until(2 * sim::kSecond);
+  session_up(wan, gtt);
+  pairing.establish();
+  ASSERT_EQ(la.paths_to(kServerNy), (std::vector<PathId>{1, 2, 3, 4}));
+
+  const std::uint64_t stale = la.report_stale();
+  EXPECT_FALSE(la.ingest_report_wire(*ctx.first_id4))
+      << "a capture from before the retirement must not pass as id 4's first report";
+  EXPECT_EQ(la.report_stale(), stale + 1);
+
+  pairing.stop();
   la.stop_probing();
   wan.events().run_all();
 }
@@ -599,6 +696,7 @@ TEST(MeshLifecycle, EveryLayerAgreesOnThePathSetAfterEveryStep) {
     std::mt19937_64 rng{seed};
     std::map<std::size_t, std::vector<SavedDirection>> down;  // by session index
     std::map<std::pair<std::size_t, std::size_t>, PathId> established_first;
+    std::map<PathId, std::pair<std::size_t, std::size_t>> established_pair;  // id -> (src, dst)
     std::set<PathId> ever_held;
     std::array<PathId, 3> highest_held{};  // per node
     bool running = false;
@@ -611,6 +709,12 @@ TEST(MeshLifecycle, EveryLayerAgreesOnThePathSetAfterEveryStep) {
           if (src == dst) continue;
           const DiscoveryResult& r = results[k++];
           if (!r.paths.empty()) established_first[{src, dst}] = r.paths.front().id;
+          // A mesh-issued id names one pair for the life of the mesh.
+          for (const DiscoveredPath& path : r.paths) {
+            const auto [it, fresh] = established_pair.emplace(path.id, std::pair{src, dst});
+            EXPECT_EQ(it->second, (std::pair{src, dst}))
+                << "seed " << seed << ": id " << path.id << " moved to another pair";
+          }
         }
       }
     };

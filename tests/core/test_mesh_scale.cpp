@@ -90,7 +90,8 @@ TEST(MeshScale, CompactDisjointIdsAcrossAllOrderedPairs) {
 /// What establish() does, with the reference loop in place of the engine:
 /// the same per-direction requests (source-major, pool sliced by the
 /// source's rank among the destination's peers), one reference run per
-/// direction, the same allocator renumbering and the same deferred install.
+/// direction, the ids a first establish() draws (one next() per path, in
+/// direction order) and the same deferred install.
 /// Returns the results; `convergence_runs` receives the runs they cost.
 std::vector<DiscoveryResult> reference_establish(World& w, std::uint64_t& convergence_runs) {
   const std::size_t n = w.nodes.size();
@@ -113,11 +114,7 @@ std::vector<DiscoveryResult> reference_establish(World& w, std::uint64_t& conver
 
   PathIdAllocator ids;
   for (DiscoveryResult& result : results) {
-    if (result.paths.empty()) continue;
-    const PathId first = ids.reserve(result.paths.size());
-    for (std::size_t i = 0; i < result.paths.size(); ++i) {
-      result.paths[i].id = static_cast<PathId>(first + i);
-    }
+    for (DiscoveredPath& path : result.paths) path.id = ids.next();
   }
   for (std::size_t k = 0; k < results.size(); ++k) {
     directions[k].first->install_outbound(*directions[k].second, results[k],

@@ -10,12 +10,22 @@
 namespace tango::core {
 namespace {
 
+/// Draws `count` ids and returns the first (a per-direction block, as a
+/// mesh's first establish() draws it: one next() per discovered path).
+PathId draw(PathIdAllocator& alloc, std::size_t count) {
+  const PathId first = alloc.next();
+  for (std::size_t i = 1; i < count; ++i) {
+    EXPECT_EQ(alloc.next(), first + i) << "ids must be consecutive";
+  }
+  return first;
+}
+
 TEST(PathIdAllocator, CompactMonotonicBlocks) {
   PathIdAllocator alloc;
-  EXPECT_EQ(alloc.reserve(4), 1u);
-  EXPECT_EQ(alloc.reserve(1), 5u);
+  EXPECT_EQ(draw(alloc, 4), 1u);
+  EXPECT_EQ(draw(alloc, 1), 5u);
   EXPECT_EQ(alloc.next(), 6u);
-  EXPECT_EQ(alloc.reserve(10), 7u);
+  EXPECT_EQ(draw(alloc, 10), 7u);
   EXPECT_EQ(alloc.allocated(), 16u);
   EXPECT_EQ(alloc.remaining(), 65535u - 16u);
 }
@@ -25,7 +35,7 @@ TEST(PathIdAllocator, BlocksNeverOverlap) {
   std::set<PathId> seen;
   for (int block = 0; block < 100; ++block) {
     const std::size_t count = 1 + static_cast<std::size_t>(block % 7);
-    const PathId first = alloc.reserve(count);
+    const PathId first = draw(alloc, count);
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_TRUE(seen.insert(static_cast<PathId>(first + i)).second)
           << "id " << (first + i) << " handed out twice";
@@ -36,24 +46,17 @@ TEST(PathIdAllocator, BlocksNeverOverlap) {
 
 TEST(PathIdAllocator, ExhaustionThrowsInsteadOfWrapping) {
   PathIdAllocator alloc{/*max_id=*/10};
-  EXPECT_EQ(alloc.reserve(10), 1u);
+  EXPECT_EQ(draw(alloc, 10), 1u);  // exact fit succeeds
   EXPECT_EQ(alloc.remaining(), 0u);
   EXPECT_THROW(alloc.next(), PathIdExhausted);
-  // A partial fit must also refuse (no split blocks).
-  PathIdAllocator alloc2{/*max_id=*/10};
-  alloc2.reserve(8);
-  EXPECT_THROW(alloc2.reserve(3), PathIdExhausted);
-  EXPECT_EQ(alloc2.reserve(2), 9u);  // exact fit still succeeds
-}
-
-TEST(PathIdAllocator, EmptyReservationIsACallerBug) {
-  PathIdAllocator alloc;
-  EXPECT_THROW(alloc.reserve(0), std::logic_error);
+  // A refused draw hands nothing out, and the space never wraps back to 1.
+  EXPECT_EQ(alloc.allocated(), 10u);
+  EXPECT_THROW(alloc.next(), PathIdExhausted);
 }
 
 TEST(PathIdAllocator, FullSixteenBitSpaceIsAddressable) {
   PathIdAllocator alloc;
-  const PathId first = alloc.reserve(65535);  // ids 1..65535 (0 = "no path")
+  const PathId first = draw(alloc, 65535);  // ids 1..65535 (0 = "no path")
   EXPECT_EQ(first, 1u);
   EXPECT_EQ(alloc.remaining(), 0u);
   EXPECT_THROW(alloc.next(), PathIdExhausted);
@@ -80,7 +83,7 @@ TEST(PathIdAllocator, RegressionOldStrideSchemeWrappedAt65Sites) {
   std::size_t pairs_served = 0;
   try {
     for (std::size_t pair = 0; pair < kPairs; ++pair) {
-      (void)alloc.reserve(kIdsPerPair);
+      for (std::size_t i = 0; i < kIdsPerPair; ++i) (void)alloc.next();
       ++pairs_served;
     }
   } catch (const PathIdExhausted&) {
